@@ -294,6 +294,21 @@ def _write_trace(tracer, path, fmt: str, meta: dict | None = None) -> None:
     print(f"wrote {fmt} trace to {path}")
 
 
+def _explain(db, plan, workers: int | None, settings, memory_budget) -> str:
+    """EXPLAIN of what the chosen executor runs: with --workers, the
+    parallel executor's own lowering (morsel segments tagged)."""
+    from repro.engine import ParallelExecutor
+    from repro.engine.explain import explain
+
+    if workers is None:
+        return explain(plan, db, settings=settings, memory_budget=memory_budget)
+    with ParallelExecutor(db, workers=workers, settings=settings) as executor:
+        lowered = executor.lower(plan)
+    return explain(
+        lowered, db, optimize=False, settings=settings, memory_budget=memory_budget
+    )
+
+
 def _execute_maybe_parallel(
     db, plan, workers: int | None, settings=None, tracer=None, label=None,
     timeout: float | None = None, memory_budget: int | None = None,
@@ -335,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "query":
-        from repro.engine.explain import explain, explain_profile
+        from repro.engine.explain import explain_profile
         from repro.tpch import generate, get_query
 
         db = _maybe_compress_db(generate(args.sf), args.compress)
@@ -346,8 +361,7 @@ def main(argv: list[str] | None = None) -> int:
             args.no_rollups, args.no_spill,
         )
         if args.explain:
-            print(explain(plan, db, settings=settings,
-                          memory_budget=args.memory_budget))
+            print(_explain(db, plan, args.workers, settings, args.memory_budget))
             print()
         tracer = _make_tracer(args.trace)
         try:
@@ -468,7 +482,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if passed == len(results) else 1
 
     if args.command == "sql":
-        from repro.engine.explain import explain
         from repro.engine.sql import SqlError, sql as parse_sql
         from repro.tpch import generate
 
@@ -484,8 +497,7 @@ def main(argv: list[str] | None = None) -> int:
             args.no_rollups, args.no_spill,
         )
         if args.explain:
-            print(explain(plan, db, settings=settings,
-                          memory_budget=args.memory_budget))
+            print(_explain(db, plan, args.workers, settings, args.memory_budget))
             print()
         tracer = _make_tracer(args.trace)
         try:

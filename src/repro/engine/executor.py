@@ -5,32 +5,37 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.obs.trace import NULL_TRACER, OperatorSpanScope
+from repro.obs.trace import NULL_TRACER
 
 from .frame import Frame
 from .optimizer import DEFAULT_SETTINGS, OptimizerSettings, optimize_plan
+from .physical import lower
 from .plan import (
     AggregateNode,
     DistinctNode,
+    EncodedMissNode,
     FilterNode,
     JoinNode,
     LimitNode,
+    MorselSegmentNode,
     PlanNode,
     ProjectNode,
     Q,
+    RunLevelAggregateNode,
     ScanNode,
     SortNode,
+    TopKNode,
     UnionAllNode,
 )
-from .profile import OperatorWork, WorkProfile
+from .profile import OperatorContext, WorkProfile
 from .result import Result
 from .table import Database
-from .operators.aggregate import try_encoded_aggregate
+from .encoded import aggregate_stats
 from .operators.distinct import execute_distinct
 from .operators.filter import execute_filter
 from .operators.limit import execute_limit
 from .operators.project import execute_project
-from .operators.scan import execute_scan
+from .operators.scan import scan_range
 from .operators.sort import execute_sort, execute_topk
 from .operators.unionall import execute_union_all
 from .spill import MemoryBudget, maybe_spill_aggregate, maybe_spill_join
@@ -50,7 +55,7 @@ def _annotate_rollups(qspan, node: PlanNode, settings: OptimizerSettings) -> Non
         qspan.annotate(rollup=",".join(routed))
 
 
-class ExecContext:
+class ExecContext(OperatorContext):
     """Per-query execution state: the accumulating profile, the operator
     currently charging work, and the scalar-subquery cache."""
 
@@ -62,6 +67,7 @@ class ExecContext:
         parent_span=None,
         cancel=None,
     ):
+        super().__init__(tracer, parent_span)
         self.db = db
         self._executor = executor
         self.cancel = cancel
@@ -69,40 +75,12 @@ class ExecContext:
         # contexts inherit both so workers share one budget.
         self.budget = getattr(executor, "memory_budget", None)
         self.spilling = executor.settings.spilling
-        self.profile = WorkProfile()
-        self.work: OperatorWork | None = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.pipeline_span = parent_span
-        # Span bookkeeping exists only when tracing: the disabled hot
-        # path pays a single ``is not None`` check per operator.
-        self._ops = (
-            OperatorSpanScope(self.tracer, parent_span)
-            if self.tracer.enabled
-            else None
-        )
         self._scalar_cache: dict[int, object] = {}
         # Reentrant: a scalar subquery's plan may itself reference another
         # scalar subquery. Morsel workers share this context, so cache
         # fills must be serialized.
         self._scalar_lock = threading.RLock()
-
-    def begin_operator(self, name: str) -> OperatorWork:
-        """Open a new operator: append its work record to the profile
-        and (when tracing) start its span, closing the previous one."""
-        work = self.profile.new_operator(name)
-        self.work = work
-        if self._ops is not None:
-            self._ops.begin(name, work)
-        return work
-
-    @property
-    def op_span(self):
-        """The currently open operator span (None when not tracing)."""
-        return self._ops.open_span if self._ops is not None else None
-
-    def close_op_span(self) -> None:
-        if self._ops is not None:
-            self._ops.close()
 
     def scalar(self, plan) -> object:
         """Evaluate an uncorrelated scalar subquery once, merging its work
@@ -112,7 +90,7 @@ class ExecContext:
             if key not in self._scalar_cache:
                 saved = self.work
                 node = plan.node if isinstance(plan, Q) else plan
-                frame = self._executor._exec(node, self)
+                frame = self._executor._exec(self._executor._lower(node), self)
                 self.work = saved
                 if frame.nrows != 1 or len(frame.columns) != 1:
                     raise ValueError("scalar subquery must produce a 1x1 result")
@@ -122,7 +100,8 @@ class ExecContext:
 
 
 class Executor:
-    """Executes logical plans against a database catalog."""
+    """Executes plans against a database catalog: optimize, lower
+    (:mod:`repro.engine.physical`), interpret."""
 
     def __init__(
         self,
@@ -137,6 +116,21 @@ class Executor:
         if memory_budget is not None and not isinstance(memory_budget, MemoryBudget):
             memory_budget = MemoryBudget(limit_bytes=int(memory_budget))
         self.memory_budget = memory_budget
+
+    def lower(self, plan: "Q | PlanNode", optimize: bool = True) -> PlanNode:
+        """The physical plan this executor runs for ``plan``: what
+        :meth:`execute` interprets and what
+        ``explain(executor.lower(plan), db, optimize=False)`` prints."""
+        return self._lower(self._optimized(plan, optimize))
+
+    def _optimized(self, plan: "Q | PlanNode", optimize: bool) -> PlanNode:
+        node = plan.node if isinstance(plan, Q) else plan
+        if node is None:
+            raise ValueError("cannot execute an empty plan")
+        return optimize_plan(node, self.db, self.settings) if optimize else node
+
+    def _lower(self, node: PlanNode) -> PlanNode:
+        return lower(node, self.db, self.settings)
 
     def execute(
         self,
@@ -155,66 +149,85 @@ class Executor:
         :class:`~repro.engine.cancel.CancelToken` checked at every
         operator dispatch.
         """
-        node = plan.node if isinstance(plan, Q) else plan
-        if node is None:
-            raise ValueError("cannot execute an empty plan")
         if cancel is not None:
             cancel.check()
-        if optimize:
-            node = optimize_plan(node, self.db, self.settings)
-
+        node = self._optimized(plan, optimize)
         tracer = self.tracer
-        qspan = pspan = None
+        qspan = None
         if tracer.enabled:
             qspan = tracer.start("query", label or "query", parent=parent_span)
             _annotate_rollups(qspan, node, self.settings)
-            pspan = tracer.start("pipeline", "main", parent=qspan)
-        ctx = ExecContext(self.db, self, tracer=tracer, parent_span=pspan, cancel=cancel)
         start = time.perf_counter()
         try:
-            frame = self._exec(node, ctx)
+            frame, profile, cached = self._run(node, qspan, cancel)
+        except BaseException:
+            if qspan is not None:
+                qspan.annotate(error=True)
+                tracer.finish(qspan)
+                tracer.finalize(qspan)
+            raise
+        elapsed = time.perf_counter() - start
+        if qspan is not None:
+            if cached is not None:
+                # A cache hit leaves the span childless: the observation
+                # is "this execution was served from the result cache".
+                qspan.annotate(cached=cached)
+            qspan.annotate(rows=frame.nrows, operators=len(profile.operators))
+            tracer.finish(qspan)
+            tracer.finalize(qspan)
+        return Result(frame, profile, wall_seconds=elapsed, cached=bool(cached))
+
+    def _run(self, node: PlanNode, qspan, cancel) -> tuple[Frame, WorkProfile, "bool | None"]:
+        """Execute an optimized plan; the third element says whether a
+        result cache served it (``None``: this executor has none)."""
+        return (*self._run_direct(node, qspan, cancel), None)
+
+    def _run_direct(self, node: PlanNode, qspan, cancel) -> tuple[Frame, WorkProfile]:
+        """Lower an optimized plan and interpret it under one "main"
+        pipeline span."""
+        tracer = self.tracer
+        pspan = (
+            tracer.start("pipeline", "main", parent=qspan)
+            if qspan is not None
+            else None
+        )
+        ctx = ExecContext(self.db, self, tracer=tracer, parent_span=pspan, cancel=cancel)
+        try:
+            frame = self._exec(self._lower(node), ctx)
             if frame.is_late:
                 # The result boundary is the last pipeline breaker: gather
                 # the surviving rows and charge it to the final operator.
                 frame = frame.dense(
                     ctx.profile.operators[-1] if ctx.profile.operators else None
                 )
-        except BaseException:
-            if qspan is not None:
-                qspan.annotate(error=True)
+        finally:
+            if pspan is not None:
                 ctx.close_op_span()
                 tracer.finish(pspan)
-                tracer.finish(qspan)
-                tracer.finalize(qspan)
-            raise
-        elapsed = time.perf_counter() - start
-        if qspan is not None:
-            ctx.close_op_span()
-            tracer.finish(pspan)
-            qspan.annotate(
-                rows=frame.nrows, operators=len(ctx.profile.operators)
-            )
-            tracer.finish(qspan)
-            tracer.finalize(qspan)
-        return Result(frame, ctx.profile, wall_seconds=elapsed)
+        return frame, ctx.profile
 
     # ------------------------------------------------------------------
 
-    def _exec(self, node: PlanNode, ctx: ExecContext) -> Frame:
+    def _exec(self, node: PlanNode, ctx) -> Frame:
+        """The interpreter: one branch per (lowered) node. Every static
+        choice was made by :func:`~repro.engine.physical.lower`; what is
+        left to the operators depends on the frames they are handed."""
         if ctx.cancel is not None:
             ctx.cancel.check()
         if isinstance(node, ScanNode):
+            # The one place the skipping / late / compressed gates reach a
+            # scan — over the whole table, or one morsel's rows of it.
             ctx.begin_operator("scan")
-            cols = list(node.columns) if node.columns is not None else None
-            return execute_scan(
-                self.db.table(node.table),
-                cols,
-                ctx,
-                predicate=node.predicate,
+            table = self.db.table(node.table)
+            lo, hi = ctx.rows or (0, table.nrows)
+            return scan_range(
+                table, node, lo, hi, ctx,
                 skipping=self.settings.zone_map_skipping,
                 late=self.settings.late_materialization,
                 compressed=self.settings.compressed_execution,
             )
+        if isinstance(node, MorselSegmentNode):
+            return self._exec_segment(node, ctx)
         if isinstance(node, FilterNode):
             child = self._exec(node.child, ctx)
             ctx.begin_operator("filter")
@@ -233,17 +246,17 @@ class Executor:
             return maybe_spill_join(
                 left, right, list(node.left_on), list(node.right_on), node.how, ctx
             )
+        if isinstance(node, RunLevelAggregateNode):  # before its base class
+            aggregate_stats.hit()
+            return node.plan.execute(ctx)
+        if isinstance(node, EncodedMissNode):
+            aggregate_stats.miss()
+            return self._exec(node.child, ctx)
         if isinstance(node, AggregateNode):
-            if (
-                self.settings.compressed_execution
-                and isinstance(node.child, ScanNode)
-                and node.child.predicate is None
-            ):
-                frame = try_encoded_aggregate(node, self.db, ctx)
-                if frame is not None:
-                    return frame
             child = self._exec(node.child, ctx)
             ctx.begin_operator("aggregate")
+            # Budget-aware: inside a segment each worker's partial state
+            # charges the query's shared MemoryBudget and spills when over.
             return maybe_spill_aggregate(
                 child, list(node.group_by), dict(node.aggs), ctx
             )
@@ -251,13 +264,11 @@ class Executor:
             child = self._exec(node.child, ctx)
             ctx.begin_operator("sort")
             return execute_sort(child, list(node.keys), ctx)
+        if isinstance(node, TopKNode):
+            child = self._exec(node.child, ctx)
+            ctx.begin_operator("topk")
+            return execute_topk(child, list(node.keys), node.n, ctx)
         if isinstance(node, LimitNode):
-            if isinstance(node.child, SortNode):
-                # Physical top-k: fuse ORDER BY + LIMIT (partition select
-                # instead of a full sort).
-                child = self._exec(node.child.child, ctx)
-                ctx.begin_operator("topk")
-                return execute_topk(child, list(node.child.keys), node.n, ctx)
             child = self._exec(node.child, ctx)
             ctx.begin_operator("limit")
             return execute_limit(child, node.n, ctx)

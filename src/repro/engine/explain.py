@@ -1,9 +1,18 @@
-"""EXPLAIN: render logical plans and per-operator work profiles.
+"""EXPLAIN: render physical plans and per-operator work profiles.
 
-``explain(plan, db)`` prints the (optionally optimized) operator tree;
-``explain_profile(result)`` shows where a finished query spent its work —
-useful for understanding why a query is memory- or compute-bound on a
-given platform (e.g. Q1's scan dominance on the Pi).
+``explain(plan, db)`` prints the tree the executor interprets — the plan
+optimized and then lowered by :func:`repro.engine.physical.lower` — one
+``-> `` line per profile operator; ``explain_profile(result)`` shows
+where a finished query spent its work — useful for understanding why a
+query is memory- or compute-bound on a given platform (e.g. Q1's scan
+dominance on the Pi).
+
+The static choices (``TopK``, ``[enc-agg: run-level]``, ``[segment:
+...]``) are read off the lowered nodes. The remaining tags are
+*predictions* of decisions the operators take at run time, made by
+calling the operators' own helpers on static estimates: ``[late ...]``,
+``[enc-eval n/m]`` (``classify_conjuncts``) and ``[spill: ...]``
+(``choose_partitions``).
 """
 
 from __future__ import annotations
@@ -15,17 +24,22 @@ from .optimizer import (
     optimize_plan,
     output_columns,
 )
+from .physical import lower
 from .plan import (
     AggregateNode,
     DistinctNode,
+    EncodedMissNode,
     FilterNode,
     JoinNode,
     LimitNode,
+    MorselSegmentNode,
     PlanNode,
     ProjectNode,
     Q,
+    RunLevelAggregateNode,
     ScanNode,
     SortNode,
+    TopKNode,
     UnionAllNode,
 )
 from .result import Result
@@ -37,10 +51,7 @@ __all__ = ["explain", "explain_profile"]
 def _describe(node: PlanNode) -> str:
     if isinstance(node, ScanNode):
         cols = "*" if node.columns is None else ", ".join(node.columns)
-        base = f"Scan {node.table} [{cols}]"
-        if node.predicate is not None:
-            return f"{base} Filter ({node.predicate!r})"
-        return base
+        return f"Scan {node.table} [{cols}]"
     if isinstance(node, FilterNode):
         return f"Filter ({node.predicate!r})"
     if isinstance(node, ProjectNode):
@@ -52,8 +63,10 @@ def _describe(node: PlanNode) -> str:
         by = ", ".join(node.group_by) or "<global>"
         aggs = ", ".join(f"{name}={spec.func}" for name, spec in node.aggs)
         return f"Aggregate by [{by}] computing [{aggs}]"
-    if isinstance(node, SortNode):
+    if isinstance(node, (SortNode, TopKNode)):
         keys = ", ".join(f"{k} {d}" for k, d in node.keys)
+        if isinstance(node, TopKNode):
+            return f"TopK {node.n} [{keys}]"
         return f"Sort [{keys}]"
     if isinstance(node, LimitNode):
         return f"Limit {node.n}"
@@ -80,6 +93,8 @@ def _produces_late(node: PlanNode) -> bool:
         )
     if isinstance(node, LimitNode):
         return _produces_late(node.child)
+    # Everything else is a pipeline breaker — a morsel segment included:
+    # each morsel gathers at its boundary, so the merged frame is dense.
     return False
 
 
@@ -91,38 +106,17 @@ def _late_tag(node: PlanNode) -> str:
     return ""
 
 
-def _rollup_tag(node: PlanNode) -> str:
-    """Routing annotation: scans of materialized rollup cubes."""
-    from repro.rollup.shapes import ROLLUP_PREFIX
+def _enc_eval_tag(scan: ScanNode, db: Database) -> str:
+    """Compressed-execution prediction for a pushed-down predicate: how
+    many conjuncts the scan will evaluate on the encoded payloads."""
+    from .encoded import classify_conjuncts
 
-    if isinstance(node, ScanNode) and node.table.startswith(ROLLUP_PREFIX):
-        return f"  [rollup: {node.table}]"
-    return ""
-
-
-def _enc_tag(node: PlanNode, db: Database) -> str:
-    """Compressed-execution annotation: how this operator will treat
-    encoded columns (a dry run of the same dispatch the executor does)."""
-    from .encoded import classify_conjuncts, prepare_aggregate
-
-    if isinstance(node, ScanNode) and node.predicate is not None:
-        encoded, decode = classify_conjuncts(node.predicate, db.table(node.table))
-        if encoded and decode:
-            return f"  [enc-eval {encoded}/{encoded + decode}]"
-        if encoded:
-            return "  [enc-eval]"
-        if decode:
-            return "  [decode]"
-        return ""
-    if (
-        isinstance(node, AggregateNode)
-        and isinstance(node.child, ScanNode)
-        and node.child.predicate is None
-    ):
-        table = db.table(node.child.table)
-        if prepare_aggregate(table, list(node.group_by), dict(node.aggs)) is not None:
-            return "  [enc-agg: run-level]"
-    return ""
+    encoded, decode = classify_conjuncts(scan.predicate, db.table(scan.table))
+    if encoded and decode:
+        return f"  [enc-eval {encoded}/{encoded + decode}]"
+    if encoded:
+        return "  [enc-eval]"
+    return "  [decode]" if decode else ""
 
 
 def _subtree_size(node: PlanNode, db: Database) -> tuple[float, float]:
@@ -184,9 +178,14 @@ def explain(
 ) -> str:
     """Render a plan as an indented operator tree (top operator first).
 
-    With ``optimize`` the tree shown is the one the executor actually
-    runs under ``settings`` — pushed-down scan predicates appear on their
-    ``Scan`` line. With ``memory_budget`` (a byte count or a
+    The tree shown is the one the serial executor interprets under
+    ``settings``: ``plan`` optimized (with ``optimize``) and lowered. To
+    see what a parallel executor runs, hand over its own lowering —
+    ``explain(executor.lower(plan), db, optimize=False, settings=...)`` —
+    and the members of each morsel segment carry a ``[segment: ...]``
+    tag. A pushed-down scan predicate prints as a ``Filter ... [pushed]``
+    line over its ``Scan`` (two profile operators, one physical node).
+    With ``memory_budget`` (a byte count or a
     :class:`~repro.engine.spill.MemoryBudget`), joins and grouped
     aggregates whose static size estimate exceeds the budget carry a
     ``[spill: ...]`` tag showing the predicted Grace fan-out and depth."""
@@ -196,24 +195,39 @@ def explain(
     effective = settings if settings is not None else DEFAULT_SETTINGS
     if optimize:
         node = optimize_plan(node, db, effective)
+    node = lower(node, db, effective)
+
+    from repro.rollup.shapes import ROLLUP_PREFIX
 
     lines: list[str] = []
-    annotate_late = effective.late_materialization
-    annotate_enc = effective.compressed_execution
 
-    def walk(current: PlanNode, depth: int) -> None:
-        tag = _late_tag(current) if annotate_late else ""
-        if annotate_enc:
-            tag += _enc_tag(current, db)
-        if effective.rollups:
-            tag += _rollup_tag(current)
+    def emit(depth: int, text: str) -> None:
+        lines.append("  " * depth + "-> " + text)
+
+    def walk(current: PlanNode, depth: int, segment: str) -> None:
+        if isinstance(current, EncodedMissNode):
+            return walk(current.child, depth, segment)
+        if isinstance(current, MorselSegmentNode):
+            tag = f"  [segment: {current.kind} x{len(current.ranges)} morsels]"
+            return walk(current.plan, depth, tag)
+        tag = _late_tag(current) if effective.late_materialization else ""
+        if isinstance(current, RunLevelAggregateNode):
+            tag += "  [enc-agg: run-level]"
         if memory_budget is not None and effective.spilling:
             tag += _spill_tag(current, db, memory_budget)
-        lines.append("  " * depth + "-> " + _describe(current) + tag)
+        if isinstance(current, ScanNode):
+            if current.predicate is not None:
+                if effective.compressed_execution:
+                    tag += _enc_eval_tag(current, db)
+                emit(depth, f"Filter ({current.predicate!r})  [pushed]{tag}{segment}")
+                depth, tag = depth + 1, ""
+            if effective.rollups and current.table.startswith(ROLLUP_PREFIX):
+                tag += f"  [rollup: {current.table}]"
+        emit(depth, _describe(current) + tag + segment)
         for child in current.children():
-            walk(child, depth + 1)
+            walk(child, depth + 1, segment)
 
-    walk(node, 0)
+    walk(node, 0, "")
     lines.append("output: [" + ", ".join(output_columns(node, db)) + "]")
     return "\n".join(lines)
 

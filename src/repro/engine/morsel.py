@@ -11,11 +11,8 @@ threads; the per-morsel profiles are coalesced afterwards.
 
 from __future__ import annotations
 
-from repro.obs.trace import NULL_TRACER, OperatorSpanScope
-
 from .compression import CompressedColumn
-from .frame import Frame
-from .profile import WorkProfile
+from .profile import OperatorContext
 from .table import Database, Table
 
 __all__ = [
@@ -23,7 +20,6 @@ __all__ = [
     "MIN_PARALLEL_ROWS",
     "MorselContext",
     "morsel_ranges",
-    "scan_morsel",
     "table_is_morselable",
 ]
 
@@ -52,17 +48,16 @@ _SLICEABLE_ENCODINGS = frozenset({"bitpack", "for", "rle"})
 
 
 def table_is_morselable(
-    table: Table, columns: list[str] | None, allow_encoded: bool = False
+    table: Table, columns: list[str], allow_encoded: bool = False
 ) -> bool:
-    """Whether every needed column supports positional slicing.
+    """Whether every streamed column supports positional slicing.
 
     Plain columns always do. Compressed columns keep such scans serial
     unless ``allow_encoded`` (compressed execution is on) and the
-    encoding has random access — then :func:`scan_morsel` decodes or
+    encoding has random access — then a morsel's scan decodes or
     encoded-evaluates exactly its own row range.
     """
-    names = columns if columns is not None else table.column_names
-    for n in names:
+    for n in columns:
         col = table.column(n)
         if not isinstance(col, CompressedColumn):
             continue
@@ -71,87 +66,37 @@ def table_is_morselable(
     return True
 
 
-class MorselContext:
-    """Execution context scoped to one morsel.
+class MorselContext(OperatorContext):
+    """Execution context scoped to one morsel: rows ``[lo, hi)`` of the
+    segment's base table, which is all the executor's scan branch reads
+    under this context (``rows``; row ids stay absolute, so late
+    selection vectors compose across morsels exactly as they do serially).
 
-    Operators charge work into a private :class:`WorkProfile`; scalar
+    Operators charge work into a private
+    :class:`~repro.engine.profile.WorkProfile`; scalar
     subqueries delegate to the parent query's context (whose cache the
     parallel executor pre-warms on the main thread, so worker-thread
     lookups never re-enter the executor).
     """
 
-    def __init__(self, db: Database, parent, tracer=None, span=None):
-        self.db = db
-        self._parent = parent
-        # Morsels inherit the query's cancel token: the scan re-checks
-        # it so a cancellation that lands between scheduling and
-        # execution still stops the morsel before it streams any bytes.
-        self.cancel = getattr(parent, "cancel", None)
-        # Morsels also inherit the query's memory budget and spill
-        # policy, so every worker's partial state charges one shared
-        # budget (and spills against it when over).
-        self.budget = getattr(parent, "budget", None)
-        self.spilling = getattr(parent, "spilling", True)
-        self.profile = WorkProfile()
-        self.work = None
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.span = span
+    def __init__(self, db: Database, parent, rows, tracer=None, span=None):
         # Per-morsel operator spans are marked ``fragment`` — their work
         # records are coalesced away by the profile merge, so trace
         # reconciliation counts only the coalesced (profile-resident)
         # operator spans the parallel executor emits at merge time.
-        self._ops = (
-            OperatorSpanScope(self.tracer, span, fragment=True)
-            if self.tracer.enabled
-            else None
-        )
-
-    def begin_operator(self, name: str):
-        work = self.profile.new_operator(name)
-        self.work = work
-        if self._ops is not None:
-            self._ops.begin(name, work)
-        return work
-
-    @property
-    def op_span(self):
-        return self._ops.open_span if self._ops is not None else None
-
-    def close_op_span(self) -> None:
-        if self._ops is not None:
-            self._ops.close()
+        super().__init__(tracer, span, fragment=True)
+        self.db = db
+        self._parent = parent
+        self.rows = rows
+        # Morsels inherit the query's cancel token (checked at every
+        # operator dispatch, so a cancellation that lands between
+        # scheduling and execution still stops the morsel before it
+        # streams any bytes), its memory budget and its spill policy:
+        # every worker's partial state charges one shared budget (and
+        # spills against it when over).
+        self.cancel = parent.cancel
+        self.budget = parent.budget
+        self.spilling = parent.spilling
 
     def scalar(self, plan) -> object:
         return self._parent.scalar(plan)
-
-
-def scan_morsel(
-    table: Table,
-    columns: list[str] | None,
-    start: int,
-    stop: int,
-    ctx,
-    predicate=None,
-    skipping: bool = True,
-    late: bool = False,
-    compressed: bool = False,
-) -> Frame:
-    """Materialize one morsel of a table scan (zero-copy column slices).
-
-    Delegates to :func:`~repro.engine.operators.scan.scan_range` — the
-    exact code path the serial executor uses — so pushed-down predicates
-    and zone-map skipping behave identically per morsel, and the
-    per-morsel profiles sum to the serial scan's profile. With ``late``
-    the morsel comes back as a selection over the full base columns
-    (row ids are absolute), so downstream late kernels compose across
-    morsels exactly as they do serially.
-    """
-    from .operators.scan import scan_range
-
-    cancel = getattr(ctx, "cancel", None)
-    if cancel is not None:
-        cancel.check()
-    return scan_range(
-        table, columns, start, stop, ctx, predicate, skipping,
-        late=late, compressed=compressed,
-    )

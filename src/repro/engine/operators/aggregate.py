@@ -20,7 +20,7 @@ from ..frame import Frame
 from ..keycache import combine_codes, key_cache
 from ..types import FLOAT64, INT64, STRING
 
-__all__ = ["AggSpec", "execute_aggregate", "try_encoded_aggregate", "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_"]
+__all__ = ["AggSpec", "execute_aggregate", "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_"]
 
 
 @dataclass(frozen=True)
@@ -58,36 +58,6 @@ def min_(expr: Expr) -> AggSpec:
 
 def max_(expr: Expr) -> AggSpec:
     return AggSpec("max", expr)
-
-
-def try_encoded_aggregate(node, db, ctx) -> Frame | None:
-    """Run-level fast path for ``AggregateNode(ScanNode)`` without a
-    predicate: group by an RLE key's runs and reduce aggregate inputs
-    over ``(value, run_length)`` segments (:mod:`repro.engine.encoded`).
-
-    Returns ``None`` — and the caller executes the ordinary
-    scan-then-hash pipeline — whenever the compiled plan cannot prove
-    bit-identical output. Dispatch outcomes land in the
-    ``engine.encoded.aggregate`` hit/miss metrics, with misses counted
-    only when the aggregation actually reads compressed columns.
-    """
-    from ..compression import CompressedColumn
-    from ..encoded import aggregate_stats, prepare_aggregate
-
-    table = db.table(node.child.table)
-    plan = prepare_aggregate(table, list(node.group_by), dict(node.aggs))
-    if plan is None:
-        refs = set(node.group_by)
-        for spec in dict(node.aggs).values():
-            if spec.expr is not None:
-                refs |= spec.expr.references()
-        if any(
-            isinstance(table.columns.get(n), CompressedColumn) for n in refs
-        ):
-            aggregate_stats.miss()
-        return None
-    aggregate_stats.hit()
-    return plan.execute(ctx)
 
 
 def _key_codes(column: Column) -> tuple[np.ndarray, int]:

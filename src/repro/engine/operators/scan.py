@@ -33,6 +33,7 @@ from ..column import Column
 from ..compression import CompressedColumn
 from ..encoded import compile_predicate
 from ..frame import LATE_BREAK_SELECTIVITY, SELECTION_DTYPE, Frame
+from ..plan import ScanNode
 from ..table import Table
 from ..zonemap import (
     BLOCK_EVAL,
@@ -45,7 +46,7 @@ from ..zonemap import (
     split_conjuncts,
 )
 
-__all__ = ["execute_scan", "scan_range"]
+__all__ = ["scan_range"]
 
 # Process-wide data-skipping counters (cumulative across queries); the
 # per-query numbers live in the WorkProfile / trace spans.
@@ -116,29 +117,95 @@ def _scan_unfiltered(
     return frame
 
 
+def _late_frame(
+    decoded: dict[str, Column], out_names: list[str], sel_parts: list[np.ndarray],
+    survived: int, filter_work, ctx,
+) -> Frame:
+    """The late-materialized result of a predicated scan: the base
+    columns untouched plus the selection vector of surviving row ids —
+    unless that vector is dense but scattered, where it breaks here."""
+    if len(sel_parts) == 1:
+        sel = sel_parts[0]
+    elif sel_parts:
+        sel = np.concatenate(sel_parts)
+    else:
+        sel = np.empty(0, dtype=SELECTION_DTYPE)
+    out_frame = Frame({n: decoded[n] for n in out_names}, selection=sel)
+    if (
+        not out_frame._selection_is_contiguous()
+        and out_frame.nrows > LATE_BREAK_SELECTIVITY * max(1, survived)
+    ):
+        # The selection is dense but scattered: the deferred gathers
+        # would touch almost every cache line, so break the vector
+        # here and pay the streaming rewrite an eager filter pays.
+        out_frame = out_frame.dense()
+        filter_work.tuples_out += out_frame.nrows
+        filter_work.out_bytes += out_frame.nbytes
+        note(ctx, late=True, broke=True)
+        return out_frame
+    filter_work.tuples_out += out_frame.nrows
+    filter_work.out_bytes += sel.nbytes
+    # The compact column rewrite an eager filter would have paid.
+    filter_work.saved_bytes += out_frame.nbytes
+    note(ctx, late=True)
+    return out_frame
+
+
+def _eager_frame(
+    table: Table, out_names: list[str], pieces: list[Frame], filter_work
+) -> Frame:
+    """The eagerly materialized result: surviving run pieces concatenated
+    into compact columns."""
+    if pieces:
+        n_out = sum(p.nrows for p in pieces)
+        if len(pieces) == 1:
+            out_cols = {n: pieces[0].column(n) for n in out_names}
+        else:
+            out_cols = {
+                n: Column.concat([p.column(n) for p in pieces]) for n in out_names
+            }
+    else:
+        n_out = 0
+        out_cols = {n: _empty_like(table.column(n)) for n in out_names}
+    out_frame = Frame(out_cols, n_out)
+    filter_work.tuples_out += n_out
+    filter_work.out_bytes += out_frame.nbytes
+    return out_frame
+
+
 def scan_range(
     table: Table,
-    columns: list[str] | None,
+    scan: ScanNode,
     start: int,
     stop: int,
     ctx,
-    predicate=None,
     skipping: bool = True,
     late: bool = False,
     compressed: bool = False,
 ) -> Frame:
-    """Scan rows ``[start, stop)`` of ``table``, applying ``predicate``
-    (if any) with zone-map block skipping (if enabled).
+    """Scan rows ``[start, stop)`` of ``table`` as ``scan`` describes,
+    applying its predicate (if any) with zone-map block skipping (if
+    enabled).
 
-    ``columns`` are the output columns; predicate-only columns are
-    streamed for evaluation but dropped from the result. The serial
-    executor calls this over the full table; the parallel executor calls
-    it once per morsel — both share this exact code path. With
-    ``compressed`` the scan compiles predicate conjuncts against encoded
-    columns (:mod:`repro.engine.encoded`) and decodes per run instead of
-    per column.
+    ``scan.columns`` are the output columns; predicate-only columns are
+    streamed for evaluation but dropped from the result. The executor's
+    scan branch calls this over the full table, or over one morsel's
+    rows inside a parallel segment — both share this exact code path.
+
+    Accounting: a columnar scan streams every referenced column array
+    sequentially through memory once — the dominant memory-bandwidth term
+    for OLAP queries (and the reason Q1 is the Pi's worst query).
+    Compressed columns stream fewer bytes but cost decode ops. Blocks a
+    zone map proves empty against the pushed-down predicate are charged
+    ``skipped_bytes`` (and zone probes) instead of streaming. With
+    ``late`` a predicated scan returns a selection vector over the base
+    columns instead of rewriting the survivors. With ``compressed`` the
+    scan compiles predicate conjuncts against encoded columns
+    (:mod:`repro.engine.encoded`) and decodes per run instead of per
+    column.
     """
-    out_names = columns if columns is not None else table.column_names
+    predicate = scan.predicate
+    out_names = list(scan.columns) if scan.columns is not None else table.column_names
     if predicate is None:
         return _scan_unfiltered(table, out_names, start, stop, ctx, compressed)
 
@@ -159,10 +226,7 @@ def scan_range(
         codes[codes == BLOCK_TAKE] = BLOCK_EVAL
     runs = _merge_runs(codes, start, stop, block_rows)
 
-    stream_names = list(out_names)
-    for ref in sorted(predicate.references()):
-        if ref not in stream_names:
-            stream_names.append(ref)
+    stream_names = scan.streamed_columns(table)
 
     range_rows = stop - start
     survived = sum(hi - lo for kind, lo, hi in runs if kind != BLOCK_SKIP)
@@ -214,14 +278,7 @@ def scan_range(
 
     # Predicate evaluation is its own operator, mirroring the explicit
     # filter the optimizer pushed down — profiles keep the same shape.
-    # (Unit tests drive this with bare profile-only contexts, hence the
-    # duck-typed dispatch through begin_operator when available.)
-    begin = getattr(ctx, "begin_operator", None)
-    if begin is not None:
-        filter_work = begin("filter")
-    else:
-        filter_work = ctx.profile.new_operator("filter")
-        ctx.work = filter_work
+    filter_work = ctx.begin_operator("filter")
     note(ctx, pushdown=True)
 
     if late and all(name in decoded for name in stream_names):
@@ -243,31 +300,7 @@ def scan_range(
                 mask = predicate.evaluate(run_frame, ctx).values
                 filter_work.seq_bytes += hi - lo  # the mask / candidate list
                 sel_parts.append((lo + np.flatnonzero(mask)).astype(SELECTION_DTYPE))
-        if len(sel_parts) == 1:
-            sel = sel_parts[0]
-        elif sel_parts:
-            sel = np.concatenate(sel_parts)
-        else:
-            sel = np.empty(0, dtype=SELECTION_DTYPE)
-        out_frame = Frame({n: decoded[n] for n in out_names}, selection=sel)
-        if (
-            not out_frame._selection_is_contiguous()
-            and out_frame.nrows > LATE_BREAK_SELECTIVITY * max(1, survived)
-        ):
-            # The selection is dense but scattered: the deferred gathers
-            # would touch almost every cache line, so break the vector
-            # here and pay the streaming rewrite an eager filter pays.
-            out_frame = out_frame.dense()
-            filter_work.tuples_out += out_frame.nrows
-            filter_work.out_bytes += out_frame.nbytes
-            note(ctx, late=True, broke=True)
-            return out_frame
-        filter_work.tuples_out += out_frame.nrows
-        filter_work.out_bytes += sel.nbytes
-        # The compact column rewrite an eager filter would have paid.
-        filter_work.saved_bytes += out_frame.nbytes
-        note(ctx, late=True)
-        return out_frame
+        return _late_frame(decoded, out_names, sel_parts, survived, filter_work, ctx)
 
     pieces: list[Frame] = []
     for kind, lo, hi in runs:
@@ -280,22 +313,7 @@ def scan_range(
             frame = frame.filter(mask)
             filter_work.seq_bytes += hi - lo  # the mask / candidate list
         pieces.append(frame)
-
-    if pieces:
-        n_out = sum(p.nrows for p in pieces)
-        if len(pieces) == 1:
-            out_cols = {n: pieces[0].column(n) for n in out_names}
-        else:
-            out_cols = {
-                n: Column.concat([p.column(n) for p in pieces]) for n in out_names
-            }
-    else:
-        n_out = 0
-        out_cols = {n: _empty_like(table.column(n)) for n in out_names}
-    out_frame = Frame(out_cols, n_out)
-    filter_work.tuples_out += n_out
-    filter_work.out_bytes += out_frame.nbytes
-    return out_frame
+    return _eager_frame(table, out_names, pieces, filter_work)
 
 
 def _decoded_slice(table: Table, name: str, lo: int, hi: int, scan_work) -> Column:
@@ -353,12 +371,7 @@ def _scan_range_encoded(
     scan_work.tuples_in += survived
     scan_work.tuples_out += survived
 
-    begin = getattr(ctx, "begin_operator", None)
-    if begin is not None:
-        filter_work = begin("filter")
-    else:
-        filter_work = ctx.profile.new_operator("filter")
-        ctx.work = filter_work
+    filter_work = ctx.begin_operator("filter")
     note(ctx, pushdown=True, encoded=True)
 
     if late and survived:
@@ -401,27 +414,7 @@ def _scan_range_encoded(
                 mask = rmask if mask is None else mask & rmask
             filter_work.seq_bytes += hi - lo  # the mask / candidate list
             sel_parts.append((lo + np.flatnonzero(mask)).astype(SELECTION_DTYPE))
-        if len(sel_parts) == 1:
-            sel = sel_parts[0]
-        elif sel_parts:
-            sel = np.concatenate(sel_parts)
-        else:
-            sel = np.empty(0, dtype=SELECTION_DTYPE)
-        out_frame = Frame({n: decoded[n] for n in out_names}, selection=sel)
-        if (
-            not out_frame._selection_is_contiguous()
-            and out_frame.nrows > LATE_BREAK_SELECTIVITY * max(1, survived)
-        ):
-            out_frame = out_frame.dense()
-            filter_work.tuples_out += out_frame.nrows
-            filter_work.out_bytes += out_frame.nbytes
-            note(ctx, late=True, broke=True)
-            return out_frame
-        filter_work.tuples_out += out_frame.nrows
-        filter_work.out_bytes += sel.nbytes
-        filter_work.saved_bytes += out_frame.nbytes
-        note(ctx, late=True)
-        return out_frame
+        return _late_frame(decoded, out_names, sel_parts, survived, filter_work, ctx)
 
     pieces: list[Frame] = []
     for kind, lo, hi in runs:
@@ -452,45 +445,4 @@ def _scan_range_encoded(
         else:  # BLOCK_TAKE — the zone map proved every row survives
             frame = Frame({n: run_slice(n) for n in out_names}, hi - lo)
         pieces.append(frame)
-
-    if pieces:
-        n_out = sum(p.nrows for p in pieces)
-        if len(pieces) == 1:
-            out_cols = {n: pieces[0].column(n) for n in out_names}
-        else:
-            out_cols = {
-                n: Column.concat([p.column(n) for p in pieces]) for n in out_names
-            }
-    else:
-        n_out = 0
-        out_cols = {n: _empty_like(table.column(n)) for n in out_names}
-    out_frame = Frame(out_cols, n_out)
-    filter_work.tuples_out += n_out
-    filter_work.out_bytes += out_frame.nbytes
-    return out_frame
-
-
-def execute_scan(
-    table: Table,
-    columns: list[str] | None,
-    ctx,
-    predicate=None,
-    skipping: bool = True,
-    late: bool = False,
-    compressed: bool = False,
-) -> Frame:
-    """Read ``columns`` (default: all) of ``table``.
-
-    Accounting: a columnar scan streams every referenced column array
-    sequentially through memory once — the dominant memory-bandwidth term
-    for OLAP queries (and the reason Q1 is the Pi's worst query).
-    Compressed columns stream fewer bytes but cost decode ops. Blocks a
-    zone map proves empty against the pushed-down predicate are charged
-    ``skipped_bytes`` (and zone probes) instead of streaming. With
-    ``late`` a predicated scan returns a selection vector over the base
-    columns instead of rewriting the survivors. With ``compressed``
-    sargable conjuncts evaluate directly on the encoded payloads.
-    """
-    return scan_range(
-        table, columns, 0, table.nrows, ctx, predicate, skipping, late, compressed
-    )
+    return _eager_frame(table, out_names, pieces, filter_work)

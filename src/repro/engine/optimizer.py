@@ -26,13 +26,16 @@ from .expr import ColRef, Expr, rewrite_colrefs
 from .plan import (
     AggregateNode,
     DistinctNode,
+    EncodedMissNode,
     FilterNode,
     JoinNode,
     LimitNode,
+    MorselSegmentNode,
     PlanNode,
     ProjectNode,
     ScanNode,
     SortNode,
+    TopKNode,
     UnionAllNode,
 )
 from .table import Database
@@ -45,6 +48,7 @@ __all__ = [
     "output_columns",
     "prune_columns",
     "pushdown_predicates",
+    "route_rollups",
 ]
 
 
@@ -146,6 +150,16 @@ def optimize_plan(
     if settings.predicate_pushdown:
         node = pushdown_predicates(node, db)
     node = prune_columns(node, db, required=None)
+    return route_rollups(node, db, settings)
+
+
+def route_rollups(
+    node: PlanNode, db: Database, settings: OptimizerSettings = DEFAULT_SETTINGS
+) -> PlanNode:
+    """The last optimizer stage on its own: route an otherwise-optimized
+    plan onto ``db``'s rollup cubes (a no-op without a catalog or with
+    ``settings.rollups`` off). The server mines the unrouted tree, then
+    routes it here — one optimize per request."""
     if settings.rollups and getattr(db, "rollups", None) is not None:
         from repro.rollup.router import route_plan
 
@@ -271,15 +285,17 @@ def _push(node: PlanNode, conjuncts: list[Expr], db: Database) -> PlanNode:
 
 
 def output_columns(node: PlanNode, db: Database) -> list[str]:
-    """The column names a node produces."""
+    """The column names a (logical or lowered) node produces."""
     if isinstance(node, ScanNode):
         if node.columns is not None:
             return list(node.columns)
         return db.table(node.table).column_names
-    if isinstance(node, (FilterNode, SortNode, LimitNode)):
+    if isinstance(
+        node, (FilterNode, SortNode, LimitNode, DistinctNode, TopKNode, EncodedMissNode)
+    ):
         return output_columns(node.child, db)
-    if isinstance(node, DistinctNode):
-        return output_columns(node.child, db)
+    if isinstance(node, MorselSegmentNode):
+        return output_columns(node.plan, db)
     if isinstance(node, ProjectNode):
         return [name for name, _ in node.exprs]
     if isinstance(node, AggregateNode):

@@ -3,13 +3,15 @@
 :class:`ParallelExecutor` is a drop-in for
 :class:`~repro.engine.executor.Executor` that keeps all of a wimpy
 node's cores busy (the paper's Table I point: the Pi 3B+ has four cores,
-and OLAP throughput on it lives or dies by using them). It works on
-*parallelizable segments* — maximal scan → filter/project chains over a
-base table, optionally capped by a decomposable aggregate or a fused
-top-k — executing each segment once per morsel on a shared
-``ThreadPoolExecutor`` (the numpy kernels release the GIL), then merging
-partial states with :mod:`repro.engine.merge`. Everything outside a
-segment (joins, sorts, DISTINCT, non-decomposable aggregates) runs
+and OLAP throughput on it lives or dies by using them). Lowering
+(:mod:`repro.engine.physical`) marks the *parallelizable segments* of a
+plan — maximal scan → filter/project chains over a base table,
+optionally capped by a decomposable aggregate or a fused top-k — as
+:class:`~repro.engine.plan.MorselSegmentNode` values; this class runs
+each segment's per-morsel plan through the ordinary interpreter on a
+shared ``ThreadPoolExecutor`` (the numpy kernels release the GIL), then
+merges partial states with :mod:`repro.engine.merge`. Everything outside
+a segment (joins, sorts, DISTINCT, non-decomposable aggregates) runs
 serially over the merged intermediates, so *every* plan executes
 correctly; parallelism is an optimization, never a semantics change.
 
@@ -23,74 +25,26 @@ from __future__ import annotations
 
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 
 from .cache import ResultCache
-from .executor import ExecContext, Executor, _annotate_rollups
-from .expr import Expr, ScalarSubquery
+from .executor import ExecContext, Executor
 from .fingerprint import plan_fingerprint
 from .frame import Frame
 from .merge import (
     concat_frames,
-    decompose_aggregates,
     merge_partial_aggregates,
     merge_profiles,
     merge_topk,
 )
-from .morsel import (
-    DEFAULT_MORSEL_ROWS,
-    MIN_PARALLEL_ROWS,
-    MorselContext,
-    morsel_ranges,
-    scan_morsel,
-    table_is_morselable,
-)
-from .operators.aggregate import try_encoded_aggregate
-from .operators.filter import execute_filter
-from .operators.project import execute_project
-from .operators.sort import execute_topk
+from .morsel import DEFAULT_MORSEL_ROWS, MIN_PARALLEL_ROWS, MorselContext
 from .optimizer import OptimizerSettings, optimize_plan
+from .physical import lower
+from .plan import MorselSegmentNode, PlanNode, ScanNode
 from .profile import WorkProfile
-from .plan import (
-    AggregateNode,
-    FilterNode,
-    LimitNode,
-    PlanNode,
-    ProjectNode,
-    Q,
-    ScanNode,
-    SortNode,
-)
-from .result import Result
-from .spill import maybe_spill_aggregate
 from .zonemap import BLOCK_SKIP, classify_blocks, extract_sargable, split_conjuncts
 
 __all__ = ["ParallelExecutor"]
-
-
-def _collect_scalar_subqueries(obj, found: list[ScalarSubquery]) -> None:
-    """Find every ScalarSubquery reachable from an expression tree."""
-    if isinstance(obj, ScalarSubquery):
-        found.append(obj)
-        return
-    if isinstance(obj, Expr):
-        for value in vars(obj).values():
-            _collect_scalar_subqueries(value, found)
-    elif isinstance(obj, (list, tuple)):
-        for value in obj:
-            _collect_scalar_subqueries(value, found)
-
-
-class _Segment:
-    """A parallelizable plan fragment: a scan chain plus an optional cap."""
-
-    __slots__ = ("kind", "chain", "node")
-
-    def __init__(self, kind: str, chain: list[PlanNode], node: PlanNode):
-        self.kind = kind  # "chain" | "aggregate" | "topk"
-        self.chain = chain  # [ScanNode, Filter/Project, ...] bottom-up
-        self.node = node  # the plan node the segment replaces
 
 
 class ParallelExecutor(Executor):
@@ -164,62 +118,21 @@ class ParallelExecutor(Executor):
 
     # -- entry point ----------------------------------------------------
 
-    def execute(
-        self,
-        plan: "Q | PlanNode",
-        optimize: bool = True,
-        label: str | None = None,
-        parent_span=None,
-        cancel=None,
-    ) -> Result:
-        node = plan.node if isinstance(plan, Q) else plan
-        if node is None:
-            raise ValueError("cannot execute an empty plan")
-        if cancel is not None:
-            cancel.check()
-        if optimize:
-            node = optimize_plan(node, self.db, self.settings)
+    def _lower(self, node: PlanNode) -> PlanNode:
+        return lower(node, self.db, self.settings, morsels=self)
 
-        tracer = self.tracer
-        qspan = (
-            tracer.start("query", label or "query", parent=parent_span)
-            if tracer.enabled
-            else None
+    def _run(self, node: PlanNode, qspan, cancel) -> tuple[Frame, WorkProfile, bool]:
+        """Serve an optimized plan from the fingerprint cache
+        (single-flight), executing it on a miss."""
+        if self.cache is None:
+            return (*self._run_semantic(node, qspan, cancel), False)
+        key = plan_fingerprint(node, self.settings)
+        (frame, profile), was_cached = self.cache.get_or_run(
+            key, lambda: self._run_semantic(node, qspan, cancel), cancel=cancel
         )
-        if qspan is not None:
-            _annotate_rollups(qspan, node, self.settings)
-        start = time.perf_counter()
-        try:
-            if self.cache is None:
-                frame, profile = self._run(node, qspan, cancel)
-                was_cached = False
-            else:
-                key = plan_fingerprint(node, self.settings)
-                (frame, profile), was_cached = self.cache.get_or_run(
-                    key, lambda: self._run(node, qspan, cancel), cancel=cancel
-                )
-        except BaseException:
-            if qspan is not None:
-                qspan.annotate(error=True)
-                tracer.finish(qspan)
-                tracer.finalize(qspan)
-            raise
-        if qspan is not None:
-            # A cache hit leaves the span childless: the observation is
-            # "this execution was served from the result cache".
-            qspan.annotate(
-                cached=was_cached, rows=frame.nrows,
-                operators=len(profile.operators),
-            )
-            tracer.finish(qspan)
-            tracer.finalize(qspan)
-        return Result(
-            frame, profile,
-            wall_seconds=time.perf_counter() - start,
-            cached=was_cached,
-        )
+        return frame, profile, was_cached
 
-    def _run(self, node: PlanNode, qspan=None, cancel=None) -> tuple[Frame, "object"]:
+    def _run_semantic(self, node: PlanNode, qspan, cancel) -> tuple[Frame, WorkProfile]:
         """Execute an optimized plan, preferring the semantic cache.
 
         When the plan splits into a literal-free finer aggregate plus a
@@ -270,103 +183,7 @@ class ParallelExecutor(Executor):
         combined.absorb(residual.profile)
         return residual.frame, combined
 
-    def _run_direct(
-        self, node: PlanNode, qspan=None, cancel=None
-    ) -> tuple[Frame, "object"]:
-        tracer = self.tracer
-        pspan = (
-            tracer.start("pipeline", "main", parent=qspan)
-            if qspan is not None
-            else None
-        )
-        ctx = ExecContext(self.db, self, tracer=tracer, parent_span=pspan, cancel=cancel)
-        frame = self._exec(node, ctx)
-        if frame.is_late:
-            frame = frame.dense(
-                ctx.profile.operators[-1] if ctx.profile.operators else None
-            )
-        if pspan is not None:
-            ctx.close_op_span()
-            tracer.finish(pspan)
-        return frame, ctx.profile
-
-    # -- segment detection ---------------------------------------------
-
-    def _exec(self, node: PlanNode, ctx: ExecContext) -> Frame:
-        if (
-            isinstance(node, AggregateNode)
-            and self.settings.compressed_execution
-            and isinstance(node.child, ScanNode)
-            and node.child.predicate is None
-        ):
-            # Run-level aggregation touches one value per RLE run; even a
-            # perfect morsel split cannot beat that, so it pre-empts
-            # segment matching.
-            frame = try_encoded_aggregate(node, self.db, ctx)
-            if frame is not None:
-                return frame
-        segment = self._match_segment(node)
-        if segment is not None:
-            return self._exec_segment(segment, ctx)
-        return super()._exec(node, ctx)
-
-    def _scan_chain(self, node: PlanNode) -> list[PlanNode] | None:
-        """Bottom-up [scan, op, ...] if ``node`` is a morselable chain."""
-        ops: list[PlanNode] = []
-        current = node
-        while isinstance(current, (FilterNode, ProjectNode)):
-            ops.append(current)
-            current = current.child
-        if not isinstance(current, ScanNode):
-            return None
-        table = self.db.table(current.table)
-        columns = list(current.columns) if current.columns is not None else None
-        # The morselable check must cover every column the scan streams,
-        # including predicate-only columns it never emits.
-        needed = columns
-        if current.predicate is not None:
-            needed = list(table.column_names) if columns is None else list(columns)
-            for ref in sorted(current.predicate.references()):
-                if ref not in needed:
-                    needed.append(ref)
-        if not table_is_morselable(
-            table, needed, allow_encoded=self.settings.compressed_execution
-        ):
-            return None
-        if table.nrows < max(self.min_parallel_rows, 2):
-            return None
-        return [current] + ops[::-1]
-
-    def _match_segment(self, node: PlanNode) -> _Segment | None:
-        if isinstance(node, AggregateNode):
-            chain = self._scan_chain(node.child)
-            if chain is not None and decompose_aggregates(dict(node.aggs)) is not None:
-                return _Segment("aggregate", chain, node)
-            return None
-        if isinstance(node, LimitNode) and isinstance(node.child, SortNode):
-            chain = self._scan_chain(node.child.child)
-            if chain is not None and node.n > 0:
-                return _Segment("topk", chain, node)
-            return None
-        if isinstance(node, (FilterNode, ProjectNode)):
-            chain = self._scan_chain(node)
-            if chain is not None:
-                return _Segment("chain", chain, node)
-        if isinstance(node, ScanNode) and node.predicate is not None:
-            # A scan with a pushed-down predicate carries real per-row
-            # work (and skipping), so it parallelizes like scan+filter.
-            chain = self._scan_chain(node)
-            if chain is not None:
-                return _Segment("chain", chain, node)
-        # Bare predicate-free scans stay serial: slicing + re-concatenating
-        # columns would copy every array for zero computational gain.
-        return None
-
     # -- segment execution ---------------------------------------------
-
-    def _effective_morsel_rows(self, nrows: int) -> int:
-        per_worker = -(-nrows // self.workers)  # ceil div
-        return max(1, min(self.morsel_rows, per_worker))
 
     def _preskip_morsels(
         self, table, scan: ScanNode, ranges: list[tuple[int, int]]
@@ -385,11 +202,9 @@ class ParallelExecutor(Executor):
         sargable = [s for s in (extract_sargable(c) for c in conjuncts) if s is not None]
         if not sargable:
             return ranges, None
-        names = list(scan.columns) if scan.columns is not None else list(table.column_names)
-        for ref in sorted(scan.predicate.references()):
-            if ref not in names:
-                names.append(ref)
-        row_width = sum(table.column(n).dtype.width for n in names)
+        row_width = sum(
+            table.column(n).dtype.width for n in scan.streamed_columns(table)
+        )
         kept: list[tuple[int, int]] = []
         dropped: list[tuple[int, int, int, int]] = []
         for lo, hi in ranges:
@@ -410,39 +225,20 @@ class ParallelExecutor(Executor):
         }
         return kept, stats
 
-    def _exec_segment(self, segment: _Segment, ctx: ExecContext) -> Frame:
-        scan = segment.chain[0]
-        table = self.db.table(scan.table)
-        ranges = morsel_ranges(table.nrows, self._effective_morsel_rows(table.nrows))
-        if len(ranges) < 2:
-            return super()._exec(segment.node, ctx)
-
+    def _exec_segment(self, segment: MorselSegmentNode, ctx: ExecContext) -> Frame:
+        scan = segment.scan
+        ranges = list(segment.ranges)
         pre_skip = None
         if scan.predicate is not None and self.settings.zone_map_skipping:
-            ranges, pre_skip = self._preskip_morsels(table, scan, ranges)
+            ranges, pre_skip = self._preskip_morsels(
+                self.db.table(scan.table), scan, ranges
+            )
 
         # Resolve scalar subqueries on the main thread so morsel workers
         # only ever hit the warm cache — a worker re-entering the executor
         # could otherwise deadlock the pool on itself.
-        subqueries: list[ScalarSubquery] = []
-        if scan.predicate is not None:
-            _collect_scalar_subqueries(scan.predicate, subqueries)
-        for op in segment.chain[1:]:
-            if isinstance(op, FilterNode):
-                _collect_scalar_subqueries(op.predicate, subqueries)
-            else:
-                _collect_scalar_subqueries([e for _, e in op.exprs], subqueries)
-        if segment.kind == "aggregate":
-            for _, spec in segment.node.aggs:
-                _collect_scalar_subqueries(spec.expr, subqueries)
-        for sub in subqueries:
+        for sub in segment.subqueries:
             ctx.scalar(sub.plan)
-
-        partial_aggs = None
-        if segment.kind == "aggregate":
-            partial_aggs, _ = decompose_aggregates(dict(segment.node.aggs))
-
-        late = self.settings.late_materialization
 
         tracer = ctx.tracer
         tracing = tracer.enabled
@@ -461,53 +257,23 @@ class ParallelExecutor(Executor):
 
         cancel = ctx.cancel
 
-        def run_morsel(bounds: tuple[int, int]) -> tuple[Frame, "object"]:
+        def run_morsel(bounds: tuple[int, int]) -> tuple[Frame, WorkProfile]:
             # Morsel boundaries are the parallel engine's preemption
             # points: a cancelled query never starts another morsel, so
             # its worker slots free within one in-flight morsel's work.
             if cancel is not None:
                 cancel.check()
+            mspan = None
             if tracing:
                 mspan = tracer.start(
                     "morsel", f"{scan.table}[{bounds[0]}:{bounds[1]})",
                     parent=seg_span,
                 )
-                mctx = MorselContext(self.db, ctx, tracer=tracer, span=mspan)
-            else:
-                mspan = None
-                mctx = MorselContext(self.db, ctx)
-            mctx.begin_operator("scan")
-            frame = scan_morsel(
-                table,
-                list(scan.columns) if scan.columns is not None else None,
-                bounds[0], bounds[1], mctx,
-                predicate=scan.predicate,
-                skipping=self.settings.zone_map_skipping,
-                late=late,
-                compressed=self.settings.compressed_execution,
-            )
-            for op in segment.chain[1:]:
-                if isinstance(op, FilterNode):
-                    mctx.begin_operator("filter")
-                    frame = execute_filter(frame, op.predicate, mctx, late=late)
-                else:
-                    mctx.begin_operator("project")
-                    frame = execute_project(frame, dict(op.exprs), mctx)
-            if segment.kind == "aggregate":
-                mctx.begin_operator("aggregate")
-                # Budget-aware: each worker's partial state charges the
-                # query's shared MemoryBudget and spills when over.
-                frame = maybe_spill_aggregate(
-                    frame, list(segment.node.group_by), partial_aggs, mctx
-                )
-            elif segment.kind == "topk":
-                keys = list(segment.node.child.keys)
-                mctx.begin_operator("topk")
-                frame = execute_topk(frame, keys, segment.node.n, mctx)
+            mctx = MorselContext(self.db, ctx, bounds, tracer=tracer, span=mspan)
             # Morsel boundaries are pipeline breakers: the merge phase
             # concatenates physical columns, so late morsels gather here
             # (charged to the morsel's last operator).
-            frame = frame.dense(mctx.work)
+            frame = self._exec(segment.morsel, mctx).dense(mctx.work)
             if mspan is not None:
                 mctx.close_op_span()
                 mspan.annotate(rows=frame.nrows)
@@ -548,14 +314,13 @@ class ParallelExecutor(Executor):
                 mark.attrs["coalesced"] = True
                 tracer.finish(mark, end_s=mark.start_s)
 
+        plan = segment.plan
         if segment.kind == "aggregate":
             out = merge_partial_aggregates(
-                frames, list(segment.node.group_by), dict(segment.node.aggs), ctx
+                frames, list(plan.group_by), dict(plan.aggs), ctx
             )
         elif segment.kind == "topk":
-            out = merge_topk(
-                frames, list(segment.node.child.keys), segment.node.n, ctx
-            )
+            out = merge_topk(frames, list(plan.keys), plan.n, ctx)
         else:
             out = concat_frames(frames)
         if seg_span is not None:

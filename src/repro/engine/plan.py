@@ -1,4 +1,4 @@
-"""Logical query plans and the fluent builder.
+"""Query plan nodes (logical, plus the few physical ones) and the fluent builder.
 
 Queries are composed with :class:`Q`::
 
@@ -12,11 +12,17 @@ Queries are composed with :class:`Q`::
         .sort("l_returnflag", "l_linestatus")
     )
     result = db.execute(plan)
+
+The builder and the optimizer only ever produce the *logical* nodes.
+:func:`repro.engine.physical.lower` turns an optimized tree into the one
+the executor interprets: the same nodes plus :class:`TopKNode`,
+:class:`RunLevelAggregateNode`, :class:`EncodedMissNode` and (for a
+parallel executor) :class:`MorselSegmentNode`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .expr import ColRef, Expr, col
 from .operators.aggregate import (
@@ -32,7 +38,8 @@ from .operators.aggregate import (
 
 __all__ = ["Q", "agg", "PlanNode", "ScanNode", "FilterNode", "ProjectNode",
            "JoinNode", "AggregateNode", "SortNode", "LimitNode", "DistinctNode",
-           "UnionAllNode"]
+           "UnionAllNode", "TopKNode", "RunLevelAggregateNode", "EncodedMissNode",
+           "MorselSegmentNode"]
 
 
 class agg:
@@ -54,6 +61,15 @@ class PlanNode:
     def children(self) -> list["PlanNode"]:
         return []
 
+    def map_children(self, fn) -> "PlanNode":
+        """This node with ``fn`` applied to its input(s) — ``child``, or
+        ``left`` and ``right`` — or ``self`` when none of them changed."""
+        names = [n for n in ("child", "left", "right") if hasattr(self, n)]
+        new = {n: fn(getattr(self, n)) for n in names}
+        if all(new[n] is getattr(self, n) for n in names):
+            return self
+        return replace(self, **new)
+
 
 @dataclass(frozen=True)
 class ScanNode(PlanNode):
@@ -69,6 +85,17 @@ class ScanNode(PlanNode):
     table: str
     columns: tuple[str, ...] | None = None
     predicate: Expr | None = None
+
+    def streamed_columns(self, table) -> list[str]:
+        """Every column this scan streams from ``table``, in scan order:
+        the output columns (all of the table's when unrestricted), then
+        the predicate-only references by name."""
+        names = list(self.columns if self.columns is not None else table.column_names)
+        if self.predicate is not None:
+            names += [
+                ref for ref in sorted(self.predicate.references()) if ref not in names
+            ]
+        return names
 
 
 @dataclass(frozen=True)
@@ -145,6 +172,66 @@ class UnionAllNode(PlanNode):
 
     def children(self):
         return [self.left, self.right]
+
+
+# -- physical nodes: produced only by repro.engine.physical.lower ---------
+
+
+@dataclass(frozen=True)
+class TopKNode(PlanNode):
+    """Fused ``Limit(Sort)``: a partition select instead of a full sort."""
+
+    child: PlanNode
+    keys: tuple[tuple[str, str], ...]
+    n: int
+
+    def children(self):
+        return [self.child]
+
+
+@dataclass(frozen=True)
+class RunLevelAggregateNode(AggregateNode):
+    """A predicate-free scan+aggregate that ``prepare_aggregate`` proved
+    exact over RLE runs. ``plan`` (an
+    :class:`~repro.engine.encoded.EncodedAggregatePlan`) streams and
+    reduces on its own; the child scan is kept for EXPLAIN only."""
+
+    plan: object = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class EncodedMissNode(PlanNode):
+    """Marks an aggregate over compressed columns whose run-level
+    compilation was declined: executing it counts one
+    ``engine.encoded.aggregate`` miss, then runs ``child`` unchanged."""
+
+    child: PlanNode
+
+    def children(self):
+        return [self.child]
+
+
+@dataclass(frozen=True)
+class MorselSegmentNode(PlanNode):
+    """A scan → filter/project chain, optionally capped by a
+    decomposable aggregate or a top-k, that a parallel executor runs once
+    per morsel and then merges (:mod:`repro.engine.merge`).
+
+    ``plan`` is the fragment in serial form (what EXPLAIN prints and the
+    merge phase reads its grouping / ordering from); ``morsel`` is what
+    each morsel interprets — ``plan`` itself, or for ``kind ==
+    "aggregate"`` the same chain under the decomposed partial aggregates.
+    """
+
+    kind: str  # "chain" | "aggregate" | "topk"
+    plan: PlanNode
+    morsel: PlanNode
+    scan: ScanNode
+    subqueries: tuple  # ScalarSubquery exprs to resolve before fan-out
+    ranges: tuple[tuple[int, int], ...]
+
+    def children(self):
+        return [self.plan]
 
 
 class Q:

@@ -15,7 +15,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-__all__ = ["OperatorWork", "WorkProfile"]
+from repro.obs.trace import NULL_TRACER, OperatorSpanScope
+
+__all__ = ["OperatorContext", "OperatorWork", "WorkProfile"]
 
 
 @dataclass
@@ -256,3 +258,42 @@ class WorkProfile:
             "out_bytes": self.out_bytes,
             "n_operators": len(self.operators),
         }
+
+
+class OperatorContext:
+    """What the executor hands every operator: the profile it charges
+    into, the operator currently charging, and (when tracing) that
+    operator's span. A query's ``ExecContext`` and a morsel's
+    ``MorselContext`` extend it, so one interpreter serves both."""
+
+    rows = None  # scans cover the whole table unless a morsel bounds them
+
+    def __init__(self, tracer, span, **span_attrs):
+        self.profile = WorkProfile()
+        self.work: OperatorWork | None = None
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        # Span bookkeeping exists only when tracing: the disabled hot
+        # path pays a single ``is not None`` check per operator.
+        self._ops = (
+            OperatorSpanScope(self.tracer, span, **span_attrs)
+            if self.tracer.enabled
+            else None
+        )
+
+    def begin_operator(self, name: str) -> OperatorWork:
+        """Open a new operator: append its work record to the profile
+        and (when tracing) start its span, closing the previous one."""
+        work = self.profile.new_operator(name)
+        self.work = work
+        if self._ops is not None:
+            self._ops.begin(name, work)
+        return work
+
+    @property
+    def op_span(self):
+        """The currently open operator span (None when not tracing)."""
+        return self._ops.open_span if self._ops is not None else None
+
+    def close_op_span(self) -> None:
+        if self._ops is not None:
+            self._ops.close()

@@ -25,8 +25,6 @@ produces them.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.engine.plan import AggregateNode, PlanNode, ProjectNode, ScanNode
 from repro.obs.metrics import HitMissStats
 
@@ -86,19 +84,7 @@ def _route(node: PlanNode, db, catalog) -> PlanNode:
             ROUTER_STATS.hit()
             return routed
         ROUTER_STATS.miss()
-    children = node.children()
-    if not children:
-        return node
-    if hasattr(node, "child"):
-        new_child = _route(node.child, db, catalog)
-        if new_child is node.child:
-            return node
-        return dataclasses.replace(node, child=new_child)
-    new_left = _route(node.left, db, catalog)
-    new_right = _route(node.right, db, catalog)
-    if new_left is node.left and new_right is node.right:
-        return node
-    return dataclasses.replace(node, left=new_left, right=new_right)
+    return node.map_children(lambda child: _route(child, db, catalog))
 
 
 def routed_tables(node: PlanNode) -> list[str]:

@@ -41,59 +41,35 @@ from .policy import CircuitBreaker
 __all__ = ["AdmissionController", "AdmissionPolicy", "estimate_service_cost"]
 
 
-def estimate_service_cost(db, payload, settings=None) -> float:
-    """Modeled service cost of one request, for shortest-job-first
-    dispatch among equal-priority queued requests.
+def estimate_service_cost(db, node) -> float:
+    """Modeled service cost of one prepared request, for
+    shortest-job-first dispatch among equal-priority queued requests.
 
     The estimate is the performance model's predicted scan time on the
-    paper's Pi: optimize the plan (so rollup routing and column pruning
-    are reflected — a routed dashboard query is correctly predicted to
-    be near-free), sum the bytes its scans stream, and price that as one
+    paper's Pi: sum the bytes the *optimized* plan's scans stream (so
+    rollup routing and column pruning are reflected — a routed dashboard
+    query is correctly predicted to be near-free) and price that as one
     synthetic scan operator. Deliberately coarse: it only has to *rank*
     queued requests, not predict latency.
-
-    Never raises. Unparsable or unplannable payloads cost ``0.0`` —
-    resolving an error ticket is the shortest job of all.
     """
-    try:
-        from repro.engine.optimizer import DEFAULT_SETTINGS, optimize_plan
-        from repro.engine.plan import Q, ScanNode
-        from repro.engine.profile import WorkProfile
-        from repro.hardware import PI_KEY, PerformanceModel, get_platform
+    from repro.engine.plan import ScanNode
+    from repro.engine.profile import WorkProfile
+    from repro.hardware import PI_KEY, PerformanceModel, get_platform
 
-        plan = payload
-        if isinstance(payload, str):
-            from repro.engine.sql import sql as parse_sql
+    profile = WorkProfile()
+    work = profile.new_operator("scan")
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, ScanNode):
+            table = db.table(current.table)
+            for name in current.streamed_columns(table):
+                work.seq_bytes += table.column(name).nbytes
+            work.tuples_in += table.nrows
+            work.tuples_out += table.nrows
+        stack.extend(current.children())
+    return PerformanceModel().predict(profile, get_platform(PI_KEY))
 
-            plan = parse_sql(db, payload)
-        node = plan.node if isinstance(plan, Q) else plan
-        if node is None:
-            return 0.0
-        node = optimize_plan(node, db, settings or DEFAULT_SETTINGS)
-        profile = WorkProfile()
-        work = profile.new_operator("scan")
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, ScanNode):
-                table = db.table(current.table)
-                names = (
-                    current.columns
-                    if current.columns is not None
-                    else table.column_names
-                )
-                seen = set(names)
-                if current.predicate is not None:
-                    seen |= current.predicate.references()
-                for name in seen:
-                    if name in table.columns:
-                        work.seq_bytes += table.columns[name].nbytes
-                work.tuples_in += table.nrows
-                work.tuples_out += table.nrows
-            stack.extend(current.children())
-        return PerformanceModel().predict(profile, get_platform(PI_KEY))
-    except Exception:
-        return 0.0
 
 # Weight of the newest observation in the service-time EWMA. High enough
 # to track load shifts within a few requests, low enough not to whipsaw

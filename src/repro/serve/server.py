@@ -45,6 +45,7 @@ from repro.engine.cancel import (
     QueryCancelled,
     QueryInterrupted,
 )
+from repro.engine.optimizer import optimize_plan, route_rollups
 from repro.engine.plan import PlanNode, Q
 from repro.engine.sql import SqlError, sql as parse_sql
 from repro.obs.metrics import metrics
@@ -119,7 +120,8 @@ class Ticket:
 class _Request:
     """Internal carrier: what the dispatch queue holds."""
 
-    __slots__ = ("seq", "priority", "payload", "ticket", "token", "span", "enqueued_at")
+    __slots__ = ("seq", "priority", "payload", "ticket", "token", "span",
+                 "enqueued_at", "plan", "error")
 
     def __init__(self, seq, priority, payload, ticket, token, span, enqueued_at):
         self.seq = seq
@@ -129,6 +131,10 @@ class _Request:
         self.token = token
         self.span = span
         self.enqueued_at = enqueued_at
+        # Filled by QueryServer._prepare at submit: the optimized, routed
+        # plan the worker executes, or the error it resolves the ticket with.
+        self.plan: PlanNode | None = None
+        self.error: Exception | None = None
 
 
 # Queue items sort by (-priority, cost, seq): higher priority first,
@@ -205,8 +211,9 @@ class QueryServer:
         self._retries = metrics.counter("serve.retries")
         self._service_hist = metrics.histogram("serve.service_s")
         # Live workload history: every successfully planned request feeds
-        # the miner, so build_rollups() can materialize cubes for the
-        # shapes this server actually sees (not just load-time templates).
+        # the miner (once, at submit), so build_rollups() can materialize
+        # cubes for the shapes this server actually sees (not just
+        # load-time templates).
         from repro.rollup import WorkloadMiner
 
         self.miner = WorkloadMiner(db)
@@ -250,7 +257,7 @@ class QueryServer:
             if timeout_s is not None:
                 span.annotate(timeout_s=timeout_s)
         req = _Request(seq, priority, request, ticket, token, span, time.monotonic())
-        cost = estimate_service_cost(self.db, request, self.executor.settings)
+        cost = self._prepare(req)
         if span is not None:
             span.annotate(est_cost_s=cost)
         self._queue.put((-priority, cost, seq, req))
@@ -401,24 +408,47 @@ class QueryServer:
                 time.sleep(wait)
                 attempt += 1
 
-    def _plan(self, req: _Request):
-        payload = req.payload
-        if isinstance(payload, str):
-            return parse_sql(self.db, payload)
-        if isinstance(payload, (PlanNode, Q)):
-            return payload
-        raise SqlError(
-            f"unsupported request payload type {type(payload).__name__}; "
-            "expected SQL text or a plan"
-        )
+    def _prepare(self, req: _Request) -> float:
+        """The request's one trip through the frontend, at submit: parse,
+        optimize unrouted, feed the miner, route, price. Returns the
+        modeled service cost that ranks the request in the queue.
+
+        Never raises: a payload that does not parse or plan keeps its
+        error on the request — the worker resolves the ticket with it
+        (``sql-error`` / ``failed``) — and costs ``0.0``, because
+        resolving an error ticket is the shortest job of all.
+        """
+        try:
+            payload = req.payload
+            if isinstance(payload, str):
+                payload = parse_sql(self.db, payload)
+            elif not isinstance(payload, (PlanNode, Q)):
+                raise SqlError(
+                    f"unsupported request payload type {type(payload).__name__}; "
+                    "expected SQL text or a plan"
+                )
+            node = payload.node if isinstance(payload, Q) else payload
+            if node is None:
+                raise ValueError("cannot execute an empty plan")
+            settings = self.executor.settings
+            node = optimize_plan(node, self.db, settings.without_rollups())
+            # Mined once per request, whatever its retries — and from the
+            # unrouted tree, so a routed query keeps voting for its cube.
+            self.miner.observe_optimized(node)
+            req.plan = route_rollups(node, self.db, settings)
+            return estimate_service_cost(self.db, req.plan)
+        except Exception as exc:
+            req.error = exc
+            return 0.0
 
     def _execute(self, req: _Request):
-        """One execution attempt. Split out so tests can inject
-        transient faults by overriding/patching this method."""
-        plan = self._plan(req)
-        self.miner.observe(plan, settings=self.executor.settings)
+        """One execution attempt of the prepared plan. Split out so tests
+        can inject transient faults by overriding/patching this method."""
+        if req.error is not None:
+            raise req.error
         return self.executor.execute(
-            plan, label=req.ticket.label, parent_span=req.span, cancel=req.token
+            req.plan, optimize=False, label=req.ticket.label,
+            parent_span=req.span, cancel=req.token,
         )
 
     def build_rollups(self, min_count: int = 2, **kwargs):

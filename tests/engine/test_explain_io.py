@@ -16,9 +16,18 @@ class TestExplain:
             .sort(("n", "desc")).limit(3)
         )
         text = explain(plan, toy_db)
-        for fragment in ("Limit 3", "Sort [n desc]", "Aggregate by [s]",
+        for fragment in ("TopK 3 [n desc]", "Aggregate by [s]",
                          "HashJoin inner on (k=k2)", "Filter", "Scan t", "Scan u"):
             assert fragment in text
+        # The fused top-k is one physical node: no Limit or Sort line.
+        assert "Limit" not in text and "Sort" not in text
+
+    def test_limit_without_sort_stays_limit(self, toy_db):
+        text = explain(Q(toy_db).scan("t").limit(3), toy_db)
+        assert "Limit 3" in text and "TopK" not in text
+        # ... and a Sort without a Limit stays a full sort.
+        text = explain(Q(toy_db).scan("t").sort("v"), toy_db)
+        assert "Sort [v asc]" in text and "TopK" not in text
 
     def test_output_columns_line(self, toy_db):
         text = explain(Q(toy_db).scan("t").select("k", "v"), toy_db)

@@ -110,51 +110,18 @@ def assert_span_tree(root):
                 )
 
 
-def explain_operator_multiset(plan, db, settings=None):
-    """Canonical operator names the EXPLAIN tree predicts, with the
-    executor's physical fusions applied (scan+pushed filter, top-k)."""
-    text = explain(plan, db, optimize=True, settings=settings)
-    parsed = []
-    for line in text.splitlines():
-        stripped = line.lstrip()
-        if not stripped.startswith("-> "):
-            continue
-        depth = (len(line) - len(stripped)) // 2
-        parsed.append((depth, stripped[3:]))
-    names: list[str] = []
-    skip = set()
-    for i, (depth, desc) in enumerate(parsed):
-        if i in skip:
-            continue
-        if desc.startswith("Limit") and i + 1 < len(parsed):
-            ndepth, ndesc = parsed[i + 1]
-            if ndepth == depth + 1 and ndesc.startswith("Sort"):
-                names.append("topk")
-                skip.add(i + 1)
-                continue
-        if desc.startswith("Scan"):
-            names.append("scan")
-            if " Filter (" in desc:
-                names.append("filter")
-        elif desc.startswith("Filter"):
-            names.append("filter")
-        elif desc.startswith("Project"):
-            names.append("project")
-        elif desc.startswith("HashJoin"):
-            names.append("hashjoin")
-        elif desc.startswith("Aggregate"):
-            names.append("aggregate")
-        elif desc.startswith("Sort"):
-            names.append("sort")
-        elif desc.startswith("Limit"):
-            names.append("limit")
-        elif desc.startswith("Distinct"):
-            names.append("distinct")
-        elif desc.startswith("UnionAll"):
-            names.append("unionall")
-        else:  # pragma: no cover - new operator without a mapping
-            raise AssertionError(f"unmapped EXPLAIN line: {desc}")
-    return collections.Counter(names)
+def explain_operator_multiset(executor, plan):
+    """Operator names EXPLAIN prints for the tree ``executor`` runs: the
+    first word of each ``-> `` line. EXPLAIN prints the lowered plan
+    verbatim, one line per profile operator, so there is nothing to
+    re-derive here."""
+    text = explain(executor.lower(plan), executor.db, optimize=False,
+                   settings=executor.settings)
+    return collections.Counter(
+        line.split()[1].lower()
+        for line in text.splitlines()
+        if line.lstrip().startswith("-> ")
+    )
 
 
 def operator_spans(root):
@@ -192,7 +159,7 @@ def run_and_check(executor, plan, check_explain=True):
     assert pipelines and pipelines[0].name == "main"
     if check_explain:
         got = collections.Counter(s.name for s in operator_spans(root))
-        assert got == explain_operator_multiset(plan, DB, executor.settings)
+        assert got == explain_operator_multiset(executor, plan)
     return res
 
 

@@ -8,8 +8,13 @@ import time
 
 import pytest
 
+import collections
+
 from repro.engine import Column, Database, Q, Table, agg, col
-from repro.engine.optimizer import DEFAULT_SETTINGS
+from repro.engine import optimizer as optimizer_module
+from repro.engine.optimizer import DEFAULT_SETTINGS, optimize_plan
+from repro.engine.sql import SqlError, planner as planner_module, sql as parse_sql
+from repro.obs import Tracer, metrics
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -246,31 +251,96 @@ def sjf_db() -> Database:
     return db
 
 
+def _cost(db, request, settings=DEFAULT_SETTINGS) -> float:
+    """Price a request the way ``QueryServer`` does at submit: the
+    estimate walks the *optimized* tree."""
+    plan = parse_sql(db, request) if isinstance(request, str) else request
+    node = plan.node if isinstance(plan, Q) else plan
+    return estimate_service_cost(db, optimize_plan(node, db, settings))
+
+
+GROUPED_SQL = "SELECT g, SUM(v) AS s FROM big GROUP BY g"
+
+
 class TestServiceCostEstimate:
     def test_cost_ranks_by_scanned_bytes(self, sjf_db):
-        big = estimate_service_cost(sjf_db, "SELECT SUM(v) AS s FROM big")
-        small = estimate_service_cost(sjf_db, "SELECT SUM(v) AS s FROM small")
+        big = _cost(sjf_db, "SELECT SUM(v) AS s FROM big")
+        small = _cost(sjf_db, "SELECT SUM(v) AS s FROM small")
         assert big > small > 0.0
 
     def test_unplannable_payloads_cost_zero(self, sjf_db):
         # Resolving an error ticket is the shortest job of all: garbage
-        # must sort ahead of real work, and must never raise here.
-        assert estimate_service_cost(sjf_db, "SELEC oops FROM nowhere") == 0.0
-        assert estimate_service_cost(sjf_db, object()) == 0.0
+        # must sort ahead of real work, and must never raise out of
+        # submit — the error lands on the ticket.
+        tracer = Tracer()
+        errors = metrics.counter("serve.sql_errors")
+        before = errors.value
+        with QueryServer(sjf_db, workers=1, tracer=tracer) as server:
+            for payload in ("SELEC oops FROM nowhere", object()):
+                ticket = server.submit(payload)
+                with pytest.raises(SqlError):
+                    ticket.result(timeout=30)
+                assert ticket.outcome == "sql-error"
+        assert errors.value - before == 2
+        assert [span.attrs["est_cost_s"] for span in tracer.roots] == [0.0, 0.0]
 
     def test_routed_plan_is_cheaper_than_base(self, sjf_db):
         from repro.rollup import enable_rollups
 
         plan = Q(sjf_db).scan("big").aggregate(by=["g"], s=agg.sum(col("v")))
         enable_rollups(sjf_db, plans=[plan])
-        routed = estimate_service_cost(sjf_db, plan, DEFAULT_SETTINGS)
-        base = estimate_service_cost(
-            sjf_db, plan, DEFAULT_SETTINGS.without_rollups()
-        )
+        routed = _cost(sjf_db, plan, DEFAULT_SETTINGS)
+        base = _cost(sjf_db, plan, DEFAULT_SETTINGS.without_rollups())
         # The estimate prices the optimized plan, so a cube-routed
         # dashboard query is correctly predicted to be near-free and
         # sorts ahead of the equivalent base-table scan.
         assert routed < base
+
+    def test_prepared_request_keeps_its_rank(self, sjf_db):
+        """The cost a served request is queued under is the routed
+        plan's: the same text is cheaper on a routing server."""
+        from repro.rollup import enable_rollups
+
+        enable_rollups(sjf_db, plans=[parse_sql(sjf_db, GROUPED_SQL)])
+        costs = []
+        for settings in (DEFAULT_SETTINGS, DEFAULT_SETTINGS.without_rollups()):
+            tracer = Tracer()
+            with QueryServer(sjf_db, workers=1, settings=settings,
+                             tracer=tracer) as server:
+                assert len(server.query(GROUPED_SQL).rows) == 5
+            costs.append(tracer.roots[0].attrs["est_cost_s"])
+        assert 0.0 < costs[0] < costs[1]
+
+
+class TestOneFrontendTrip:
+    def test_request_is_parsed_optimized_and_routed_once(self, sjf_db, monkeypatch):
+        """``submit`` prepares the request — parse, optimize, mine,
+        route, price — and the worker executes that plan as is."""
+        from repro.rollup import enable_rollups
+
+        enable_rollups(sjf_db, plans=[parse_sql(sjf_db, GROUPED_SQL)])
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        # Each is reached through its module global exactly once per
+        # sql() / optimize_plan() call, however the callers imported those.
+        count(planner_module, "parse_statement")
+        count(optimizer_module, "pushdown_predicates")
+        with QueryServer(sjf_db, workers=1) as server:
+            routed = metrics.counter("rollup.router.hits")
+            before = routed.value
+            assert len(server.query(GROUPED_SQL).rows) == 5
+            assert routed.value - before == 1
+            assert dict(calls) == {"parse_statement": 1, "pushdown_predicates": 1}
+            assert len(server.miner) == 1
 
 
 class _GatedServer(QueryServer):

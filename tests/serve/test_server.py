@@ -319,6 +319,33 @@ class TestRetriesAndBreaker:
             assert result.rows == [(5,)]
             assert server.attempts == 3
 
+    def test_retried_request_is_mined_once(self, merged_db):
+        """One request whose execution fails transiently and retries is
+        one observation: alone it must not satisfy
+        ``build_rollups(min_count=2)``."""
+        with QueryServer(
+            merged_db,
+            workers=1,
+            retry=RetryPolicy(max_retries=2, backoff_base_s=0.001, backoff_cap_s=0.01),
+        ) as server:
+            real_execute = server.executor.execute
+            attempts = []
+
+            def flaky_execute(*args, **kwargs):
+                attempts.append(1)
+                if len(attempts) == 1:
+                    raise TransientServeError("injected transient")
+                return real_execute(*args, **kwargs)
+
+            server.executor.execute = flaky_execute
+            result = server.query(
+                "SELECT l_returnflag, SUM(l_quantity) AS qty FROM lineitem "
+                "GROUP BY l_returnflag"
+            )
+            assert len(result.rows) == 3 and len(attempts) == 2
+            assert len(server.miner.mine(min_count=1)) == 1
+            assert server.miner.mine(min_count=2) == []
+
     def test_transients_past_budget_fail_typed(self, merged_db):
         with _FlakyServer(
             merged_db,
