@@ -6,10 +6,10 @@ from .nam import NamCluster, NamQueryRun
 from .distplan import (
     NotDistributableError,
     SplitPlan,
+    concat_frames,
     split_for_partial_aggregation,
     unsound_distribution_reason,
 )
-from .driver import DistributedRun, Driver, concat_frames
 from .faults import (
     FAULT_KINDS,
     FaultPlan,
@@ -22,7 +22,6 @@ from .network import NetworkModel
 from .node import MemoryModel, NodeSpec, collect_scan_columns
 from .partition import (
     ReplicatedLayout,
-    partition_database,
     partition_table,
     replicate_database,
 )
@@ -48,7 +47,7 @@ from .reliability import (
 )
 
 __all__ = [
-    "ClusterQueryRun", "DistributedRun", "Driver", "MemoryModel",
+    "ClusterQueryRun", "MemoryModel",
     "NamCluster", "NamQueryRun", "MemoryOutcome", "NodeUnresponsiveError",
     "QueryOutOfMemoryError", "SwapPolicy", "classify_pressure", "reliability_report",
     "PowerPolicy", "QueryArrival", "SimulationResult", "WorkloadSimulator",
@@ -57,7 +56,7 @@ __all__ = [
     "run_repartitioned", "PI4_NODE", "TailoredCluster",
     "NetworkModel", "NodeSpec", "NotDistributableError", "SplitPlan",
     "WimPiCluster", "collect_scan_columns", "concat_frames",
-    "partition_database", "partition_table", "split_for_partial_aggregation",
+    "partition_table", "split_for_partial_aggregation",
     "thrash_multiplier",
     "FAULT_KINDS", "FaultPlan", "FaultingNode", "InjectedFault", "NodeAttempt",
     "TransientNetworkError", "ReplicatedLayout", "replicate_database",

@@ -6,7 +6,7 @@ Pi nodes, really executes queries through the distributed driver (so
 results are checkable), and predicts the wall-clock the paper's physical
 cluster would show at the nominal SF:
 
-    total = max over nodes(node compute x thrash multiplier)
+    total = max over nodes(node compute x thrash multiplier + recovery)
             + sequential gather of partials over the 220 Mbps links
             + driver-side merge
 
@@ -18,18 +18,16 @@ paging costs grow exponentially with overcommit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.engine import WorkProfile
 from repro.engine.optimizer import prune_columns
 from repro.hardware import EnergyModel, PerformanceModel, PLATFORMS, PI_KEY
 from repro.tpch import generate, get_query
 
-from .driver import DistributedRun, Driver
 from .faults import FaultPlan
 from .network import NetworkModel
 from .node import MemoryModel, NodeSpec
-from .partition import partition_database, replicate_database
+from .partition import replicate_database
 from .reliability import (
     NodeUnresponsiveError,
     QueryOutOfMemoryError,
@@ -57,23 +55,23 @@ def thrash_multiplier(pressure_ratio: float, threshold: float = 0.90,
 class ClusterQueryRun:
     """A distributed execution plus its modeled wall-clock breakdown.
 
-    Under the resilient runtime, ``recovery_seconds`` is the modeled
-    wall-clock added to the critical path by retries, timeouts and
-    speculative re-execution, ``coverage`` is the fraction of lineitem
-    rows the answer covers (< 1.0 only after unrecoverable loss), and
+    ``recovery_seconds`` is the modeled wall-clock added to the critical
+    path by retries, timeouts and speculative re-execution (0.0 on a
+    healthy cluster), ``coverage`` is the fraction of partitioned rows
+    the answer covers (< 1.0 only after unrecoverable loss), and
     ``recovery_log`` carries the structured recovery events.
     """
 
-    run: DistributedRun | ResilientRun
+    run: ResilientRun
     node_seconds: list[float]
     node_pressure: list[float]
     gather_seconds: float
     merge_seconds: float
     total_seconds: float
     energy_joules: float
-    recovery_seconds: float = 0.0
-    coverage: float = 1.0
-    recovery_log: RecoveryLog | None = None
+    recovery_seconds: float
+    coverage: float
+    recovery_log: RecoveryLog
 
     @property
     def result(self):
@@ -101,12 +99,16 @@ class WimPiCluster:
         compress: store base data compressed (§III-C2 extension).
         swap_policy: thrash on overcommit (``SWAP``, the default) or
             raise isolated OOM errors (``NO_SWAP``, §III-C4).
-        replication: lineitem replication factor. > 1 switches to the
-            resilient runtime with buddy replicas (fault recovery).
-        fault_plan: deterministic injected-fault script; implies the
-            resilient runtime.
-        recovery: retry/timeout/speculation policy for the resilient
-            runtime.
+        replication: lineitem replication factor; > 1 adds buddy
+            replicas to recover lost shards from.
+        fault_plan: deterministic injected-fault script.
+        recovery: retry/timeout/speculation policy.
+
+    A plain cluster raises the §III-C4 errors its memory model predicts
+    (see ``swap_policy``); one asked for ``replication`` > 1, a
+    ``fault_plan`` or a ``recovery`` policy absorbs them — injected
+    failures already exercise the failure path, and surviving them is
+    that runtime's job.
     """
 
     def __init__(
@@ -140,50 +142,22 @@ class WimPiCluster:
         self.energy = EnergyModel()
         self.db = db if db is not None else generate(base_sf, seed=seed)
         self.compress = compress
-        self.node_dbs = partition_database(self.db, n_nodes)
-        if compress:
-            # §III-C2 extension: trade the Pi's spare cycles for its
-            # scarce bandwidth/memory. Replicated tables are compressed
-            # once and shared; each lineitem shard separately.
-            from repro.engine.compression import compress_table
-            from repro.engine import Database
-
-            shared = {
-                name: compress_table(self.db.table(name))
-                for name in self.db.table_names
-                if name != "lineitem"
-            }
-            compressed_dbs = []
-            for node_db in self.node_dbs:
-                out = Database(node_db.name)
-                for name in node_db.table_names:
-                    if name == "lineitem":
-                        out.add(compress_table(node_db.table(name)))
-                    else:
-                        out.add(shared[name])
-                compressed_dbs.append(out)
-            self.node_dbs = compressed_dbs
         self.replication = replication
         self.fault_plan = fault_plan
-        resilient = replication > 1 or fault_plan is not None or recovery is not None
-        if resilient:
-            if compress:
-                raise ValueError(
-                    "compress=True is not yet supported with the resilient "
-                    "runtime (replication / fault injection)"
-                )
-            self.layout = replicate_database(self.db, n_nodes, replication=replication)
-            self.driver: Driver | ResilientDriver = ResilientDriver(
-                self.layout,
-                fault_plan=fault_plan,
-                policy=recovery,
-                perf=self.perf,
-                network=self.network,
-                tracer=tracer,
-            )
-        else:
-            self.layout = None
-            self.driver = Driver(self.node_dbs, tracer=tracer)
+        self._absorbs_failures = (
+            replication > 1 or fault_plan is not None or recovery is not None
+        )
+        self.layout = replicate_database(
+            self.db, n_nodes, replication=replication, compress=compress
+        )
+        self.driver = ResilientDriver(
+            self.layout,
+            fault_plan=fault_plan,
+            policy=recovery,
+            perf=self.perf,
+            network=self.network,
+            tracer=tracer,
+        )
         self._pi = PLATFORMS[PI_KEY]
 
     @property
@@ -208,152 +182,72 @@ class WimPiCluster:
         query = get_query(number)
         params = dict(params or {})
         params.setdefault("sf", self.base_sf)
-        run = self.driver.run(query, params)
-        if isinstance(run, ResilientRun):
-            return self._model_resilient(query, params, run)
-
-        node_seconds: list[float] = []
-        node_pressure: list[float] = []
-        if run.single_node:
-            host = self.single_node_index(query)
-            spec = self.node_spec(host)
-            profile = run.node_profiles[0].scaled(self.scale)
-            plan = prune_columns(
-                query.build(self.node_dbs[0], params).node, self.node_dbs[0]
-            )
-            ratio = MemoryModel(spec).pressure_ratio(
-                self.node_dbs[0], plan, profile, self.scale
-            )
-            seconds = self.perf.predict(profile, spec.platform, spec.platform.total_cores)
-            node_seconds.append(seconds * thrash_multiplier(ratio))
-            node_pressure.append(ratio)
-            gather = merge = 0.0
-        else:
-            assert run.local_plan is not None
-            pruned_local = prune_columns(run.local_plan, self.node_dbs[0])
-            for i, (node_db, profile) in enumerate(zip(self.node_dbs, run.node_profiles)):
-                spec = self.node_spec(i)
-                scaled = profile.scaled(self.scale)
-                ratio = MemoryModel(spec).pressure_ratio(
-                    node_db, pruned_local, scaled, self.scale
-                )
-                seconds = self.perf.predict(
-                    scaled, spec.platform, spec.platform.total_cores
-                )
-                node_seconds.append(seconds * thrash_multiplier(ratio))
-                node_pressure.append(ratio)
-            # Partial results do not grow with SF (they are aggregates),
-            # so gather/merge use the measured sizes directly.
-            gather = self.network.gather_time(run.partial_bytes_per_node)
-            merge = (
-                self.perf.predict(
-                    run.merge_profile, self._pi, self._pi.total_cores
-                )
-                if run.merge_profile is not None
-                else 0.0
-            )
-
-        # §III-C4 reliability semantics: with swap disabled an
-        # over-committed fragment dies with an isolated OOM (node stays
-        # healthy); with swap enabled it thrashes, and only an extreme
-        # over-commit renders the node unresponsive.
-        for i, pressure in enumerate(node_pressure):
-            outcome = classify_pressure(i, pressure, self.swap_policy)
-            if outcome.outcome == "oom":
-                raise QueryOutOfMemoryError(i, pressure)
-            if outcome.outcome == "unresponsive":
-                raise NodeUnresponsiveError(i, pressure)
-
-        total = max(node_seconds) + gather + merge
-        energy = total * sum(
-            self.node_spec(i).platform.tdp_w for i in range(self.n_nodes)
+        run = self.driver.run(
+            query, params, fallback_host=self.single_node_index(query)
         )
-        return ClusterQueryRun(
-            run=run,
-            node_seconds=node_seconds,
-            node_pressure=node_pressure,
-            gather_seconds=gather,
-            merge_seconds=merge,
-            total_seconds=total,
-            energy_joules=energy,
-        )
+        modeled = self._model(run)
+        if not self._absorbs_failures:
+            # §III-C4 reliability semantics: with swap disabled an
+            # over-committed fragment dies with an isolated OOM (node
+            # stays healthy); with swap enabled it thrashes, and only an
+            # extreme over-commit renders the node unresponsive.
+            for i, pressure in enumerate(modeled.node_pressure):
+                outcome = classify_pressure(i, pressure, self.swap_policy)
+                if outcome.outcome == "oom":
+                    raise QueryOutOfMemoryError(i, pressure)
+                if outcome.outcome == "unresponsive":
+                    raise NodeUnresponsiveError(i, pressure)
+        return modeled
 
-    def _model_resilient(self, query, params: dict, run: ResilientRun) -> ClusterQueryRun:
-        """Wall-clock model for a resilient execution: per-shard compute
-        with thrash multipliers as usual, plus every recovery charge —
-        backoff waits, paid timeouts, abandoned attempts, speculative
-        copies — scaled to the target SF so Table III-style numbers stay
-        honest under faults. Modeled §III-C4 outcomes are absorbed by
-        the runtime instead of raised: injected failures already exercise
-        the failure path, and the runtime's job is to survive them."""
+    def _model(self, run: ResilientRun) -> ClusterQueryRun:
+        """Wall-clock model of one execution: per-fragment compute with
+        thrash multipliers, plus every recovery charge — backoff waits,
+        paid timeouts, abandoned attempts, speculative copies — scaled
+        to the target SF so Table III-style numbers stay honest under
+        faults. A single-node run is one fragment over the full catalog
+        on the node that answered, with nothing to gather or merge."""
+        layout = run.layout
+        pruned_local = prune_columns(run.local_plan, layout.node_dbs[0])
+        outcome_by_shard = {o.shard: o for o in run.shard_outcomes}
         node_seconds: list[float] = []
         base_seconds: list[float] = []
         node_pressure: list[float] = []
-        if run.single_node:
-            gather = merge = 0.0
-            if run.covered_shards:
-                host = run.exec_nodes[0]
-                spec = self.node_spec(host)
-                profile = run.node_profiles[0].scaled(self.scale)
-                # The resilient fallback executes against the full
-                # catalog (Q15/Q20 see all of lineitem), so the host is
-                # charged the full-table footprint.
-                plan = prune_columns(query.build(self.db, params).node, self.db)
-                ratio = MemoryModel(spec).pressure_ratio(self.db, plan, profile, self.scale)
-                seconds = self.perf.predict(profile, spec.platform, spec.platform.total_cores)
-                outcome = run.shard_outcomes[0]
-                compute = seconds * thrash_multiplier(ratio)
-                base_seconds.append(compute)
-                node_seconds.append(
-                    compute
-                    + outcome.overhead_scaled_s * self.scale
-                    + outcome.overhead_fixed_s
-                )
-                node_pressure.append(ratio)
-            elif run.shard_outcomes:
+        for shard, host, profile in zip(
+            run.covered_shards, run.exec_nodes, run.node_profiles
+        ):
+            spec = self.node_spec(host)
+            scaled = profile.scaled(self.scale)
+            ratio = MemoryModel(spec).pressure_ratio(
+                layout.db_for(shard, host), pruned_local, scaled, self.scale
+            )
+            seconds = self.perf.predict(
+                scaled, spec.platform, spec.platform.total_cores
+            )
+            outcome = outcome_by_shard[shard]
+            compute = seconds * thrash_multiplier(ratio)
+            base_seconds.append(compute)
+            node_seconds.append(
+                compute
+                + outcome.overhead_scaled_s * self.scale
+                + outcome.overhead_fixed_s
+            )
+            node_pressure.append(ratio)
+        for outcome in run.shard_outcomes:
+            if not outcome.covered:
                 # Nothing answered: the driver still paid for the chain
                 # of timeouts before giving up.
-                outcome = run.shard_outcomes[0]
                 node_seconds.append(
-                    outcome.overhead_scaled_s * self.scale + outcome.overhead_fixed_s
-                )
-        else:
-            assert run.local_plan is not None and self.layout is not None
-            pruned_local = prune_columns(run.local_plan, self.layout.node_dbs[0])
-            outcome_by_shard = {o.shard: o for o in run.shard_outcomes}
-            for shard, host, profile in zip(
-                run.covered_shards, run.exec_nodes, run.node_profiles
-            ):
-                spec = self.node_spec(host)
-                scaled = profile.scaled(self.scale)
-                node_db = self.layout.db_for(shard, host)
-                ratio = MemoryModel(spec).pressure_ratio(
-                    node_db, pruned_local, scaled, self.scale
-                )
-                seconds = self.perf.predict(
-                    scaled, spec.platform, spec.platform.total_cores
-                )
-                outcome = outcome_by_shard[shard]
-                compute = seconds * thrash_multiplier(ratio)
-                base_seconds.append(compute)
-                node_seconds.append(
-                    compute
-                    + outcome.overhead_scaled_s * self.scale
+                    outcome.overhead_scaled_s * self.scale
                     + outcome.overhead_fixed_s
                 )
-                node_pressure.append(ratio)
-            for outcome in run.shard_outcomes:
-                if not outcome.covered:
-                    node_seconds.append(
-                        outcome.overhead_scaled_s * self.scale
-                        + outcome.overhead_fixed_s
-                    )
-            gather = self.network.gather_time(run.partial_bytes_per_node)
-            merge = (
-                self.perf.predict(run.merge_profile, self._pi, self._pi.total_cores)
-                if run.merge_profile is not None
-                else 0.0
-            )
+        # Partial results do not grow with SF (they are aggregates), so
+        # gather/merge use the measured sizes directly.
+        gather = self.network.gather_time(run.partial_bytes_per_node)
+        merge = (
+            self.perf.predict(run.merge_profile, self._pi, self._pi.total_cores)
+            if run.merge_profile is not None
+            else 0.0
+        )
         slowest = max(node_seconds) if node_seconds else 0.0
         slowest_clean = max(base_seconds) if base_seconds else 0.0
         total = slowest + gather + merge

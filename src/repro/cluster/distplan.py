@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.engine import Database, Q, col
+from repro.engine import Column, Database, Frame, Q, Table, col
 from repro.engine.operators.aggregate import AggSpec
 from repro.engine.plan import (
     AggregateNode,
@@ -33,6 +33,7 @@ from repro.engine.plan import (
 __all__ = [
     "NotDistributableError",
     "SplitPlan",
+    "concat_frames",
     "split_for_partial_aggregation",
     "unsound_distribution_reason",
 ]
@@ -88,6 +89,23 @@ class SplitPlan:
 
     local: PlanNode
     build_final: Callable[[Database], PlanNode]
+
+
+def concat_frames(frames: list[Frame]) -> Table:
+    """Stack per-node partial-result frames into one ``partials`` table."""
+    if not frames:
+        raise ValueError("no partial results to merge")
+    names = list(frames[0].columns)
+    for index, frame in enumerate(frames[1:], start=1):
+        if list(frame.columns) != names:
+            raise ValueError(
+                f"partial results have mismatched schemas: node 0 returned "
+                f"columns {names}, node {index} returned {list(frame.columns)}"
+            )
+    columns = {
+        name: Column.concat([frame.column(name) for frame in frames]) for name in names
+    }
+    return Table("partials", columns)
 
 
 def _rebuild_with_child(node: PlanNode, child: PlanNode) -> PlanNode:

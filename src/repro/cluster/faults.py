@@ -230,9 +230,17 @@ class FaultingNode:
         self.platform = platform or PLATFORMS[PI_KEY]
 
     def execute(
-        self, db: Database, plan: PlanNode, shard: int = 0, attempt: int = 0
+        self,
+        db: Database,
+        plan: PlanNode,
+        shard: int = 0,
+        attempt: int = 0,
+        tracer=None,
+        parent_span=None,
     ) -> NodeAttempt:
-        """Run ``plan`` against ``db`` as this node, or fail as scripted."""
+        """Run ``plan`` against ``db`` as this node, or fail as scripted.
+        With a ``tracer``, the execution's operator spans nest under
+        ``parent_span`` (the driver's shard span)."""
         fault = self.fault
         if fault is not None:
             if fault.kind == "oom":
@@ -244,7 +252,9 @@ class FaultingNode:
             if fault.kind == "drop" and attempt < fault.drops:
                 metrics.counter("cluster.faults.drop").inc()
                 raise TransientNetworkError(self.node, attempt)
-        result = Executor(db).execute(plan)
+        result = Executor(db, tracer=tracer).execute(
+            plan, label=f"node{self.node}", parent_span=parent_span
+        )
         estimate = self.perf.predict(
             result.profile, self.platform, self.platform.total_cores
         )

@@ -82,10 +82,7 @@ class NamCluster(WimPiCluster):
         offloaded: list[int] = []
         node_seconds = list(base.node_seconds)
         server_seconds = 0.0
-        if base.run.single_node:
-            profiles = [base.run.node_profiles[0].scaled(self.scale)]
-        else:
-            profiles = [p.scaled(self.scale) for p in base.run.node_profiles]
+        profiles = [p.scaled(self.scale) for p in base.run.node_profiles]
         for i, (pressure, profile) in enumerate(zip(base.node_pressure, profiles)):
             if pressure <= self.offload_threshold:
                 continue

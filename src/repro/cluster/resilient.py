@@ -1,8 +1,12 @@
-"""Resilient distributed runtime: retries, timeouts, speculation, replicas.
+"""The distributed driver: scatter, execute locally, gather, merge —
+with retries, timeouts, speculation and replicas.
 
-The classic :class:`~repro.cluster.driver.Driver` executes every node
-serially and assumes a perfect cluster. This module is the runtime the
-paper's reliability findings (§III-C4) actually call for: per-shard
+A re-creation of the paper's Python driver program: it runs the
+rewritten local plan on every node, collects the (small) partial
+results, and finalizes on one node. Results are *real* — the merged rows
+equal a single-node execution of the original query. Over a replication-1
+layout with no fault plan that is all it does. It is also the runtime
+the paper's reliability findings (§III-C4) call for: per-shard
 execution fans out on a thread pool, transient faults are retried with
 capped exponential backoff, unresponsive nodes are abandoned after a
 timeout derived from the :class:`~repro.hardware.PerformanceModel`
@@ -22,16 +26,19 @@ duplicates — is charged in PerformanceModel Pi-seconds and lands in the
 under faults. Given the same fault plan the run is fully deterministic:
 same events, same charges, bit-identical results.
 
-Unlike the classic driver, the single-node fallback for lineitem-bearing
-queries (Q15/Q20) executes against the full catalog rather than one
-node's shard, and plans whose nested aggregates would diverge per shard
-(Q17 — see :func:`~repro.cluster.distplan.unsound_distribution_reason`)
-are detected and routed to single-node execution, so every one of the 22
-queries matches the fault-free goldens.
+A query that cannot be distributed — no partitioned table in it (the
+paper's Q13), a top-level aggregate that does not decompose (Q15/Q20),
+or nested aggregates that would diverge per shard (Q17 — see
+:func:`~repro.cluster.distplan.unsound_distribution_reason`) — is the
+one-shard case of the same path: it runs over
+:meth:`~repro.cluster.partition.ReplicatedLayout.unpartitioned`, the
+full catalog held by every node, and needs no merge. So every one of
+the 22 queries matches single-node execution.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -41,14 +48,16 @@ from repro.engine.plan import PlanNode
 from repro.hardware import PLATFORMS, PI_KEY, PerformanceModel
 from repro.obs.metrics import metrics
 from repro.obs.trace import NULL_TRACER
+from repro.serve.policy import RetryPolicy
 from repro.tpch.queries import QueryDef
 
 from .distplan import (
     NotDistributableError,
+    SplitPlan,
+    concat_frames,
     split_for_partial_aggregation,
     unsound_distribution_reason,
 )
-from .driver import concat_frames
 from .faults import FaultPlan, FaultingNode, NodeAttempt, TransientNetworkError
 from .network import NetworkModel
 from .partition import ReplicatedLayout
@@ -65,8 +74,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RecoveryPolicy:
+class RecoveryPolicy(RetryPolicy):
     """Knobs for the retry / timeout / speculation machinery.
+
+    The retry fields and ``backoff_s`` are the serving layer's capped
+    exponential backoff; here the waits are charged to the modeled
+    clock, never slept.
 
     Attributes:
         max_retries: transient-fault retries per node before failing
@@ -80,10 +93,10 @@ class RecoveryPolicy:
         fallback_timeout_s: timeout charge when no estimate exists yet
             (e.g. every first-wave attempt hung).
         speculate: launch speculative copies of stragglers on replicas.
-        max_workers: thread-pool width for concurrent node dispatch.
+        max_workers: thread-pool width for concurrent node dispatch
+            (never wider than the shard count or the host's cores).
     """
 
-    max_retries: int = 2
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 2.0
     timeout_factor: float = 4.0
@@ -92,22 +105,13 @@ class RecoveryPolicy:
     max_workers: int = 8
 
     def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError("backoff_cap_s must be >= backoff_base_s")
+        super().__post_init__()
         if self.timeout_factor <= 1.0:
             raise ValueError("timeout_factor must exceed 1.0")
         if self.fallback_timeout_s <= 0:
             raise ValueError("fallback_timeout_s must be positive")
         if self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-
-    def backoff_s(self, retry: int) -> float:
-        """Wait before retry number ``retry`` (0-based), capped."""
-        return min(self.backoff_cap_s, self.backoff_base_s * (2.0 ** retry))
 
 
 @dataclass(frozen=True)
@@ -209,18 +213,23 @@ class ShardOutcome:
 
 @dataclass
 class ResilientRun:
-    """Outcome of one resilient distributed execution.
+    """Everything observed while running one query on the cluster.
 
-    Duck-compatible with :class:`~repro.cluster.driver.DistributedRun`
-    where the cluster model needs it (``node_profiles``,
-    ``partial_bytes_per_node``, ``merge_profile``, ``single_node``,
-    ``local_plan``, ``node_results_rows``), plus the recovery surface:
-    ``coverage``, ``shard_outcomes``, ``recovery``, ``wasted_profile``.
+    ``layout`` is the placement the fragments actually ran over: the
+    driver's own for a distributed run, its
+    :meth:`~repro.cluster.partition.ReplicatedLayout.unpartitioned` form
+    for a single-node one. ``node_profiles``, ``exec_nodes`` and
+    ``covered_shards`` are aligned, one entry per answered shard;
+    ``partial_bytes_per_node`` and ``node_results_rows`` describe the
+    gathered partials and are empty when there was nothing to merge.
+    The recovery surface is ``coverage``, ``shard_outcomes``,
+    ``recovery`` and ``wasted_profile``.
     """
 
     query_number: int
     n_nodes: int
     replication: int
+    layout: ReplicatedLayout
     result: Result | None
     coverage: float
     shard_outcomes: list[ShardOutcome]
@@ -232,8 +241,8 @@ class ResilientRun:
     partial_bytes_per_node: list[float]
     wasted_profile: WorkProfile
     single_node: bool
-    local_plan: PlanNode | None = None
-    node_results_rows: list[int] = field(default_factory=list)
+    local_plan: PlanNode
+    node_results_rows: list[int]
 
     @property
     def degraded(self) -> bool:
@@ -277,9 +286,10 @@ class ResilientDriver:
         network: network model used to charge re-sent messages.
         tracer: optional :class:`~repro.obs.trace.Tracer`. Each run
             contributes one ``query`` root span (``cluster:Q<n>``) with
-            per-shard child spans, per-attempt events, and — mirrored
-            1:1 from the :class:`RecoveryLog` — one root-span event per
-            recovery action.
+            per-shard child spans holding the node's operator spans and
+            per-attempt events, and — mirrored 1:1 from the
+            :class:`RecoveryLog` — one root-span event per recovery
+            action.
     """
 
     def __init__(
@@ -314,17 +324,29 @@ class ResilientDriver:
         query: QueryDef,
         params: dict | None = None,
         force_distribute: bool = False,
+        fallback_host: int = 0,
     ) -> ResilientRun:
-        """Run ``query`` with fault recovery; mirrors the classic
-        driver's distribution rules, plus a soundness check that routes
-        per-shard-divergent plans (Q17) to single-node execution."""
+        """Run ``query``: distributed when it scans lineitem, its top
+        aggregate decomposes into partials and no nested aggregate would
+        diverge per shard; on one node (``fallback_host`` first, any
+        other on failover) otherwise — the paper's Q13 behaviour.
+        ``force_distribute`` skips the lineitem heuristic and the
+        soundness check: the shuffle executor's co-partitioning makes
+        other queries distributable, and its caller vouches for the
+        keys."""
         params = params or {}
         tracer = self.tracer
         qspan = None
         if tracer.enabled:
             qspan = tracer.start("query", f"cluster:Q{query.number}")
         try:
-            run = self._dispatch(query, params, force_distribute, qspan)
+            split = self._split(query, params, force_distribute)
+            if split is None:
+                layout = self.layout.unpartitioned(fallback_host)
+                local = query.build(layout.base, params).node
+            else:
+                layout, local = self.layout, split.local
+            run = self._scatter_gather(query, layout, local, split, qspan)
         except BaseException:
             if qspan is not None:
                 qspan.annotate(error=True)
@@ -341,19 +363,25 @@ class ResilientDriver:
             tracer.finalize(qspan)
         return run
 
-    def _dispatch(
-        self, query: QueryDef, params: dict, force_distribute: bool, qspan
-    ) -> ResilientRun:
-        if self.n_nodes == 1 or (not query.uses_lineitem and not force_distribute):
-            return self._run_single_node(query, params, qspan)
-        plan = query.build(self.layout.node_dbs[0], params)
+    def _split(
+        self, query: QueryDef, params: dict, force_distribute: bool
+    ) -> SplitPlan | None:
+        """The local/final rewrite of ``query`` over this layout, or
+        ``None`` when it has to run on a single node."""
+        layout = self.layout
+        if layout.n_nodes == 1 or not (query.uses_lineitem or force_distribute):
+            return None
+        plan = query.build(layout.node_dbs[0], params)
         try:
             split = split_for_partial_aggregation(plan.node)
         except NotDistributableError:
-            return self._run_single_node(query, params, qspan)
-        if unsound_distribution_reason(split.local, self.layout.partitioned) is not None:
-            return self._run_single_node(query, params, qspan)
-        return self._run_distributed(query, split, qspan)
+            return None
+        if not force_distribute and any(
+            unsound_distribution_reason(split.local, table, key) is not None
+            for table, key in layout.partition_keys.items()
+        ):
+            return None
+        return split
 
     @staticmethod
     def _mirror_log(span, log: RecoveryLog) -> None:
@@ -376,14 +404,20 @@ class ResilientDriver:
         """All attempts on one node for one shard: transient faults are
         retried up to ``max_retries`` times; sticky faults end the chain.
 
-        ``span`` (the shard span, when tracing) gets one "attempt" event
-        per execution attempt; speculative chains pass no span — their
-        outcome surfaces through the log-mirrored "speculate" event.
+        ``span`` (the shard span, when tracing) parents the node's
+        operator spans and gets one "attempt" event per execution
+        attempt; speculative chains pass no span and run untraced —
+        their outcome surfaces through the log-mirrored "speculate"
+        event.
         """
+        tracer = self.tracer if span is not None else None
         records: list[_AttemptRecord] = []
         for attempt in range(self.policy.max_retries + 1):
             try:
-                result = self._nodes[node].execute(db, plan, shard=shard, attempt=attempt)
+                result = self._nodes[node].execute(
+                    db, plan, shard=shard, attempt=attempt,
+                    tracer=tracer, parent_span=span,
+                )
             except TransientNetworkError:
                 records.append(_AttemptRecord(node, attempt, "drop"))
                 if span is not None:
@@ -405,13 +439,15 @@ class ResilientDriver:
             return records, result
         return records, None
 
-    def _run_shard(self, shard: int, plan: PlanNode, parent=None) -> ShardOutcome:
+    def _run_shard(
+        self, layout: ReplicatedLayout, shard: int, plan: PlanNode, parent=None
+    ) -> ShardOutcome:
         """Execute one shard, failing over along its replica holders."""
         sspan = None
         if self.tracer.enabled:
             sspan = self.tracer.start("shard", f"shard:{shard}", parent=parent)
         try:
-            outcome = self._run_shard_inner(shard, plan, sspan)
+            outcome = self._run_shard_inner(layout, shard, plan, sspan)
         finally:
             if sspan is not None:
                 self.tracer.finish(sspan)
@@ -419,20 +455,26 @@ class ResilientDriver:
             sspan.annotate(status=outcome.status, attempts=len(outcome.attempts))
         return outcome
 
-    def _run_shard_inner(self, shard: int, plan: PlanNode, sspan) -> ShardOutcome:
+    def _run_shard_inner(
+        self, layout: ReplicatedLayout, shard: int, plan: PlanNode, sspan
+    ) -> ShardOutcome:
         records: list[_AttemptRecord] = []
-        for node in self.layout.holders[shard]:
+        for node in layout.holders[shard]:
             chain, winner = self._attempt_chain(
-                shard, node, plan, self.layout.db_for(shard, node), span=sspan
+                shard, node, plan, layout.db_for(shard, node), span=sspan
             )
             records.extend(chain)
             if winner is not None:
-                status = "ok" if node == self.layout.holders[shard][0] else "recovered"
+                status = "ok" if node == layout.holders[shard][0] else "recovered"
                 return ShardOutcome(shard, status, winner, records)
         return ShardOutcome(shard, "lost", None, records)
 
     def _speculate(
-        self, outcome: ShardOutcome, plan: PlanNode, threshold_s: float
+        self,
+        layout: ReplicatedLayout,
+        outcome: ShardOutcome,
+        plan: PlanNode,
+        threshold_s: float,
     ) -> tuple[ShardOutcome, list[NodeAttempt]]:
         """Launch a speculative copy of a straggling shard on the next
         healthy replica; adopt it if the modeled finish is earlier."""
@@ -442,7 +484,7 @@ class ResilientDriver:
         backup = next(
             (
                 node
-                for node in self.layout.holders[shard]
+                for node in layout.holders[shard]
                 if node not in tried and node not in self.fault_plan.dead_nodes
             ),
             None,
@@ -450,7 +492,7 @@ class ResilientDriver:
         if backup is None:
             return outcome, []
         chain, spec = self._attempt_chain(
-            shard, backup, plan, self.layout.db_for(shard, backup)
+            shard, backup, plan, layout.db_for(shard, backup)
         )
         for rec in chain:
             rec.speculative = True
@@ -489,6 +531,7 @@ class ResilientDriver:
 
     def _charge(
         self,
+        layout: ReplicatedLayout,
         outcomes: list[ShardOutcome],
         speculated: dict[int, float],
         log: RecoveryLog,
@@ -541,7 +584,7 @@ class ResilientDriver:
                 log.record(
                     "lost", outcome.shard, -1, len(outcome.attempts), 0.0,
                     f"shard {outcome.shard}: all "
-                    f"{len(self.layout.holders[outcome.shard])} replicas exhausted",
+                    f"{len(layout.holders[outcome.shard])} replicas exhausted",
                 )
             elif outcome.shard in speculated:
                 # Detection waited until the straggler threshold; the
@@ -565,16 +608,27 @@ class ResilientDriver:
             outcome.overhead_scaled_s = scaled
             outcome.completion_s = fixed + scaled + winner_s
 
-    # Top-level paths ---------------------------------------------------
+    # Scatter / gather ---------------------------------------------------
 
-    def _run_distributed(self, query: QueryDef, split, qspan=None) -> ResilientRun:
-        layout, policy = self.layout, self.policy
+    def _scatter_gather(
+        self,
+        query: QueryDef,
+        layout: ReplicatedLayout,
+        local: PlanNode,
+        split: SplitPlan | None,
+        qspan=None,
+    ) -> ResilientRun:
+        """Run ``local`` on every shard of ``layout`` with recovery, then
+        merge the partials through ``split`` — or, with no ``split``
+        (one shard holding everything), take its answer as it is."""
+        policy = self.policy
+        # Fragments are CPU-bound: threads beyond the cores only contend.
         with ThreadPoolExecutor(
-            max_workers=min(policy.max_workers, layout.n_nodes)
+            max_workers=min(policy.max_workers, layout.n_shards, os.cpu_count() or 1)
         ) as pool:
             outcomes = list(pool.map(
-                lambda s: self._run_shard(s, split.local, parent=qspan),
-                range(layout.n_nodes),
+                lambda s: self._run_shard(layout, s, local, parent=qspan),
+                range(layout.n_shards),
             ))
 
         # Timeout / straggler threshold from the PerformanceModel
@@ -595,27 +649,35 @@ class ResilientDriver:
             ]
             for outcome in stragglers:  # deterministic shard order
                 before = outcome.winner
-                outcome, extra = self._speculate(outcome, split.local, threshold_s)
+                outcome, extra = self._speculate(layout, outcome, local, threshold_s)
                 wasted.extend(extra)
                 if outcome.winner is not before:
                     speculated[outcome.shard] = threshold_s
 
         log = RecoveryLog()
-        self._charge(outcomes, speculated, log, median_est)
+        self._charge(layout, outcomes, speculated, log, median_est)
         self._mirror_log(qspan, log)
 
         covered = [o for o in outcomes if o.covered]
+        total_rows = layout.total_rows
         coverage = (
-            sum(layout.shards[o.shard].nrows for o in covered) / layout.total_rows
-            if layout.total_rows
+            sum(layout.shard_rows(o.shard) for o in covered) / total_rows
+            if total_rows
             else (1.0 if covered else 0.0)
         )
         frames = [o.winner.frame for o in covered]
         profiles = [o.winner.profile for o in covered]
         result = merge_profile = None
-        partial_bytes = [float(f.nbytes) for f in frames]
-        rows = [f.nrows for f in frames]
-        if frames:
+        partial_bytes: list[float] = []
+        rows: list[int] = []
+        if split is None:
+            # The attempt already carries the full result; nothing is
+            # gathered as partials and nothing merged.
+            if covered:
+                result = Result(frame=frames[0], profile=profiles[0])
+        elif frames:
+            partial_bytes = [float(f.nbytes) for f in frames]
+            rows = [f.nrows for f in frames]
             partials_db = Database("driver")
             partials_db.add(concat_frames(frames))
             result = Executor(partials_db, tracer=self.tracer).execute(
@@ -625,8 +687,9 @@ class ResilientDriver:
             merge_profile = result.profile
         return ResilientRun(
             query_number=query.number,
-            n_nodes=layout.n_nodes,
-            replication=layout.replication,
+            n_nodes=self.layout.n_nodes,
+            replication=self.layout.replication,
+            layout=layout,
             result=result,
             coverage=coverage,
             shard_outcomes=outcomes,
@@ -637,110 +700,7 @@ class ResilientDriver:
             merge_profile=merge_profile,
             partial_bytes_per_node=partial_bytes,
             wasted_profile=WorkProfile.merged_all([w.profile for w in wasted]),
-            single_node=False,
-            local_plan=split.local,
+            single_node=split is None,
+            local_plan=local,
             node_results_rows=rows,
         )
-
-    def _run_single_node(self, query: QueryDef, params: dict, qspan=None) -> ResilientRun:
-        """Single-node fallback with failover: every table the query
-        needs is either replicated or (for the lineitem-bearing
-        non-distributable Q15/Q20) taken from the full base catalog, so
-        any healthy node can host the query; sticky-dead candidates are
-        skipped with a recovery event."""
-        layout, policy = self.layout, self.policy
-        # The full base catalog equals a node catalog for every
-        # replicated table; unlike the classic driver this also gives
-        # lineitem-bearing fallback queries the whole table.
-        db = layout.base
-        plan = query.build(db, params)
-        sspan = None
-        if self.tracer.enabled:
-            sspan = self.tracer.start("shard", "shard:0", parent=qspan)
-        records: list[_AttemptRecord] = []
-        winner: NodeAttempt | None = None
-        for node in range(layout.n_nodes):
-            chain, winner = self._attempt_chain(0, node, plan.node, db, span=sspan)
-            records.extend(chain)
-            if winner is not None:
-                break
-        if sspan is not None:
-            self.tracer.finish(sspan)
-            sspan.annotate(attempts=len(records))
-        outcome = ShardOutcome(
-            shard=0,
-            status=(
-                "lost" if winner is None
-                else ("ok" if records and records[0].node == winner.node else "recovered")
-            ),
-            winner=winner,
-            attempts=records,
-        )
-
-        wasted: list[NodeAttempt] = []
-        speculated: dict[int, float] = {}
-        threshold_s = None
-        if winner is not None and policy.speculate and winner.slowdown > 1.0:
-            threshold_s = policy.timeout_factor * winner.estimate_s
-            outcome, wasted = self._speculate_single(outcome, plan.node, db, threshold_s)
-            if outcome.winner is not winner:
-                speculated[0] = threshold_s
-            winner = outcome.winner
-
-        log = RecoveryLog()
-        est = winner.estimate_s if winner is not None else None
-        self._charge([outcome], speculated, log, est)
-        self._mirror_log(qspan, log)
-
-        result = winner_profile = None
-        if winner is not None:
-            # Re-running through Executor would duplicate work; the
-            # attempt already carries the full result.
-            result = Result(frame=winner.frame, profile=winner.profile)
-            winner_profile = winner.profile
-        return ResilientRun(
-            query_number=query.number,
-            n_nodes=layout.n_nodes,
-            replication=layout.replication,
-            result=result,
-            coverage=1.0 if winner is not None else 0.0,
-            shard_outcomes=[outcome],
-            recovery=log,
-            node_profiles=[winner_profile] if winner_profile is not None else [],
-            exec_nodes=[winner.node] if winner is not None else [],
-            covered_shards=[0] if winner is not None else [],
-            merge_profile=None,
-            partial_bytes_per_node=[],
-            wasted_profile=WorkProfile.merged_all([w.profile for w in wasted]),
-            single_node=True,
-        )
-
-    def _speculate_single(
-        self, outcome: ShardOutcome, plan: PlanNode, db: Database, threshold_s: float
-    ) -> tuple[ShardOutcome, list[NodeAttempt]]:
-        """Speculation for the single-node path: any healthy, untried
-        node can host the replicated-table query."""
-        assert outcome.winner is not None
-        tried = {r.node for r in outcome.attempts}
-        backup = next(
-            (
-                node for node in range(self.layout.n_nodes)
-                if node not in tried and node not in self.fault_plan.dead_nodes
-            ),
-            None,
-        )
-        if backup is None:
-            return outcome, []
-        chain, spec = self._attempt_chain(0, backup, plan, db)
-        for rec in chain:
-            rec.speculative = True
-        outcome.attempts.extend(chain)
-        if spec is None:
-            return outcome, []
-        spec_finish = threshold_s + spec.simulated_s
-        if spec_finish < outcome.winner.simulated_s:
-            wasted = [outcome.winner]
-            outcome.winner = spec
-            outcome.status = "recovered"
-            return outcome, wasted
-        return outcome, [spec]

@@ -35,10 +35,10 @@ from repro.hardware import PLATFORMS, PI_KEY, PerformanceModel
 from repro.tpch import generate, get_query
 
 from .cluster import thrash_multiplier
-from .driver import Driver
 from .network import NetworkModel
 from .node import MemoryModel, NodeSpec, collect_scan_columns
-from .partition import partition_table
+from .partition import replicate_database
+from .resilient import ResilientDriver
 
 __all__ = ["RepartitionedRun", "repartition_database", "run_repartitioned"]
 
@@ -46,23 +46,13 @@ __all__ = ["RepartitionedRun", "repartition_database", "run_repartitioned"]
 def repartition_database(
     db: Database, n_nodes: int, partition_keys: dict[str, str]
 ) -> list[Database]:
-    """Hash-partition every table in ``partition_keys`` on its key
-    column; replicate the rest. Co-partitioned keys (same modulus) make
-    equi-joins on those keys node-local."""
-    node_dbs = []
-    shards: dict[str, list] = {
-        table_name: partition_table(db.table(table_name), n_nodes, key)
-        for table_name, key in partition_keys.items()
-    }
-    for node in range(n_nodes):
-        node_db = Database(f"{db.name}_shuffle{node}")
-        for name in db.table_names:
-            if name in shards:
-                node_db.add(shards[name][node])
-            else:
-                node_db.add(db.table(name))
-        node_dbs.append(node_db)
-    return node_dbs
+    """Per-node catalogs co-partitioned on ``partition_keys``.
+
+    Every listed table is hash-partitioned on its key column and the
+    rest replicated: the single-copy
+    :func:`~repro.cluster.partition.replicate_database` layout under
+    those keys."""
+    return replicate_database(db, n_nodes, 1, partition_keys).node_dbs
 
 
 @dataclass
@@ -147,8 +137,11 @@ def run_repartitioned(
     params = {"sf": base_sf}
     scale = target_sf / base_sf
 
-    node_dbs = repartition_database(db, n_nodes, partition_keys)
-    run = Driver(node_dbs).run(query, params, force_distribute=True)
+    layout = replicate_database(db, n_nodes, 1, partition_keys)
+    node_dbs = layout.node_dbs
+    run = ResilientDriver(layout, perf=perf, network=network).run(
+        query, params, force_distribute=True
+    )
     if run.single_node:
         raise ValueError(
             f"Q{number} did not distribute under partition keys {partition_keys}; "

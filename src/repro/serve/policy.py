@@ -1,13 +1,14 @@
 """Retry and circuit-breaker policies for the serving layer.
 
-Ported from the :class:`~repro.cluster.resilient.RecoveryPolicy` idiom:
-transient failures retry with capped exponential backoff, and repeated
+Transient failures retry with capped exponential backoff, and repeated
 *unexpected* failures trip a circuit breaker so a sick executor fails
 fast (typed :class:`~repro.serve.errors.CircuitOpen`) instead of
-queueing doomed work behind a bounded queue. Unlike the cluster
-runtime's modeled clock, the server lives on the wall clock — backoffs
-really sleep (they are bounded small) and the breaker cooldown is real
-elapsed time.
+queueing doomed work behind a bounded queue. :class:`RetryPolicy` is the
+one backoff implementation: the cluster driver's
+:class:`~repro.cluster.resilient.RecoveryPolicy` extends it and charges
+the waits to its modeled clock, while the server lives on the wall
+clock — backoffs really sleep (they are bounded small) and the breaker
+cooldown is real elapsed time.
 """
 
 from __future__ import annotations

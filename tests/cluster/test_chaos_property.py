@@ -103,7 +103,7 @@ class TestChaosProperties:
             assert run.coverage < 1.0
             dead = plan.dead_nodes
             lost_rows = sum(
-                layout.shards[s].nrows
+                layout.shard_rows(s)
                 for s, holders in enumerate(layout.holders)
                 if all(n in dead for n in holders)
             )

@@ -1,10 +1,19 @@
 """WimPiCluster tests: Table III shapes — thrash cliff, Q13 flatness,
 network plateau, cost/energy properties."""
 
+import math
+
 import pytest
 
-from repro.cluster import FaultPlan, InjectedFault, WimPiCluster, thrash_multiplier
-from repro.tpch import CHOKEPOINTS
+from repro.cluster import (
+    FaultPlan,
+    InjectedFault,
+    NodeUnresponsiveError,
+    WimPiCluster,
+    thrash_multiplier,
+)
+from repro.engine import execute
+from repro.tpch import ALL_QUERY_NUMBERS, CHOKEPOINTS, get_query
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +86,29 @@ class TestTableIIIShape:
         assert run.energy_joules == pytest.approx(expected)
 
 
+class TestAllQueriesMatchSingleNode:
+    @pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
+    def test_plain_cluster_rows(self, tpch_db, tpch_params, clusters, number):
+        """Every TPC-H query on the default cluster returns the
+        single-node answer — Q15/Q20 (nested lineitem scans) and Q17
+        (per-shard divergent AVG) included."""
+        single = execute(tpch_db, get_query(number).build(tpch_db, tpch_params))
+        try:
+            rows = clusters[4].run_query(number).result.rows
+        except NodeUnresponsiveError:
+            # Q7 at 4 nodes over-commits past the §III-C4 threshold; the
+            # rows behind the modeled failure are still checkable.
+            assert number == 7
+            rows = clusters[4].driver.run(get_query(number), tpch_params).result.rows
+        assert len(rows) == len(single.rows)
+        for got, want in zip(rows, single.rows):
+            for g, w in zip(got, want):
+                if isinstance(w, float):
+                    assert math.isclose(g, w, rel_tol=1e-6, abs_tol=1e-6)
+                else:
+                    assert g == w
+
+
 class TestClusterProperties:
     def test_cost_model(self, clusters):
         cluster = clusters[24]
@@ -140,9 +172,11 @@ class TestChaosCluster:
         assert run.recovery_log.events == []
         assert run.result.rows == runs[4][3].result.rows
 
-    def test_compression_incompatible_with_resilient_runtime(self, tpch_db):
-        with pytest.raises(ValueError, match="compress"):
-            WimPiCluster(
-                4, base_sf=0.01, target_sf=10.0, db=tpch_db,
-                replication=2, compress=True,
-            )
+    def test_compression_composes_with_replication(self, tpch_db):
+        kwargs = dict(base_sf=0.01, target_sf=10.0, db=tpch_db, replication=2)
+        plain = WimPiCluster(4, **kwargs)
+        packed = WimPiCluster(4, compress=True, **kwargs)
+        for number in (3, 13):
+            a, b = plain.run_query(number), packed.run_query(number)
+            assert b.result.rows == a.result.rows
+            assert max(b.node_pressure) < max(a.node_pressure)

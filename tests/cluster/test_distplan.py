@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.cluster import NotDistributableError, split_for_partial_aggregation
-from repro.engine import Executor, Q, agg, col
+from repro.cluster import (
+    NotDistributableError,
+    concat_frames,
+    split_for_partial_aggregation,
+)
+from repro.engine import Column, Executor, Frame, Q, agg, col
 from repro.engine.plan import AggregateNode
 from repro.tpch import get_query
 
@@ -41,7 +45,6 @@ class TestSplit:
         split = split_for_partial_aggregation(plan.node)
         # Execute partials on the full db (single "node") and finalize.
         partial = Executor(toy_db).execute(split.local)
-        from repro.cluster import concat_frames
         from repro.engine import Database
 
         driver_db = Database("driver")
@@ -64,3 +67,35 @@ class TestSplit:
         )
         split = split_for_partial_aggregation(plan.node)
         assert split.local is not None
+
+
+class TestConcatFrames:
+    def test_stacks_rows(self):
+        a = Frame({"x": Column.from_ints([1, 2])})
+        b = Frame({"x": Column.from_ints([3])})
+        table = concat_frames([a, b])
+        assert table.nrows == 3
+        assert table.column("x").values.tolist() == [1, 2, 3]
+
+    def test_schema_mismatch_rejected(self):
+        a = Frame({"x": Column.from_ints([1])})
+        b = Frame({"y": Column.from_ints([1])})
+        with pytest.raises(ValueError, match="mismatch"):
+            concat_frames([a, b])
+
+    def test_schema_mismatch_names_offender(self):
+        """The error pinpoints which node diverged and how — both column
+        lists, so a mixed-schema gather is debuggable from the message."""
+        a = Frame({"x": Column.from_ints([1])})
+        b = Frame({"x": Column.from_ints([2])})
+        c = Frame({"x": Column.from_ints([3]), "y": Column.from_ints([4])})
+        with pytest.raises(ValueError) as excinfo:
+            concat_frames([a, b, c])
+        message = str(excinfo.value)
+        assert "node 2" in message
+        assert "['x']" in message
+        assert "['x', 'y']" in message
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            concat_frames([])

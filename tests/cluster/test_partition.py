@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import partition_database, partition_table, replicate_database
+from repro.cluster import partition_table, replicate_database
 
 
 class TestPartitionTable:
@@ -36,9 +36,9 @@ class TestPartitionTable:
             partition_table(tpch_db.table("lineitem"), 0, "l_orderkey")
 
 
-class TestPartitionDatabase:
+class TestNodeCatalogs:
     def test_non_lineitem_tables_shared(self, tpch_db):
-        node_dbs = partition_database(tpch_db, 4)
+        node_dbs = replicate_database(tpch_db, 4, replication=1).node_dbs
         for node_db in node_dbs:
             for name in tpch_db.table_names:
                 if name == "lineitem":
@@ -48,7 +48,11 @@ class TestPartitionDatabase:
                     assert node_db.table(name) is tpch_db.table(name)
 
     def test_node_count(self, tpch_db):
-        assert len(partition_database(tpch_db, 24)) == 24
+        assert len(replicate_database(tpch_db, 24, replication=1).node_dbs) == 24
+
+    def test_empty_cluster_rejected(self, tpch_db):
+        with pytest.raises(ValueError):
+            replicate_database(tpch_db, 0, replication=1)
 
 
 class TestReplicatedLayout:
@@ -61,12 +65,9 @@ class TestReplicatedLayout:
         shard lives only on its own node."""
         layout = replicate_database(tpch_db, 4, replication=1)
         assert layout.holders == [[0], [1], [2], [3]]
-        classic = partition_database(tpch_db, 4)
+        shards = partition_table(tpch_db.table("lineitem"), 4, "l_orderkey")
         for node, node_db in enumerate(layout.node_dbs):
-            assert (
-                node_db.table("lineitem").nrows
-                == classic[node].table("lineitem").nrows
-            )
+            assert node_db.table("lineitem").nrows == shards[node].nrows
 
     def test_shards_cover_lineitem(self, tpch_db):
         layout = replicate_database(tpch_db, 6, replication=3)
@@ -99,3 +100,32 @@ class TestReplicatedLayout:
         layout = replicate_database(tpch_db, 3, replication=3)
         for shard in range(3):
             assert sorted(layout.holders[shard]) == [0, 1, 2]
+
+    def test_co_partitioned_tables_share_shards(self, tpch_db):
+        keys = {"orders": "o_custkey", "customer": "c_custkey"}
+        layout = replicate_database(tpch_db, 4, replication=2, partition_keys=keys)
+        assert layout.total_rows == (
+            tpch_db.table("orders").nrows + tpch_db.table("customer").nrows
+        )
+        buddy = layout.db_for(1, 2)
+        assert set(buddy.table("orders").column("o_custkey").values % 4) <= {1}
+        assert set(buddy.table("customer").column("c_custkey").values % 4) <= {1}
+        assert buddy.table("lineitem") is tpch_db.table("lineitem")
+
+    def test_unpartitioned_is_one_shard_every_node_holds(self, tpch_db):
+        whole = replicate_database(tpch_db, 4, replication=2).unpartitioned(first=3)
+        assert whole.holders == [[3, 0, 1, 2]]
+        assert whole.n_nodes == 4 and whole.n_shards == 1
+        assert whole.db_for(0, 2).table("lineitem") is tpch_db.table("lineitem")
+        with pytest.raises(ValueError, match="not one of"):
+            whole.unpartitioned(first=4)
+
+    def test_compressed_layout_shares_replicas_and_compresses_shards(self, tpch_db):
+        layout = replicate_database(tpch_db, 4, replication=2, compress=True)
+        a, b = layout.db_for(0, 0), layout.db_for(1, 2)
+        assert a.table("orders") is b.table("orders") is layout.base.table("orders")
+        assert a.table("orders") is not tpch_db.table("orders")
+        assert a.table("lineitem").nrows < tpch_db.table("lineitem").nrows
+        assert a.table("lineitem").nbytes < layout.shard_rows(0) * (
+            tpch_db.table("lineitem").nbytes / tpch_db.table("lineitem").nrows
+        )

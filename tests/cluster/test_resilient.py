@@ -82,6 +82,16 @@ class TestFaultFree:
         run = make_driver(layout).run(get_query(1), tpch_params)
         assert all(o.overhead_s == 0.0 for o in run.shard_outcomes)
 
+    def test_partials_are_one_small_frame_per_node(self, tpch_params, layout):
+        """Partial aggregates are tiny compared to base data — the whole
+        point of the paper's driver strategy."""
+        run = make_driver(layout).run(get_query(6), tpch_params)
+        assert not run.single_node
+        assert run.node_results_rows == [1, 1, 1, 1]
+        assert len(run.node_profiles) == 4
+        run = make_driver(layout).run(get_query(1), tpch_params)
+        assert all(b < 10_000 for b in run.partial_bytes_per_node)
+
 
 class TestTransientRetry:
     def test_drop_retried_on_same_node(self, tpch_db, tpch_params, layout):
@@ -208,7 +218,7 @@ class TestDegradation:
         lost = [o for o in run.shard_outcomes if o.status == "lost"]
         assert [o.shard for o in lost] == [1]
         assert run.coverage == pytest.approx(
-            1.0 - layout.shards[1].nrows / layout.total_rows
+            1.0 - layout.shard_rows(1) / layout.total_rows
         )
 
     def test_coverage_reported_in_report(self, tpch_params, layout):
@@ -233,6 +243,53 @@ class TestDegradation:
 
 
 class TestSingleNodeFallback:
+    @pytest.mark.parametrize("number", [11, 13])
+    def test_non_lineitem_query_gathers_nothing(self, tpch_params, layout, number):
+        run = make_driver(layout).run(get_query(number), tpch_params)
+        assert run.single_node
+        assert run.exec_nodes == [0]
+        assert run.partial_bytes_per_node == []
+        assert run.merge_profile is None
+
+    def test_one_node_cluster_bypasses_rewrite(self, tpch_db, tpch_params):
+        solo = make_driver(replicate_database(tpch_db, 1, replication=1))
+        run = solo.run(get_query(6), tpch_params)
+        assert run.single_node
+
+    def test_fallback_host_leads_the_failover_order(self, tpch_params, layout):
+        healthy = make_driver(layout).run(get_query(13), tpch_params, fallback_host=2)
+        assert healthy.exec_nodes == [2]
+        assert healthy.shard_outcomes[0].status == "ok"
+        dead = make_driver(layout, [InjectedFault("hang", 2)])
+        run = dead.run(get_query(13), tpch_params, fallback_host=2)
+        assert run.exec_nodes == [0]
+        assert run.recovery.signature() == (("timeout", 0, 2, 0), ("failover", 0, 0, 0))
+
+    def test_speculation_decision_matches_the_sharded_path(self, tpch_params, layout):
+        """Backoff paid inside the speculative chain counts against the
+        copy on one node exactly as it does on a shard: with the
+        straggler only just past the threshold, two drops on the backup
+        tip the decision to 'decline' in both paths."""
+        policy = dict(timeout_factor=4.0, backoff_base_s=50.0, backoff_cap_s=100.0)
+        for number, shard, faults in (
+            (11, 0, [InjectedFault("straggler", 0, slowdown=6.0),
+                     InjectedFault("drop", 1, drops=2)]),
+            (6, 2, [InjectedFault("straggler", 2, slowdown=6.0),
+                    InjectedFault("drop", 3, drops=2)]),
+        ):
+            run = make_driver(layout, faults, **policy).run(get_query(number), tpch_params)
+            outcome = run.shard_outcomes[shard]
+            assert [r.outcome for r in outcome.attempts if r.speculative] == [
+                "drop", "drop", "ok",
+            ], number
+            assert run.recovery.count("speculate") == 0, number
+            assert outcome.winner.slowdown == 6.0, number
+            # Without the drops the same copy is adopted.
+            run = make_driver(layout, faults[:1], **policy).run(
+                get_query(number), tpch_params
+            )
+            assert run.recovery.count("speculate") == 1, number
+
     def test_non_lineitem_query_fails_over(self, tpch_db, tpch_params, layout):
         driver = make_driver(layout, [InjectedFault("oom", 0)])
         run = driver.run(get_query(11), tpch_params)  # no lineitem
@@ -288,8 +345,8 @@ class TestAllQueriesFaultFree:
     @pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
     def test_matches_single_node(self, tpch_db, tpch_params, layout, number):
         """Every one of the 22 queries agrees with plain execution under
-        the resilient runtime — including Q15/Q17/Q20, which the classic
-        driver's shard-local fallback would get wrong."""
+        the driver — including Q15/Q17/Q20, which a shard-local
+        fallback would get wrong."""
         run = make_driver(layout).run(get_query(number), tpch_params)
         single = execute(tpch_db, get_query(number).build(tpch_db, tpch_params))
         _rows_close(run.result.rows, single.rows)

@@ -59,6 +59,14 @@ class TestTailoring:
         host = mixed.single_node_index(None)
         assert mixed.node_specs[host] is PI4_NODE
 
+    def test_placement_holds_under_replication(self, tpch_db):
+        specs = [NodeSpec()] * 3 + [PI4_NODE]
+        kwargs = dict(base_sf=0.01, target_sf=10.0, db=tpch_db)
+        single_copy = TailoredCluster(specs, **kwargs).run_query(13)
+        replicated = TailoredCluster(specs, replication=2, **kwargs).run_query(13)
+        assert replicated.run.exec_nodes == [3]
+        assert replicated.total_seconds == single_copy.total_seconds
+
     def test_cost_and_power_reflect_the_mix(self, clusters):
         uniform, mixed = clusters
         assert mixed.total_msrp_usd == pytest.approx(20 * 35 + 4 * 75)

@@ -73,6 +73,15 @@ class TestChaosTraceMirrorsRecoveryLog:
             assert attempts, f"{span.name} recorded no attempt events"
             assert attempts[-1]["attrs"]["outcome"] in ("ok", "drop", "oom", "hang")
 
+    @pytest.mark.parametrize("number", [6, 13])
+    def test_operator_spans_nest_under_every_shard(self, layout, tpch_params, number):
+        run, root = _run_traced(layout, FaultPlan.none(), number, tpch_params)
+        shards = [s for s in iter_spans(root) if s.kind == "shard"]
+        assert len(shards) == len(run.shard_outcomes)
+        for span in shards:
+            operators = {s.name for s in iter_spans(span) if s.kind == "operator"}
+            assert {"scan", "aggregate"} <= operators, span.name
+
     def test_single_node_route_still_traced(self, layout, tpch_params):
         # Q13 avoids lineitem -> single-node path, still one query span.
         run, root = _run_traced(layout, FaultPlan.none(), 13, tpch_params)

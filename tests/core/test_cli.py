@@ -57,6 +57,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Q6 on 4 nodes" in out and "wall-clock" in out
 
+    def test_cluster_command_answers_like_one_node(self, capsys):
+        """Q17's per-part AVG diverges per shard; the cluster must print
+        the single-node answer, not a shard-local one."""
+        from repro.engine import execute
+        from repro.tpch import generate, get_query
+
+        assert main(["cluster", "17", "--nodes", "4", "--base-sf", "0.005"]) == 0
+        out = capsys.readouterr().out
+        db = generate(0.005)
+        single = execute(db, get_query(17).build(db, {"sf": 0.005}))
+        assert "result rows: 1" in out
+        assert f"    {single.rows[0]}" in out.splitlines()
+
     def test_cluster_command_with_nam(self, capsys):
         assert main([
             "cluster", "13", "--nodes", "4", "--base-sf", "0.005", "--nam",
