@@ -64,30 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the per-operator work profile")
     query.add_argument("--workers", type=int, default=None,
                        help="morsel-parallel worker threads (default: serial)")
-    query.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="abort with a typed deadline error if the query "
-                            "runs longer than this")
-    query.add_argument("--no-skipping", action="store_true",
-                       help="ablation: disable predicate pushdown and "
-                            "zone-map data skipping")
-    query.add_argument("--no-latemat", action="store_true",
-                       help="ablation: disable late materialization "
-                            "(selection-vector execution)")
-    query.add_argument("--no-compressed-exec", action="store_true",
-                       help="ablation: disable compressed execution "
-                            "(decode-then-eval on encoded columns)")
-    query.add_argument("--compress", action="store_true",
-                       help="compress the generated tables so compressed "
-                            "execution has encoded columns to work on")
-    query.add_argument("--no-rollups", action="store_true",
-                       help="ablation: skip rollup-cube materialization and "
-                            "semantic routing (aggregate over base tables)")
-    query.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                       help="cap operator working memory; joins and grouped "
-                            "aggregates over the cap Grace-partition to disk")
-    query.add_argument("--no-spill", action="store_true",
-                       help="ablation: fail over-budget operators with a "
-                            "typed error instead of spilling to disk")
+    _add_engine_args(query)
     _add_trace_args(query)
 
     validate = sub.add_parser(
@@ -137,30 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sql_cmd.add_argument("--explain", action="store_true", help="print the plan")
     sql_cmd.add_argument("--workers", type=int, default=None,
                          help="morsel-parallel worker threads (default: serial)")
-    sql_cmd.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                         help="abort with a typed deadline error if the query "
-                              "runs longer than this")
-    sql_cmd.add_argument("--no-skipping", action="store_true",
-                         help="ablation: disable predicate pushdown and "
-                              "zone-map data skipping")
-    sql_cmd.add_argument("--no-latemat", action="store_true",
-                         help="ablation: disable late materialization "
-                              "(selection-vector execution)")
-    sql_cmd.add_argument("--no-compressed-exec", action="store_true",
-                         help="ablation: disable compressed execution "
-                              "(decode-then-eval on encoded columns)")
-    sql_cmd.add_argument("--compress", action="store_true",
-                         help="compress the generated tables so compressed "
-                              "execution has encoded columns to work on")
-    sql_cmd.add_argument("--no-rollups", action="store_true",
-                         help="ablation: skip rollup-cube materialization and "
-                              "semantic routing (aggregate over base tables)")
-    sql_cmd.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                         help="cap operator working memory; joins and grouped "
-                              "aggregates over the cap Grace-partition to disk")
-    sql_cmd.add_argument("--no-spill", action="store_true",
-                         help="ablation: fail over-budget operators with a "
-                              "typed error instead of spilling to disk")
+    _add_engine_args(sql_cmd)
     _add_trace_args(sql_cmd)
 
     trace_cmd = sub.add_parser(
@@ -180,21 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("--validate", action="store_true",
                            help="validate the JSON trace document against "
                                 "the checked-in schema")
-    trace_cmd.add_argument("--no-skipping", action="store_true",
-                           help="ablation: disable predicate pushdown and "
-                                "zone-map data skipping")
-    trace_cmd.add_argument("--no-latemat", action="store_true",
-                           help="ablation: disable late materialization "
-                                "(selection-vector execution)")
-    trace_cmd.add_argument("--no-compressed-exec", action="store_true",
-                           help="ablation: disable compressed execution "
-                                "(decode-then-eval on encoded columns)")
-    trace_cmd.add_argument("--compress", action="store_true",
-                           help="compress the generated tables so compressed "
-                                "execution has encoded columns to work on")
-    trace_cmd.add_argument("--no-rollups", action="store_true",
-                           help="ablation: skip rollup-cube materialization "
-                                "and semantic routing")
+    _add_engine_args(trace_cmd, budget=False)
     trace_cmd.add_argument("--metrics", action="store_true",
                            help="print the process-wide metrics registry "
                                 "(cache and encoded-dispatch hit/miss "
@@ -223,33 +163,52 @@ def _render(value, indent: int = 0) -> str:
     return json.dumps(to_jsonable(value), indent=2, sort_keys=True)
 
 
-def _optimizer_settings(
-    no_skipping: bool, no_latemat: bool = False, no_compressed: bool = False,
-    no_rollups: bool = False, no_spill: bool = False,
-):
+def _add_engine_args(parser, budget: bool = True) -> None:
+    """The engine's feature gates, shared by query / sql / trace;
+    ``budget`` adds the deadline and memory-budget flags (not on trace)."""
+    if budget:
+        parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                            help="abort with a typed deadline error if the query "
+                                 "runs longer than this")
+    parser.add_argument("--no-skipping", action="store_true",
+                        help="ablation: disable predicate pushdown and "
+                             "zone-map data skipping")
+    parser.add_argument("--no-latemat", action="store_true",
+                        help="ablation: disable late materialization "
+                             "(selection-vector execution)")
+    parser.add_argument("--no-compressed-exec", action="store_true",
+                        help="ablation: disable compressed execution "
+                             "(decode-then-eval on encoded columns)")
+    parser.add_argument("--compress", action="store_true",
+                        help="compress the generated tables so compressed "
+                             "execution has encoded columns to work on")
+    parser.add_argument("--no-rollups", action="store_true",
+                        help="ablation: skip rollup-cube materialization and "
+                             "semantic routing"
+                             + (" (aggregate over base tables)" if budget else ""))
+    if budget:
+        parser.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
+                            help="cap operator working memory; joins and grouped "
+                                 "aggregates over the cap Grace-partition to disk")
+        parser.add_argument("--no-spill", action="store_true",
+                            help="ablation: fail over-budget operators with a "
+                                 "typed error instead of spilling to disk")
+
+
+def _settings_from(args):
+    """OptimizerSettings for the gate flags ``_add_engine_args`` declared."""
     from repro.engine import DEFAULT_SETTINGS, OptimizerSettings
 
-    settings = OptimizerSettings.disabled() if no_skipping else DEFAULT_SETTINGS
-    if no_latemat:
+    settings = OptimizerSettings.disabled() if args.no_skipping else DEFAULT_SETTINGS
+    if args.no_latemat:
         settings = settings.without_latemat()
-    if no_compressed:
+    if args.no_compressed_exec:
         settings = settings.without_compressed()
-    if no_rollups:
+    if args.no_rollups:
         settings = settings.without_rollups()
-    if no_spill:
+    if getattr(args, "no_spill", False):
         settings = settings.without_spilling()
     return settings
-
-
-def _maybe_enable_rollups(db, disabled: bool):
-    """Mine the template workload and materialize rollup cubes unless
-    the --no-rollups ablation asked for base-table execution."""
-    if disabled:
-        return db
-    from repro.rollup import enable_rollups
-
-    enable_rollups(db)
-    return db
 
 
 def _maybe_compress_db(db, enabled: bool):
@@ -309,24 +268,95 @@ def _explain(db, plan, workers: int | None, settings, memory_budget) -> str:
     )
 
 
-def _execute_maybe_parallel(
-    db, plan, workers: int | None, settings=None, tracer=None, label=None,
-    timeout: float | None = None, memory_budget: int | None = None,
-):
-    """Run a plan serially, or morsel-parallel when --workers is given."""
+def _run_engine_command(args) -> int:
+    """query / sql / trace: generate, compress, build rollups, plan, pick
+    the settings, explain, execute (typed failures become exit codes),
+    print, write the trace."""
     from repro.engine import CancelToken, ParallelExecutor, execute
+    from repro.tpch import generate, get_query
 
-    cancel = CancelToken.from_timeout(timeout) if timeout is not None else None
-    if workers is None:
-        return execute(
-            db, plan, settings=settings, tracer=tracer, label=label, cancel=cancel,
-            memory_budget=memory_budget,
+    db = _maybe_compress_db(generate(args.sf), args.compress)
+    if not args.no_rollups:
+        # Mine the template workload and materialize rollup cubes.
+        from repro.rollup import enable_rollups
+
+        enable_rollups(db)
+    if args.command == "sql":
+        from repro.engine.sql import SqlError, sql as parse_sql
+
+        try:
+            plan = parse_sql(db, args.statement)
+        except SqlError as err:
+            print(f"SQL error: {err}", file=sys.stderr)
+            return 2
+        label, meta = "sql", {"sql": args.statement}
+    else:
+        plan = get_query(args.number).build(db, {"sf": args.sf})
+        label, meta = f"Q{args.number}", {"query": args.number}
+    settings = _settings_from(args)
+    memory_budget = getattr(args, "memory_budget", None)
+    if getattr(args, "explain", False):
+        print(_explain(db, plan, args.workers, settings, memory_budget))
+        print()
+    tracing = args.command == "trace"
+    if tracing:
+        from repro.obs import Tracer
+
+        tracer, trace_path, trace_format = Tracer(), args.out, args.format
+    else:
+        tracer, trace_path, trace_format = (
+            _make_tracer(args.trace), args.trace, args.trace_format
         )
-    with ParallelExecutor(
-        db, workers=workers, settings=settings, tracer=tracer,
-        memory_budget=memory_budget,
-    ) as executor:
-        return executor.execute(plan, label=label, cancel=cancel)
+    timeout = getattr(args, "timeout", None)
+    cancel = CancelToken.from_timeout(timeout) if timeout is not None else None
+    try:
+        if args.workers is None:
+            result = execute(
+                db, plan, settings=settings, tracer=tracer, label=label,
+                cancel=cancel, memory_budget=memory_budget,
+            )
+        else:  # morsel-parallel
+            with ParallelExecutor(
+                db, workers=args.workers, settings=settings, tracer=tracer,
+                memory_budget=memory_budget,
+            ) as executor:
+                result = executor.execute(plan, label=label, cancel=cancel)
+    except MemoryBudgetExceeded as err:
+        print(f"memory budget exceeded: {err}", file=sys.stderr)
+        return 4
+    except DeadlineExceeded as err:
+        print(f"deadline exceeded: {err}", file=sys.stderr)
+        return 3
+    if tracing:
+        from repro.obs import render_tree, trace_to_dict, validate_trace
+
+        print(f"{label}: {len(result)} rows ({result.wall_seconds * 1e3:.1f} ms wall)")
+        print(render_tree(tracer))
+        if args.metrics:
+            from repro.obs.metrics import metrics
+
+            print("metrics:")
+            for key, value in metrics.snapshot().items():
+                print(f"  {key} = {value:g}")
+        if args.validate:
+            validate_trace(trace_to_dict(tracer))
+            print("trace document validates against the schema")
+    else:
+        prefix = "" if args.command == "sql" else f"{label}: "
+        print(f"{prefix}{len(result)} rows; columns {result.column_names}")
+        for row in result.rows[: args.limit]:
+            print("  ", row)
+        if getattr(args, "profile", False):
+            from repro.engine.explain import explain_profile
+
+            print()
+            print(explain_profile(result))
+    if trace_path:
+        _write_trace(
+            tracer, trace_path, trace_format,
+            meta={**meta, "sf": args.sf, "workers": args.workers},
+        )
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -349,46 +379,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {directory / (name + '.csv')} ({db.table(name).nrows} rows)")
         return 0
 
-    if args.command == "query":
-        from repro.engine.explain import explain_profile
-        from repro.tpch import generate, get_query
-
-        db = _maybe_compress_db(generate(args.sf), args.compress)
-        _maybe_enable_rollups(db, args.no_rollups)
-        plan = get_query(args.number).build(db, {"sf": args.sf})
-        settings = _optimizer_settings(
-            args.no_skipping, args.no_latemat, args.no_compressed_exec,
-            args.no_rollups, args.no_spill,
-        )
-        if args.explain:
-            print(_explain(db, plan, args.workers, settings, args.memory_budget))
-            print()
-        tracer = _make_tracer(args.trace)
-        try:
-            result = _execute_maybe_parallel(
-                db, plan, args.workers, settings,
-                tracer=tracer, label=f"Q{args.number}",
-                timeout=args.timeout, memory_budget=args.memory_budget,
-            )
-        except MemoryBudgetExceeded as err:
-            print(f"memory budget exceeded: {err}", file=sys.stderr)
-            return 4
-        except DeadlineExceeded as err:
-            print(f"deadline exceeded: {err}", file=sys.stderr)
-            return 3
-        print(f"Q{args.number}: {len(result)} rows; columns {result.column_names}")
-        for row in result.rows[: args.limit]:
-            print("  ", row)
-        if args.profile:
-            print()
-            print(explain_profile(result))
-        if tracer is not None:
-            _write_trace(
-                tracer, args.trace, args.trace_format,
-                meta={"query": args.number, "sf": args.sf,
-                      "workers": args.workers},
-            )
-        return 0
+    if args.command in ("query", "sql", "trace"):
+        return _run_engine_command(args)
 
     if args.command == "report":
         from repro.core.report import full_report
@@ -480,83 +472,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"        -> {r.detail}")
         print(f"\n{passed}/{len(results)} claims reproduced")
         return 0 if passed == len(results) else 1
-
-    if args.command == "sql":
-        from repro.engine.sql import SqlError, sql as parse_sql
-        from repro.tpch import generate
-
-        db = _maybe_compress_db(generate(args.sf), args.compress)
-        _maybe_enable_rollups(db, args.no_rollups)
-        try:
-            plan = parse_sql(db, args.statement)
-        except SqlError as err:
-            print(f"SQL error: {err}", file=sys.stderr)
-            return 2
-        settings = _optimizer_settings(
-            args.no_skipping, args.no_latemat, args.no_compressed_exec,
-            args.no_rollups, args.no_spill,
-        )
-        if args.explain:
-            print(_explain(db, plan, args.workers, settings, args.memory_budget))
-            print()
-        tracer = _make_tracer(args.trace)
-        try:
-            result = _execute_maybe_parallel(
-                db, plan, args.workers, settings, tracer=tracer, label="sql",
-                timeout=args.timeout, memory_budget=args.memory_budget,
-            )
-        except MemoryBudgetExceeded as err:
-            print(f"memory budget exceeded: {err}", file=sys.stderr)
-            return 4
-        except DeadlineExceeded as err:
-            print(f"deadline exceeded: {err}", file=sys.stderr)
-            return 3
-        print(f"{len(result)} rows; columns {result.column_names}")
-        for row in result.rows[: args.limit]:
-            print("  ", row)
-        if tracer is not None:
-            _write_trace(
-                tracer, args.trace, args.trace_format,
-                meta={"sql": args.statement, "sf": args.sf,
-                      "workers": args.workers},
-            )
-        return 0
-
-    if args.command == "trace":
-        from repro.obs import Tracer, render_tree, trace_to_dict, validate_trace
-        from repro.tpch import generate, get_query
-
-        db = _maybe_compress_db(generate(args.sf), args.compress)
-        _maybe_enable_rollups(db, args.no_rollups)
-        plan = get_query(args.number).build(db, {"sf": args.sf})
-        settings = _optimizer_settings(
-            args.no_skipping, args.no_latemat, args.no_compressed_exec,
-            args.no_rollups,
-        )
-        tracer = Tracer()
-        result = _execute_maybe_parallel(
-            db, plan, args.workers, settings,
-            tracer=tracer, label=f"Q{args.number}",
-        )
-        print(f"Q{args.number}: {len(result)} rows "
-              f"({result.wall_seconds * 1e3:.1f} ms wall)")
-        print(render_tree(tracer))
-        if args.metrics:
-            from repro.obs.metrics import metrics
-
-            print("metrics:")
-            for key, value in metrics.snapshot().items():
-                print(f"  {key} = {value:g}")
-        if args.validate:
-            validate_trace(trace_to_dict(tracer))
-            print("trace document validates against the schema")
-        if args.out:
-            _write_trace(
-                tracer, args.out, args.format,
-                meta={"query": args.number, "sf": args.sf,
-                      "workers": args.workers},
-            )
-        return 0
 
     if args.command == "scaling":
         from repro.hardware import (

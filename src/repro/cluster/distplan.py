@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.engine import Column, Database, Frame, Q, Table, col
-from repro.engine.operators.aggregate import AggSpec
+from repro.engine.merge import decompose_aggregates
 from repro.engine.plan import (
     AggregateNode,
     FilterNode,
@@ -135,39 +135,28 @@ def split_for_partial_aggregation(root: PlanNode) -> SplitPlan:
             )
     aggregate = node
 
-    partial: list[tuple[str, AggSpec]] = []
-    final: list[tuple[str, AggSpec]] = []
-    restores: dict[str, object] = {}
-    for name, spec in aggregate.aggs:
-        if spec.func in ("sum", "count", "count_star"):
-            partial.append((name, spec))
-            final.append((name, AggSpec("sum", col(name))))
-            restores[name] = col(name)
-        elif spec.func in ("min", "max"):
-            partial.append((name, spec))
-            final.append((name, AggSpec(spec.func, col(name))))
-            restores[name] = col(name)
-        elif spec.func == "avg":
-            sum_name, cnt_name = f"{name}__sum", f"{name}__cnt"
-            partial.append((sum_name, AggSpec("sum", spec.expr)))
-            partial.append((cnt_name, AggSpec("count", spec.expr)))
-            final.append((sum_name, AggSpec("sum", col(sum_name))))
-            final.append((cnt_name, AggSpec("sum", col(cnt_name))))
-            restores[name] = col(sum_name) / col(cnt_name)
-        else:
-            raise NotDistributableError(
-                f"aggregate {spec.func!r} is not decomposable into partials"
-            )
-
-    local = AggregateNode(aggregate.child, aggregate.group_by, tuple(partial))
+    # The same partial/final split morsel segments merge with.
+    split = decompose_aggregates(dict(aggregate.aggs))
+    if split is None:
+        raise NotDistributableError(
+            "an aggregate of the plan is not decomposable into partials"
+        )
+    partial, final = split
+    local = AggregateNode(aggregate.child, aggregate.group_by, tuple(partial.items()))
 
     def build_final(db: Database) -> PlanNode:
         scan = Q(db).scan("partials").node
-        merged: PlanNode = AggregateNode(scan, aggregate.group_by, tuple(final))
+        merged: PlanNode = AggregateNode(
+            scan, aggregate.group_by, tuple(final.items())
+        )
         # Restore the original output names (and recombine AVGs).
         exprs = tuple(
             [(key, col(key)) for key in aggregate.group_by]
-            + [(name, restores[name]) for name, _ in aggregate.aggs]
+            + [
+                (name, col(f"{name}@sum") / col(f"{name}@cnt")
+                 if spec.func == "avg" else col(name))
+                for name, spec in aggregate.aggs
+            ]
         )
         merged = ProjectNode(merged, exprs)
         for upper in reversed(chain):

@@ -45,7 +45,6 @@ from .types import DATE, FLOAT64, INT64, STRING, date_to_days
 __all__ = [
     "compile_conjunct",
     "compile_predicate",
-    "classify_conjuncts",
     "prepare_aggregate",
     "EncodedConjunct",
     "EncodedAggregatePlan",
@@ -355,44 +354,22 @@ def _compile(conjunct: Expr, table) -> EncodedConjunct | None:
     return None
 
 
-def _touches_compressed(conjunct: Expr, table) -> bool:
-    try:
-        return any(
-            isinstance(table.column(n), CompressedColumn)
-            for n in conjunct.references()
-        )
-    except Exception:
-        return False
-
-
 def compile_predicate(
     conjuncts: list[Expr], table
 ) -> tuple[list[EncodedConjunct], list[Expr]]:
     """Split ``conjuncts`` into compiled encoded plans and a residual
-    list for decode-then-eval, recording dispatch outcomes (a miss is
-    only counted when the conjunct actually reads compressed data)."""
+    list for decode-then-eval. Pure — lowering calls it, EXPLAIN included;
+    the scan records the dispatch outcomes (``predicate_stats``) when it
+    runs."""
     plans: list[EncodedConjunct] = []
     residual: list[Expr] = []
     for conjunct in conjuncts:
         plan = compile_conjunct(conjunct, table)
         if plan is not None:
             plans.append(plan)
-            predicate_stats.hit()
         else:
             residual.append(conjunct)
-            if _touches_compressed(conjunct, table):
-                predicate_stats.miss()
     return plans, residual
-
-
-def classify_conjuncts(predicate: Expr, table) -> tuple[int, int]:
-    """(encoded, decode) conjunct counts for ``explain`` tags — a pure
-    dry-run that records no metrics."""
-    from .zonemap import split_conjuncts
-
-    conjuncts = split_conjuncts(predicate)
-    encoded = sum(1 for c in conjuncts if compile_conjunct(c, table) is not None)
-    return encoded, len(conjuncts) - encoded
 
 
 # -- RLE-aware aggregation ---------------------------------------------

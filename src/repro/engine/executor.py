@@ -215,17 +215,11 @@ class Executor:
         if ctx.cancel is not None:
             ctx.cancel.check()
         if isinstance(node, ScanNode):
-            # The one place the skipping / late / compressed gates reach a
-            # scan — over the whole table, or one morsel's rows of it.
+            # Over the whole table, or one morsel's rows of it.
             ctx.begin_operator("scan")
             table = self.db.table(node.table)
             lo, hi = ctx.rows or (0, table.nrows)
-            return scan_range(
-                table, node, lo, hi, ctx,
-                skipping=self.settings.zone_map_skipping,
-                late=self.settings.late_materialization,
-                compressed=self.settings.compressed_execution,
-            )
+            return scan_range(table, node, lo, hi, ctx)
         if isinstance(node, MorselSegmentNode):
             return self._exec_segment(node, ctx)
         if isinstance(node, FilterNode):

@@ -7,12 +7,12 @@ where a finished query spent its work — useful for understanding why a
 query is memory- or compute-bound on a given platform (e.g. Q1's scan
 dominance on the Pi).
 
-The static choices (``TopK``, ``[enc-agg: run-level]``, ``[segment:
-...]``) are read off the lowered nodes. The remaining tags are
+The static choices (``TopK``, ``[enc-agg: run-level]``, ``[enc-eval
+n/m]``, ``[segment: ... xN morsels]`` with ``N`` the morsels left after
+zone-map pre-skip) are read off the lowered nodes. The remaining tags are
 *predictions* of decisions the operators take at run time, made by
-calling the operators' own helpers on static estimates: ``[late ...]``,
-``[enc-eval n/m]`` (``classify_conjuncts``) and ``[spill: ...]``
-(``choose_partitions``).
+calling the operators' own helpers on static estimates: ``[late ...]``
+and ``[spill: ...]`` (``choose_partitions``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .plan import (
     LimitNode,
     MorselSegmentNode,
     PlanNode,
+    PredicatedScanNode,
     ProjectNode,
     Q,
     RunLevelAggregateNode,
@@ -44,6 +45,7 @@ from .plan import (
 )
 from .result import Result
 from .table import Database
+from .zonemap import BLOCK_EVAL
 
 __all__ = ["explain", "explain_profile"]
 
@@ -106,17 +108,16 @@ def _late_tag(node: PlanNode) -> str:
     return ""
 
 
-def _enc_eval_tag(scan: ScanNode, db: Database) -> str:
-    """Compressed-execution prediction for a pushed-down predicate: how
-    many conjuncts the scan will evaluate on the encoded payloads."""
-    from .encoded import classify_conjuncts
-
-    encoded, decode = classify_conjuncts(scan.predicate, db.table(scan.table))
-    if encoded and decode:
-        return f"  [enc-eval {encoded}/{encoded + decode}]"
-    if encoded:
-        return "  [enc-eval]"
-    return "  [decode]" if decode else ""
+def _enc_eval_tag(scan: PredicatedScanNode) -> str:
+    """How many of a pushed-down predicate's conjuncts the scan evaluates
+    on the encoded payloads, as lowering compiled them — nothing when the
+    zone maps decide every block and no row is evaluated at all."""
+    if not (scan.block_codes == BLOCK_EVAL).any():
+        return ""
+    encoded, total = len(scan.encoded), len(scan.conjuncts)
+    if 0 < encoded < total:
+        return f"  [enc-eval {encoded}/{total}]"
+    return "  [enc-eval]" if encoded else "  [decode]"
 
 
 def _subtree_size(node: PlanNode, db: Database) -> tuple[float, float]:
@@ -218,7 +219,7 @@ def explain(
         if isinstance(current, ScanNode):
             if current.predicate is not None:
                 if effective.compressed_execution:
-                    tag += _enc_eval_tag(current, db)
+                    tag += _enc_eval_tag(current)
                 emit(depth, f"Filter ({current.predicate!r})  [pushed]{tag}{segment}")
                 depth, tag = depth + 1, ""
             if effective.rollups and current.table.startswith(ROLLUP_PREFIX):

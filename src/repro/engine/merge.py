@@ -39,7 +39,7 @@ from .operators.aggregate import (
 from .operators.sort import _sort_key, execute_topk
 from .profile import OperatorWork, WorkProfile
 from .spill import maybe_spill_aggregate
-from .types import FLOAT64, INT64
+from .types import FLOAT64
 
 __all__ = [
     "concat_frames",
@@ -99,12 +99,9 @@ def decompose_aggregates(
             partial[f"{name}@cnt"] = count(spec.expr)
             final[f"{name}@sum"] = sum_(col(f"{name}@sum"))
             final[f"{name}@cnt"] = sum_(col(f"{name}@cnt"))
-        elif spec.func in ("count", "count_star"):
-            partial[name] = spec
-            final[name] = sum_(col(name))
-        elif spec.func == "isum":
-            # Exact integer sums merge by exact integer re-summation, so
-            # routed COUNT recompositions stay INT64 end to end.
+        elif spec.func in ("count", "count_star", "isum"):
+            # Counts (and routed COUNT recompositions, already ``isum``)
+            # merge by exact integer re-summation: INT64 end to end.
             partial[name] = spec
             final[name] = AggSpec("isum", col(name))
         elif spec.func == "sum":
@@ -126,7 +123,7 @@ def merge_partial_aggregates(
 
     Output matches the serial ``execute_aggregate`` exactly: same group
     rows (group order follows sorted key factorization in both paths),
-    same column order, same dtypes (counts return to INT64, AVG becomes
+    same column order, same dtypes (counts merge as INT64, AVG becomes
     the merged SUM/COUNT ratio).
     """
     decomposed = decompose_aggregates(aggs)
@@ -146,11 +143,6 @@ def merge_partial_aggregates(
             counts = merged.column(f"{name}@cnt").values
             with np.errstate(invalid="ignore", divide="ignore"):
                 out[name] = Column(FLOAT64, sums / counts)
-        elif spec.func in ("count", "count_star"):
-            # Counts merged via SUM come back FLOAT64; they are exact
-            # integers, so restore the serial INT64 dtype.
-            values = merged.column(name).values
-            out[name] = Column(INT64, np.rint(values).astype(np.int64))
         else:
             out[name] = merged.column(name)
     frame = Frame(out, merged.nrows)

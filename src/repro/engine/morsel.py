@@ -69,8 +69,9 @@ def table_is_morselable(
 class MorselContext(OperatorContext):
     """Execution context scoped to one morsel: rows ``[lo, hi)`` of the
     segment's base table, which is all the executor's scan branch reads
-    under this context (``rows``; row ids stay absolute, so late
-    selection vectors compose across morsels exactly as they do serially).
+    — and all it materializes — under this context (``rows``; a late
+    scan's base columns are that range and its selection row ids are
+    relative to ``lo``, so each morsel gathers at its own boundary).
 
     Operators charge work into a private
     :class:`~repro.engine.profile.WorkProfile`; scalar

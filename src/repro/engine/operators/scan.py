@@ -4,8 +4,9 @@ Handles both plain and compressed columns: a compressed column is
 streamed at its compressed size and charged its decode ops — the
 bandwidth-for-cycles trade the paper's §III-C2 proposes for SBCs.
 
-With a pushed-down predicate attached, the scan first classifies the
-zone-map blocks covering its row range (:mod:`repro.engine.zonemap`):
+With a pushed-down predicate attached, every zone-map block of the table
+carries a verdict (:mod:`repro.engine.zonemap`), and the scan reads the
+ones covering its row range:
 
 * ``SKIP`` blocks are provably empty — their bytes are never streamed
   (and compressed blocks are never decoded); they cost only the
@@ -20,6 +21,17 @@ degenerates to a single EVAL run — i.e. the classic scan + filter
 pipeline with no extra slicing. Work accounting splits across two
 operators ("scan" for streaming, "filter" for predicate evaluation) so
 profiles keep the operator shape of the unpushed plan.
+
+Everything static about a predicated scan — the block verdicts, which
+conjuncts run on the encoded payloads, what is left for decoded rows,
+late or eager output — was decided by
+:func:`repro.engine.physical.lower` and arrives on the
+:class:`~repro.engine.plan.PredicatedScanNode`; one loop over the runs
+serves every combination. A scan only ever materializes rows of its own
+range ``[start, stop)``: zero-copy slices of plain columns,
+``decode_range`` of compressed ones, so a morsel never decodes a column
+it does not own (the whole-column ``to_column()`` is the
+``[0, nrows)`` case).
 """
 
 from __future__ import annotations
@@ -31,20 +43,12 @@ from repro.obs.trace import note
 
 from ..column import Column
 from ..compression import CompressedColumn
-from ..encoded import compile_predicate
+from ..encoded import predicate_stats
 from ..frame import LATE_BREAK_SELECTIVITY, SELECTION_DTYPE, Frame
-from ..plan import ScanNode
+from ..plan import PredicatedScanNode, ScanNode
+from ..profile import OperatorWork
 from ..table import Table
-from ..zonemap import (
-    BLOCK_EVAL,
-    BLOCK_SKIP,
-    BLOCK_TAKE,
-    ZONE_MAP_BLOCK_ROWS,
-    classify_blocks,
-    conjoin,
-    extract_sargable,
-    split_conjuncts,
-)
+from ..zonemap import BLOCK_EVAL, BLOCK_SKIP, ZONE_MAP_BLOCK_ROWS
 
 __all__ = ["scan_range"]
 
@@ -53,15 +57,6 @@ __all__ = ["scan_range"]
 _ZONE_PROBES = metrics.counter("engine.zonemap.probes")
 _BLOCKS_SKIPPED = metrics.counter("engine.zonemap.blocks_skipped")
 _BLOCKS_SCANNED = metrics.counter("engine.zonemap.blocks_scanned")
-
-
-def _empty_like(col) -> Column:
-    """A zero-row column of the same type — built without decoding when
-    the source is compressed (the all-blocks-skipped fast path)."""
-    if isinstance(col, CompressedColumn):
-        values = np.empty(0, dtype=col.dtype.numpy_dtype)
-        return Column(col.dtype, values, dictionary=col.dictionary)
-    return col.slice(0, 0)
 
 
 def _merge_runs(
@@ -83,38 +78,107 @@ def _merge_runs(
     return runs
 
 
-def _scan_unfiltered(
-    table: Table, names: list[str], start: int, stop: int, ctx,
-    compressed: bool = False,
-) -> Frame:
-    """The predicate-free scan: stream every requested column once."""
-    full = start == 0 and stop == table.nrows
+def _materialize(
+    table: Table, names: list[str], lo: int, hi: int, work, live: float | None = None
+) -> dict[str, Column]:
+    """Rows ``[lo, hi)`` of the named columns as plain columns — the one
+    place a scan turns stored rows into values. Plain columns slice
+    zero-copy; compressed ones decode exactly these rows, charging
+    ``work`` the bytes materialized and the column's decode ops pro
+    rata: for every row decoded, or, given ``live``, for that fraction
+    of the range (a range decoded around skipped blocks — a
+    block-granular codec would touch only the live ones)."""
     out: dict[str, Column] = {}
     for name in names:
         col = table.column(name)
+        whole = lo == 0 and hi == len(col)
         if isinstance(col, CompressedColumn):
-            fraction = (stop - start) / max(1, len(col))
-            ctx.work.seq_bytes += col.nbytes * fraction
-            ctx.work.ops += col.decode_ops * fraction
-            if compressed and not full:
-                # Partial ranges (morsels) decode only their own rows —
-                # without this, every morsel would re-decode the whole
-                # column and parallel scans would go quadratic.
-                values = col.decode_range(start, stop)
-                out[name] = Column(col.dtype, values, dictionary=col.dictionary)
-                ctx.work.decoded_bytes += (stop - start) * col.dtype.width
+            work.decoded_bytes += (hi - lo) * col.dtype.width
+            if live is None:
+                work.ops += col.decode_ops * (hi - lo) / max(1, len(col))
             else:
-                plain = col.to_column()
-                out[name] = plain if full else plain.slice(start, stop)
-                ctx.work.decoded_bytes += col.plain_nbytes
+                work.ops += col.decode_ops * ((hi - lo) / max(1, len(col))) * live
+            out[name] = col.to_column() if whole else Column(
+                col.dtype, col.decode_range(lo, hi), dictionary=col.dictionary
+            )
         else:
-            sliced = col if full else col.slice(start, stop)
-            ctx.work.seq_bytes += sliced.nbytes
-            out[name] = sliced
-    frame = Frame(out, stop - start)
-    ctx.work.tuples_in += frame.nrows
-    ctx.work.tuples_out += frame.nrows
-    return frame
+            out[name] = col if whole else col.slice(lo, hi)
+    return out
+
+
+def _scan_unfiltered(
+    table: Table, names: list[str], start: int, stop: int, ctx
+) -> Frame:
+    """The predicate-free scan: stream every requested column once."""
+    for name in names:
+        col = table.column(name)
+        if isinstance(col, CompressedColumn):
+            ctx.work.seq_bytes += col.nbytes * ((stop - start) / max(1, len(col)))
+        else:
+            ctx.work.seq_bytes += (stop - start) * col.dtype.width
+    ctx.work.tuples_in += stop - start
+    ctx.work.tuples_out += stop - start
+    columns = _materialize(table, names, start, stop, ctx.work, live=1.0)
+    return Frame(columns, stop - start)
+
+
+def _block_codes(node: PredicatedScanNode, start: int, stop: int) -> np.ndarray:
+    """The node's zone-map verdicts for the blocks overlapping
+    ``[start, stop)`` (first code: the block containing ``start``)."""
+    block_rows = ZONE_MAP_BLOCK_ROWS
+    return node.block_codes[start // block_rows : -(-stop // block_rows)]
+
+
+def _charge_stream(
+    work, table: Table, node: PredicatedScanNode, rows: int, survived: int,
+    codes: np.ndarray,
+) -> int:
+    """Charge ``work`` for streaming a ``rows``-row range whose blocks
+    classified as ``codes``, ``survived`` rows of it outside SKIP blocks:
+    those stream (a compressed column at its compressed size), the rest
+    cost only the probes. Returns the number of blocks skipped."""
+    n_skip = int((codes == BLOCK_SKIP).sum())
+    work.zone_probes += node.block_probes * len(codes)
+    work.blocks_skipped += n_skip
+    work.blocks_scanned += len(codes) - n_skip
+    live = survived / max(1, rows)
+    for name in node.streamed:
+        col = table.column(name)
+        if isinstance(col, CompressedColumn):
+            share = col.nbytes * (rows / max(1, len(col)))
+            work.seq_bytes += share * live
+            work.skipped_bytes += share * (1.0 - live)
+        else:
+            work.seq_bytes += survived * col.dtype.width
+            work.skipped_bytes += (rows - survived) * col.dtype.width
+    work.tuples_in += survived
+    work.tuples_out += survived
+    return n_skip
+
+
+def drop_empty_ranges(
+    table: Table, node: PredicatedScanNode, ranges: list[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], OperatorWork | None]:
+    """Split morsel ``ranges`` into the ones worth scheduling and the
+    accounting of the ones the zone maps prove entirely empty — skipped
+    work should not even cost a thread handoff. The second element is
+    what :func:`scan_range` would have charged its scan operator for the
+    dropped ranges (``None`` when none dropped). One range is always
+    kept, so the segment still yields a well-formed (possibly empty)
+    frame through the normal path."""
+    if not (node.block_codes == BLOCK_SKIP).any():
+        return ranges, None
+    codes = [_block_codes(node, lo, hi) for lo, hi in ranges]
+    empty = [bool((c == BLOCK_SKIP).all()) for c in codes]
+    if all(empty):
+        empty[0] = False
+    if not any(empty):
+        return ranges, None
+    skipped = OperatorWork("scan")
+    for (lo, hi), c, drop in zip(ranges, codes, empty):
+        if drop:
+            _charge_stream(skipped, table, node, hi - lo, 0, c)
+    return [r for r, drop in zip(ranges, empty) if not drop], skipped
 
 
 def _late_frame(
@@ -124,12 +188,7 @@ def _late_frame(
     """The late-materialized result of a predicated scan: the base
     columns untouched plus the selection vector of surviving row ids —
     unless that vector is dense but scattered, where it breaks here."""
-    if len(sel_parts) == 1:
-        sel = sel_parts[0]
-    elif sel_parts:
-        sel = np.concatenate(sel_parts)
-    else:
-        sel = np.empty(0, dtype=SELECTION_DTYPE)
+    sel = sel_parts[0] if len(sel_parts) == 1 else np.concatenate(sel_parts)
     out_frame = Frame({n: decoded[n] for n in out_names}, selection=sel)
     if (
         not out_frame._selection_is_contiguous()
@@ -151,43 +210,11 @@ def _late_frame(
     return out_frame
 
 
-def _eager_frame(
-    table: Table, out_names: list[str], pieces: list[Frame], filter_work
-) -> Frame:
-    """The eagerly materialized result: surviving run pieces concatenated
-    into compact columns."""
-    if pieces:
-        n_out = sum(p.nrows for p in pieces)
-        if len(pieces) == 1:
-            out_cols = {n: pieces[0].column(n) for n in out_names}
-        else:
-            out_cols = {
-                n: Column.concat([p.column(n) for p in pieces]) for n in out_names
-            }
-    else:
-        n_out = 0
-        out_cols = {n: _empty_like(table.column(n)) for n in out_names}
-    out_frame = Frame(out_cols, n_out)
-    filter_work.tuples_out += n_out
-    filter_work.out_bytes += out_frame.nbytes
-    return out_frame
+def scan_range(table: Table, node: ScanNode, start: int, stop: int, ctx) -> Frame:
+    """Scan rows ``[start, stop)`` of ``table`` as the lowered ``node``
+    describes, applying its predicate (if any).
 
-
-def scan_range(
-    table: Table,
-    scan: ScanNode,
-    start: int,
-    stop: int,
-    ctx,
-    skipping: bool = True,
-    late: bool = False,
-    compressed: bool = False,
-) -> Frame:
-    """Scan rows ``[start, stop)`` of ``table`` as ``scan`` describes,
-    applying its predicate (if any) with zone-map block skipping (if
-    enabled).
-
-    ``scan.columns`` are the output columns; predicate-only columns are
+    ``node.columns`` are the output columns; predicate-only columns are
     streamed for evaluation but dropped from the result. The executor's
     scan branch calls this over the full table, or over one morsel's
     rows inside a parallel segment — both share this exact code path.
@@ -197,252 +224,99 @@ def scan_range(
     for OLAP queries (and the reason Q1 is the Pi's worst query).
     Compressed columns stream fewer bytes but cost decode ops. Blocks a
     zone map proves empty against the pushed-down predicate are charged
-    ``skipped_bytes`` (and zone probes) instead of streaming. With
-    ``late`` a predicated scan returns a selection vector over the base
-    columns instead of rewriting the survivors. With ``compressed`` the
-    scan compiles predicate conjuncts against encoded columns
-    (:mod:`repro.engine.encoded`) and decodes per run instead of per
-    column.
+    ``skipped_bytes`` (and zone probes) instead of streaming. A ``late``
+    node returns a selection vector (row ids relative to ``start``) over
+    the range's columns instead of rewriting the survivors. EVAL runs
+    take their mask from the node's encoded conjuncts (on the packed
+    payloads, no decode) and its residual (on decoded rows); columns
+    only compiled conjuncts read are never decoded at all.
     """
-    predicate = scan.predicate
-    out_names = list(scan.columns) if scan.columns is not None else table.column_names
-    if predicate is None:
-        return _scan_unfiltered(table, out_names, start, stop, ctx, compressed)
+    out_names = list(node.columns) if node.columns is not None else table.column_names
+    if node.predicate is None:
+        return _scan_unfiltered(table, out_names, start, stop, ctx)
 
-    conjuncts = split_conjuncts(predicate)
-    sargable = [s for s in (extract_sargable(c) for c in conjuncts) if s is not None]
-    all_sargable = len(sargable) == len(conjuncts)
-
-    block_rows = ZONE_MAP_BLOCK_ROWS
-    if skipping and sargable:
-        codes, probes = classify_blocks(table, sargable, start, stop, block_rows)
-    else:
-        nblocks = max(0, -(-stop // block_rows) - start // block_rows)
-        codes = np.full(nblocks, BLOCK_EVAL, dtype=np.int8)
-        probes = 0
-    if not all_sargable:
-        # TAKE only proves the sargable conjuncts; a non-sargable residue
-        # still needs per-row evaluation.
-        codes[codes == BLOCK_TAKE] = BLOCK_EVAL
-    runs = _merge_runs(codes, start, stop, block_rows)
-
-    stream_names = scan.streamed_columns(table)
-
-    range_rows = stop - start
+    codes = _block_codes(node, start, stop)
+    runs = _merge_runs(codes, start, stop, ZONE_MAP_BLOCK_ROWS)
+    rows = stop - start
     survived = sum(hi - lo for kind, lo, hi in runs if kind != BLOCK_SKIP)
-    skipped = range_rows - survived
-    n_skip_blocks = int((codes == BLOCK_SKIP).sum())
 
     scan_work = ctx.work
-    scan_work.zone_probes += probes
-    scan_work.blocks_skipped += n_skip_blocks
-    scan_work.blocks_scanned += len(codes) - n_skip_blocks
-    if probes:
-        _ZONE_PROBES.inc(probes)
-    if n_skip_blocks:
-        _BLOCKS_SKIPPED.inc(n_skip_blocks)
-    if len(codes) - n_skip_blocks:
-        _BLOCKS_SCANNED.inc(len(codes) - n_skip_blocks)
+    n_skip = _charge_stream(scan_work, table, node, rows, survived, codes)
+    if node.block_probes:
+        _ZONE_PROBES.inc(node.block_probes * len(codes))
+    if n_skip:
+        _BLOCKS_SKIPPED.inc(n_skip)
+    if len(codes) - n_skip:
+        _BLOCKS_SCANNED.inc(len(codes) - n_skip)
+    for _ in node.encoded:
+        predicate_stats.hit()
+    for _ in range(node.encoded_misses):
+        predicate_stats.miss()
     note(ctx, runs=len(runs))
 
-    if compressed:
-        enc_plans, residual = compile_predicate(conjuncts, table)
-        if enc_plans:
-            return _scan_range_encoded(
-                table, out_names, stream_names, runs, enc_plans, residual,
-                ctx, scan_work, range_rows, survived, skipped, late,
-            )
-
-    decoded: dict[str, Column] = {}
-    for name in stream_names:
-        col = table.column(name)
-        if isinstance(col, CompressedColumn):
-            # Whole-column decode path: if any block survives we decode
-            # once, but charge streaming/decode only for the surviving
-            # fraction (a block-granular codec would touch exactly that
-            # much); fully-skipped columns are never decoded at all.
-            range_fraction = range_rows / max(1, len(col))
-            live = survived / max(1, range_rows)
-            scan_work.seq_bytes += col.nbytes * range_fraction * live
-            scan_work.skipped_bytes += col.nbytes * range_fraction * (1.0 - live)
-            if survived:
-                scan_work.ops += col.decode_ops * range_fraction * live
-                scan_work.decoded_bytes += col.plain_nbytes
-                decoded[name] = col.to_column()
-        else:
-            scan_work.seq_bytes += survived * col.dtype.width
-            scan_work.skipped_bytes += skipped * col.dtype.width
-            decoded[name] = col
-    scan_work.tuples_in += survived
-    scan_work.tuples_out += survived
+    # What is ever decoded: the outputs plus what the residual reads.
+    residual = node.residual
+    residual_names = sorted(residual.references()) if residual is not None else []
+    needed = out_names + [n for n in residual_names if n not in out_names]
+    late = node.late and survived > 0
+    # With encoded conjuncts and compact output only the surviving runs
+    # are materialized, each on its own; otherwise (a selection vector
+    # needs the range's columns whole; the decode-then-eval path always
+    # decoded around its skipped blocks) the range is, once.
+    per_run = bool(node.encoded) and not late
+    origin, window = start, {}
+    if survived and not per_run:
+        window = _materialize(
+            table, needed, start, stop, scan_work, live=survived / max(1, rows)
+        )
 
     # Predicate evaluation is its own operator, mirroring the explicit
     # filter the optimizer pushed down — profiles keep the same shape.
     filter_work = ctx.begin_operator("filter")
     note(ctx, pushdown=True)
+    if node.encoded:
+        note(ctx, encoded=len(node.encoded))
 
-    if late and all(name in decoded for name in stream_names):
-        # Late materialization: emit the base columns untouched plus a
-        # selection vector of surviving row ids. TAKE runs contribute a
-        # contiguous range, EVAL runs the rows their mask keeps; no
-        # column is rewritten here — the gather waits for a breaker.
-        sel_parts: list[np.ndarray] = []
-        for kind, lo, hi in runs:
-            if kind == BLOCK_SKIP:
-                continue
-            filter_work.tuples_in += hi - lo
-            if kind == BLOCK_TAKE:
-                sel_parts.append(np.arange(lo, hi, dtype=SELECTION_DTYPE))
-            else:
-                run_frame = Frame(
-                    {n: decoded[n].slice(lo, hi) for n in stream_names}, hi - lo
-                )
-                mask = predicate.evaluate(run_frame, ctx).values
-                filter_work.seq_bytes += hi - lo  # the mask / candidate list
-                sel_parts.append((lo + np.flatnonzero(mask)).astype(SELECTION_DTYPE))
-        return _late_frame(decoded, out_names, sel_parts, survived, filter_work, ctx)
+    def run_frame(names: list[str], lo: int, hi: int) -> Frame:
+        return Frame(
+            {n: window[n].slice(lo - origin, hi - origin) for n in names}, hi - lo
+        )
 
-    pieces: list[Frame] = []
-    for kind, lo, hi in runs:
-        if kind == BLOCK_SKIP:
-            continue
-        frame = Frame({n: decoded[n].slice(lo, hi) for n in stream_names}, hi - lo)
-        filter_work.tuples_in += frame.nrows
-        if kind == BLOCK_EVAL:
-            mask = predicate.evaluate(frame, ctx).values
-            frame = frame.filter(mask)
-            filter_work.seq_bytes += hi - lo  # the mask / candidate list
-        pieces.append(frame)
-    return _eager_frame(table, out_names, pieces, filter_work)
-
-
-def _decoded_slice(table: Table, name: str, lo: int, hi: int, scan_work) -> Column:
-    """Materialize rows ``[lo, hi)`` of one column, charging the decode
-    (bytes + ops) to the scan operator; plain columns slice zero-copy."""
-    col = table.column(name)
-    if isinstance(col, CompressedColumn):
-        scan_work.decoded_bytes += (hi - lo) * col.dtype.width
-        scan_work.ops += col.decode_ops * (hi - lo) / max(1, len(col))
-        return Column(col.dtype, col.decode_range(lo, hi), dictionary=col.dictionary)
-    return col.slice(lo, hi)
-
-
-def _scan_range_encoded(
-    table: Table,
-    out_names: list[str],
-    stream_names: list[str],
-    runs: list[tuple[int, int, int]],
-    plans: list,
-    residual: list,
-    ctx,
-    scan_work,
-    range_rows: int,
-    survived: int,
-    skipped: int,
-    late: bool = False,
-) -> Frame:
-    """Predicated scan with compiled encoded conjuncts.
-
-    EVAL runs test the packed payloads directly (no int64
-    materialization); only the output columns of surviving runs — plus
-    whatever a residual (uncompiled) conjunct reads — are ever decoded.
-    A skipped-then-filtered block therefore never decodes at all, and
-    compiled predicate-only columns never decode anywhere. With ``late``
-    the output rides a selection vector over whole-decoded base columns
-    (the late pipeline needs absolute row ids), so the decode saving is
-    confined to predicate-only columns — but the rewrite saving and the
-    deferred gather compose exactly as on plain tables.
-    """
-    residual_pred = conjoin(residual)
-    residual_names = (
-        sorted({n for c in residual for n in c.references()}) if residual else []
-    )
-
-    for name in stream_names:
-        col = table.column(name)
-        if isinstance(col, CompressedColumn):
-            range_fraction = range_rows / max(1, len(col))
-            live = survived / max(1, range_rows)
-            scan_work.seq_bytes += col.nbytes * range_fraction * live
-            scan_work.skipped_bytes += col.nbytes * range_fraction * (1.0 - live)
-        else:
-            scan_work.seq_bytes += survived * col.dtype.width
-            scan_work.skipped_bytes += skipped * col.dtype.width
-    scan_work.tuples_in += survived
-    scan_work.tuples_out += survived
-
-    filter_work = ctx.begin_operator("filter")
-    note(ctx, pushdown=True, encoded=True)
-
-    if late and survived:
-        # Late materialization over encoded predicates: base columns the
-        # frame carries (outputs + residual inputs) whole-decode exactly
-        # as on the decode path, but compiled predicate-only columns are
-        # never decoded and EVAL-run masks come from the packed domain.
-        decoded: dict[str, Column] = {}
-        late_names = list(out_names) + [
-            n for n in residual_names if n not in out_names
-        ]
-        for name in late_names:
-            col = table.column(name)
-            if isinstance(col, CompressedColumn):
-                range_fraction = range_rows / max(1, len(col))
-                live = survived / max(1, range_rows)
-                scan_work.ops += col.decode_ops * range_fraction * live
-                scan_work.decoded_bytes += col.plain_nbytes
-                decoded[name] = col.to_column()
-            else:
-                decoded[name] = col
-        sel_parts: list[np.ndarray] = []
-        for kind, lo, hi in runs:
-            if kind == BLOCK_SKIP:
-                continue
-            filter_work.tuples_in += hi - lo
-            if kind == BLOCK_TAKE:
-                sel_parts.append(np.arange(lo, hi, dtype=SELECTION_DTYPE))
-                continue
-            mask = None
-            for plan in plans:
-                m = plan.mask(lo, hi, filter_work)
-                mask = m if mask is None else mask & m
-            if residual_pred is not None:
-                run_frame = Frame(
-                    {n: decoded[n].slice(lo, hi) for n in residual_names},
-                    hi - lo,
-                )
-                rmask = residual_pred.evaluate(run_frame, ctx).values
-                mask = rmask if mask is None else mask & rmask
-            filter_work.seq_bytes += hi - lo  # the mask / candidate list
-            sel_parts.append((lo + np.flatnonzero(mask)).astype(SELECTION_DTYPE))
-        return _late_frame(decoded, out_names, sel_parts, survived, filter_work, ctx)
-
+    sel_parts: list[np.ndarray] = []
     pieces: list[Frame] = []
     for kind, lo, hi in runs:
         if kind == BLOCK_SKIP:
             continue
         filter_work.tuples_in += hi - lo
-        cache: dict[str, Column] = {}
-
-        def run_slice(name: str, lo=lo, hi=hi, cache=cache) -> Column:
-            if name not in cache:
-                cache[name] = _decoded_slice(table, name, lo, hi, scan_work)
-            return cache[name]
-
-        frame = None
+        if per_run:
+            origin = lo
+            window = _materialize(
+                table, needed if kind == BLOCK_EVAL else out_names, lo, hi, scan_work
+            )
+        mask = None  # BLOCK_TAKE: the zone map proved every row survives
         if kind == BLOCK_EVAL:
-            mask = None
-            for plan in plans:
-                m = plan.mask(lo, hi, filter_work)
+            for conjunct in node.encoded:
+                m = conjunct.mask(lo, hi, filter_work)
                 mask = m if mask is None else mask & m
-            if residual_pred is not None:
-                run_frame = Frame(
-                    {n: run_slice(n) for n in residual_names}, hi - lo
-                )
-                rmask = residual_pred.evaluate(run_frame, ctx).values
-                mask = rmask if mask is None else mask & rmask
+            if residual is not None:
+                m = residual.evaluate(run_frame(residual_names, lo, hi), ctx).values
+                mask = m if mask is None else mask & m
             filter_work.seq_bytes += hi - lo  # the mask / candidate list
-            frame = Frame({n: run_slice(n) for n in out_names}, hi - lo).filter(mask)
-        else:  # BLOCK_TAKE — the zone map proved every row survives
-            frame = Frame({n: run_slice(n) for n in out_names}, hi - lo)
-        pieces.append(frame)
-    return _eager_frame(table, out_names, pieces, filter_work)
+        if not late:
+            piece = run_frame(out_names, lo, hi)
+            pieces.append(piece if mask is None else piece.filter(mask))
+        elif mask is None:
+            sel_parts.append(np.arange(lo - start, hi - start, dtype=SELECTION_DTYPE))
+        else:
+            sel_parts.append((lo - start + np.flatnonzero(mask)).astype(SELECTION_DTYPE))
+    if late:
+        return _late_frame(window, out_names, sel_parts, survived, filter_work, ctx)
+    if not pieces:  # nothing survived: zero rows of every output column
+        pieces = [Frame(_materialize(table, out_names, start, start, scan_work), 0)]
+    out_frame = pieces[0] if len(pieces) == 1 else Frame(
+        {n: Column.concat([p.column(n) for p in pieces]) for n in out_names},
+        sum(p.nrows for p in pieces),
+    )
+    filter_work.tuples_out += out_frame.nrows
+    filter_work.out_bytes += out_frame.nbytes
+    return out_frame

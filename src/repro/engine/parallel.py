@@ -40,9 +40,8 @@ from .merge import (
 from .morsel import DEFAULT_MORSEL_ROWS, MIN_PARALLEL_ROWS, MorselContext
 from .optimizer import OptimizerSettings, optimize_plan
 from .physical import lower
-from .plan import MorselSegmentNode, PlanNode, ScanNode
+from .plan import MorselSegmentNode, PlanNode
 from .profile import WorkProfile
-from .zonemap import BLOCK_SKIP, classify_blocks, extract_sargable, split_conjuncts
 
 __all__ = ["ParallelExecutor"]
 
@@ -185,54 +184,9 @@ class ParallelExecutor(Executor):
 
     # -- segment execution ---------------------------------------------
 
-    def _preskip_morsels(
-        self, table, scan: ScanNode, ranges: list[tuple[int, int]]
-    ) -> tuple[list[tuple[int, int]], dict | None]:
-        """Drop morsels the zone maps prove entirely empty before they are
-        ever scheduled — skipped work should not even cost a thread handoff.
-
-        Returns the surviving ranges plus the accounting for the dropped
-        ones (zone probes spent, bytes and blocks skipped). Probes for
-        surviving morsels are charged by their workers, which re-derive
-        the block classification locally (an O(blocks) recomputation).
-        At least one range is always kept so the segment still produces a
-        well-formed (possibly empty) frame through the normal path.
-        """
-        conjuncts = split_conjuncts(scan.predicate)
-        sargable = [s for s in (extract_sargable(c) for c in conjuncts) if s is not None]
-        if not sargable:
-            return ranges, None
-        row_width = sum(
-            table.column(n).dtype.width for n in scan.streamed_columns(table)
-        )
-        kept: list[tuple[int, int]] = []
-        dropped: list[tuple[int, int, int, int]] = []
-        for lo, hi in ranges:
-            codes, probes = classify_blocks(table, sargable, lo, hi)
-            if len(codes) and bool((codes == BLOCK_SKIP).all()):
-                dropped.append((lo, hi, probes, len(codes)))
-            else:
-                kept.append((lo, hi))
-        if not kept and dropped:
-            lo, hi, _, _ = dropped.pop(0)
-            kept.append((lo, hi))  # its worker re-derives the skip itself
-        if not dropped:
-            return kept, None
-        stats = {
-            "skipped_bytes": float(sum((hi - lo) * row_width for lo, hi, _, _ in dropped)),
-            "zone_probes": sum(p for _, _, p, _ in dropped),
-            "blocks_skipped": sum(b for _, _, _, b in dropped),
-        }
-        return kept, stats
-
     def _exec_segment(self, segment: MorselSegmentNode, ctx: ExecContext) -> Frame:
         scan = segment.scan
-        ranges = list(segment.ranges)
-        pre_skip = None
-        if scan.predicate is not None and self.settings.zone_map_skipping:
-            ranges, pre_skip = self._preskip_morsels(
-                self.db.table(scan.table), scan, ranges
-            )
+        ranges = segment.ranges
 
         # Resolve scalar subqueries on the main thread so morsel workers
         # only ever hit the warm cache — a worker re-entering the executor
@@ -287,13 +241,10 @@ class ParallelExecutor(Executor):
 
         frames = [frame for frame, _ in results]
         merged = merge_profiles([profile for _, profile in results])
-        if pre_skip is not None and merged.operators:
-            # Morsels dropped before scheduling charge their skip
-            # accounting onto the coalesced scan operator.
-            scan_op = merged.operators[0]
-            scan_op.skipped_bytes += pre_skip["skipped_bytes"]
-            scan_op.zone_probes += pre_skip["zone_probes"]
-            scan_op.blocks_skipped += pre_skip["blocks_skipped"]
+        if segment.skipped is not None and merged.operators:
+            # Morsels lowering dropped charge their skip accounting onto
+            # the coalesced scan operator.
+            merged.operators[0].add(segment.skipped)
         ctx.profile.absorb(merged)
         # Merge-phase work is charged onto the segment's last (coalesced)
         # operator so the profile keeps the serial operator count.

@@ -16,8 +16,9 @@ Queries are composed with :class:`Q`::
 The builder and the optimizer only ever produce the *logical* nodes.
 :func:`repro.engine.physical.lower` turns an optimized tree into the one
 the executor interprets: the same nodes plus :class:`TopKNode`,
-:class:`RunLevelAggregateNode`, :class:`EncodedMissNode` and (for a
-parallel executor) :class:`MorselSegmentNode`.
+:class:`PredicatedScanNode`, :class:`RunLevelAggregateNode`,
+:class:`EncodedMissNode` and (for a parallel executor)
+:class:`MorselSegmentNode`.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .operators.aggregate import (
 
 __all__ = ["Q", "agg", "PlanNode", "ScanNode", "FilterNode", "ProjectNode",
            "JoinNode", "AggregateNode", "SortNode", "LimitNode", "DistinctNode",
-           "UnionAllNode", "TopKNode", "RunLevelAggregateNode", "EncodedMissNode",
-           "MorselSegmentNode"]
+           "UnionAllNode", "TopKNode", "PredicatedScanNode",
+           "RunLevelAggregateNode", "EncodedMissNode", "MorselSegmentNode"]
 
 
 class agg:
@@ -190,6 +191,35 @@ class TopKNode(PlanNode):
 
 
 @dataclass(frozen=True)
+class PredicatedScanNode(ScanNode):
+    """A scan with a pushed-down predicate, classified once: everything
+    about it that depends only on the plan, the catalog and the settings.
+
+    ``conjuncts`` is the predicate split on AND. ``block_codes`` holds one
+    zone-map verdict (``BLOCK_SKIP`` / ``BLOCK_TAKE`` / ``BLOCK_EVAL``,
+    :mod:`repro.engine.zonemap`) per block of the table — all EVAL with
+    skipping off or nothing sargable — and ``block_probes`` the probes
+    each block cost; a scan of rows ``[start, stop)`` reads its slice.
+    Under compressed execution ``encoded`` holds the conjuncts compiled to
+    run on the packed payloads (:class:`~repro.engine.encoded.EncodedConjunct`)
+    and ``encoded_misses`` counts those that read compressed data but did
+    not compile; ``residual`` is what is left to evaluate on decoded rows
+    (the whole predicate when nothing compiled, ``None`` when everything
+    did). ``streamed`` is :meth:`ScanNode.streamed_columns`; ``late`` makes
+    the scan emit a selection vector instead of compact columns.
+    """
+
+    conjuncts: tuple = field(default=(), compare=False)
+    block_codes: object = field(default=None, compare=False)  # np.ndarray[int8]
+    block_probes: int = field(default=0, compare=False)
+    encoded: tuple = field(default=(), compare=False)
+    encoded_misses: int = field(default=0, compare=False)
+    residual: Expr | None = field(default=None, compare=False)
+    streamed: tuple[str, ...] = field(default=(), compare=False)
+    late: bool = field(default=False, compare=False)
+
+
+@dataclass(frozen=True)
 class RunLevelAggregateNode(AggregateNode):
     """A predicate-free scan+aggregate that ``prepare_aggregate`` proved
     exact over RLE runs. ``plan`` (an
@@ -221,6 +251,10 @@ class MorselSegmentNode(PlanNode):
     merge phase reads its grouping / ordering from); ``morsel`` is what
     each morsel interprets — ``plan`` itself, or for ``kind ==
     "aggregate"`` the same chain under the decomposed partial aggregates.
+    ``ranges`` are the morsels that run: the ones the zone maps prove
+    empty are left out, and ``skipped`` (an
+    :class:`~repro.engine.profile.OperatorWork`, or ``None``) is what
+    scanning them would have charged the scan operator.
     """
 
     kind: str  # "chain" | "aggregate" | "topk"
@@ -229,6 +263,7 @@ class MorselSegmentNode(PlanNode):
     scan: ScanNode
     subqueries: tuple  # ScalarSubquery exprs to resolve before fan-out
     ranges: tuple[tuple[int, int], ...]
+    skipped: object = field(default=None, compare=False)
 
     def children(self):
         return [self.plan]

@@ -24,7 +24,7 @@ class TestSplit:
         plan = Q(toy_db).scan("t").aggregate(by=["s"], mean=agg.avg(col("v")))
         split = split_for_partial_aggregation(plan.node)
         names = [name for name, _ in split.local.aggs]
-        assert names == ["mean__sum", "mean__cnt"]
+        assert names == ["mean@sum", "mean@cnt"]
 
     def test_count_distinct_not_distributable(self, toy_db):
         plan = Q(toy_db).scan("t").aggregate(n=agg.count_distinct(col("s")))

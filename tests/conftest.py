@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core.profiler import TPCHProfiler
@@ -26,6 +29,25 @@ def profiler() -> TPCHProfiler:
 @pytest.fixture(scope="session")
 def tpch_params() -> dict:
     return {"sf": TEST_SF}
+
+
+@pytest.fixture(scope="session")
+def scan_pins():
+    """``tools/gen_scan_profile_pins.py`` as a module: the pinned scan
+    query set (``QUERIES``), its gate lattice and executors, and the
+    collector the committed pin file was written with."""
+    path = Path(__file__).parent.parent / "tools" / "gen_scan_profile_pins.py"
+    spec = importlib.util.spec_from_file_location("gen_scan_profile_pins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def clustered_ctpch_db(scan_pins, tpch_db) -> Database:
+    """The shared TPC-H database date-clustered and compressed (the
+    benchmark suite's ``scan_encoded`` set-up at test scale)."""
+    return scan_pins.clustered_compressed(tpch_db)
 
 
 @pytest.fixture

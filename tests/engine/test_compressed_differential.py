@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +65,8 @@ from repro.engine.operators.aggregate import (
     min_,
     sum_,
 )
-from repro.engine.plan import LimitNode, SortNode
+from repro.engine import executor as executor_module
+from repro.engine.plan import LimitNode, MorselSegmentNode, SortNode
 from repro.engine.profile import WorkProfile
 from repro.engine.table import Database, Table
 from repro.engine.types import DATE, FLOAT64, INT64, STRING, date_to_days
@@ -285,6 +287,96 @@ class TestAdEventsCompressedDifferential:
         plan = adevents_build(cadevents_db, name)
         result = cadevents_executors["enc"].execute(plan)
         _assert_golden(plan, result, ADEVENTS_GOLDEN[name])
+
+
+# ----------------------------------------------------------------------
+# Morsels on compressed tables: a scan decodes only the rows it owns
+# ----------------------------------------------------------------------
+
+
+class _DecodeMeter:
+    """Counts the rows ``CompressedColumn.to_column`` / ``decode_range``
+    materialize, and records every ``to_column()`` made while a scan over
+    only part of a table is running on the calling thread."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        self.partial_to_column: list[str] = []
+        self._lock = threading.Lock()
+        scanning = threading.local()
+        meter = self
+        to_column, decode_range = CompressedColumn.to_column, CompressedColumn.decode_range
+        scan_range = executor_module.scan_range
+
+        def counted_to_column(col):
+            with meter._lock:
+                meter.rows += col.n
+                if getattr(scanning, "partial", None):
+                    meter.partial_to_column.append(scanning.partial)
+            return to_column(col)
+
+        def counted_decode_range(col, lo, hi):
+            with meter._lock:
+                meter.rows += max(0, min(hi, col.n) - lo)
+            return decode_range(col, lo, hi)
+
+        def watched_scan_range(table, node, start, stop, ctx):
+            if (start, stop) != (0, table.nrows):
+                scanning.partial = f"{table.name}[{start}:{stop})"
+            try:
+                return scan_range(table, node, start, stop, ctx)
+            finally:
+                scanning.partial = None
+
+        monkeypatch.setattr(CompressedColumn, "to_column", counted_to_column)
+        monkeypatch.setattr(CompressedColumn, "decode_range", counted_decode_range)
+        monkeypatch.setattr(executor_module, "scan_range", watched_scan_range)
+
+    def take(self) -> int:
+        rows, self.rows = self.rows, 0
+        return rows
+
+
+def _pre_skipped(node) -> bool:
+    """Whether lowering dropped a morsel anywhere in this physical plan."""
+    if isinstance(node, MorselSegmentNode) and node.skipped is not None:
+        return True
+    return any(_pre_skipped(child) for child in node.children())
+
+
+class TestMorselsDecodeOnlyTheirRows:
+    """The suite's scan classes + Q1/Q6/Q12/Q14 on date-clustered
+    compressed tables: splitting a scan into morsels must not change what
+    it is charged for skipping, nor make it decode (or be charged for
+    decoding) more than the serial scan does."""
+
+    @pytest.mark.parametrize("morsel_rows", [2048, 65536])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_accounting_and_decodes_bounded_by_serial(
+        self, scan_pins, clustered_ctpch_db, monkeypatch, workers, morsel_rows
+    ):
+        db = clustered_ctpch_db
+        db.build_zone_maps()  # so no zone-stat decode lands inside a measurement
+        meter = _DecodeMeter(monkeypatch)
+        serial = Executor(db)
+        with ParallelExecutor(
+            db, workers=workers, morsel_rows=morsel_rows, cache_size=0
+        ) as parallel:
+            for name, text in scan_pins.QUERIES.items():
+                plan = scan_pins.sql(db, text)
+                want = serial.execute(plan).profile
+                serial_rows = meter.take()
+                got = parallel.execute(plan).profile
+                parallel_rows = meter.take()
+
+                assert got.skipped_bytes == pytest.approx(
+                    want.skipped_bytes, rel=1e-9
+                ), name
+                assert got.decoded_bytes <= want.decoded_bytes, name
+                if not _pre_skipped(parallel.lower(plan)):
+                    assert got.decoded_bytes == want.decoded_bytes, name
+                assert parallel_rows <= serial_rows, name
+        assert meter.partial_to_column == []
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Tests for EXPLAIN and CSV I/O."""
 
+import re
+
 import pytest
 
 from repro.engine import Q, agg, col, execute
 from repro.engine.explain import explain, explain_profile
 from repro.engine.io import load_database, read_csv, save_database, write_csv
+from repro.obs import Tracer, iter_spans
 
 
 class TestExplain:
@@ -68,6 +71,65 @@ class TestExplain:
     def test_topk_visible_in_profile(self, toy_db):
         result = execute(toy_db, Q(toy_db).scan("t").sort("v").limit(2))
         assert "topk" in explain_profile(result)
+
+
+class TestExplainReportsWhatRuns:
+    """``[enc-eval n/m]`` and the morsel count of ``[segment: ...]`` are
+    read off the lowered plan, so they must agree with the execution of
+    that plan — over the pinned scan set, every query of which has at
+    most one predicated scan."""
+
+    @pytest.mark.parametrize("workers", [None, 3])
+    @pytest.mark.parametrize("storage", ["plain", "compressed"])
+    def test_tags_match_the_traced_execution(
+        self, scan_pins, tpch_db, clustered_ctpch_db, storage, workers
+    ):
+        db = tpch_db if storage == "plain" else clustered_ctpch_db
+        executor = scan_pins.make_executor(
+            db, (True, True, True), workers, tracer=Tracer()
+        )
+        for name, text in scan_pins.QUERIES.items():
+            plan = scan_pins.sql(db, text)
+            printed = explain(
+                executor.lower(plan), db, optimize=False, settings=executor.settings
+            )
+            profile = executor.execute(plan).profile
+            spans = list(iter_spans(executor.tracer.roots[-1]))
+
+            pushed = [line for line in printed.splitlines() if "[pushed]" in line]
+            assert len(pushed) <= 1, name
+            tag = re.search(r"\[enc-eval(?: (\d+)/\d+)?\]", pushed[0]) if pushed else None
+            assert (tag is not None) == (profile.encoded_eval_rows > 0), name
+            ran_encoded = {
+                s.attrs.get("encoded", 0) for s in spans
+                if s.kind == "operator" and s.attrs.get("pushdown")
+            }
+            if tag is not None and tag.group(1):
+                assert ran_encoded == {int(tag.group(1))}, name
+            elif tag is not None:  # every conjunct
+                assert len(ran_encoded) == 1 and min(ran_encoded) > 0, name
+
+            printed_morsels = {
+                int(n) for n in re.findall(r"\[segment: \w+ x(\d+) morsels\]", printed)
+            }
+            traced_morsels = {
+                s.attrs["morsels"] for s in spans
+                if s.kind == "pipeline" and s.name.startswith("segment:")
+            }
+            assert printed_morsels == traced_morsels, name
+        if workers is not None:
+            executor.close()
+
+    def test_lowering_for_explain_counts_no_dispatch(self, scan_pins, clustered_ctpch_db):
+        from repro.engine.encoded import aggregate_stats, predicate_stats
+
+        db = clustered_ctpch_db
+        before = (predicate_stats.hits, predicate_stats.misses,
+                  aggregate_stats.hits, aggregate_stats.misses)
+        for text in scan_pins.QUERIES.values():
+            explain(scan_pins.sql(db, text), db)
+        assert before == (predicate_stats.hits, predicate_stats.misses,
+                          aggregate_stats.hits, aggregate_stats.misses)
 
 
 class TestCsvRoundtrip:
