@@ -31,7 +31,6 @@ Run::
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from repro.engine import DEFAULT_SETTINGS, Database, Executor, Q, agg, col
 from repro.engine.compression import compress_table
 from repro.tpch import generate, get_query
 
-from conftest import write_artifact
+from conftest import paired_overhead, write_artifact
 
 BENCH_SF = 0.5
 REPEATS = 3
@@ -101,24 +100,16 @@ def compressed_db():
     return compressed
 
 
-def _best_wall(executor, plan):
-    best, result = float("inf"), None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = executor.execute(plan)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_compressed_execution_speedup(benchmark, compressed_db, output_dir):
     enc = Executor(compressed_db)  # compressed execution is the default
     dec = Executor(compressed_db, DEFAULT_SETTINGS.without_compressed())
 
-    entries = []
+    entries, slowdowns = [], {}
     for label, build, kind in BENCH_QUERIES:
         plan = build(compressed_db)
-        t_dec, r_dec = _best_wall(dec, plan)
-        t_enc, r_enc = _best_wall(enc, plan)
+        ratio, t_dec, t_enc, (r_dec, r_enc) = paired_overhead(
+            dec, enc, plan, REPEATS
+        )
         assert sorted(map(str, r_enc.rows)) == sorted(map(str, r_dec.rows)), (
             f"{label}: compressed execution changed the result"
         )
@@ -136,6 +127,7 @@ def test_compressed_execution_speedup(benchmark, compressed_db, output_dir):
             "encoded_eval_rows": p_enc.encoded_eval_rows,
             "runs_touched": p_enc.runs_touched,
         })
+        slowdowns[label] = ratio
 
     benchmark.pedantic(
         lambda: enc.execute(_rle_groupby(compressed_db)), rounds=1, iterations=1
@@ -178,8 +170,9 @@ def test_compressed_execution_speedup(benchmark, compressed_db, output_dir):
     )
     for e in entries:
         if e["kind"] == "guard":
-            assert e["seconds_encoded"] <= e["seconds_decode"] * MAX_GUARD_SLOWDOWN, (
-                f"{e['query']} regressed under compressed execution: "
+            assert slowdowns[e["query"]] <= MAX_GUARD_SLOWDOWN, (
+                f"{e['query']} regressed under compressed execution "
+                f"({slowdowns[e['query']]:.3f}x, paired median): "
                 f"{e['seconds_decode'] * 1e3:.2f} ms -> "
                 f"{e['seconds_encoded'] * 1e3:.2f} ms"
             )

@@ -33,7 +33,6 @@ Run::
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ import pytest
 from repro.engine import DEFAULT_SETTINGS, Database, Executor, Q, agg, col
 from repro.tpch import generate, get_query
 
-from conftest import write_artifact
+from conftest import paired_overhead, write_artifact
 
 BENCH_SF = 0.5
 REPEATS = 3
@@ -111,24 +110,16 @@ def clustered_db():
     return clustered
 
 
-def _best_wall(executor, plan):
-    best, result = float("inf"), None
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = executor.execute(plan)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
 def test_latemat_speedup(benchmark, clustered_db, output_dir):
     late = Executor(clustered_db)  # late materialization is the default
     eager = Executor(clustered_db, DEFAULT_SETTINGS.without_latemat())
 
-    entries = []
+    entries, slowdowns = [], {}
     for label, build, kind in BENCH_QUERIES:
         plan = build(clustered_db)
-        t_eager, r_eager = _best_wall(eager, plan)
-        t_late, r_late = _best_wall(late, plan)
+        ratio, t_eager, t_late, (r_eager, r_late) = paired_overhead(
+            eager, late, plan, REPEATS
+        )
         assert sorted(map(str, r_late.rows)) == sorted(map(str, r_eager.rows)), (
             f"{label}: late materialization changed the result"
         )
@@ -147,6 +138,7 @@ def test_latemat_speedup(benchmark, clustered_db, output_dir):
             "bytes_gathered": p_late.gather_bytes,
             "rewrite_reduction": 1.0 - written_late / max(written_eager, 1e-9),
         })
+        slowdowns[label] = ratio
 
     benchmark.pedantic(
         lambda: late.execute(_q6(clustered_db)), rounds=1, iterations=1
@@ -187,7 +179,8 @@ def test_latemat_speedup(benchmark, clustered_db, output_dir):
     )
     for e in entries:
         if e["kind"] == "guard":
-            assert e["seconds_late"] <= e["seconds_eager"] * MAX_GUARD_SLOWDOWN, (
-                f"{e['query']} regressed under late materialization: "
+            assert slowdowns[e["query"]] <= MAX_GUARD_SLOWDOWN, (
+                f"{e['query']} regressed under late materialization "
+                f"({slowdowns[e['query']]:.3f}x, paired median): "
                 f"{e['seconds_eager'] * 1e3:.2f} ms -> {e['seconds_late'] * 1e3:.2f} ms"
             )

@@ -37,7 +37,7 @@ import pytest
 from repro.engine import DEFAULT_SETTINGS, Executor, MemoryBudgetExceeded
 from repro.tpch import generate, get_query
 
-from conftest import write_artifact
+from conftest import paired_overhead, write_artifact
 
 # Scale ladder under one fixed budget: small enough to survive at the
 # bottom, over-subscribed at the top.
@@ -52,33 +52,6 @@ UNHIT_BUDGET = 1 << 30  # 1 GB
 REPEATS = 7
 MAX_OVERHEAD = 1.05
 NOISE_FLOOR_S = 0.005
-
-
-def _paired_overhead(plain, budgeted, plan):
-    """Median of per-round budgeted/plain wall-clock ratios.
-
-    The two sides run back-to-back inside each round (pairing cancels
-    the slow clock drift of a throttling host) and the order alternates
-    between rounds (so within-round warm-up cannot systematically favor
-    one side). Returns ``(median_ratio, best_plain_s, best_budgeted_s,
-    last_results)``.
-    """
-    ratios, best = [], {"plain": float("inf"), "budgeted": float("inf")}
-    results = {}
-    for round_no in range(REPEATS):
-        order = [("plain", plain), ("budgeted", budgeted)]
-        if round_no % 2:
-            order.reverse()
-        walls = {}
-        for name, executor in order:
-            start = time.perf_counter()
-            results[name] = executor.execute(plan)
-            walls[name] = time.perf_counter() - start
-            best[name] = min(best[name], walls[name])
-        ratios.append(walls["budgeted"] / max(walls["plain"], 1e-9))
-    ratios.sort()
-    median = ratios[len(ratios) // 2]
-    return median, best["plain"], best["budgeted"], results
 
 
 def _rows_identical(a, b) -> bool:
@@ -140,12 +113,14 @@ def test_spill_survival_and_overhead(benchmark, output_dir):
     overhead = []
     for number in OVERHEAD_QUERIES:
         plan = get_query(number).build(db, {"sf": LADDER_SFS[-1]})
-        ratio, t_plain, t_budget, results = _paired_overhead(plain, budgeted, plan)
-        assert results["budgeted"].profile.spilled_bytes == 0, (
+        ratio, t_plain, t_budget, (r_plain, r_budget) = paired_overhead(
+            plain, budgeted, plan, REPEATS
+        )
+        assert r_budget.profile.spilled_bytes == 0, (
             f"Q{number}: a {UNHIT_BUDGET >> 20} MB budget should never spill "
             f"at SF {LADDER_SFS[-1]}"
         )
-        assert _rows_identical(results["plain"].rows, results["budgeted"].rows)
+        assert _rows_identical(r_plain.rows, r_budget.rows)
         overhead.append({
             "query": f"Q{number}",
             "seconds_plain": t_plain,

@@ -9,6 +9,7 @@ against the paper (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -43,3 +44,32 @@ def output_dir() -> Path:
 
 def write_artifact(output_dir: Path, name: str, text: str) -> None:
     (output_dir / f"{name}.txt").write_text(text + "\n")
+
+
+def paired_overhead(baseline, candidate, plan, repeats):
+    """Median of per-round candidate/baseline wall-clock ratios.
+
+    The two executors run back-to-back inside each round (pairing cancels
+    the slow clock drift of a throttling host) and the order alternates
+    between rounds (so within-round warm-up cannot systematically favor
+    one side). Returns ``(median_ratio, best_baseline_s, best_candidate_s,
+    (baseline_result, candidate_result))``.
+    """
+    sides = {"baseline": baseline, "candidate": candidate}
+    ratios, best, results = [], dict.fromkeys(sides, float("inf")), {}
+    for round_no in range(repeats):
+        walls = {}
+        order = list(sides)
+        if round_no % 2:
+            order.reverse()
+        for name in order:
+            start = time.perf_counter()
+            results[name] = sides[name].execute(plan)
+            walls[name] = time.perf_counter() - start
+            best[name] = min(best[name], walls[name])
+        ratios.append(walls["candidate"] / max(walls["baseline"], 1e-9))
+    ratios.sort()
+    median = ratios[len(ratios) // 2]
+    return median, best["baseline"], best["candidate"], (
+        results["baseline"], results["candidate"]
+    )

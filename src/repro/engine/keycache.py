@@ -22,7 +22,10 @@ naive ``combined * card + codes`` scheme silently wraps int64 once the
 product of key cardinalities reaches 2**63; this version detects that in
 exact Python integers and falls back to lexicographic factorization,
 which orders groups identically (mixed-radix mixing of per-column ranks
-*is* the lexicographic order) at the cost of one ``lexsort``.
+*is* the lexicographic order) at the cost of one ``lexsort``. And the
+two kernels dense integer keys unlock: :func:`dense_span`, the one test
+of "dense" (the join picks its probe with it), and :func:`stable_order`,
+the radix build order behind :meth:`KeyCache.sort_order` misses.
 """
 
 from __future__ import annotations
@@ -33,9 +36,14 @@ import numpy as np
 
 from repro.obs.metrics import HitMissStats
 
-__all__ = ["KeyCache", "combine_codes", "key_cache"]
+__all__ = ["KeyCache", "combine_codes", "dense_span", "key_cache", "stable_order"]
 
 _INT64_LIMIT = 2**63
+# Integer keys are dense when they span at most this many values per
+# row. Set by footprint, not tuned: a direct-address table of <= 2x rows
+# is no larger than the order + sorted-keys + lo + hi arrays the
+# sort-based join kernel allocates for the same rows.
+_DENSE_FACTOR = 2
 
 
 def combine_codes(code_arrays: "list[np.ndarray]", cards: "list[int]") -> np.ndarray:
@@ -59,6 +67,40 @@ def combine_codes(code_arrays: "list[np.ndarray]", cards: "list[int]") -> np.nda
             combined = combined * np.int64(max(1, int(card))) + codes
         return combined
     return _lexicographic_codes(code_arrays)
+
+
+def dense_span(keys: np.ndarray, rows: int) -> "tuple[int, int] | None":
+    """``(base, span)`` when signed-integer ``keys`` all lie within the
+    ``span`` consecutive values from ``base`` and ``span`` is at most
+    ``_DENSE_FACTOR * rows`` (the rows a direct-address table over that
+    range would serve); ``None`` otherwise. Computed in exact Python
+    ints, so a range wider than the dtype cannot wrap into looking dense."""
+    if keys.dtype.kind != "i" or len(keys) == 0:
+        return None
+    base = int(keys.min())
+    span = int(keys.max()) - base + 1
+    return (base, span) if span <= _DENSE_FACTOR * rows else None
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, computed as least-significant-
+    first 16-bit digit passes when integer keys are dense in their own
+    length: numpy's stable sort of <= 16-bit keys is an O(n) radix sort,
+    of wider keys an O(n log n) merge sort. Everything else is the numpy
+    call itself — floats, strings, sparse or empty keys, and presorted
+    keys, whose merge sort is one O(n) scan the digit passes cannot beat."""
+    dense = dense_span(keys, len(keys))
+    if dense is None or bool((keys[1:] >= keys[:-1]).all()):
+        return np.argsort(keys, kind="stable")
+    base, span = dense
+    digits = np.subtract(keys, base, dtype=np.int64)  # in [0, span): no wrap
+    order = np.argsort((digits & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while span >> shift:
+        digit = (digits[order] >> shift) & 0xFFFF
+        order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
+        shift += 16
+    return order
 
 
 def _lexicographic_codes(code_arrays: "list[np.ndarray]") -> np.ndarray:
@@ -159,7 +201,7 @@ class KeyCache:
         cached = self._lookup("sort_order", array)
         if cached is not None:
             return cached
-        order = np.argsort(array, kind="stable")
+        order = stable_order(array)
         self._store("sort_order", array, order)
         return order
 

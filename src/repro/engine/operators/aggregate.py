@@ -17,7 +17,7 @@ from repro.obs.trace import note
 from ..column import Column
 from ..expr import Expr
 from ..frame import Frame
-from ..keycache import combine_codes, key_cache
+from ..keycache import combine_codes, key_cache, stable_order
 from ..types import FLOAT64, INT64, STRING
 
 __all__ = ["AggSpec", "execute_aggregate", "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_"]
@@ -207,7 +207,6 @@ def execute_aggregate(
     for name in group_by:
         out_columns[name] = frame.column(name).take(first)
 
-    ones = None
     for name, spec in aggs.items():
         if spec.func == "count_star":
             counts = np.bincount(gids, minlength=n_groups)
@@ -231,8 +230,6 @@ def execute_aggregate(
                 out_columns[name] = Column(FLOAT64, sums / counts)
         elif spec.func == "count":
             if valid is None:
-                if ones is None:
-                    ones = np.ones(frame.nrows)
                 counts = np.bincount(gids, minlength=n_groups)
             else:
                 counts = np.bincount(gids, weights=valid.astype(np.float64), minlength=n_groups)
@@ -266,8 +263,10 @@ def execute_aggregate(
             pair_gids = gids
             if valid is not None:
                 key, pair_gids = key[valid], gids[valid]
-            # Count unique (gid, value) pairs per gid.
-            order = np.lexsort((key, pair_gids))
+            # Count unique (gid, value) pairs per gid: order by value,
+            # then stably by gid (= lexicographic by (gid, value)).
+            order = stable_order(key)
+            order = order[stable_order(pair_gids[order])]
             sg, sk = pair_gids[order], key[order]
             if len(sg):
                 new = np.ones(len(sg), dtype=bool)

@@ -1,10 +1,13 @@
 """Hash joins: inner, left outer, semi, and anti.
 
-The physical algorithm is sort-and-binary-search over the build side's
-encoded keys, which is a cache-friendly stand-in with identical output to
-a hash join; the *work profile* it records is that of a classic hash join
-(build inserts + random probes), because that is what MonetDB executes
-and what the hardware model should price.
+The *work profile* recorded is that of a classic hash join (build
+inserts + random probes), because that is what MonetDB executes and what
+the hardware model should price. The physical algorithm is one of two
+stand-ins with identical output, chosen per join from the keys it is
+handed (:func:`_match`): a direct-address table when same-dtype integer
+keys are dense (:func:`~repro.engine.keycache.dense_span` — PK/FK keys,
+dictionary codes), else sort-and-binary-search over the build side's
+encoded keys. Semi/anti joins stop at the per-row match counts.
 
 String keys join on dictionary codes whenever possible: sides sharing a
 dictionary object compare int32 codes directly, and differing
@@ -19,11 +22,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.metrics import metrics
 from repro.obs.trace import note
 
 from ..column import Column
 from ..frame import Frame
-from ..keycache import combine_codes, key_cache
+from ..keycache import combine_codes, dense_span, key_cache
 from ..types import STRING
 
 __all__ = ["execute_join"]
@@ -106,25 +110,69 @@ def _null_mask(columns: list[Column]) -> np.ndarray | None:
     return mask
 
 
-def _match(
+def _probe_sort(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For every left row, find matching right rows.
-
-    Returns ``(counts, left_expanded, right_expanded)`` where the expanded
-    arrays list each (left, right) match pair.
-    """
+    """Sort kernel: binary-search every left key into the sorted build
+    keys. Returns ``(counts, lo, order)``: matches per left row, and where
+    each row's run of matches starts in the build-side sort ``order``."""
     order = key_cache.sort_order(right_keys)
     sorted_keys = right_keys[order]
     lo = np.searchsorted(sorted_keys, left_keys, side="left")
     hi = np.searchsorted(sorted_keys, left_keys, side="right")
-    counts = hi - lo
+    return hi - lo, lo, order
+
+
+def _probe_dense(
+    left_keys: np.ndarray, right_keys: np.ndarray, base: int, span: int, pairs: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Direct-address kernel for build keys within ``[base, base + span)``:
+    one table slot per key value, nothing sorted or searched to count.
+    Same ``(counts, lo, order)`` as :func:`_probe_sort`, the last two
+    ``None`` unless ``pairs`` are wanted."""
+    per_key = np.bincount(np.subtract(right_keys, base, dtype=np.intp), minlength=span + 1)
+    # Left keys outside the build range go to the always-empty slot
+    # ``span`` through a bounds mask, never through a wrapped
+    # ``left - base`` (both bounds are build keys, so they fit the dtype).
+    inside = (left_keys >= base) & (left_keys <= base + span - 1)
+    probe = np.full(len(left_keys), span, dtype=np.intp)
+    np.subtract(left_keys, base, out=probe, where=inside, dtype=np.intp)
+    counts = per_key[probe]
+    if not pairs:
+        return counts, None, None
+    return counts, (np.cumsum(per_key) - per_key)[probe], key_cache.sort_order(right_keys)
+
+
+def _expand(counts: np.ndarray, lo: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """List each (left, right) match pair of a probe: left rows
+    ascending, right rows ascending within a key."""
     total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(left_keys)), counts)
+    left_idx = np.repeat(np.arange(len(counts)), counts)
     starts = np.repeat(lo, counts)
     offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     right_idx = order[starts + offsets] if total else np.empty(0, dtype=np.int64)
-    return counts, left_idx, right_idx
+    return left_idx, right_idx
+
+
+def _match(
+    left_keys: np.ndarray, right_keys: np.ndarray, pairs: bool
+) -> tuple[str, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """For every left row, find matching right rows.
+
+    Returns ``(kernel, counts, lo, order)``: the probe result
+    :func:`_expand` turns into match pairs (``lo``/``order`` may be
+    ``None`` unless ``pairs``), and the name of the kernel that ran —
+    ``"dense"`` when both sides share an integer dtype and the build keys
+    pass :func:`~repro.engine.keycache.dense_span`, ``"sort"`` otherwise.
+    """
+    dense = None
+    if left_keys.dtype == right_keys.dtype:
+        dense = dense_span(right_keys, len(left_keys) + len(right_keys))
+    kernel = "sort" if dense is None else "dense"
+    metrics.counter(f"engine.join.kernel.{kernel}").inc()
+    if dense is None:
+        return (kernel, *_probe_sort(left_keys, right_keys))
+    return (kernel, *_probe_dense(left_keys, right_keys, *dense, pairs))
 
 
 def execute_join(
@@ -166,21 +214,21 @@ def execute_join(
     else:
         right_map = None
 
-    counts, left_idx, right_idx = _match(left_keys, right_keys)
+    pairs = how not in ("semi", "anti")  # those decide on ``counts`` alone
+    kernel, counts, lo, order = _match(left_keys, right_keys, pairs)
     if left_null is not None:
-        # NULL left keys match nothing.
-        matched_null = left_null[left_idx]
-        left_idx, right_idx = left_idx[matched_null], right_idx[matched_null]
-        counts = counts * left_null
-    if right_map is not None and len(right_idx):
-        right_idx = right_map[right_idx]
+        counts = counts * left_null  # NULL left keys match nothing
+    if pairs:
+        left_idx, right_idx = _expand(counts, lo, order)
+        if right_map is not None and len(right_idx):
+            right_idx = right_map[right_idx]
 
     # Work accounting: hash build over the (smaller, by convention right)
     # side plus a random probe per left row, plus per-match output.
     ctx.work.tuples_in += left.nrows + right.nrows
     ctx.work.seq_bytes += sum(c.nbytes for c in left_cols) + sum(c.nbytes for c in right_cols)
     ctx.work.ops += left.nrows + 2 * right.nrows  # probe + build/hash
-    ctx.work.rand_accesses += left.nrows + len(left_idx)
+    ctx.work.rand_accesses += left.nrows + int(counts.sum())  # = match pairs
     # The build-side hash structure (key + bucket pointer per row) is
     # part of the operator's resident working set.
     ctx.work.out_bytes += right.nrows * 16
@@ -212,7 +260,7 @@ def execute_join(
     ctx.work.out_bytes += out.nbytes
     note(
         ctx, how=how, left_rows=left.nrows, right_rows=right.nrows,
-        matches=out.nrows,
+        matches=out.nrows, kernel=kernel,
     )
     return out
 

@@ -1,9 +1,12 @@
 """Aggregation tests: every function, grouping shapes, nulls, empties."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Column, Database, Q, Table, agg, col, execute
 from repro.engine.types import INT64
@@ -150,3 +153,60 @@ class TestValidation:
                     .sort("n"))
         # east has 3 rows, west has 2 -> one group of each count
         assert r.rows == [(2, 1), (3, 1)]
+
+
+# ----------------------------------------------------------------------
+# COUNT(DISTINCT) orders (group, value) pairs with two stable passes
+# (``keycache.stable_order``: radix for dense ints, numpy otherwise);
+# whichever pass runs, the count is a per-group set size.
+# ----------------------------------------------------------------------
+
+_CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
+
+
+def _distinct_column(kind, draws, nulls):
+    """One value column per key shape, plus the Python values a set
+    count sees (``None`` for NULL; every NaN is its own value, the
+    engine's long-standing NaN-distinct rule)."""
+    if kind == "dense":
+        values = [d % 7 for d in draws]
+        return Column.from_ints(values), values
+    if kind == "sparse":
+        values = [(d % 7) * 10**12 - 5 for d in draws]
+        return Column.from_ints(values), values
+    if kind == "nan":
+        values = [float("nan") if d % 5 == 0 else (d % 4) / 2 for d in draws]
+        return Column.from_floats(values), [
+            ("nan", i) if math.isnan(v) else v for i, v in enumerate(values)
+        ]
+    if kind == "string":
+        values = [f"s{d % 6}" for d in draws]
+        return Column.from_strings(values), values
+    values = [d % 9 for d in draws]  # "nulls": dense ints under a mask
+    column = Column(INT64, np.asarray(values, dtype=np.int64),
+                    valid=~np.asarray(nulls, dtype=bool))
+    return column, [None if null else v for v, null in zip(values, nulls)]
+
+
+class TestCountDistinctEquivalence:
+    @settings(max_examples=300 if _CI else 50, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["dense", "sparse", "nan", "string", "nulls"]),
+        rows=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 10**6), st.booleans()),
+            min_size=1, max_size=120,
+        ),
+    )
+    def test_equals_a_set_count_per_group(self, kind, rows):
+        groups, draws, nulls = (list(part) for part in zip(*rows))
+        column, seen = _distinct_column(kind, draws, nulls)
+        db = Database()
+        db.add(Table("t", {"g": Column.from_ints(groups), "v": column}))
+        got = execute(db, Q(db).scan("t").aggregate(
+            by=["g"], n=agg.count_distinct(col("v")))).rows
+        want: dict = {}
+        for g, v in zip(groups, seen):
+            want.setdefault(g, set())
+            if v is not None:
+                want[g].add(v)
+        assert sorted(got) == sorted((g, len(vs)) for g, vs in want.items())
