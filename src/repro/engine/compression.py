@@ -60,6 +60,10 @@ def _pack_dtype(width: int):
     return {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}[width]
 
 
+# ``max - min`` from which an encoder's int64 shift or zig-zag can wrap.
+_WRAP_SPAN = 1 << 62
+
+
 class Encoding:
     """Interface: encode a numpy int array, report size and decode cost."""
 
@@ -74,6 +78,13 @@ class Encoding:
 
     def encoded_nbytes(self, payload: object) -> int:
         raise NotImplementedError
+
+    def size(self, values: np.ndarray) -> int:
+        """Exactly ``encoded_nbytes(encode(values))`` for an int64 array.
+        The codecs override it with closed forms that skip the encode and
+        defer to this default whenever ``encode``'s int64 arithmetic would
+        wrap (:data:`_WRAP_SPAN`), so no caller has to guess."""
+        return self.encoded_nbytes(self.encode(values))
 
     def block_min_max(
         self, payload: object, n: int, block_rows: int
@@ -125,6 +136,12 @@ class BitPackedEncoding(Encoding):
         _, packed = payload
         return packed.nbytes + 8
 
+    def size(self, values):
+        span = int(values.max()) - int(values.min()) if len(values) else 0
+        if span >= _WRAP_SPAN:
+            return super().size(values)
+        return len(values) * _pack_width(span) + 8
+
     def block_min_max(self, payload, n, block_rows):
         lo, packed = payload
         mins, maxs = _block_reduce_int(packed, n, block_rows)
@@ -163,6 +180,16 @@ class FrameOfReferenceEncoding(Encoding):
     def encoded_nbytes(self, payload):
         refs, blocks = payload
         return sum(b.nbytes for b in blocks) + 8 * len(refs)
+
+    def size(self, values):
+        starts = np.arange(0, len(values), self.block)
+        if not len(starts):
+            return 0
+        lo, hi = np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+        if int(hi.max()) - int(lo.min()) >= _WRAP_SPAN:
+            return super().size(values)
+        lengths = np.diff(np.append(starts, len(values)))
+        return sum(int(n) * _pack_width(int(s)) for n, s in zip(lengths, hi - lo)) + 8 * len(starts)
 
     def block_min_max(self, payload, n, block_rows):
         # Zone maps at the encoding's own block size fall straight out of
@@ -237,6 +264,9 @@ class RunLengthEncoding(Encoding):
         run_values, lengths = payload
         return run_values.nbytes + min(lengths.nbytes, len(lengths) * 4)
 
+    def size(self, values):
+        return 12 * (np.count_nonzero(values[1:] != values[:-1]) + 1) if len(values) else 0
+
     def block_min_max(self, payload, n, block_rows):
         run_values, lengths = payload
         if n == 0:
@@ -287,6 +317,15 @@ class DeltaEncoding(Encoding):
     def encoded_nbytes(self, payload):
         _, zigzag = payload
         return zigzag.nbytes + 8
+
+    def size(self, values):
+        if len(values) < 2:
+            return 8
+        if int(values.max()) - int(values.min()) >= _WRAP_SPAN:
+            return super().size(values)
+        deltas = np.diff(values)
+        zigzag_max = max(2 * int(deltas.max()), -2 * int(deltas.min()) - 1)
+        return (len(values) - 1) * _pack_width(zigzag_max) + 8
 
     def block_min_max(self, payload, n, block_rows):
         # One cumsum over the un-zigzagged deltas reconstructs the int64

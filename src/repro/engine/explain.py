@@ -12,7 +12,7 @@ n/m]``, ``[segment: ... xN morsels]`` with ``N`` the morsels left after
 zone-map pre-skip) are read off the lowered nodes. The remaining tags are
 *predictions* of decisions the operators take at run time, made by
 calling the operators' own helpers on static estimates: ``[late ...]``
-and ``[spill: ...]`` (``choose_partitions``).
+and ``[spill: ...]`` (``choose_build_side``, ``choose_partitions``).
 """
 
 from __future__ import annotations
@@ -139,14 +139,18 @@ def _subtree_size(node: PlanNode, db: Database) -> tuple[float, float]:
 def _spill_tag(node: PlanNode, db: Database, budget) -> str:
     """Out-of-core annotation: a dry run of the budget dispatch in
     :mod:`repro.engine.spill`, using static size estimates."""
-    from .spill import HASH_ENTRY_BYTES, MAX_SPILL_DEPTH, choose_partitions
+    from .spill import HASH_ENTRY_BYTES, MAX_SPILL_DEPTH, choose_build_side, choose_partitions
 
     limit = getattr(budget, "limit_bytes", budget)
     if limit is None:
         return ""
     if isinstance(node, JoinNode):
-        nbytes, nrows = _subtree_size(node.right, db)
-        estimate = nbytes + nrows * HASH_ENTRY_BYTES
+        lbytes, lrows = _subtree_size(node.left, db)
+        rbytes, nrows = _subtree_size(node.right, db)
+        side, estimate = choose_build_side(
+            lbytes + lrows * HASH_ENTRY_BYTES, rbytes + nrows * HASH_ENTRY_BYTES, limit
+        )
+        nrows = nrows if side == "right" else lrows
         kind = "join"
     elif isinstance(node, AggregateNode) and node.group_by:
         nbytes, nrows = _subtree_size(node.child, db)

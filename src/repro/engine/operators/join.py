@@ -182,12 +182,15 @@ def execute_join(
     right_on: list[str],
     how: str,
     ctx,
+    build: str = "right",
 ) -> Frame:
     """Join ``left`` with ``right`` on equality of the key column lists.
 
     ``how`` is one of ``inner``, ``left`` (left outer), ``semi``
     (left semi), ``anti`` (left anti). Semi/anti keep only left columns.
-    Rows whose key is NULL never match.
+    Rows whose key is NULL never match. ``build`` names the input whose
+    hash table the work profile charges (:mod:`~repro.engine.spill` picks
+    the one that fits a budget); rows and their order do not depend on it.
 
     Late (selection-vector) inputs gather only their key columns here;
     payload columns materialize once, through the composed
@@ -223,15 +226,19 @@ def execute_join(
         if right_map is not None and len(right_idx):
             right_idx = right_map[right_idx]
 
-    # Work accounting: hash build over the (smaller, by convention right)
-    # side plus a random probe per left row, plus per-match output.
+    # Work accounting: hash build over the ``build`` side (by convention
+    # right), a random probe per row of the other, plus per-match output.
+    matches = int(counts.sum())
+    probed, built = (left.nrows, right.nrows) if build == "right" else (right.nrows, left.nrows)
     ctx.work.tuples_in += left.nrows + right.nrows
     ctx.work.seq_bytes += sum(c.nbytes for c in left_cols) + sum(c.nbytes for c in right_cols)
-    ctx.work.ops += left.nrows + 2 * right.nrows  # probe + build/hash
-    ctx.work.rand_accesses += left.nrows + int(counts.sum())  # = match pairs
+    ctx.work.ops += probed + 2 * built  # probe + build/hash
+    if build == "left":
+        ctx.work.ops += matches  # pairs found right-major go back to left-major
+    ctx.work.rand_accesses += probed + matches
     # The build-side hash structure (key + bucket pointer per row) is
     # part of the operator's resident working set.
-    ctx.work.out_bytes += right.nrows * 16
+    ctx.work.out_bytes += built * 16
 
     if how == "inner":
         out = _materialize_pair(left, right, left_idx, right_idx, right_on)
@@ -260,7 +267,7 @@ def execute_join(
     ctx.work.out_bytes += out.nbytes
     note(
         ctx, how=how, left_rows=left.nrows, right_rows=right.nrows,
-        matches=out.nrows, kernel=kernel,
+        matches=out.nrows, kernel=kernel, build=build,
     )
     return out
 

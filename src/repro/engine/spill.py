@@ -8,7 +8,10 @@ recipe — hash-partition both inputs to disk, then solve each partition
 independently — pinned to a :class:`MemoryBudget` that all operators of
 one query (including morsel workers and the parallel merge phase) share.
 
-Dispatch is a three-way split per operator:
+Dispatch is a three-way split per operator on the state it would hold —
+for a join the hash table of its *build side*: the right input (the
+planner's convention) if it fits, else the smaller (:func:`choose_build_side`;
+the charge and the work profile follow that choice, the rows never do):
 
 * estimate fits the budget → run the ordinary in-memory operator under
   :meth:`MemoryBudget.charge` (the state really is resident);
@@ -21,15 +24,18 @@ Dispatch is a three-way split per operator:
   "wimpy node OOM" the serve layer used to have to shed.
 
 Recursion terminates unconditionally: a partition re-partitions only
-while it is strictly smaller than its parent (adversarial single-key
-skew makes no progress and executes in memory — always correct, merely
-over budget) and never beyond :data:`MAX_SPILL_DEPTH`.
+while it (of a join pair, the build input) is strictly smaller than its
+parent (adversarial single-key skew makes no progress and executes in
+memory — always correct, merely over budget), never beyond :data:`MAX_SPILL_DEPTH`.
 
 Bit-identity with the in-memory operators is engineered, not hoped for:
 
-* join outputs carry transient row-id columns and are restored to the
-  exact serial emission order ((left row, right row) ascending, outer
-  misses last, semi/anti by left row) before the row-ids are dropped;
+* join outputs carry a transient left row-id column and are restored to
+  the exact serial emission order ((left row, right row) ascending, outer
+  misses last, semi/anti by left row) before it is dropped. One stable
+  sort on it suffices: a left row lives in exactly one partition, whose
+  output already has that order (left outer joins also carry a right
+  row-id, whose NULLs mark the misses to move last);
 * all rows of one group land in one partition in their original
   relative order (stable partition sort), so ``np.bincount`` float
   accumulation order — and therefore the last ulp of every SUM/AVG —
@@ -66,7 +72,7 @@ from repro.obs.trace import note
 from .column import Column
 from .compression import ALL_ENCODINGS
 from .frame import Frame
-from .keycache import combine_codes
+from .keycache import combine_codes, stable_order
 from .operators.aggregate import _key_codes, execute_aggregate
 from .operators.join import _combine_keys, _encode_key_pair, _stack, execute_join
 from .types import BOOL, DATE, FLOAT64, INT64, STRING
@@ -82,6 +88,7 @@ __all__ = [
     "SpillFile",
     "SpillSet",
     "aggregate_estimate",
+    "choose_build_side",
     "choose_partitions",
     "join_build_estimate",
     "maybe_spill_aggregate",
@@ -280,21 +287,24 @@ def _encode_values(values: np.ndarray):
     if values.dtype.kind != "i":
         return ("raw", values)
     v = np.ascontiguousarray(values).astype(np.int64, copy=False)
-    best = None
-    best_size = v.nbytes
-    for encoding in ALL_ENCODINGS:
+    ranked = []  # (exact size, declaration index, codec): smallest is tried first
+    for index, encoding in enumerate(ALL_ENCODINGS):
         try:
-            payload = encoding.encode(v)
-            size = encoding.encoded_nbytes(payload)
-            if size < best_size and np.array_equal(
-                encoding.decode(payload, len(v), np.dtype(np.int64)), v
-            ):
-                best, best_size = (encoding.name, payload), size
+            ranked.append((encoding.size(v), index, encoding))
         except Exception:
             continue  # e.g. shift-width overflow on extreme int64 ranges
-    if best is None:
-        return ("raw", values)
-    return ("codec", best[0], best[1], len(v))
+    for size, _, encoding in sorted(ranked):
+        if size >= v.nbytes:
+            break
+        try:
+            payload = encoding.encode(v)
+            if encoding.encoded_nbytes(payload) == size and np.array_equal(
+                encoding.decode(payload, len(v), np.dtype(np.int64)), v
+            ):
+                return ("codec", encoding.name, payload, len(v))
+        except Exception:
+            continue
+    return ("raw", values)
 
 
 def _decode_values(payload) -> np.ndarray:
@@ -481,13 +491,11 @@ def _partition_ids(keys: np.ndarray, n_partitions: int, depth: int) -> np.ndarra
 def _partition_frame(frame: Frame, pids: np.ndarray, n_partitions: int) -> list[Frame]:
     """Split a dense frame by partition id, preserving original relative
     row order inside each partition (stable sort — the float-summation
-    order guarantee depends on this)."""
-    order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    bounds = np.searchsorted(sorted_pids, np.arange(n_partitions + 1))
-    return [
-        frame.take(order[bounds[i] : bounds[i + 1]]) for i in range(n_partitions)
-    ]
+    order guarantee depends on this). Every column is gathered once; the
+    partitions are zero-copy slices of that one reordered frame."""
+    gathered = frame.take(stable_order(pids))
+    bounds = np.append(0, np.cumsum(np.bincount(pids, minlength=n_partitions)))
+    return [gathered.slice(bounds[i], bounds[i + 1]) for i in range(n_partitions)]
 
 
 def _pow2_ceil(n: int) -> int:
@@ -519,6 +527,22 @@ def join_build_estimate(right: Frame) -> int:
     return int(right.nbytes + right.nrows * HASH_ENTRY_BYTES)
 
 
+def choose_build_side(left_estimate, right_estimate, limit) -> tuple[str, float]:
+    """``(side, estimate)`` of the input a budgeted hash join builds over:
+    the right one (the planner's convention) whenever it fits ``limit``,
+    else whichever is smaller (ties stay right). The one rule dispatch,
+    Grace recursion and EXPLAIN's dry run share."""
+    if right_estimate <= limit or right_estimate <= left_estimate:
+        return "right", right_estimate
+    return "left", left_estimate
+
+
+def _build_side(left: Frame, right: Frame, available: float) -> tuple[str, float]:
+    return choose_build_side(
+        join_build_estimate(left), join_build_estimate(right), available
+    )
+
+
 def aggregate_estimate(frame: Frame, group_by, aggs) -> int:
     """Upper bound on grouped-aggregation state: worst case every row is
     its own group, each holding its keys and accumulators."""
@@ -538,14 +562,18 @@ def maybe_spill_join(left, right, left_on, right_on, how, ctx) -> Frame:
     budget = getattr(ctx, "budget", None)
     if budget is None or budget.limit_bytes is None:
         return execute_join(left, right, list(left_on), list(right_on), how, ctx)
-    estimate = join_build_estimate(right)
     available = budget.available()
+    side, estimate = _build_side(left, right, available)
     if estimate <= available:
         with budget.charge(estimate):
-            return execute_join(left, right, list(left_on), list(right_on), how, ctx)
+            return execute_join(
+                left, right, list(left_on), list(right_on), how, ctx, build=side
+            )
     if not getattr(ctx, "spilling", True):
         raise MemoryBudgetExceeded(
-            f"hash join build side needs ~{estimate:,} bytes but only "
+            f"hash join build side needs ~{estimate:,} bytes (the {side} input; "
+            f"left ~{join_build_estimate(left):,}, right "
+            f"~{join_build_estimate(right):,}) but only "
             f"{max(0, int(available)):,} of the {budget.limit_bytes:,}-byte "
             f"memory budget are free, and spilling is disabled"
         )
@@ -614,23 +642,24 @@ def _grace_join(left, right, left_on, right_on, how, ctx) -> Frame:
     left = left.with_columns(
         {_LROW: Column(INT64, np.arange(left.nrows, dtype=np.int64))}
     )
-    keep_rrow = how in ("inner", "left")
-    if keep_rrow:
+    if how == "left":  # its validity mask is what marks the outer misses
         right = right.with_columns(
             {_RROW: Column(INT64, np.arange(right.nrows, dtype=np.int64))}
         )
     _operators_counter.inc()
+    build = _build_side(left, right, budget.available())
     spills = SpillSet(budget)
     try:
         out = _grace_join_level(
-            left, right, left_on, right_on, how, ctx, spills, 0
+            left, right, left_on, right_on, how, ctx, spills, 0, build
         )
     finally:
         spills.cleanup()
-    out = _restore_join_order(out, how, keep_rrow, ctx)
+    out = _restore_join_order(out, how, ctx)
     note(
         ctx,
         spill="grace-join",
+        build=build[0],
         spilled_bytes=work.spilled_bytes - bytes0,
         respills=work.respill_depth - depth0,
     )
@@ -638,11 +667,13 @@ def _grace_join(left, right, left_on, right_on, how, ctx) -> Frame:
 
 
 def _grace_join_level(
-    left, right, left_on, right_on, how, ctx, spills, depth
+    left, right, left_on, right_on, how, ctx, spills, depth, build
 ) -> Frame:
+    """One partition pass. ``build`` is the caller's ``(side, estimate)``
+    for this pair; every loaded child pair decides again."""
     budget = ctx.budget
     n_parts = choose_partitions(
-        join_build_estimate(right),
+        build[1],
         budget.available(),
         max(left.nrows, right.nrows),
         depth,
@@ -654,7 +685,7 @@ def _grace_join_level(
     ctx.work.seq_bytes += left.nbytes + right.nbytes  # partition pass streams both
     lparts = _partition_frame(left, lpids, n_parts)
     rparts = _partition_frame(right, rpids, n_parts)
-    parent_rows = right.nrows
+    parent_rows = {"left": left.nrows, "right": right.nrows}
     pairs = []
     for lp, rp in zip(lparts, rparts):
         _check_cancel(ctx)
@@ -671,26 +702,28 @@ def _grace_join_level(
         _check_cancel(ctx)
         lp = _load(spills, lref, ctx)
         rp = _load(spills, rref, ctx)
-        child_estimate = join_build_estimate(rp)
+        child = side, child_estimate = _build_side(lp, rp, budget.available())
         if (
             child_estimate > budget.available()
             and depth + 1 < MAX_SPILL_DEPTH
-            and 0 < rp.nrows < parent_rows
+            and 0 < (rp if side == "right" else lp).nrows < parent_rows[side]
         ):
             ctx.work.respill_depth += 1
             _respills_counter.inc()
             outputs.append(
                 _grace_join_level(
-                    lp, rp, left_on, right_on, how, ctx, spills, depth + 1
+                    lp, rp, left_on, right_on, how, ctx, spills, depth + 1, child
                 )
             )
         else:
             with budget.charge(child_estimate):
-                outputs.append(execute_join(lp, rp, left_on, right_on, how, ctx))
+                outputs.append(
+                    execute_join(lp, rp, left_on, right_on, how, ctx, build=side)
+                )
     return _concat(outputs)
 
 
-def _restore_join_order(out: Frame, how: str, keep_rrow: bool, ctx) -> Frame:
+def _restore_join_order(out: Frame, how: str, ctx) -> Frame:
     """Reorder the concatenated partition outputs into the serial join's
     exact emission order, then drop the transient row-id columns.
 
@@ -700,23 +733,10 @@ def _restore_join_order(out: Frame, how: str, keep_rrow: bool, ctx) -> Frame:
     misses appended last, ascending in left row, and semi/anti outputs
     simply filtered in left order.
     """
-    lrow = out.column(_LROW).values
-    if not keep_rrow:  # semi / anti
-        order = np.argsort(lrow, kind="stable")
-    else:
-        rrow = out.column(_RROW)
-        if rrow.valid is None:  # inner, or left outer with no misses
-            order = np.lexsort((rrow.values, lrow))
-        else:
-            matched = rrow.valid
-            m = np.flatnonzero(matched)
-            u = np.flatnonzero(~matched)
-            order = np.concatenate(
-                [
-                    m[np.lexsort((rrow.values[m], lrow[m]))],
-                    u[np.argsort(lrow[u], kind="stable")],
-                ]
-            )
+    order = stable_order(out.column(_LROW).values)  # see the module docstring
+    if how == "left" and out.column(_RROW).valid is not None:  # misses go last
+        matched = out.column(_RROW).valid[order]
+        order = np.concatenate([order[matched], order[~matched]])
     out = out.take(order)
     ctx.work.ops += out.nrows  # the restoration sort
     columns = {

@@ -90,3 +90,21 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "Scan nation" in out
+
+    def test_no_spill_refusal_exits_4_and_spilling_answers(self, capsys):
+        """Neither input of Q3's second join fits 32 KiB: with spilling
+        off that is the typed refusal (exit 4, both estimates and the
+        candidate build side on stderr); with it on, the same command
+        answers out-of-core."""
+        command = ["query", "3", "--sf", "0.005", "--memory-budget", "32768"]
+        assert main(command + ["--no-spill"]) == 4
+        captured = capsys.readouterr()
+        assert "Q3:" not in captured.out
+        assert captured.err.startswith("memory budget exceeded: hash join build side")
+        assert "(the left input; left ~" in captured.err and ", right ~" in captured.err
+        assert "spilling is disabled" in captured.err
+
+        assert main(command + ["--profile"]) == 0
+        captured = capsys.readouterr()
+        assert "Q3: 10 rows" in captured.out and "spilling:" in captured.out
+        assert captured.err == ""

@@ -1,8 +1,12 @@
 """Compression tests: losslessness, ratios, engine integration, and the
 §III-C2 bandwidth-for-cycles trade."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Column, Database, Q, Table, agg, col, execute
 from repro.engine.compression import (
@@ -10,6 +14,7 @@ from repro.engine.compression import (
     BitPackedEncoding,
     CompressedColumn,
     DeltaEncoding,
+    Encoding,
     FrameOfReferenceEncoding,
     RunLengthEncoding,
     compress_column,
@@ -62,6 +67,91 @@ class TestEncodingsRoundtrip:
         decoded = enc.decode(payload, len(values), np.dtype(np.int64))
         assert np.array_equal(decoded, values)
         assert enc.encoded_nbytes(payload) < values.nbytes / 2
+
+
+# ----------------------------------------------------------------------
+# Codec-size wall: ``size(v)`` is ``encoded_nbytes(encode(v))``, exactly
+# ----------------------------------------------------------------------
+
+_I64 = np.iinfo(np.int64)
+_EXTREME_INTS = [0, 1, -1, 2**62, -(2**62), int(_I64.max), int(_I64.min)]
+_LENGTHS = (1, 2, 4095, 4096, 4097, 9000)
+# Value ranges straddling every pack width, and both sides of the span
+# from which an encoder's int64 arithmetic can wrap.
+_WIDTHS = (
+    0, 1, 2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32,
+    2**62 - 1, 2**62, 2**63 - 1,
+)
+_BASES = (0, -1000, 10**12, -(2**40), int(_I64.min))
+
+
+def _size_cases():
+    rng = np.random.default_rng(20)
+    yield "empty", np.empty(0, dtype=np.int64)
+    yield "extremes", np.asarray(_EXTREME_INTS, dtype=np.int64)
+    yield "min-max", np.asarray([_I64.min, _I64.max], dtype=np.int64)
+    yield "max-min", np.asarray([_I64.max, _I64.min, 0], dtype=np.int64)
+    for n in _LENGTHS:
+        for width in _WIDTHS:
+            for base in _BASES:
+                if base + width > _I64.max:
+                    continue
+                tag = f"n{n}-w{width:#x}-b{base}"
+                values = base + rng.integers(0, width, n, dtype=np.int64, endpoint=True)
+                values[0], values[-1] = base + width, base  # the whole range, descending
+                yield f"random-{tag}", values
+                yield f"sorted-{tag}", np.sort(values)
+        yield f"constant-n{n}", np.full(n, -7, dtype=np.int64)
+        yield f"runs-n{n}", np.repeat(rng.integers(-5, 5, -(-n // 100)), 100)[:n]
+        yield f"one-wide-block-n{n}", np.where(np.arange(n) == n - 1, 2**40, 3)
+
+
+def _outcome(fn):
+    """A call's value, or the type of what it raised — an encoder that
+    refuses an input must be refused by its ``size`` the same way."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+_CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
+
+
+class TestEncodedSize:
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS, ids=lambda e: e.name)
+    def test_closed_form_equals_the_encoded_payload(self, encoding):
+        cases = 0
+        for label, values in _size_cases():
+            values = np.ascontiguousarray(values, dtype=np.int64)
+            want = _outcome(lambda: encoding.encoded_nbytes(encoding.encode(values)))
+            got = _outcome(lambda: encoding.size(values))
+            assert got == want, f"{encoding.name} {label}"
+            cases += 1
+        assert cases > 500
+
+    @pytest.mark.parametrize("encoding", ALL_ENCODINGS, ids=lambda e: e.name)
+    @settings(max_examples=1500 if _CI else 150, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(
+            st.integers(int(_I64.min), int(_I64.max)) | st.sampled_from(_EXTREME_INTS),
+            max_size=40,
+        ),
+        shrink=st.sampled_from([0, 8, 40, 56]),
+    )
+    def test_closed_form_equals_the_encoded_payload_anywhere(
+        self, encoding, values, shrink
+    ):
+        values = np.asarray(values, dtype=np.int64) >> shrink
+        want = _outcome(lambda: encoding.encoded_nbytes(encoding.encode(values)))
+        assert _outcome(lambda: encoding.size(values)) == want
+
+    def test_default_is_the_encode(self):
+        class Plain(BitPackedEncoding):
+            size = Encoding.size
+
+        values = np.arange(300, dtype=np.int64)
+        assert Plain().size(values) == 300 * 2 + 8 == BitPackedEncoding().size(values)
 
 
 class TestCompressColumn:

@@ -73,6 +73,34 @@ class TestExplain:
         assert "topk" in explain_profile(result)
 
 
+class TestSpillTagFollowsTheDispatchRule:
+    """``[spill: join ...]`` is a dry run of ``spill.choose_build_side``
+    on static estimates: a join is tagged only when *neither* input fits
+    the budget, and its fan-out is sized by the smaller one."""
+
+    @staticmethod
+    def _join_lines(tpch_db, tpch_params, budget):
+        from repro.tpch import get_query
+
+        text = explain(get_query(3).build(tpch_db, tpch_params), tpch_db,
+                       memory_budget=budget)
+        return [line for line in text.splitlines() if "HashJoin" in line]
+
+    def test_a_join_whose_left_input_fits_is_not_tagged(self, tpch_db, tpch_params):
+        # customer's key column (36 KB with its hash entries) fits 256 KiB,
+        # orders (600 KB) does not: the join builds over customer in memory.
+        upper, lower = self._join_lines(tpch_db, tpch_params, 256 * 1024)
+        assert "c_custkey=o_custkey" in lower and "[spill" not in lower
+        # Both inputs of the join above it are over: still out-of-core,
+        # partitioned for its smaller (left) input, not for lineitem.
+        assert "o_orderkey=l_orderkey" in upper
+        assert re.search(r"\[spill: join p=4 depth=1\]", upper)
+
+    def test_a_budget_neither_input_fits_still_tags_it(self, tpch_db, tpch_params):
+        for line in self._join_lines(tpch_db, tpch_params, 16 * 1024):
+            assert re.search(r"\[spill: join p=\d+ depth=\d+\]", line), line
+
+
 class TestExplainReportsWhatRuns:
     """``[enc-eval n/m]`` and the morsel count of ``[segment: ...]`` are
     read off the lowered plan, so they must agree with the execution of

@@ -20,13 +20,24 @@ Two layers of defense for the "never change an answer" guarantee:
   including NULL masks, NaN payloads, dictionary identity, and empty
   frames; and recursive re-partitioning terminates on adversarial
   single-key skew (no progress → execute in memory, never loop).
+
+* **Build-side wall.** A budgeted join builds over whichever input fits
+  (:func:`~repro.engine.spill.choose_build_side`): rows are bit-identical
+  whichever side is built and whether or not the join goes Grace, the
+  work profile charges the classic hash join by role, the order restored
+  from the left row-ids alone is the serial (left row, right row) order,
+  and ``_encode_values`` picks what the exhaustive loop it replaced
+  picked (kept here as the oracle), byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,18 +58,24 @@ from repro.engine import (
     col,
     optimize_plan,
 )
+from repro.engine import spill
+from repro.engine.compression import ALL_ENCODINGS, BitPackedEncoding
 from repro.engine.explain import explain, explain_profile
 from repro.engine.operators.aggregate import count_star, execute_aggregate, sum_
 from repro.engine.operators.join import execute_join
 from repro.engine.plan import AggregateNode, JoinNode, LimitNode, SortNode
-from repro.engine.profile import WorkProfile
+from repro.engine.profile import OperatorWork, WorkProfile
 from repro.engine.spill import (
     MAX_SPILL_DEPTH,
     SpillSet,
+    _build_side,
+    _encode_values,
     _partition_frame,
     _partition_ids,
     _to_uint64,
+    choose_build_side,
     choose_partitions,
+    join_build_estimate,
     maybe_spill_aggregate,
     maybe_spill_join,
 )
@@ -71,6 +88,17 @@ GOLDEN = json.loads(
 ADEVENTS_GOLDEN = json.loads(
     (Path(__file__).parent.parent / "adevents" / "data" / "golden_x1_seed7.json").read_text()
 )
+
+# The build-side, codec-choice and restore-order walls are derandomized;
+# these are their tier-1 example counts, CI (HYPOTHESIS_PROFILE=ci) runs 5x.
+_CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
+
+
+def _wall(examples: int):
+    return settings(
+        max_examples=examples * (5 if _CI else 1), deadline=None, derandomize=True
+    )
+
 
 WORKERS = 4
 TPCH_MORSEL_ROWS = 2048
@@ -349,7 +377,9 @@ class TestBudgetDispatch:
         assert "spilling:" not in explain_profile(clean)
 
     def test_budget_tracks_peak_and_spilled(self, tpch_db, tpch_params):
-        budget = MemoryBudget(limit_bytes=256 * 1024)
+        # 64 KiB: neither input of Q3's second join fits (its left one,
+        # ~78 KB, is what a 256 KiB budget now builds over in memory).
+        budget = MemoryBudget(limit_bytes=64 * 1024)
         plan = get_query(3).build(tpch_db, tpch_params)
         Executor(tpch_db, memory_budget=budget).execute(plan)
         assert budget.spilled_bytes > 0
@@ -525,6 +555,119 @@ class TestSpillRoundTrip:
 
 
 # ----------------------------------------------------------------------
+# Codec choice: ranked by exact size == the exhaustive loop it replaced
+# ----------------------------------------------------------------------
+
+
+def _exhaustive_encode_values(values: np.ndarray):
+    """The oracle: ``_encode_values`` as it was before codecs were ranked
+    by ``Encoding.size`` — encode with every codec, decode every one that
+    improves, keep the smallest verified."""
+    if values.dtype.kind != "i":
+        return ("raw", values)
+    v = np.ascontiguousarray(values).astype(np.int64, copy=False)
+    best = None
+    best_size = v.nbytes
+    for encoding in ALL_ENCODINGS:
+        try:
+            payload = encoding.encode(v)
+            size = encoding.encoded_nbytes(payload)
+            if size < best_size and np.array_equal(
+                encoding.decode(payload, len(v), np.dtype(np.int64)), v
+            ):
+                best, best_size = (encoding.name, payload), size
+        except Exception:
+            continue
+    if best is None:
+        return ("raw", values)
+    return ("codec", best[0], best[1], len(v))
+
+
+def _shaped_ints(base, width, n, run, sort, seed) -> np.ndarray:
+    """``n`` values in ``[base, base + width]`` in runs of ``run``."""
+    rng = np.random.default_rng(seed)
+    values = base + np.repeat(rng.integers(0, width + 1, -(-n // run)), run)[:n]
+    return np.sort(values) if sort else values
+
+
+_int_arrays = st.one_of(
+    # Anything, extremes included (the wrapped-arithmetic fallbacks).
+    st.lists(
+        st.integers(-(2**63), 2**63 - 1) | st.sampled_from(_EXTREME_INTS),
+        max_size=60,
+    ).map(lambda xs: np.asarray(xs, dtype=np.int64)),
+    # Codec-friendly shapes: a base, a width straddling a pack boundary,
+    # runs, optionally sorted — where the four sizes are close together.
+    st.builds(
+        _shaped_ints,
+        base=st.sampled_from([0, -1000, 10**12, -(2**40)]),
+        width=st.sampled_from(
+            [0, 1, 255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**45]
+        ),
+        n=st.sampled_from([1, 2, 17, 4095, 4096, 4097, 9000]),
+        run=st.sampled_from([1, 3, 500]),
+        sort=st.booleans(),
+        seed=st.integers(0, 2**16),
+    ),
+)
+
+
+class _LyingCodec(BitPackedEncoding):
+    """Claims to encode anything into one byte."""
+
+    name = "liar"
+
+    def size(self, values):
+        return 1
+
+
+class _LossyCodec(BitPackedEncoding):
+    """Honest about its size, wrong about the values it returns."""
+
+    name = "lossy"
+
+    def size(self, values):
+        return 9
+
+    def encode(self, values):
+        return 0, np.zeros(1, dtype=np.uint8)
+
+    def decode(self, payload, n, dtype):
+        return np.zeros(n, dtype=dtype)
+
+
+class TestCodecChoice:
+    @_wall(150)
+    @given(values=_int_arrays)
+    def test_same_codec_and_bytes_as_the_exhaustive_loop(self, values):
+        want = _exhaustive_encode_values(values)
+        got = _encode_values(values)
+        assert got[0] == want[0] and (got[0] == "raw" or got[1] == want[1])
+        assert pickle.dumps(got, protocol=pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            want, protocol=pickle.HIGHEST_PROTOCOL
+        )
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_narrow_ints_and_views_choose_alike(self, dtype):
+        # DATE columns are int32 and partitions are slices of one gather.
+        values = np.arange(20_000, dtype=dtype)[5:9005]
+        want, got = _exhaustive_encode_values(values), _encode_values(values)
+        assert got[:2] == want[:2] == ("codec", "delta")
+        assert pickle.dumps(got) == pickle.dumps(want)
+
+    @pytest.mark.parametrize("codec", [_LyingCodec(), _LossyCodec()])
+    def test_a_wrong_size_or_a_failed_round_trip_skips_the_candidate(self, codec):
+        """A size that does not match the encoded payload drops that
+        codec; it never waives the round-trip check, and a codec that
+        fails the check is dropped however small it is."""
+        values = np.arange(1000, 1300, dtype=np.int64) * 7
+        with mock.patch.object(spill, "ALL_ENCODINGS", (codec, *ALL_ENCODINGS)):
+            got = _encode_values(values)
+        assert got[:2] == _exhaustive_encode_values(values)[:2]
+        assert np.array_equal(spill._decode_values(got), values)
+
+
+# ----------------------------------------------------------------------
 # Property wall: adversarial skew terminates
 # ----------------------------------------------------------------------
 
@@ -579,3 +722,271 @@ class TestSkewTermination:
         want = execute_join(left, right, ["k"], ["k"], "inner", _SpillCtx())
         _assert_frames_bitwise(want, got, "skew join")
         assert got.nrows == n * n
+
+
+    @_wall(20)
+    @given(n=st.integers(2, 60), copies=st.integers(2, 40))
+    def test_single_key_skew_terminates_when_the_left_input_is_built(
+        self, n, copies, tmp_path_factory
+    ):
+        """The smaller input is the left one, so progress is measured on
+        it: one key on both sides never splits it, and the pair executes
+        in memory instead of recursing to the depth cap."""
+        base = str(tmp_path_factory.mktemp("skewl"))
+        left = Frame(
+            {
+                "k": Column(INT64, np.zeros(n, dtype=np.int64)),
+                "a": Column(INT64, np.arange(n, dtype=np.int64)),
+            },
+            n,
+        )
+        m = n * copies
+        right = Frame(
+            {
+                "k": Column(INT64, np.zeros(m, dtype=np.int64)),
+                "b": Column(INT64, np.arange(m, dtype=np.int64)),
+            },
+            m,
+        )
+        ctx = _SpillCtx(budget=MemoryBudget(limit_bytes=1, spill_dir=base))
+        assert _build_side(left, right, 1)[0] == "left"
+        got = maybe_spill_join(left, right, ["k"], ["k"], "inner", ctx)
+        want = execute_join(left, right, ["k"], ["k"], "inner", _SpillCtx())
+        _assert_frames_bitwise(want, got, "skew join, left built")
+        assert ctx.work.respill_depth == 0  # no progress at level 0: stop
+        assert ctx.work.spill_partitions == 2  # one file per side, one level
+
+
+# ----------------------------------------------------------------------
+# Build-side wall: which input is built, what it is charged, same rows
+# ----------------------------------------------------------------------
+
+HOWS = ("inner", "left", "semi", "anti")
+
+
+@st.composite
+def _small_left_join(draw):
+    """Many-to-many join inputs with duplicates and NULL keys on both
+    sides, the *smaller* input on the left."""
+    n_left = draw(st.integers(1, 25))
+    n_right = draw(st.integers(n_left + 1, 120))
+    domain = draw(st.integers(1, 12))
+    sides = []
+    for n, payload in ((n_left, "a"), (n_right, "b")):
+        keys = draw(st.lists(st.integers(0, domain), min_size=n, max_size=n))
+        valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        key = Column(
+            INT64, np.asarray(keys, dtype=np.int64),
+            valid=None if all(valid) else np.asarray(valid, dtype=bool),
+        )
+        sides.append(
+            Frame(
+                {
+                    "k" if payload == "a" else "k2": key,
+                    payload: Column(INT64, np.arange(n, dtype=np.int64)),
+                    payload + "f": Column(FLOAT64, np.arange(n) / 7.0),
+                },
+                n,
+            )
+        )
+    return sides[0], sides[1]
+
+
+def _assert_rows_bitwise(want: Frame, got: Frame, label: str):
+    """:func:`_assert_frames_bitwise` on what a reader can see: the
+    placeholder under an outer join's NULLs is whichever build row sat
+    last in the frame the gather ran on, so it is zeroed on both sides."""
+
+    def visible(frame):
+        return Frame(
+            {
+                name: c if c.valid is None else Column(
+                    c.dtype, np.where(c.valid, c.values, 0).astype(c.values.dtype),
+                    dictionary=c.dictionary, valid=c.valid,
+                )
+                for name, c in frame.columns.items()
+            },
+            frame.nrows,
+        )
+
+    _assert_frames_bitwise(visible(want), visible(got), label)
+
+
+def _classic_charges(left, right, out, matches, build) -> OperatorWork:
+    """The classic hash join's work by role, written out independently of
+    ``execute_join``: with ``build="right"`` this is the accounting the
+    operator has always had, line for line."""
+    probed, built = (left, right) if build == "right" else (right, left)
+    work = OperatorWork("test")
+    work.tuples_in = left.nrows + right.nrows
+    work.seq_bytes = left.column("k").nbytes + right.column("k2").nbytes
+    work.ops = probed.nrows + 2 * built.nrows
+    if build == "left":
+        work.ops += matches  # pairs go back to left-major order
+    work.rand_accesses = probed.nrows + matches
+    work.out_bytes = built.nrows * 16 + out.nbytes
+    work.tuples_out = out.nrows
+    return work
+
+
+class TestBuildSide:
+    @_wall(200)
+    @given(
+        left=st.integers(0, 10**9),
+        right=st.integers(0, 10**9),
+        limit=st.integers(0, 10**9) | st.just(float("inf")),
+    )
+    def test_rule_right_if_it_fits_else_the_smaller_ties_right(
+        self, left, right, limit
+    ):
+        side, estimate = choose_build_side(left, right, limit)
+        assert estimate == (right if side == "right" else left)
+        if right <= limit:
+            assert side == "right"  # the planner's convention holds
+        elif left == right:
+            assert side == "right"
+        else:
+            assert estimate == min(left, right)
+
+    @_wall(40)
+    @given(inputs=_small_left_join(), available=st.integers(0, 20_000))
+    def test_frames_go_through_the_same_rule(self, inputs, available):
+        left, right = inputs
+        assert _build_side(left, right, available) == choose_build_side(
+            join_build_estimate(left), join_build_estimate(right), available
+        )
+        # Unlimited budgets keep the planner's side.
+        assert _build_side(left, right, float("inf"))[0] == "right"
+
+    @_wall(60)
+    @given(inputs=_small_left_join(), how=st.sampled_from(HOWS))
+    def test_rows_do_not_depend_on_the_side_or_the_path(
+        self, inputs, how, tmp_path_factory
+    ):
+        """Unbudgeted, a budget only the left input fits (built in
+        memory, nothing spilled) and a budget neither fits (Grace): the
+        same rows in the same order, bit for bit."""
+        left, right = inputs
+        base = str(tmp_path_factory.mktemp("side"))
+        want = execute_join(left, right, ["k"], ["k2"], how, _SpillCtx())
+
+        fits_left = join_build_estimate(left)
+        assert fits_left < join_build_estimate(right)
+        ctx = _SpillCtx(budget=MemoryBudget(limit_bytes=fits_left, spill_dir=base))
+        got = maybe_spill_join(left, right, ["k"], ["k2"], how, ctx)
+        _assert_frames_bitwise(want, got, f"{how}, left fits")  # same gather
+        assert ctx.work.spilled_bytes == 0
+        assert ctx.budget.peak_bytes == fits_left and ctx.budget.used_bytes == 0
+
+        ctx = _SpillCtx(budget=MemoryBudget(limit_bytes=1, spill_dir=base))
+        got = maybe_spill_join(left, right, ["k"], ["k2"], how, ctx)
+        _assert_rows_bitwise(want, got, f"{how}, neither fits")
+        assert ctx.work.spilled_bytes > 0
+        assert ctx.budget.used_bytes == 0
+
+        refusing = _SpillCtx(budget=MemoryBudget(limit_bytes=1), spilling=False)
+        with pytest.raises(MemoryBudgetExceeded) as refusal:
+            maybe_spill_join(left, right, ["k"], ["k2"], how, refusing)
+        message = str(refusal.value)
+        assert "the left input" in message
+        assert f"left ~{fits_left:,}" in message
+        assert f"right ~{join_build_estimate(right):,}" in message
+
+    @_wall(60)
+    @given(inputs=_small_left_join(), how=st.sampled_from(HOWS))
+    def test_work_is_charged_by_role(self, inputs, how):
+        left, right = inputs
+        default = _SpillCtx()
+        out = execute_join(left, right, ["k"], ["k2"], how, default)
+        pairs = execute_join(left, right, ["k"], ["k2"], "inner", _SpillCtx())
+        matches = pairs.nrows
+        assert default.work == _classic_charges(left, right, out, matches, "right")
+        named = _SpillCtx()
+        execute_join(left, right, ["k"], ["k2"], how, named, build="right")
+        assert named.work == default.work
+        swapped = _SpillCtx()
+        got = execute_join(left, right, ["k"], ["k2"], how, swapped, build="left")
+        _assert_frames_bitwise(out, got, f"{how} build=left")
+        assert swapped.work == _classic_charges(left, right, out, matches, "left")
+
+    def test_dispatch_passes_the_side_it_chose(self):
+        """Under a budget the left input fits, the operator's recorded
+        work is the left-built charge; without one, the default."""
+        left = Frame({"k": Column.from_ints(list(range(10)))}, 10)
+        right = Frame({"k2": Column.from_ints(list(range(10)) * 30)}, 300)
+        unbudgeted, budgeted = _SpillCtx(), _SpillCtx(
+            budget=MemoryBudget(limit_bytes=join_build_estimate(left))
+        )
+        out = maybe_spill_join(left, right, ["k"], ["k2"], "inner", unbudgeted)
+        maybe_spill_join(left, right, ["k"], ["k2"], "inner", budgeted)
+        assert unbudgeted.work == _classic_charges(left, right, out, 300, "right")
+        assert budgeted.work == _classic_charges(left, right, out, 300, "left")
+
+
+# ----------------------------------------------------------------------
+# Restore order: the left row-ids alone give the serial emission order
+# ----------------------------------------------------------------------
+
+
+class TestRestoreOrder:
+    @_wall(40)
+    @given(
+        n_left=st.integers(40, 160),
+        n_right=st.integers(40, 160),
+        domain=st.integers(8, 40),
+        fanout=st.sampled_from([2, 4, 8, 16]),
+        how=st.sampled_from(HOWS),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lrow_order_is_the_lexsort_order(
+        self, n_left, n_right, domain, fanout, how, seed, tmp_path_factory
+    ):
+        """Many-to-many joins through ``_grace_join`` at ``fanout``
+        partitions, re-partitioned at least once: the output — ordered by
+        one stable sort of the left row-ids — is in ``np.lexsort((right
+        row, left row))`` order, left-outer misses last by left row."""
+        rng = np.random.default_rng(seed)
+        # Left keys reach past the right domain, so outer joins have misses.
+        left = Frame(
+            {
+                "k": Column(INT64, rng.integers(0, domain + 4, n_left)),
+                "lrow": Column(INT64, np.arange(n_left, dtype=np.int64)),
+            },
+            n_left,
+        )
+        right = Frame(
+            {
+                "k2": Column(INT64, rng.integers(0, domain, n_right)),
+                "rrow": Column(INT64, np.arange(n_right, dtype=np.int64)),
+            },
+            n_right,
+        )
+        base = str(tmp_path_factory.mktemp("restore"))
+        ctx = _SpillCtx(budget=MemoryBudget(limit_bytes=1, spill_dir=base))
+        with mock.patch.object(
+            spill, "choose_partitions",
+            lambda estimate, available, nrows, depth: fanout if depth == 0 else 2,
+        ):
+            got = spill._grace_join(left, right, ["k"], ["k2"], how, ctx)
+        assert ctx.work.respill_depth >= 1  # depth >= 2 was reached
+        assert ctx.work.spill_partitions > 2 * 2
+        assert spill._LROW not in got.columns and spill._RROW not in got.columns
+
+        lrow = np.asarray(got.column("lrow").values)
+        if how in ("semi", "anti"):
+            assert np.all(np.diff(lrow) > 0)
+        else:
+            rrow = got.column("rrow")
+            matched = (
+                rrow.valid if rrow.valid is not None else np.ones(got.nrows, bool)
+            )
+            n_matched = int(matched.sum())
+            assert matched[:n_matched].all()  # matched pairs first
+            assert np.array_equal(
+                np.lexsort((rrow.values[:n_matched], lrow[:n_matched])),
+                np.arange(n_matched),
+            )
+            assert np.all(np.diff(lrow[n_matched:]) > 0)  # then the misses
+            assert how == "left" or n_matched == got.nrows
+        want = execute_join(left, right, ["k"], ["k2"], how, _SpillCtx())
+        _assert_rows_bitwise(want, got, f"{how} x{fanout}")
