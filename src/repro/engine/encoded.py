@@ -40,6 +40,7 @@ from repro.obs.metrics import HitMissStats
 from .column import Column
 from .compression import CompressedColumn, rle_overlap
 from .expr import _DATE_RE, Cmp, ColRef, Expr, InList, Like, Literal
+from .keycache import factorize
 from .types import DATE, FLOAT64, INT64, STRING, date_to_days
 
 __all__ = [
@@ -456,8 +457,8 @@ class EncodedAggregatePlan:
         n = self.table.nrows
         kvals, kstarts, klens = _run_starts(self.key)
         # Sorted-unique factorization — the same group order the decode
-        # path gets from key_cache.factorize (np.unique over values).
-        uniq, run_gids = np.unique(kvals, return_inverse=True)
+        # path gets from key_cache.factorize (the same kernel over values).
+        uniq, run_gids = factorize(kvals)
         n_groups = len(uniq)
         counts = np.zeros(n_groups, dtype=np.int64)
         np.add.at(counts, run_gids, klens)

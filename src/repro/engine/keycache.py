@@ -23,9 +23,13 @@ product of key cardinalities reaches 2**63; this version detects that in
 exact Python integers and falls back to lexicographic factorization,
 which orders groups identically (mixed-radix mixing of per-column ranks
 *is* the lexicographic order) at the cost of one ``lexsort``. And the
-two kernels dense integer keys unlock: :func:`dense_span`, the one test
-of "dense" (the join picks its probe with it), and :func:`stable_order`,
-the radix build order behind :meth:`KeyCache.sort_order` misses.
+kernels dense integer keys unlock: :func:`dense_span`, the one test of
+"dense" (the join picks its probe with it), :func:`stable_order`, the
+radix build order behind :meth:`KeyCache.sort_order` misses, and
+:func:`factorize`, the presence-table ``np.unique`` behind every
+group-by, DISTINCT, run-level and Grace factorization and behind
+:meth:`KeyCache.factorize` misses — so what a cache hit saves on dense
+keys is an O(n) pass, no longer a sort.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from repro.obs.metrics import HitMissStats
 
-__all__ = ["KeyCache", "combine_codes", "dense_span", "key_cache", "stable_order"]
+__all__ = ["KeyCache", "combine_codes", "dense_span", "factorize", "key_cache", "stable_order"]
 
 _INT64_LIMIT = 2**63
 # Integer keys are dense when they span at most this many values per
@@ -101,6 +105,25 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
         order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
         shift += 16
     return order
+
+
+def factorize(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``np.unique(keys, return_inverse=True)`` with int64 codes, computed
+    without sorting when integer keys are dense in their own length: mark
+    a presence table over ``[base, base + span)``, prefix-sum it into the
+    value -> rank remap, and read both results off it. Everything else
+    is the numpy call itself — floats, strings, sparse, unsigned or empty
+    keys."""
+    dense = dense_span(keys, len(keys))
+    if dense is None:
+        uniques, codes = np.unique(keys, return_inverse=True)
+        return uniques, codes.astype(np.int64, copy=False).reshape(keys.shape)
+    base, span = dense
+    offsets = np.subtract(keys, base, dtype=np.int64)  # in [0, span): no wrap
+    present = np.zeros(span, dtype=bool)
+    present[offsets] = True
+    remap = np.cumsum(present) - 1  # rank of each value among those present
+    return (base + np.flatnonzero(present)).astype(keys.dtype), remap[offsets]
 
 
 def _lexicographic_codes(code_arrays: "list[np.ndarray]") -> np.ndarray:
@@ -184,14 +207,11 @@ class KeyCache:
     # -- cached computations -------------------------------------------
 
     def factorize(self, array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(uniques, codes)`` of ``np.unique(array, return_inverse=True)``,
-        cached by array identity."""
+        """:func:`factorize` of ``array``, cached by array identity."""
         cached = self._lookup("factorize", array)
         if cached is not None:
             return cached
-        uniques, codes = np.unique(array, return_inverse=True)
-        codes = codes.astype(np.int64, copy=False).reshape(array.shape)
-        value = (uniques, codes)
+        value = factorize(array)
         self._store("factorize", array, value)
         return value
 

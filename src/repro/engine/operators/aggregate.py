@@ -3,7 +3,12 @@
 Supports SUM, AVG, MIN, MAX, COUNT (non-null), COUNT(*), and
 COUNT(DISTINCT expr), with zero or more grouping keys. Grouping keys are
 factorized per column and mixed into a single group id, after which each
-aggregate reduces with ``np.bincount`` / ``ufunc.at``.
+aggregate reduces with ``np.bincount`` / ``ufunc.at``. Every
+factorization is :func:`~repro.engine.keycache.factorize`, which indexes
+a presence table by the key where the keys are dense integers and sorts
+only where they are not — same codes either way, so rows, group order
+and work accounting never depend on which ran; the span's ``kernel``
+attr says ``"sort"`` when any factorization behind the group ids sorted.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.metrics import metrics
 from repro.obs.trace import note
 
 from ..column import Column
 from ..expr import Expr
 from ..frame import Frame
-from ..keycache import combine_codes, key_cache, stable_order
+from ..keycache import _INT64_LIMIT, combine_codes, dense_span, factorize, key_cache, stable_order
 from ..types import FLOAT64, INT64, STRING
 
 __all__ = ["AggSpec", "execute_aggregate", "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_"]
@@ -60,9 +66,17 @@ def max_(expr: Expr) -> AggSpec:
     return AggSpec("max", expr)
 
 
-def _key_codes(column: Column) -> tuple[np.ndarray, int]:
+def _sorted(uniques: np.ndarray, codes: np.ndarray) -> bool:
+    """Whether :func:`factorize` sorted to produce ``(uniques, codes)``,
+    also when the pair came out of the key cache: ``dense_span`` reads
+    only dtype, min and max, which ``uniques`` shares with the keys."""
+    return dense_span(uniques, codes.size) is None
+
+
+def _key_codes(column: Column) -> tuple[np.ndarray, int, bool]:
     """Dense factorization codes for one grouping column, with NULL as
-    its own group (SQL GROUP BY semantics).
+    its own group (SQL GROUP BY semantics), their cardinality, and
+    whether the values were sorted to get them.
 
     NULL gets the reserved code 0 and valid values shift up by one —
     never a ``values.min() - 1`` sentinel, which collides with real data
@@ -72,35 +86,62 @@ def _key_codes(column: Column) -> tuple[np.ndarray, int]:
     """
     values = column.values
     if column.valid is not None and not bool(column.valid.all()):
-        uniques = np.unique(values[column.valid])
-        codes = np.searchsorted(uniques, values) + 1
-        codes[~column.valid] = 0
-        return codes.astype(np.int64, copy=False), len(uniques) + 1
+        uniques, ranks = factorize(values[column.valid])
+        codes = np.zeros(len(values), dtype=np.int64)
+        codes[column.valid] = ranks + 1
+        return codes, len(uniques) + 1, _sorted(uniques, ranks)
     uniques, codes = key_cache.factorize(values)
-    return codes, max(1, len(uniques))
+    return codes, max(1, len(uniques)), _sorted(uniques, codes)
 
 
-def _group_ids(frame: Frame, keys: list[str]) -> tuple[np.ndarray, int, np.ndarray]:
+def _combined_codes(frame: Frame, keys: list[str]) -> tuple[np.ndarray, bool]:
+    """One int64 code per row ordering rows by their key tuple (NULL
+    first in every column), and whether any column was sorted for it."""
+    parts = [_key_codes(frame.column(name)) for name in keys]
+    combined = combine_codes([p[0] for p in parts], [p[1] for p in parts])
+    return combined, any(p[2] for p in parts)
+
+
+def _group_ids(frame: Frame, keys: list[str]) -> tuple[np.ndarray, int, np.ndarray, str]:
     """Factorize key columns into dense group ids.
 
-    Returns ``(gids, n_groups, first_row_of_group)``.
+    Returns ``(gids, n_groups, first_row_of_group, kernel)``; ``kernel``
+    is ``"dense"`` when every factorization behind the ids indexed a
+    presence table and ``"sort"`` when any of them sorted its rows.
     """
-    if not keys:
-        gids = np.zeros(frame.nrows, dtype=np.int64)
-        return gids, 1, np.zeros(1, dtype=np.int64)
-    code_arrays: list[np.ndarray] = []
-    cards: list[int] = []
-    for name in keys:
-        codes, card = _key_codes(frame.column(name))
-        code_arrays.append(codes)
-        cards.append(card)
-    combined = combine_codes(code_arrays, cards)
-    uniques, gids = np.unique(combined, return_inverse=True)
+    combined, sorts = _combined_codes(frame, keys)
+    uniques, gids = factorize(combined)
     n_groups = len(uniques)
+    kernel = "sort" if sorts or _sorted(uniques, gids) else "dense"
+    metrics.counter(f"engine.group.kernel.{kernel}").inc()
     first = np.full(n_groups, -1, dtype=np.int64)
     # First occurrence per group (reverse pass keeps the earliest row).
     first[gids[::-1]] = np.arange(frame.nrows - 1, -1, -1)
-    return gids, n_groups, first
+    return gids, n_groups, first, kernel
+
+
+def _count_distinct(gids: np.ndarray, n_groups: int, column: Column) -> np.ndarray:
+    """Distinct non-NULL values of ``column`` per group id. Integer keys
+    sort one mixed ``gid * card + code`` per row; anything else (floats:
+    every NaN is its own value) orders by value, then stably by gid."""
+    key = column.decoded() if column.dtype is STRING else column.values
+    if column.valid is not None:
+        key, gids = key[column.valid], gids[column.valid]
+    if not len(key):
+        return np.zeros(n_groups, dtype=np.int64)
+    if key.dtype.kind == "i":
+        uniques, codes = factorize(key)
+        if n_groups * len(uniques) < _INT64_LIMIT:  # exact Python ints
+            pairs = np.sort(gids * len(uniques) + codes)
+            new = np.ones(len(pairs), dtype=bool)
+            new[1:] = pairs[1:] != pairs[:-1]
+            return np.bincount(pairs[new] // len(uniques), minlength=n_groups)
+    order = stable_order(key)
+    order = order[stable_order(gids[order])]
+    sg, sk = gids[order], key[order]
+    new = np.ones(len(sg), dtype=bool)
+    new[1:] = (sg[1:] != sg[:-1]) | (sk[1:] != sk[:-1])
+    return np.bincount(sg[new], minlength=n_groups)
 
 
 def _input(spec: AggSpec, frame: Frame, ctx) -> Column:
@@ -170,10 +211,8 @@ def _global_aggregate(frame: Frame, aggs: dict[str, AggSpec], ctx) -> Frame:
             else:
                 out_columns[name] = Column(FLOAT64, out)
         elif spec.func == "count_distinct":
-            key = column.decoded() if column.dtype is STRING else column.values
-            if valid is not None:
-                key = key[valid]
-            out_columns[name] = Column(INT64, np.asarray([len(np.unique(key))], dtype=np.int64))
+            counts = _count_distinct(np.zeros(frame.nrows, dtype=np.int64), 1, column)
+            out_columns[name] = Column(INT64, counts.astype(np.int64))
         else:
             raise ValueError(f"unknown aggregate {spec.func!r}")
 
@@ -201,7 +240,7 @@ def execute_aggregate(
     """
     if not group_by:
         return _global_aggregate(frame, aggs, ctx)
-    gids, n_groups, first = _group_ids(frame, group_by)
+    gids, n_groups, first, kernel = _group_ids(frame, group_by)
 
     out_columns: dict[str, Column] = {}
     for name in group_by:
@@ -259,21 +298,7 @@ def execute_aggregate(
             else:
                 out_columns[name] = Column(FLOAT64, out)
         elif spec.func == "count_distinct":
-            key = column.decoded() if column.dtype is STRING else column.values
-            pair_gids = gids
-            if valid is not None:
-                key, pair_gids = key[valid], gids[valid]
-            # Count unique (gid, value) pairs per gid: order by value,
-            # then stably by gid (= lexicographic by (gid, value)).
-            order = stable_order(key)
-            order = order[stable_order(pair_gids[order])]
-            sg, sk = pair_gids[order], key[order]
-            if len(sg):
-                new = np.ones(len(sg), dtype=bool)
-                new[1:] = (sg[1:] != sg[:-1]) | (sk[1:] != sk[:-1])
-                counts = np.bincount(sg[new], minlength=n_groups)
-            else:
-                counts = np.zeros(n_groups, dtype=np.int64)
+            counts = _count_distinct(gids, n_groups, column)
             out_columns[name] = Column(INT64, counts.astype(np.int64))
         else:
             raise ValueError(f"unknown aggregate {spec.func!r}")
@@ -288,5 +313,5 @@ def execute_aggregate(
     ctx.work.seq_bytes += frame.nrows * 8 * max(1, len(aggs))
     ctx.work.out_bytes += out.nbytes
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, groups=n_groups, aggs=len(aggs))
+    note(ctx, groups=n_groups, aggs=len(aggs), kernel=kernel)
     return out

@@ -1,4 +1,6 @@
-"""DISTINCT over the frame's columns (or a subset)."""
+"""DISTINCT over the frame's columns (or a subset): the first row of
+each group of the aggregate's own ``_group_ids``, so NULL is one value
+(whatever payload sits under the mask) exactly as in GROUP BY."""
 
 from __future__ import annotations
 
@@ -7,8 +9,7 @@ import numpy as np
 from repro.obs.trace import note
 
 from ..frame import Frame
-from ..keycache import combine_codes
-from ..types import STRING
+from .aggregate import _group_ids
 
 __all__ = ["execute_distinct"]
 
@@ -17,20 +18,7 @@ def execute_distinct(frame: Frame, columns: list[str] | None, ctx) -> Frame:
     """Keep the first row of each distinct combination of ``columns``
     (default: all columns)."""
     names = columns if columns is not None else list(frame.columns)
-    code_arrays: list[np.ndarray] = []
-    cards: list[int] = []
-    for name in names:
-        column = frame.column(name)
-        if column.dtype is STRING:
-            # Dictionary codes are already a dense factorization.
-            code_arrays.append(column.values.astype(np.int64, copy=False))
-            cards.append(max(1, len(column.dictionary)))
-        else:
-            uniques, codes = np.unique(column.values, return_inverse=True)
-            code_arrays.append(codes.astype(np.int64, copy=False))
-            cards.append(max(1, len(uniques)))
-    combined = combine_codes(code_arrays, cards)
-    _, first = np.unique(combined, return_index=True)
+    _, _, first, kernel = _group_ids(frame, names)
     out = frame.take(np.sort(first))
     ctx.work.tuples_in += frame.nrows
     ctx.work.tuples_out += out.nrows
@@ -38,5 +26,5 @@ def execute_distinct(frame: Frame, columns: list[str] | None, ctx) -> Frame:
     ctx.work.ops += frame.nrows
     ctx.work.out_bytes += out.nbytes
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, distinct=out.nrows, on=len(names))
+    note(ctx, distinct=out.nrows, on=len(names), kernel=kernel)
     return out

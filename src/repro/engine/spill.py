@@ -72,8 +72,8 @@ from repro.obs.trace import note
 from .column import Column
 from .compression import ALL_ENCODINGS
 from .frame import Frame
-from .keycache import combine_codes, stable_order
-from .operators.aggregate import _key_codes, execute_aggregate
+from .keycache import stable_order
+from .operators.aggregate import _combined_codes, execute_aggregate
 from .operators.join import _combine_keys, _encode_key_pair, _stack, execute_join
 from .types import BOOL, DATE, FLOAT64, INT64, STRING
 
@@ -754,17 +754,10 @@ def _restore_join_order(out: Frame, how: str, ctx) -> Frame:
 
 def _group_partition_keys(frame: Frame, group_by) -> np.ndarray:
     """Combined per-row group codes for partitioning. Uses the aggregate
-    operator's own ``_key_codes`` (NULL is its own group, code 0), so a
+    operator's own ``_combined_codes`` (NULL is its own group, code 0), so a
     group can never straddle partitions — not ``_combine_keys``, which
     ignores validity masks."""
-    code_arrays = []
-    cards = []
-    for name in group_by:
-        codes, card = _key_codes(frame.column(name))
-        code_arrays.append(codes)
-        cards.append(card)
-    combined = combine_codes(code_arrays, cards)
-    return _to_uint64(combined)
+    return _to_uint64(_combined_codes(frame, group_by)[0])
 
 
 def _grace_aggregate(frame, group_by, aggs, ctx) -> Frame:
@@ -783,13 +776,7 @@ def _grace_aggregate(frame, group_by, aggs, ctx) -> Frame:
         # once, so re-ranking the output keys (same per-column NULL-first
         # collation as the serial factorization) and sorting reproduces
         # `np.unique`'s ascending combined-code order.
-        code_arrays = []
-        cards = []
-        for name in group_by:
-            codes, card = _key_codes(out.column(name))
-            code_arrays.append(codes)
-            cards.append(card)
-        order = np.argsort(combine_codes(code_arrays, cards), kind="stable")
+        order = np.argsort(_combined_codes(out, group_by)[0], kind="stable")
         out = out.take(order)
         ctx.work.ops += out.nrows
     note(

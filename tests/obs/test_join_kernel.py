@@ -1,10 +1,11 @@
 """Decisions taken, not predicted: every hashjoin span says which probe
-kernel ran and which input was the build side, and the two registry
-counters agree with the spans."""
+kernel ran and which input was the build side, every grouped aggregate
+and distinct span which factorization kernel produced its group ids, and
+the registry counters agree with the spans."""
 
 import collections
 
-from repro.engine import Executor
+from repro.engine import Executor, Q, agg
 from repro.obs.metrics import metrics
 from repro.obs.trace import Tracer, iter_spans
 from repro.tpch import get_query
@@ -82,3 +83,54 @@ def test_grace_join_span_names_the_side_it_partitioned_for(tpch_db, tpch_params)
     assert [s.attrs.get("spill") for s in joins] == [None, "grace-join"]
     assert [s.attrs["build"] for s in joins] == ["left", "left"]
     assert joins[1].attrs["spilled_bytes"] > 0
+
+
+# ----------------------------------------------------------------------
+# Group-by and DISTINCT say which factorization kernel produced their ids
+# ----------------------------------------------------------------------
+
+def _group_counts() -> dict:
+    return {k: metrics.counter(f"engine.group.kernel.{k}").value for k in KERNELS}
+
+
+def _traced_plan(db, plan):
+    """``(spans, group-kernel counter deltas)`` of one traced serial run,
+    its spans reconciled with its profile."""
+    before = _group_counts()
+    tracer = Tracer()
+    result = Executor(db, tracer=tracer).execute(plan)
+    assert_span_tree(tracer.roots[0])
+    assert_reconciles(tracer.roots[0], result.profile)
+    moved = {k: v - before[k] for k, v in _group_counts().items()}
+    return list(iter_spans(tracer.roots[0])), moved
+
+
+def test_q1_groups_by_direct_addressing(tpch_db, tpch_params):
+    spans, moved = _traced_plan(tpch_db, get_query(1).build(tpch_db, tpch_params))
+    aggregates = [s for s in spans if s.name == "aggregate"]
+    # Two dictionary-coded keys: dense per column and dense combined.
+    assert [s.attrs["kernel"] for s in aggregates] == ["dense"]
+    assert aggregates[0].attrs["groups"] == 4
+    assert moved == {"dense": 1, "sort": 0}
+
+
+def test_float_keyed_group_by_sorts(tpch_db):
+    plan = Q(tpch_db).scan("lineitem").aggregate(by=["l_extendedprice"], n=agg.count_star())
+    spans, moved = _traced_plan(tpch_db, plan)
+    assert [s.attrs["kernel"] for s in spans if s.name == "aggregate"] == ["sort"]
+    assert moved == {"dense": 0, "sort": 1}
+
+
+def test_distinct_span_names_its_kernel(tpch_db):
+    for column, kernel in (("l_linestatus", "dense"), ("l_extendedprice", "sort")):
+        plan = Q(tpch_db).scan("lineitem").distinct(column)
+        spans, moved = _traced_plan(tpch_db, plan)
+        assert [s.attrs["kernel"] for s in spans if s.name == "distinct"] == [kernel]
+        assert moved[kernel] == 1 and sum(moved.values()) == 1
+
+
+def test_global_aggregate_factorizes_nothing_and_says_so(tpch_db, tpch_params):
+    spans, moved = _traced_plan(tpch_db, get_query(6).build(tpch_db, tpch_params))
+    aggregates = [s for s in spans if s.name == "aggregate"]
+    assert aggregates and not any("kernel" in s.attrs for s in aggregates)
+    assert moved == {"dense": 0, "sort": 0}

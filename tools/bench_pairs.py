@@ -22,6 +22,13 @@ metric it prints both medians, both quartile distances against the bound
 
 ``--smoke`` forwards ``run.py --smoke`` (SF 0.01, two passes): an A/A
 plumbing check for CI, its timings mean nothing.
+
+``--out PATH`` records the comparison as data: PATH holds a JSON list
+with one record per (workload, seed) — base sha, pairs, failed counts,
+the statistics above per metric, and every run's raw result line — and
+a later invocation replaces the record of the same (workload, seed) and
+keeps the others, so one file (``BENCH_PR<n>.json`` at the repo root)
+collects a PR's whole measurement.
 """
 
 from __future__ import annotations
@@ -38,10 +45,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def checkout(ref: str, into: Path) -> Path:
+def checkout(ref: str, into: Path) -> tuple[Path, str]:
     """A detached checkout of ``ref`` in a fresh clone that borrows this
     repository's object store (no copy, and nothing is left behind in
-    ``.git`` when the directory is removed)."""
+    ``.git`` when the directory is removed), and the sha it resolved to."""
     sha = subprocess.run(
         ["git", "-C", str(REPO), "rev-parse", "--verify", f"{ref}^{{commit}}"],
         check=True, stdout=subprocess.PIPE, text=True,
@@ -54,7 +61,7 @@ def checkout(ref: str, into: Path) -> Path:
     subprocess.run(
         ["git", "-C", str(tree), "checkout", "--quiet", "--detach", sha], check=True
     )
-    return tree
+    return tree, sha
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
@@ -97,6 +104,16 @@ def judge(base: list, change: list, higher_is_better: bool, bound: float) -> dic
     }
 
 
+def record(path: Path, entry: dict) -> None:
+    """Put ``entry`` into the JSON list at ``path`` (one record per line),
+    replacing the record of the same (workload, seed), keeping the rest."""
+    def key(e):
+        return (e["workload"], e["seed"])
+    old = json.loads(path.read_text()) if path.exists() else []
+    kept = [e for e in old if key(e) != key(entry)]
+    path.write_text("[\n" + ",\n".join(json.dumps(e) for e in kept + [entry]) + "\n]\n")
+
+
 def main() -> int:
     manifest = json.loads((REPO / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -107,6 +124,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--smoke", action="store_true",
                         help="forward run.py --smoke (plumbing check only)")
+    parser.add_argument("--out", type=Path,
+                        help="JSON file to record this comparison in")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -114,7 +133,8 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     runs = {"base": [], "change": []}
     try:
-        trees = {"base": checkout(args.base, scratch), "change": REPO}
+        base_tree, base_sha = checkout(args.base, scratch)
+        trees = {"base": base_tree, "change": REPO}
         for pair in range(args.pairs):
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
                 result = run_once(trees[side], args.workload, args.seed,
@@ -132,14 +152,18 @@ def main() -> int:
           + (" [smoke: timings mean nothing]" if args.smoke else "")
           + (" [fewer than ten pairs: verdicts are indicative only]"
              if args.pairs < 10 else ""))
-    for side, results in runs.items():
-        print(f"  {side:<6} failed {sum(r['failed'] for r in results)} "
-              f"of {sum(r['attempted'] for r in results)} attempted")
+    totals = {count: {side: sum(r[count] for r in results)
+                      for side, results in runs.items()}
+              for count in ("failed", "attempted")}
+    for side in runs:
+        print(f"  {side:<6} failed {totals['failed'][side]} "
+              f"of {totals['attempted'][side]} attempted")
     header = (f"  {'metric':<20} {'base p50':>11} {'change p50':>11} {'ratio':>7} "
               f"{'base IQR':>10} {'chg IQR':>10} {'bound':>10} {'wins':>6}  verdict")
     print(header)
     # Failed requests always fail the run; a verdict only off --smoke.
-    failed = any(r["failed"] for r in runs["change"])
+    failed = totals["failed"]["change"] > 0
+    judged = {}
     for metric in manifest["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results]
@@ -151,6 +175,13 @@ def main() -> int:
               f"{ratio:>7.3f} {j['base_iqr']:>10.4f} {j['change_iqr']:>10.4f} "
               f"{j['allowed']:>10.4f} {j['wins']:>3}/{j['pairs']:<2}  {j['verdict']}")
         failed |= j["verdict"] == "REGRESSION" and not args.smoke
+        judged[name] = j
+    if args.out is not None:
+        record(args.out, {
+            "workload": args.workload, "seed": args.seed, "smoke": args.smoke,
+            "base": base_sha, "pairs": args.pairs, **totals,
+            "metrics": judged, "runs": runs,
+        })
     return 1 if failed else 0
 
 
