@@ -5,8 +5,9 @@ each node runs the full query pipeline — including joins, which are local
 because every table except lineitem is replicated — up to and including
 the aggregation, producing *partial* aggregates; the driver concatenates
 the partials and re-aggregates, then applies any trailing
-project/sort/limit. AVG is decomposed into SUM and COUNT and recombined
-at the driver.
+project/sort/limit. What a partial holds, how partials merge and how the
+original columns are recomposed is the engine's one ``two_phase`` split —
+the same one morsel segments merge with.
 
 Queries whose aggregate is not decomposable (COUNT DISTINCT) or whose
 plan shape is not a chain over a single top aggregate raise
@@ -16,11 +17,11 @@ execution for them, exactly as the paper's Q13 does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.engine import Column, Database, Frame, Q, Table, col
-from repro.engine.merge import decompose_aggregates
+from repro.engine import Database, Frame, Q, Table, col, merge
+from repro.engine.operators.aggregate import two_phase
 from repro.engine.plan import (
     AggregateNode,
     FilterNode,
@@ -102,22 +103,7 @@ def concat_frames(frames: list[Frame]) -> Table:
                 f"partial results have mismatched schemas: node 0 returned "
                 f"columns {names}, node {index} returned {list(frame.columns)}"
             )
-    columns = {
-        name: Column.concat([frame.column(name) for frame in frames]) for name in names
-    }
-    return Table("partials", columns)
-
-
-def _rebuild_with_child(node: PlanNode, child: PlanNode) -> PlanNode:
-    if isinstance(node, SortNode):
-        return SortNode(child, node.keys)
-    if isinstance(node, LimitNode):
-        return LimitNode(child, node.n)
-    if isinstance(node, ProjectNode):
-        return ProjectNode(child, node.exprs)
-    if isinstance(node, FilterNode):
-        return FilterNode(child, node.predicate)
-    raise NotDistributableError(f"cannot rebuild {type(node).__name__}")
+    return Table("partials", merge.concat_frames(frames).columns)
 
 
 def split_for_partial_aggregation(root: PlanNode) -> SplitPlan:
@@ -136,12 +122,12 @@ def split_for_partial_aggregation(root: PlanNode) -> SplitPlan:
     aggregate = node
 
     # The same partial/final split morsel segments merge with.
-    split = decompose_aggregates(dict(aggregate.aggs))
+    split = two_phase(dict(aggregate.aggs))
     if split is None:
         raise NotDistributableError(
             "an aggregate of the plan is not decomposable into partials"
         )
-    partial, final = split
+    partial, final, projections = split
     local = AggregateNode(aggregate.child, aggregate.group_by, tuple(partial.items()))
 
     def build_final(db: Database) -> PlanNode:
@@ -149,18 +135,11 @@ def split_for_partial_aggregation(root: PlanNode) -> SplitPlan:
         merged: PlanNode = AggregateNode(
             scan, aggregate.group_by, tuple(final.items())
         )
-        # Restore the original output names (and recombine AVGs).
-        exprs = tuple(
-            [(key, col(key)) for key in aggregate.group_by]
-            + [
-                (name, col(f"{name}@sum") / col(f"{name}@cnt")
-                 if spec.func == "avg" else col(name))
-                for name, spec in aggregate.aggs
-            ]
-        )
-        merged = ProjectNode(merged, exprs)
+        # Restore the original output names (and recompose multi-part states).
+        keys = [(key, col(key)) for key in aggregate.group_by]
+        merged = ProjectNode(merged, tuple(keys + projections))
         for upper in reversed(chain):
-            merged = _rebuild_with_child(upper, merged)
+            merged = replace(upper, child=merged)
         return merged
 
     return SplitPlan(local=local, build_final=build_final)

@@ -40,6 +40,7 @@ __all__ = [
     "DeltaEncoding",
     "ALL_ENCODINGS",
     "rle_overlap",
+    "rank_encodings",
     "compress_column",
     "compress_table",
     "compression_ratio",
@@ -460,6 +461,32 @@ class CompressedColumn:
         return mins, maxs, null_counts
 
 
+def rank_encodings(
+    values: np.ndarray,
+    encodings: tuple[Encoding, ...] = ALL_ENCODINGS,
+    decode_penalty: float = 0.0,
+) -> list[tuple[float, int, Encoding]]:
+    """``(score, size, encoding)`` for every codec that accepts the
+    integer array ``values``, best first — "pick the smallest codec",
+    decided from :meth:`Encoding.size` without encoding anything.
+
+    ``size`` is the exact encoded byte count and ``score`` is ``size ×
+    (1 + decode_penalty × decode ops per value)``; ties keep declaration
+    order. A codec whose ``size`` raises (e.g. shift-width overflow on
+    extreme int64 ranges) would refuse to encode too, and is left out.
+    """
+    v = np.ascontiguousarray(values).astype(np.int64, copy=False)
+    ranked = []
+    for index, encoding in enumerate(encodings):
+        try:
+            size = encoding.size(v)
+        except Exception:
+            continue
+        score = size * (1.0 + decode_penalty * encoding.decode_ops_per_value)
+        ranked.append((score, index, size, encoding))
+    return [(score, size, encoding) for score, _, size, encoding in sorted(ranked)]
+
+
 def compress_column(column: Column, encodings: tuple[Encoding, ...] = ALL_ENCODINGS) -> "CompressedColumn | Column":
     """Compress with the best-ratio encoding; returns the original column
     when nothing beats the plain representation (e.g. random floats).
@@ -482,17 +509,12 @@ def compress_column(column: Column, encodings: tuple[Encoding, ...] = ALL_ENCODI
             return column
 
     # Pick the smallest encoding, with a mild penalty on decode cost so
-    # near-ties resolve to the cheaper scheme.
-    best, best_payload, best_size = None, None, None
-    best_score = float(column.nbytes)
-    for encoding in encodings:
-        payload = encoding.encode(values)
-        size = encoding.encoded_nbytes(payload)
-        score = size * (1.0 + 0.05 * encoding.decode_ops_per_value)
-        if score < best_score:
-            best, best_payload, best_size, best_score = encoding, payload, size, score
-    if best is None:
+    # near-ties resolve to the cheaper scheme; only the winner is encoded.
+    ranked = rank_encodings(values, encodings, decode_penalty=0.05)
+    if not ranked or ranked[0][0] >= column.nbytes:
         return column
+    _, best_size, best = ranked[0]
+    best_payload = best.encode(values)
 
     dtype = column.dtype
     payload = best_payload

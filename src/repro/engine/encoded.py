@@ -18,9 +18,10 @@ the encoded payloads from :mod:`repro.engine.compression`:
   :mod:`repro.engine.expr` uses — and the boolean mask is indexed by the
   packed codes without materializing an int64 code array.
 * **RLE aggregation.** SUM/AVG/COUNT/MIN/MAX over run-length-encoded
-  inputs reduce over ``(value, run_length)`` segments, and a group-by on
-  a low-cardinality RLE key builds group ids from runs instead of
-  per-row hashing. Only shapes whose float accumulation is provably
+  inputs reduce over ``(value, run_length)`` segments — through the row
+  path's own ``reduce_groups`` kernel, one element per segment — and a
+  group-by on a low-cardinality RLE key builds group ids from runs
+  instead of per-row hashing. Only shapes whose float accumulation is provably
   bit-identical to the decode path are compiled (integer sums bounded
   by 2**53; monotone min/max); everything else falls back.
 
@@ -36,11 +37,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.metrics import HitMissStats
+from repro.obs.trace import note
 
 from .column import Column
 from .compression import CompressedColumn, rle_overlap
 from .expr import _DATE_RE, Cmp, ColRef, Expr, InList, Like, Literal
+from .frame import Frame
 from .keycache import factorize
+from .operators.aggregate import reduce_groups
 from .types import DATE, FLOAT64, INT64, STRING, date_to_days
 
 __all__ = [
@@ -421,9 +425,7 @@ class EncodedAggregatePlan:
 
     # - execution ------------------------------------------------------
 
-    def execute(self, ctx) -> "Frame":
-        from .frame import Frame  # local import keeps module deps acyclic
-
+    def execute(self, ctx) -> Frame:
         table, aggs = self.table, self.aggs
         n = table.nrows
         scan_work = ctx.begin_operator("scan")
@@ -436,11 +438,7 @@ class EncodedAggregatePlan:
         scan_work.tuples_out += n
 
         work = ctx.begin_operator("aggregate")
-        if self.key is None:
-            out_columns, segments, runs = self._global(work)
-            n_groups = 1
-        else:
-            out_columns, segments, runs, n_groups = self._grouped(work)
+        out_columns, segments, runs, n_groups = self._reduce()
         out = Frame(out_columns, n_groups)
         work.tuples_in += n
         work.tuples_out += n_groups
@@ -448,116 +446,57 @@ class EncodedAggregatePlan:
         work.runs_touched += runs
         work.seq_bytes += segments * 16  # one (value, length) pair each
         work.out_bytes += out.nbytes
-        from repro.obs.trace import note
-
         note(ctx, groups=n_groups, aggs=len(aggs), encoded=True)
         return out
 
-    def _grouped(self, work):
+    def _reduce(self):
+        """Reduce every aggregate over homogeneous segments — constant
+        group id and constant value inside each — through the row path's
+        :func:`reduce_groups`. Returns ``(columns, segments, runs,
+        n_groups)``; segments and runs are what the work accounting
+        charges."""
         n = self.table.nrows
-        kvals, kstarts, klens = _run_starts(self.key)
-        # Sorted-unique factorization — the same group order the decode
-        # path gets from key_cache.factorize (the same kernel over values).
-        uniq, run_gids = factorize(kvals)
-        n_groups = len(uniq)
+        out_columns: dict[str, Column] = {}
+        if self.key is None:
+            # No key column is the one-group case: a single key run over
+            # the whole table, which nothing reads and nothing is charged.
+            run_gids, kstarts = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+            klens, n_groups, key_runs = np.asarray([n]), 1, 0
+        else:
+            kvals, kstarts, klens = _run_starts(self.key)
+            # Sorted-unique factorization — the same group order the decode
+            # path gets from key_cache.factorize (the same kernel over values).
+            uniq, run_gids = factorize(kvals)
+            n_groups, key_runs = len(uniq), len(kvals)
+            out_columns[self.group_by[0]] = Column(
+                self.key.dtype, uniq, dictionary=self.key.dictionary
+            )
         counts = np.zeros(n_groups, dtype=np.int64)
         np.add.at(counts, run_gids, klens)
-        segments = len(kvals)
-        runs = len(kvals)
-
-        out_columns: dict[str, Column] = {}
-        kd = self.key.dtype
-        if kd is STRING:
-            key_col = Column(STRING, uniq.astype(np.int32), dictionary=self.key.dictionary)
-        elif kd is DATE:
-            key_col = Column(DATE, uniq.astype(np.int32))
-        else:
-            key_col = Column(INT64, uniq)
-        out_columns[self.group_by[0]] = key_col
+        segments = runs = key_runs
 
         for name, spec in self.aggs.items():
-            if spec.func in ("count_star", "count"):
-                out_columns[name] = Column(INT64, counts.astype(np.int64))
+            if spec.func in ("count_star", "count"):  # inputs proven never NULL
+                out_columns[name] = reduce_groups("count_star", None, run_gids, n_groups, counts)
                 continue
             ccol = self.inputs[name]
             ivals, istarts, _ = _run_starts(ccol)
             runs += len(ivals)
-            # Merge key and input run boundaries into homogeneous
-            # segments: constant group id and constant value inside each.
+            # Merge key and input run boundaries into the segments.
             starts = np.union1d(kstarts, istarts)
-            seg_len = np.diff(np.append(starts, n))
             seg_gid = run_gids[np.searchsorted(kstarts, starts, side="right") - 1]
             seg_val = ivals[np.searchsorted(istarts, starts, side="right") - 1]
             segments += len(starts)
-            if spec.func == "sum":
-                weights = (seg_val * seg_len).astype(np.float64)
-                sums = np.bincount(seg_gid, weights=weights, minlength=n_groups)
-                out_columns[name] = Column(FLOAT64, sums)
-            elif spec.func == "avg":
-                weights = (seg_val * seg_len).astype(np.float64)
-                sums = np.bincount(seg_gid, weights=weights, minlength=n_groups)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    out_columns[name] = Column(FLOAT64, sums / counts)
-            else:  # min / max
-                if ccol.scale is not None:
-                    decoded = (seg_val / ccol.scale).astype(np.float64)
-                else:
-                    decoded = seg_val.astype(np.float64)
-                init = np.inf if spec.func == "min" else -np.inf
-                out = np.full(n_groups, init, dtype=np.float64)
-                if spec.func == "min":
-                    np.minimum.at(out, seg_gid, decoded)
-                else:
-                    np.maximum.at(out, seg_gid, decoded)
-                out[~np.isfinite(out)] = np.nan
-                if ccol.dtype is INT64:
-                    safe = np.where(np.isnan(out), 0, out)
-                    out_columns[name] = Column(
-                        INT64,
-                        safe.astype(np.int64),
-                        valid=~np.isnan(out) if np.isnan(out).any() else None,
-                    )
-                else:
-                    out_columns[name] = Column(FLOAT64, out)
-        return out_columns, segments, runs, n_groups
-
-    def _global(self, work):
-        n = self.table.nrows
-        out_columns: dict[str, Column] = {}
-        segments = runs = 0
-        for name, spec in self.aggs.items():
-            if spec.func in ("count_star", "count"):
-                out_columns[name] = Column(INT64, np.asarray([n], dtype=np.int64))
-                continue
-            ccol = self.inputs[name]
-            ivals, lengths = ccol.base_payload
-            runs += len(ivals)
-            segments += len(ivals)
             if spec.func in ("sum", "avg"):
-                total = sum(
-                    int(v) * int(l) for v, l in zip(ivals.tolist(), lengths.tolist())
-                )
-                if spec.func == "sum":
-                    out_columns[name] = Column(FLOAT64, np.asarray([float(total)]))
-                else:
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        out_columns[name] = Column(
-                            FLOAT64, np.asarray([float(total)]) / float(n)
-                        )
-            else:  # min / max
-                stored = int(ivals.min() if spec.func == "min" else ivals.max())
-                extreme = float(_probe(self.inputs[name], stored).astype(np.float64)[0])
-                out = np.asarray([extreme])
-                if ccol.dtype is INT64:
-                    safe = np.where(np.isnan(out), 0, out)
-                    out_columns[name] = Column(
-                        INT64,
-                        safe.astype(np.int64),
-                        valid=~np.isnan(out) if np.isnan(out).any() else None,
-                    )
-                else:
-                    out_columns[name] = Column(FLOAT64, out)
-        return out_columns, segments, runs
+                # A segment weighs value × length: exact, integer inputs
+                # bounded by ``_rle_input``'s audit.
+                column = Column(INT64, seg_val * np.diff(np.append(starts, n)))
+            elif ccol.scale is not None:
+                column = Column(FLOAT64, seg_val / ccol.scale)
+            else:
+                column = Column(ccol.dtype, seg_val)
+            out_columns[name] = reduce_groups(spec.func, column, seg_gid, n_groups, counts)
+        return out_columns, segments, runs, n_groups
 
 
 def prepare_aggregate(table, group_by: list[str], aggs: dict) -> EncodedAggregatePlan | None:

@@ -7,8 +7,9 @@ module recombines the fragments:
   chains).
 * :func:`decompose_aggregates` / :func:`merge_partial_aggregates` — the
   classic two-phase group-by: per-morsel partial aggregation, then a
-  merge aggregation over the stacked partials (AVG splits into SUM+COUNT,
-  COUNT merges by summation, MIN/MAX by re-minimization).
+  merge aggregation over the stacked partials. What each function keeps
+  and how it merges is ``operators.aggregate.AGG_STATES``, read through
+  ``two_phase``; nothing here names a function but AVG's final ratio.
 * :func:`merge_topk` — local top-k per morsel, then top-k over the
   survivors; ties resolve exactly as a global stable sort would.
 * :func:`merge_sorted_runs` — stable k-way merge of per-morsel sorted
@@ -27,15 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .column import Column
-from .expr import col
 from .frame import Frame
-from .operators.aggregate import (
-    AggSpec,
-    count,
-    max_,
-    min_,
-    sum_,
-)
+from .operators.aggregate import AggSpec, two_phase
 from .operators.sort import _sort_key, execute_topk
 from .profile import OperatorWork, WorkProfile
 from .spill import maybe_spill_aggregate
@@ -73,44 +67,20 @@ def concat_frames(frames: list[Frame]) -> Frame:
 # Two-phase aggregation
 # ----------------------------------------------------------------------
 
-# Aggregates whose partial states merge with another aggregate pass.
-# COUNT(DISTINCT) is absent on purpose: its state is the distinct set
-# itself, so such plans fall back to a serial aggregate over the
-# concatenated (still parallel-scanned) input.
-_DECOMPOSABLE = {"sum", "avg", "count", "count_star", "min", "max", "isum"}
-
-
 def decompose_aggregates(
     aggs: dict[str, AggSpec],
 ) -> tuple[dict[str, AggSpec], dict[str, AggSpec]] | None:
-    """Split aggregates into (per-morsel partial, merge-phase final) specs.
+    """Split aggregates into (per-morsel partial, merge-phase final) specs
+    — the first two thirds of :func:`two_phase`.
 
-    Returns ``None`` when any aggregate is not decomposable. AVG expands
-    to two partial columns (``name@sum``, ``name@cnt``) that
-    :func:`merge_partial_aggregates` recombines.
+    Returns ``None`` when any aggregate is not decomposable (COUNT(DISTINCT):
+    such plans fall back to a serial aggregate over the concatenated, still
+    parallel-scanned, input). AVG expands to two partial columns
+    (``name@sum``, ``name@cnt``) that :func:`merge_partial_aggregates`
+    recombines.
     """
-    if any(spec.func not in _DECOMPOSABLE for spec in aggs.values()):
-        return None
-    partial: dict[str, AggSpec] = {}
-    final: dict[str, AggSpec] = {}
-    for name, spec in aggs.items():
-        if spec.func == "avg":
-            partial[f"{name}@sum"] = sum_(spec.expr)
-            partial[f"{name}@cnt"] = count(spec.expr)
-            final[f"{name}@sum"] = sum_(col(f"{name}@sum"))
-            final[f"{name}@cnt"] = sum_(col(f"{name}@cnt"))
-        elif spec.func in ("count", "count_star", "isum"):
-            # Counts (and routed COUNT recompositions, already ``isum``)
-            # merge by exact integer re-summation: INT64 end to end.
-            partial[name] = spec
-            final[name] = AggSpec("isum", col(name))
-        elif spec.func == "sum":
-            partial[name] = spec
-            final[name] = sum_(col(name))
-        else:  # min / max: idempotent re-reduction
-            partial[name] = spec
-            final[name] = (min_ if spec.func == "min" else max_)(col(name))
-    return partial, final
+    split = two_phase(aggs)
+    return None if split is None else split[:2]
 
 
 def merge_partial_aggregates(
@@ -126,10 +96,10 @@ def merge_partial_aggregates(
     same column order, same dtypes (counts merge as INT64, AVG becomes
     the merged SUM/COUNT ratio).
     """
-    decomposed = decompose_aggregates(aggs)
-    if decomposed is None:
+    split = two_phase(aggs)
+    if split is None:
         raise ValueError("aggregates are not decomposable for parallel merge")
-    _, final = decomposed
+    final = split[1]
     combined = concat_frames(frames)
     # The merge aggregation over stacked partials is itself budget-aware:
     # under a tight MemoryBudget it Grace-partitions to disk rather than

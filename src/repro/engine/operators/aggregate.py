@@ -1,9 +1,16 @@
 """Hash group-by aggregation.
 
 Supports SUM, AVG, MIN, MAX, COUNT (non-null), COUNT(*), and
-COUNT(DISTINCT expr), with zero or more grouping keys. Grouping keys are
-factorized per column and mixed into a single group id, after which each
-aggregate reduces with ``np.bincount`` / ``ufunc.at``. Every
+COUNT(DISTINCT expr), with zero or more grouping keys. Each function is
+defined once, twice over: :func:`reduce_groups` is how it reduces rows
+into groups (called by :func:`execute_aggregate` per row and by the
+run-level ``EncodedAggregatePlan`` per segment), and :data:`AGG_STATES`
+is what it keeps so that partitions merge, read through
+:func:`two_phase` by the morsel merge, the cluster driver, segment
+lowering and rollup routing.
+
+Grouping keys are factorized per column and mixed into a single group
+id; no keys is the one-group case, with nothing factorized. Every
 factorization is :func:`~repro.engine.keycache.factorize`, which indexes
 a presence table by the key where the keys are dense integers and sorts
 only where they are not — same codes either way, so rows, group order
@@ -21,12 +28,15 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import note
 
 from ..column import Column
-from ..expr import Expr
+from ..expr import Expr, col
 from ..frame import Frame
 from ..keycache import _INT64_LIMIT, combine_codes, dense_span, factorize, key_cache, stable_order
 from ..types import FLOAT64, INT64, STRING
 
-__all__ = ["AggSpec", "execute_aggregate", "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_"]
+__all__ = [
+    "AGG_STATES", "AggSpec", "execute_aggregate", "reduce_groups", "two_phase",
+    "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_",
+]
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,57 @@ def min_(expr: Expr) -> AggSpec:
 
 def max_(expr: Expr) -> AggSpec:
     return AggSpec("max", expr)
+
+
+# What each decomposable function keeps per partition (a morsel, a shard,
+# a cube cell) so that partitions merge with one more aggregate pass:
+# ``(part, builder of the part from the input expression, function that
+# merges two of it)``. Counts merge by exact integer re-summation (INT64
+# end to end); AVG keeps a sum and a count and recomposes as their ratio.
+# COUNT(DISTINCT) is absent on purpose: its state is the distinct set.
+AGG_STATES = {
+    "sum": (("sum", sum_, "sum"),),
+    "avg": (("sum", sum_, "sum"), ("cnt", count, "isum")),
+    "count": (("cnt", count, "isum"),),
+    "count_star": (("star", lambda expr: count_star(), "isum"),),
+    "isum": (("isum", lambda expr: AggSpec("isum", expr), "isum"),),
+    "min": (("min", min_, "min"),),
+    "max": (("max", max_, "max"),),
+}
+
+
+def two_phase(aggs: dict[str, AggSpec], state_column=None):
+    """Split ``aggs`` into ``(partial, final, projections)``, or ``None``
+    when one of them has no mergeable state.
+
+    ``partial`` builds every state part from the input; ``final`` merges
+    stacked partials, named like the aggregate — ``name@part`` where it
+    has more than one part; ``projections`` recompose the original output
+    columns, in order, from the merged parts. ``state_column(spec, part)``
+    names the stored partial column where the default (the merged name)
+    does not: a cube shares one column between every aggregate of the
+    same measure.
+    """
+    partial: dict[str, AggSpec] = {}
+    final: dict[str, AggSpec] = {}
+    projections: list[tuple[str, Expr]] = []
+    for name, spec in aggs.items():
+        states = AGG_STATES.get(spec.func)
+        if states is None:
+            return None
+        merged = {}
+        for part, build, merge in states:
+            out = name if len(states) == 1 else f"{name}@{part}"
+            stored = out if state_column is None else state_column(spec, part)
+            partial[stored] = build(spec.expr)
+            final[out] = AggSpec(merge, col(stored))
+            merged[part] = col(out)
+        recomposed = merged["sum"] / merged["cnt"] if spec.func == "avg" else col(name)
+        projections.append((name, recomposed))
+    return partial, final, projections
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _sorted(uniques: np.ndarray, codes: np.ndarray) -> bool:
@@ -144,87 +205,91 @@ def _count_distinct(gids: np.ndarray, n_groups: int, column: Column) -> np.ndarr
     return np.bincount(sg[new], minlength=n_groups)
 
 
-def _input(spec: AggSpec, frame: Frame, ctx) -> Column:
-    assert spec.expr is not None
-    return spec.expr.evaluate(frame, ctx)
+def reduce_groups(
+    func: str,
+    column: Column | None,
+    gids: np.ndarray,
+    n_groups: int,
+    counts: np.ndarray | None = None,
+) -> Column:
+    """Reduce ``column`` with aggregate ``func`` into one value per group
+    — the only place an aggregate function is reduced.
 
+    ``gids`` holds the group (``0 <= gid < n_groups``) of every element
+    of ``column`` (``None`` for COUNT(*)). ``counts`` gives the rows per
+    group when the caller already has them or when one element stands for
+    several rows (run-level segments, which carry no NULLs); without it
+    every element is one row. A group no valid row reaches is empty by
+    that count, never by its value: COUNT 0, SUM 0.0, AVG/MIN/MAX NULL
+    (NaN as FLOAT64, a validity mask as INT64).
 
-def _global_aggregate(frame: Frame, aggs: dict[str, AggSpec], ctx) -> Frame:
-    """Grouping-free fast path: reduce each aggregate input directly with
-    ``np.sum``/``np.min``/``np.max`` instead of building group ids and
-    ``bincount``-ing against them.
-
-    This is the tail of the fused filter+aggregate pipeline for Q6-class
-    queries: the input is typically a late frame, so each aggregate
-    input gathers only the surviving rows of the columns it reads, and
-    COUNT(*) reads nothing at all. Output rows/dtypes/NaN semantics
-    match the grouped path with one group exactly; sums reduce through
-    the same ``bincount`` kernel so float accumulation order (and thus
-    the last ulp) is identical to the grouped path.
+    Sums always reduce through ``np.bincount``, so the accumulation order
+    (and the last ulp) is the same for every caller. With one group the
+    row counts are O(1) and MIN/MAX are a ``ufunc.reduce`` instead of a
+    ``ufunc.at``.
     """
-    zeros: np.ndarray | None = None
+    one = n_groups == 1
+    valid = None if column is None else column.valid
 
-    def _total(weights: np.ndarray) -> float:
-        nonlocal zeros
-        if zeros is None:
-            zeros = np.zeros(frame.nrows, dtype=np.intp)
-        return float(np.bincount(zeros, weights=weights, minlength=1)[0])
+    def rows() -> np.ndarray:
+        """Rows per group that ``func`` reads: all, or the non-NULL ones."""
+        if valid is not None:
+            if one:
+                return np.asarray([np.count_nonzero(valid)], dtype=np.int64)
+            return np.bincount(gids[valid], minlength=n_groups)
+        if counts is not None:
+            return counts
+        if one:
+            return np.asarray([len(gids)], dtype=np.int64)
+        return np.bincount(gids, minlength=n_groups)
 
-    out_columns: dict[str, Column] = {}
-    for name, spec in aggs.items():
-        if spec.func == "count_star":
-            out_columns[name] = Column(INT64, np.asarray([frame.nrows], dtype=np.int64))
-            continue
-        column = _input(spec, frame, ctx)
+    def sums() -> np.ndarray:
         values = column.values.astype(np.float64)
-        valid = column.valid
-        if spec.func == "sum":
-            weights = values if valid is None else np.where(valid, values, 0.0)
-            out_columns[name] = Column(FLOAT64, np.asarray([_total(weights)]))
-        elif spec.func == "avg":
-            weights = values if valid is None else np.where(valid, values, 0.0)
-            total = _total(weights)
-            count = float(frame.nrows) if valid is None else float(valid.sum())
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out_columns[name] = Column(FLOAT64, np.asarray([total]) / count if count else np.asarray([np.nan]))
-        elif spec.func == "count":
-            count = frame.nrows if valid is None else int(valid.sum())
-            out_columns[name] = Column(INT64, np.asarray([count], dtype=np.int64))
-        elif spec.func == "isum":
-            weights = values if valid is None else np.where(valid, values, 0.0)
-            out_columns[name] = Column(
-                INT64, np.asarray([round(_total(weights))], dtype=np.int64)
-            )
-        elif spec.func in ("min", "max"):
-            target = values if valid is None else values[valid]
-            if len(target):
-                extreme = float(target.min() if spec.func == "min" else target.max())
-            else:
-                extreme = np.nan
-            out = np.asarray([extreme])
-            if column.dtype is INT64:
-                safe = np.where(np.isnan(out), 0, out)
-                out_columns[name] = Column(
-                    INT64, safe.astype(np.int64),
-                    valid=~np.isnan(out) if np.isnan(out).any() else None,
-                )
-            else:
-                out_columns[name] = Column(FLOAT64, out)
-        elif spec.func == "count_distinct":
-            counts = _count_distinct(np.zeros(frame.nrows, dtype=np.int64), 1, column)
-            out_columns[name] = Column(INT64, counts.astype(np.int64))
-        else:
-            raise ValueError(f"unknown aggregate {spec.func!r}")
+        weights = values if valid is None else np.where(valid, values, 0.0)
+        return np.bincount(gids, weights=weights, minlength=n_groups)
 
-    out = Frame(out_columns, 1)
-    ctx.work.tuples_in += frame.nrows
-    ctx.work.tuples_out += 1
-    ctx.work.ops += frame.nrows * max(1, len(aggs))
-    ctx.work.seq_bytes += frame.nrows * 8 * max(1, len(aggs))
-    ctx.work.out_bytes += out.nbytes
-    ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, groups=1, aggs=len(aggs))
-    return out
+    if func in ("count", "count_star"):
+        return Column(INT64, rows().astype(np.int64))
+    if func == "sum":
+        return Column(FLOAT64, sums())
+    if func == "avg":
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return Column(FLOAT64, sums() / rows())
+    if func == "isum":
+        # Exact integer sum: recombines COUNT-valued partial states
+        # (rollup cells, two-phase merges). Inputs are integral and
+        # far below 2**53, so the float accumulator is exact.
+        return Column(INT64, np.rint(sums()).astype(np.int64))
+    if func == "count_distinct":
+        return Column(INT64, _count_distinct(gids, n_groups, column).astype(np.int64))
+    if func not in ("min", "max"):
+        raise ValueError(f"unknown aggregate {func!r}")
+
+    ufunc = np.minimum if func == "min" else np.maximum
+    # INT64 reduces in its own dtype (float64 cannot hold it past 2**53);
+    # every other input reduces, and comes out, as FLOAT64.
+    if column.dtype is INT64:
+        values = column.values
+        init = _INT64.max if func == "min" else _INT64.min
+    else:
+        values = column.values.astype(np.float64)
+        init = np.inf if func == "min" else -np.inf
+    live, live_gids = (values, gids) if valid is None else (values[valid], gids[valid])
+    if one:
+        out = np.asarray([ufunc.reduce(live) if len(live) else init], dtype=values.dtype)
+    else:
+        out = np.full(n_groups, init, dtype=values.dtype)
+        ufunc.at(out, live_gids, live)
+    # A group still at the identity was never reached — or really holds
+    # it (MIN over nothing but +inf): only there does the count decide.
+    empty = out == init
+    if empty.any():
+        empty &= rows() == 0
+    if column.dtype is INT64:
+        out[empty] = 0
+        return Column(INT64, out, valid=~empty if empty.any() else None)
+    out[empty] = np.nan
+    return Column(FLOAT64, out)
 
 
 def execute_aggregate(
@@ -236,72 +301,25 @@ def execute_aggregate(
     """Group ``frame`` by ``group_by`` and compute ``aggs``.
 
     With no grouping keys the result has exactly one row (global
-    aggregate), even over empty input (COUNT=0, SUM=0, MIN/MAX=NaN).
+    aggregate), even over empty input (COUNT=0, SUM=0, MIN/MAX=NaN): it
+    is the one-group case of the same loop, with nothing factorized.
+    This is also the tail of the fused filter+aggregate pipeline for
+    Q6-class queries: the input is typically a late frame, so each
+    aggregate input gathers only the surviving rows of the columns it
+    reads, and COUNT(*) reads nothing at all.
     """
-    if not group_by:
-        return _global_aggregate(frame, aggs, ctx)
-    gids, n_groups, first, kernel = _group_ids(frame, group_by)
-
     out_columns: dict[str, Column] = {}
-    for name in group_by:
-        out_columns[name] = frame.column(name).take(first)
+    attrs = {}
+    if group_by:
+        gids, n_groups, first, attrs["kernel"] = _group_ids(frame, group_by)
+        for name in group_by:
+            out_columns[name] = frame.column(name).take(first)
+    else:
+        gids, n_groups = np.zeros(frame.nrows, dtype=np.int64), 1
 
     for name, spec in aggs.items():
-        if spec.func == "count_star":
-            counts = np.bincount(gids, minlength=n_groups)
-            out_columns[name] = Column(INT64, counts.astype(np.int64))
-            continue
-        column = _input(spec, frame, ctx)
-        values = column.values.astype(np.float64)
-        valid = column.valid
-        if spec.func == "sum":
-            weights = values if valid is None else np.where(valid, values, 0.0)
-            out = np.bincount(gids, weights=weights, minlength=n_groups)
-            out_columns[name] = Column(FLOAT64, out)
-        elif spec.func == "avg":
-            weights = values if valid is None else np.where(valid, values, 0.0)
-            sums = np.bincount(gids, weights=weights, minlength=n_groups)
-            if valid is None:
-                counts = np.bincount(gids, minlength=n_groups)
-            else:
-                counts = np.bincount(gids, weights=valid.astype(np.float64), minlength=n_groups)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out_columns[name] = Column(FLOAT64, sums / counts)
-        elif spec.func == "count":
-            if valid is None:
-                counts = np.bincount(gids, minlength=n_groups)
-            else:
-                counts = np.bincount(gids, weights=valid.astype(np.float64), minlength=n_groups)
-            out_columns[name] = Column(INT64, counts.astype(np.int64))
-        elif spec.func == "isum":
-            # Exact integer sum: recombines COUNT-valued partial states
-            # (rollup cells, two-phase merges). Inputs are integral and
-            # far below 2**53, so the float accumulator is exact.
-            weights = values if valid is None else np.where(valid, values, 0.0)
-            out = np.bincount(gids, weights=weights, minlength=n_groups)
-            out_columns[name] = Column(INT64, np.rint(out).astype(np.int64))
-        elif spec.func in ("min", "max"):
-            init = np.inf if spec.func == "min" else -np.inf
-            out = np.full(n_groups, init, dtype=np.float64)
-            target = values if valid is None else values[valid]
-            target_gids = gids if valid is None else gids[valid]
-            if spec.func == "min":
-                np.minimum.at(out, target_gids, target)
-            else:
-                np.maximum.at(out, target_gids, target)
-            out[~np.isfinite(out)] = np.nan
-            if column.dtype is INT64:
-                safe = np.where(np.isnan(out), 0, out)
-                out_columns[name] = Column(
-                    INT64, safe.astype(np.int64), valid=~np.isnan(out) if np.isnan(out).any() else None
-                )
-            else:
-                out_columns[name] = Column(FLOAT64, out)
-        elif spec.func == "count_distinct":
-            counts = _count_distinct(gids, n_groups, column)
-            out_columns[name] = Column(INT64, counts.astype(np.int64))
-        else:
-            raise ValueError(f"unknown aggregate {spec.func!r}")
+        column = None if spec.func == "count_star" else spec.expr.evaluate(frame, ctx)
+        out_columns[name] = reduce_groups(spec.func, column, gids, n_groups)
 
     out = Frame(out_columns, n_groups)
     # Work accounting: one hash insert (random access) per input row per
@@ -313,5 +331,5 @@ def execute_aggregate(
     ctx.work.seq_bytes += frame.nrows * 8 * max(1, len(aggs))
     ctx.work.out_bytes += out.nbytes
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, groups=n_groups, aggs=len(aggs), kernel=kernel)
+    note(ctx, groups=n_groups, aggs=len(aggs), **attrs)
     return out

@@ -43,8 +43,8 @@ import numpy as np
 from .compression import CompressedColumn
 from .encoded import compile_predicate, prepare_aggregate
 from .expr import Expr, ScalarSubquery
-from .merge import decompose_aggregates
 from .morsel import morsel_ranges, table_is_morselable
+from .operators.aggregate import two_phase
 from .operators.scan import drop_empty_ranges
 from .optimizer import DEFAULT_SETTINGS, OptimizerSettings
 from .plan import (
@@ -194,7 +194,7 @@ def lower(
         exprs = [scan.predicate, *reversed(exprs)]
         morsel = plan
         if kind == "aggregate":
-            split = decompose_aggregates(dict(plan.aggs))
+            split = two_phase(dict(plan.aggs))
             if split is None:
                 # e.g. COUNT(DISTINCT): a serial aggregate over the chain,
                 # which may still segment on its own.

@@ -12,12 +12,12 @@ substitutes for running on real Raspberry Pi / Xeon silicon.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 from repro.obs.trace import NULL_TRACER, OperatorSpanScope
 
-__all__ = ["OperatorContext", "OperatorWork", "WorkProfile"]
+__all__ = ["OperatorContext", "OperatorWork", "WORK_FIELDS", "WorkProfile"]
 
 
 @dataclass
@@ -82,48 +82,23 @@ class OperatorWork:
     respill_depth: float = 0.0
 
     def scaled(self, factor: float) -> "OperatorWork":
-        return OperatorWork(
-            operator=self.operator,
-            seq_bytes=self.seq_bytes * factor,
-            rand_accesses=self.rand_accesses * factor,
-            ops=self.ops * factor,
-            tuples_in=self.tuples_in * factor,
-            tuples_out=self.tuples_out * factor,
-            out_bytes=self.out_bytes * factor,
-            skipped_bytes=self.skipped_bytes * factor,
-            zone_probes=self.zone_probes * factor,
-            blocks_skipped=self.blocks_skipped * factor,
-            blocks_scanned=self.blocks_scanned * factor,
-            gather_bytes=self.gather_bytes * factor,
-            saved_bytes=self.saved_bytes * factor,
-            decoded_bytes=self.decoded_bytes * factor,
-            encoded_eval_rows=self.encoded_eval_rows * factor,
-            runs_touched=self.runs_touched * factor,
-            spilled_bytes=self.spilled_bytes * factor,
-            spill_partitions=self.spill_partitions * factor,
-            respill_depth=self.respill_depth * factor,
-        )
+        counters = {name: getattr(self, name) * factor for name in WORK_FIELDS}
+        return OperatorWork(self.operator, **counters)
 
     def add(self, other: "OperatorWork") -> None:
         """Accumulate another instance's counts (morsel-fragment merge)."""
-        self.seq_bytes += other.seq_bytes
-        self.rand_accesses += other.rand_accesses
-        self.ops += other.ops
-        self.tuples_in += other.tuples_in
-        self.tuples_out += other.tuples_out
-        self.out_bytes += other.out_bytes
-        self.skipped_bytes += other.skipped_bytes
-        self.zone_probes += other.zone_probes
-        self.blocks_skipped += other.blocks_skipped
-        self.blocks_scanned += other.blocks_scanned
-        self.gather_bytes += other.gather_bytes
-        self.saved_bytes += other.saved_bytes
-        self.decoded_bytes += other.decoded_bytes
-        self.encoded_eval_rows += other.encoded_eval_rows
-        self.runs_touched += other.runs_touched
-        self.spilled_bytes += other.spilled_bytes
-        self.spill_partitions += other.spill_partitions
-        self.respill_depth += other.respill_depth
+        mine, theirs = vars(self), vars(other)
+        for name in WORK_FIELDS:
+            mine[name] += theirs[name]
+
+    def counters(self) -> dict[str, float]:
+        """The counters that are not zero (what an operator span shows)."""
+        return {name: getattr(self, name) for name in WORK_FIELDS if getattr(self, name)}
+
+
+# Every OperatorWork counter, in field order: the one list behind
+# ``scaled``, ``add``, span snapshots and WorkProfile's totals.
+WORK_FIELDS = tuple(f.name for f in fields(OperatorWork) if f.name != "operator")
 
 
 @dataclass
@@ -154,73 +129,15 @@ class WorkProfile:
 
     # Aggregate views ---------------------------------------------------
 
-    @property
-    def seq_bytes(self) -> float:
-        return sum(op.seq_bytes for op in self.operators)
-
-    @property
-    def rand_accesses(self) -> float:
-        return sum(op.rand_accesses for op in self.operators)
-
-    @property
-    def ops(self) -> float:
-        return sum(op.ops for op in self.operators)
+    def __getattr__(self, name: str) -> float:
+        """Every OperatorWork counter, totalled over the operators."""
+        if name in WORK_FIELDS:
+            return sum(getattr(op, name) for op in self.operators)
+        raise AttributeError(name)
 
     @property
     def tuples(self) -> float:
-        return sum(op.tuples_in for op in self.operators)
-
-    @property
-    def out_bytes(self) -> float:
-        return sum(op.out_bytes for op in self.operators)
-
-    @property
-    def skipped_bytes(self) -> float:
-        return sum(op.skipped_bytes for op in self.operators)
-
-    @property
-    def zone_probes(self) -> float:
-        return sum(op.zone_probes for op in self.operators)
-
-    @property
-    def blocks_skipped(self) -> float:
-        return sum(op.blocks_skipped for op in self.operators)
-
-    @property
-    def blocks_scanned(self) -> float:
-        return sum(op.blocks_scanned for op in self.operators)
-
-    @property
-    def gather_bytes(self) -> float:
-        return sum(op.gather_bytes for op in self.operators)
-
-    @property
-    def saved_bytes(self) -> float:
-        return sum(op.saved_bytes for op in self.operators)
-
-    @property
-    def decoded_bytes(self) -> float:
-        return sum(op.decoded_bytes for op in self.operators)
-
-    @property
-    def encoded_eval_rows(self) -> float:
-        return sum(op.encoded_eval_rows for op in self.operators)
-
-    @property
-    def runs_touched(self) -> float:
-        return sum(op.runs_touched for op in self.operators)
-
-    @property
-    def spilled_bytes(self) -> float:
-        return sum(op.spilled_bytes for op in self.operators)
-
-    @property
-    def spill_partitions(self) -> float:
-        return sum(op.spill_partitions for op in self.operators)
-
-    @property
-    def respill_depth(self) -> float:
-        return sum(op.respill_depth for op in self.operators)
+        return self.tuples_in
 
     @property
     def result_bytes(self) -> float:

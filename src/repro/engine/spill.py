@@ -70,7 +70,7 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import note
 
 from .column import Column
-from .compression import ALL_ENCODINGS
+from .compression import ALL_ENCODINGS, rank_encodings
 from .frame import Frame
 from .keycache import stable_order
 from .operators.aggregate import _combined_codes, execute_aggregate
@@ -287,13 +287,7 @@ def _encode_values(values: np.ndarray):
     if values.dtype.kind != "i":
         return ("raw", values)
     v = np.ascontiguousarray(values).astype(np.int64, copy=False)
-    ranked = []  # (exact size, declaration index, codec): smallest is tried first
-    for index, encoding in enumerate(ALL_ENCODINGS):
-        try:
-            ranked.append((encoding.size(v), index, encoding))
-        except Exception:
-            continue  # e.g. shift-width overflow on extreme int64 ranges
-    for size, _, encoding in sorted(ranked):
+    for _, size, encoding in rank_encodings(v, ALL_ENCODINGS):  # smallest first
         if size >= v.nbytes:
             break
         try:
@@ -622,11 +616,9 @@ def _join_partition_keys(left: Frame, right: Frame, left_on, right_on, ctx):
 
 
 def _concat(frames: list[Frame]) -> Frame:
-    if len(frames) == 1:
-        return frames[0]
-    names = list(frames[0].columns)
-    columns = {n: Column.concat([f.columns[n] for f in frames]) for n in names}
-    return Frame(columns, sum(f.nrows for f in frames))
+    from .merge import concat_frames  # local: merge imports this module
+
+    return concat_frames(frames)
 
 
 def _load(spills: SpillSet, ref, ctx):

@@ -29,7 +29,6 @@ from .trace import (
     OperatorSpanScope,
     Span,
     Tracer,
-    WORK_FIELDS,
     iter_spans,
     note,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "OperatorSpanScope",
     "Span",
     "Tracer",
-    "WORK_FIELDS",
     "chrome_trace_events",
     "iter_spans",
     "load_trace_schema",

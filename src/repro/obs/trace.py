@@ -36,31 +36,9 @@ __all__ = [
     "OperatorSpanScope",
     "Span",
     "Tracer",
-    "WORK_FIELDS",
     "iter_spans",
     "note",
 ]
-
-# The OperatorWork counter fields snapshotted into operator-span attrs
-# when a trace finalizes. Order matches repro.engine.profile.OperatorWork.
-WORK_FIELDS = (
-    "seq_bytes",
-    "rand_accesses",
-    "ops",
-    "tuples_in",
-    "tuples_out",
-    "out_bytes",
-    "skipped_bytes",
-    "zone_probes",
-    "blocks_skipped",
-    "blocks_scanned",
-    "gather_bytes",
-    "saved_bytes",
-    "decoded_bytes",
-    "encoded_eval_rows",
-    "runs_touched",
-)
-
 
 class Span:
     """One traced interval: a kind ("query", "pipeline", "operator",
@@ -175,10 +153,7 @@ class Tracer:
             work = span.work
             if work is not None:
                 span.work = None
-                for field in WORK_FIELDS:
-                    value = getattr(work, field)
-                    if value:
-                        span.attrs[field] = value
+                span.attrs.update(work.counters())
 
     def reset(self) -> None:
         with self._lock:

@@ -37,14 +37,7 @@ from dataclasses import dataclass
 
 from repro.engine.expr import ColRef, Expr, col
 from repro.engine.fingerprint import _canonical
-from repro.engine.operators.aggregate import (
-    AggSpec,
-    count,
-    count_star,
-    max_,
-    min_,
-    sum_,
-)
+from repro.engine.operators.aggregate import AGG_STATES, AggSpec, two_phase
 from repro.engine.optimizer import output_columns
 from repro.engine.plan import (
     AggregateNode,
@@ -79,19 +72,16 @@ ROLLUP_PREFIX = "__rollup_"
 # Measure key for COUNT(*) (it has no input expression).
 STAR_KEY = "__star__"
 
-# Aggregate functions whose per-cell states recombine exactly:
-# SUM/COUNT/MIN/MAX re-reduce, AVG decomposes into SUM + COUNT.
-# COUNT(DISTINCT) is absent on purpose — its state is the distinct set.
-SUPPORTED_FUNCS = {"sum", "avg", "count", "count_star", "min", "max"}
+# Aggregate functions whose per-cell states recombine exactly — every
+# function with mergeable state parts (``AGG_STATES``: SUM/COUNT/MIN/MAX
+# re-reduce, AVG decomposes into SUM + COUNT) that a query can ask for;
+# ``isum`` only ever merges states. COUNT(DISTINCT) has none — its state
+# is the distinct set.
+SUPPORTED_FUNCS = set(AGG_STATES) - {"isum"}
 
-# Which stored parts each supported function needs per measure.
-_FUNC_PARTS = {
-    "sum": ("sum",),
-    "count": ("cnt",),
-    "avg": ("sum", "cnt"),
-    "min": ("min",),
-    "max": ("max",),
-    "count_star": ("star",),
+# Builder of each stored state part from its measure expression.
+_PART_BUILDERS = {
+    part: build for states in AGG_STATES.values() for part, build, _ in states
 }
 
 # Opaque barriers: kept verbatim, never hoisted through.
@@ -236,7 +226,7 @@ class AggShape:
         for _, spec in self.aggs:
             key = expr_key(spec.expr)
             expr, parts = out.get(key, (spec.expr, set()))
-            parts.update(_FUNC_PARTS[spec.func])
+            parts.update(part for part, _, _ in AGG_STATES[spec.func])
             out[key] = (expr, parts)
         return out
 
@@ -298,20 +288,13 @@ def storage_aggs(
     deterministic in the sorted measure-key order, so identical shapes
     produce identical storage plans (and identical fingerprints).
     """
-    makers = {
-        "sum": lambda expr: sum_(expr),
-        "cnt": lambda expr: count(expr),
-        "min": lambda expr: min_(expr),
-        "max": lambda expr: max_(expr),
-        "star": lambda expr: count_star(),
-    }
     specs: dict[str, AggSpec] = {}
     colmap: dict[tuple[str, str], str] = {}
     for i, key in enumerate(sorted(measures)):
         expr, parts = measures[key]
         for part in sorted(parts):
             name = f"m{i}_{part}"
-            specs[name] = makers[part](expr)
+            specs[name] = _PART_BUILDERS[part](expr)
             colmap[(key, part)] = name
     return specs, colmap
 
@@ -322,33 +305,12 @@ def derived_rewrite(
     colmap: dict[tuple[str, str], str],
 ) -> tuple[tuple[tuple[str, AggSpec], ...], tuple[tuple[str, Expr], ...]]:
     """Rewrite original aggregates into (cell-merge specs, recomposition
-    projections) over stored measure columns.
-
-    SUM re-sums cell sums; COUNT/COUNT(*) re-sum cell counts through the
-    exact-integer ``isum`` kernel (INT64 in, INT64 out); MIN/MAX
-    re-reduce; AVG recombines as merged SUM / merged COUNT in the
-    projection. The projection preserves the aggregate's original output
-    column order exactly.
+    projections) over stored measure columns: the final and projection
+    thirds of the engine's ``two_phase`` split, with every state part
+    read from the cube column ``colmap`` stored it in. The projection
+    preserves the aggregate's original output column order exactly.
     """
-    inner: list[tuple[str, AggSpec]] = []
-    projections: list[tuple[str, Expr]] = [(g, col(g)) for g in group_by]
-    for name, spec in aggs:
-        key = expr_key(spec.expr)
-        if spec.func == "sum":
-            inner.append((name, sum_(col(colmap[(key, "sum")]))))
-            projections.append((name, col(name)))
-        elif spec.func in ("count", "count_star"):
-            part = "star" if spec.func == "count_star" else "cnt"
-            inner.append((name, AggSpec("isum", col(colmap[(key, part)]))))
-            projections.append((name, col(name)))
-        elif spec.func == "avg":
-            inner.append((f"{name}@sum", sum_(col(colmap[(key, "sum")]))))
-            inner.append((f"{name}@cnt", AggSpec("isum", col(colmap[(key, "cnt")]))))
-            projections.append((name, col(f"{name}@sum") / col(f"{name}@cnt")))
-        elif spec.func in ("min", "max"):
-            maker = min_ if spec.func == "min" else max_
-            inner.append((name, maker(col(colmap[(key, spec.func)]))))
-            projections.append((name, col(name)))
-        else:  # pragma: no cover - guarded by SUPPORTED_FUNCS upstream
-            raise ValueError(f"underivable aggregate {spec.func!r}")
-    return tuple(inner), tuple(projections)
+    _, inner, projections = two_phase(
+        dict(aggs), lambda spec, part: colmap[(expr_key(spec.expr), part)]
+    )
+    return tuple(inner.items()), tuple([(g, col(g)) for g in group_by] + projections)

@@ -59,6 +59,7 @@ from repro.engine.encoded import (
 )
 from repro.engine.operators.aggregate import (
     avg,
+    count,
     count_star,
     execute_aggregate,
     max_,
@@ -67,7 +68,7 @@ from repro.engine.operators.aggregate import (
 )
 from repro.engine import executor as executor_module
 from repro.engine.plan import LimitNode, MorselSegmentNode, SortNode
-from repro.engine.profile import WorkProfile
+from repro.engine.profile import OperatorWork, WorkProfile
 from repro.engine.table import Database, Table
 from repro.engine.types import DATE, FLOAT64, INT64, STRING, date_to_days
 from repro.tpch import ALL_QUERY_NUMBERS, get_query
@@ -759,6 +760,86 @@ class TestEncodedAggregateAgrees:
             Frame({"v": vcol.to_column()}, table.nrows), [], aggs, _Ctx()
         )
         _assert_frames_identical(want, got)
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_int64_extremes_past_2_53_stay_exact(self, grouped):
+        """MIN/MAX over runs reduce INT64 in its own dtype, like the row
+        path: neither rounds through float64."""
+        big = 2**53
+        kcol = _force_compress(Column.from_ints([1, 1, 1, 2, 2, 2]), RunLengthEncoding())
+        vcol = _force_compress(
+            Column.from_ints([big + 1, big + 1, big + 3, -big - 3, 4, 4]), RunLengthEncoding()
+        )
+        table = _table_of({"k": kcol, "v": vcol})
+        aggs = {"lo": min_(col("v")), "hi": max_(col("v"))}
+        group_by = ["k"] if grouped else []
+        plan = prepare_aggregate(table, group_by, aggs)
+        assert plan is not None
+        got = plan.execute(_ExecCtx())
+        want = [(big + 1, big + 3), (-big - 3, 4)] if grouped else [(-big - 3, big + 3)]
+        assert got.column("lo").dtype is INT64 and got.column("hi").dtype is INT64
+        assert list(zip(got.column("lo").values.tolist(), got.column("hi").values.tolist())) == want
+        decoded = Frame({"k": kcol.to_column(), "v": vcol.to_column()}, table.nrows)
+        _assert_frames_identical(execute_aggregate(decoded, group_by, aggs, _Ctx()), got)
+
+    def test_run_level_work_is_what_it_was(self):
+        """The run-level ``OperatorWork`` of a Q1-shaped, a
+        ``flag_groupby``-shaped and a keyless aggregate, pinned from the
+        commit before the four aggregate loops became one kernel (PR 24's
+        parent): segments, runs touched and bytes are charged as before."""
+
+        def runs(values, lengths):
+            return np.repeat(np.resize(values, len(lengths)), lengths)[:6000]
+
+        rle = RunLengthEncoding()
+        table = _table_of({
+            "flag": _force_compress(
+                Column.from_ints(runs([2, 0, 1, 0], np.resize([7, 13, 5, 31, 2], 600))), rle),
+            "qty": _force_compress(
+                Column.from_ints(runs(np.arange(1, 51), np.resize([3, 1, 8], 2400))), rle),
+            "tax": _force_compress(
+                Column.from_ints(runs([0, 8, 4, -3], np.resize([11, 2], 1500))), rle),
+            "day": _force_compress(
+                Column(DATE, runs(np.arange(9000, 9100), np.resize([64, 17], 400))), rle),
+            "price": _force_compress(
+                Column.from_floats(runs(np.arange(100, 900, 7) / 4.0, np.resize([5, 9, 2], 1800))),
+                rle),
+        })
+        assert table.nrows == 6000
+        shapes = {
+            "q1": (["flag"], {
+                "sum_qty": sum_(col("qty")), "sum_tax": sum_(col("tax")),
+                "avg_qty": avg(col("qty")), "avg_tax": avg(col("tax")),
+                "first_day": min_(col("day")), "top_price": max_(col("price")),
+                "n_qty": count(col("qty")), "n": count_star(),
+            }),
+            "flag_groupby": (["flag"], {"qty": sum_(col("qty")), "n": count_star()}),
+            "global": ([], {
+                "sum_qty": sum_(col("qty")), "avg_tax": avg(col("tax")),
+                "first_day": min_(col("day")), "top_price": max_(col("price")),
+                "n": count_star(),
+            }),
+        }
+        pinned = {  # (scan seq_bytes), (aggregate seq_bytes, ops, tuples_out, out_bytes, runs_touched)
+            "q1": (50592, (147280, 73643, 3, 216, 6639)),
+            "flag_groupby": (24228, (38416, 4805, 3, 72, 2019)),
+            "global": (44364, (59152, 18486, 1, 40, 3697)),
+        }
+        for name, (group_by, aggs) in shapes.items():
+            plan = prepare_aggregate(table, group_by, aggs)
+            assert plan is not None, name
+            ctx = _ExecCtx()
+            got = plan.execute(ctx)
+            scan, aggregate = ctx.profile.operators
+            scan_bytes, (seq, ops, groups, out_bytes, touched) = pinned[name]
+            assert (scan.operator, aggregate.operator) == ("scan", "aggregate")
+            assert scan == OperatorWork(
+                "scan", seq_bytes=scan_bytes, tuples_in=6000, tuples_out=6000), name
+            assert aggregate == OperatorWork(
+                "aggregate", seq_bytes=seq, ops=ops, tuples_in=6000, tuples_out=groups,
+                out_bytes=out_bytes, runs_touched=touched), name
+            decoded = Frame({c: table.columns[c].to_column() for c in table.columns}, 6000)
+            _assert_frames_identical(execute_aggregate(decoded, group_by, aggs, _Ctx()), got)
 
     def test_exactness_fallbacks(self):
         """Shapes whose bit-identity cannot be proven must not compile."""

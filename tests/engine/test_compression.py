@@ -2,6 +2,7 @@
 §III-C2 bandwidth-for-cycles trade."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from repro.engine.compression import (
     compress_column,
     compress_table,
     compression_ratio,
+    rank_encodings,
 )
 from repro.engine.types import FLOAT64, INT64
 
@@ -152,6 +154,98 @@ class TestEncodedSize:
 
         values = np.arange(300, dtype=np.int64)
         assert Plain().size(values) == 300 * 2 + 8 == BitPackedEncoding().size(values)
+
+
+def _exhaustive_choice(column: Column):
+    """The oracle: ``compress_column``'s selection as it was before codecs
+    were ranked by ``Encoding.size`` — encode with every codec, keep the
+    best decode-penalized score below the plain size. Returns ``(name,
+    payload, nbytes)``, or ``None`` where the column stays plain."""
+    if column.valid is not None:
+        return None
+    values, scale = column.values, None
+    if column.dtype is FLOAT64:
+        cents = np.round(values * 100).astype(np.int64)
+        if not np.allclose(cents / 100.0, values, atol=1e-9):
+            return None
+        values, scale = cents, 100.0
+    best, best_score = None, float(column.nbytes)
+    for encoding in ALL_ENCODINGS:
+        payload = encoding.encode(values)
+        size = encoding.encoded_nbytes(payload)
+        score = size * (1.0 + 0.05 * encoding.decode_ops_per_value)
+        if score < best_score:
+            best, best_score = (encoding.name, payload, size), score
+    if best is None or scale is None:
+        return best
+    return best[0], ("scaled", scale, best[1]), best[2]
+
+
+class TestCodecChoice:
+    """``compress_column`` encodes only the codec ``rank_encodings``
+    puts first; the exhaustive loop it replaced stays here as the oracle."""
+
+    @pytest.fixture(scope="class")
+    def adevents_db(self):
+        from repro.adevents import generate
+
+        return generate(1.0, seed=7)
+
+    @pytest.mark.parametrize("source", ["tpch", "adevents"])
+    def test_same_codec_and_payload_as_the_exhaustive_loop(self, source, tpch_db, adevents_db):
+        db = tpch_db if source == "tpch" else adevents_db
+        compressed = 0
+        for table_name in db.table_names:
+            table = db.table(table_name)
+            for name, column in table.columns.items():
+                want = _exhaustive_choice(column)
+                got = compress_column(column)
+                if want is None:
+                    assert got is column, (table_name, name)
+                    continue
+                assert isinstance(got, CompressedColumn), (table_name, name)
+                assert (got.encoding_name, got.nbytes) == (want[0], want[2]), (table_name, name)
+                assert pickle.dumps(got.payload) == pickle.dumps(want[1]), (table_name, name)
+                compressed += 1
+        assert compressed >= 10
+
+    def test_what_stays_plain_stays_plain(self):
+        rng = np.random.default_rng(3)
+        wide = Column(INT64, rng.integers(_I64.min // 2, _I64.max // 2, 500))
+        for column in (wide, Column(FLOAT64, rng.random(500))):
+            assert _exhaustive_choice(column) is None and compress_column(column) is column
+
+    def test_ranking_is_by_penalized_size_then_declaration_order(self):
+        values = np.repeat(np.arange(40, dtype=np.int64), 50)
+        plain = [(e.size(values), e.name) for e in ALL_ENCODINGS]
+        assert [(size, e.name) for _, size, e in rank_encodings(values)] == sorted(
+            plain, key=lambda pair: pair[0])  # stable: ties keep declaration order
+        penalized = rank_encodings(values, decode_penalty=0.05)
+        assert [score for score, _, _ in penalized] == sorted(
+            size * (1 + 0.05 * e.decode_ops_per_value) for _, size, e in penalized)
+        assert all(int(size) == e.size(values) for _, size, e in penalized)
+
+    def test_narrow_ints_rank_as_int64(self):
+        # DATE columns and string codes are int32: the closed forms must
+        # not wrap where encode (which widens first) does not.
+        info = np.iinfo(np.int32)
+        values = np.asarray([info.min, info.max, info.min, 0], dtype=np.int32)
+        for _, size, encoding in rank_encodings(values):
+            assert size == encoding.encoded_nbytes(encoding.encode(values)), encoding.name
+
+    def test_a_codec_that_refuses_the_input_is_not_ranked(self):
+        class Refusing(BitPackedEncoding):
+            name = "refusing"
+
+            def size(self, values):
+                raise ValueError("packing requires non-negative values")
+
+        values = np.arange(300, dtype=np.int64)
+        encodings = (Refusing(), *ALL_ENCODINGS)
+        assert [e.name for _, _, e in rank_encodings(values, encodings)] == [
+            e.name for _, _, e in rank_encodings(values)]
+        got = compress_column(Column(INT64, values), encodings)
+        assert got.encoding_name == compress_column(Column(INT64, values)).encoding_name
 
 
 class TestCompressColumn:

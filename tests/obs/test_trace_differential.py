@@ -11,7 +11,8 @@ import pytest
 from repro.engine import Executor
 from repro.engine.parallel import ParallelExecutor
 from repro.obs.export import trace_to_dict, validate_trace
-from repro.obs.trace import NULL_TRACER, WORK_FIELDS, NullTracer, Tracer, iter_spans
+from repro.engine.profile import WORK_FIELDS
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, iter_spans
 from repro.tpch import ALL_QUERY_NUMBERS, get_query
 
 from ..conftest import TEST_SF

@@ -13,7 +13,8 @@ from repro.engine import Database, Executor, Q, Table, agg, col
 from repro.engine.column import Column
 from repro.engine.explain import explain
 from repro.engine.parallel import ParallelExecutor
-from repro.obs.trace import WORK_FIELDS, Tracer, iter_spans
+from repro.engine.profile import WORK_FIELDS
+from repro.obs.trace import Tracer, iter_spans
 
 N_ROWS = 600
 
@@ -213,3 +214,21 @@ def test_fragment_spans_sum_to_coalesced_span_or_less(parallel):
         assert span.end_s == span.start_s  # zero-length marker
         assert frags[name] <= span.attrs.get("tuples_in", 0) or frags[name] == 0
     assert_reconciles(root, res.profile)
+
+
+def test_spill_counters_reconcile_on_a_budgeted_q9(tpch_db, tpch_params):
+    """Operator spans snapshot every OperatorWork counter, the three
+    spill counters included: on a Q9 that Grace-partitions (and
+    re-partitions) under a one-byte budget, spans and profile agree."""
+    from repro.tpch import get_query
+
+    executor = Executor(tpch_db, memory_budget=1, tracer=Tracer())
+    res = executor.execute(get_query(9).build(tpch_db, tpch_params), label="Q9")
+    root = executor.tracer.roots[-1]
+    assert_reconciles(root, res.profile)
+    for field in ("spilled_bytes", "spill_partitions", "respill_depth"):
+        assert field in WORK_FIELDS
+        assert getattr(res.profile, field) > 0
+        assert sum(s.attrs.get(field, 0) for s in operator_spans(root)) == getattr(
+            res.profile, field
+        )

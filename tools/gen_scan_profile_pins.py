@@ -17,7 +17,6 @@ changes, and review the diff.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -26,7 +25,6 @@ import numpy as np
 
 from repro.engine import Database, Executor, OptimizerSettings, ParallelExecutor
 from repro.engine.compression import compress_table
-from repro.engine.profile import OperatorWork
 from repro.engine.sql import sql
 from repro.tpch import generate
 from repro.tpch.sqltext import sql_text
@@ -69,8 +67,6 @@ CLUSTER_KEYS = {"lineitem": "l_shipdate", "orders": "o_orderdate"}
 # (zone_map_skipping, late_materialization, compressed_execution)
 GATES = list(itertools.product((True, False), repeat=3))
 
-_FIELDS = [f.name for f in dataclasses.fields(OperatorWork) if f.name != "operator"]
-
 
 def gate_settings(skipping: bool, late: bool, compressed: bool) -> OptimizerSettings:
     return OptimizerSettings(
@@ -108,11 +104,7 @@ def make_executor(db: Database, gates, workers: int | None, **kwargs):
 
 def profile_rows(profile) -> list[dict]:
     """One dict per profile operator: its name plus every nonzero count."""
-    return [
-        {"operator": op.operator,
-         **{f: getattr(op, f) for f in _FIELDS if getattr(op, f)}}
-        for op in profile.operators
-    ]
+    return [{"operator": op.operator, **op.counters()} for op in profile.operators]
 
 
 def collect(databases: dict[str, Database]) -> dict[str, list[dict]]:
