@@ -55,6 +55,9 @@ def _coerce_literal_for(other, reference: "Expr"):
 class Expr:
     """Base class for all expression nodes."""
 
+    # The structural key, once computed (repro.engine.fingerprint).
+    __slots__ = ("_skey",)
+
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "Expr":
         return Arith("+", self, _coerce_literal_for(other, self))

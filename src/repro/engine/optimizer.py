@@ -154,16 +154,20 @@ def optimize_plan(
 
 
 def route_rollups(
-    node: PlanNode, db: Database, settings: OptimizerSettings = DEFAULT_SETTINGS
+    node: PlanNode,
+    db: Database,
+    settings: OptimizerSettings = DEFAULT_SETTINGS,
+    decisions: list | None = None,
 ) -> PlanNode:
     """The last optimizer stage on its own: route an otherwise-optimized
     plan onto ``db``'s rollup cubes (a no-op without a catalog or with
     ``settings.rollups`` off). The server mines the unrouted tree, then
-    routes it here — one optimize per request."""
+    routes it here — one optimize per request — and keeps the routing
+    ``decisions`` (see :func:`~repro.rollup.router.route_plan`)."""
     if settings.rollups and getattr(db, "rollups", None) is not None:
         from repro.rollup.router import route_plan
 
-        node = route_plan(node, db, db.rollups)
+        node = route_plan(node, db, db.rollups, decisions)
     return node
 
 

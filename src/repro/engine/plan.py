@@ -59,6 +59,9 @@ class agg:
 class PlanNode:
     """Base logical plan node."""
 
+    # The structural key, once computed (repro.engine.fingerprint).
+    __slots__ = ("_skey",)
+
     def children(self) -> list["PlanNode"]:
         return []
 

@@ -14,7 +14,7 @@ to be pretty; it is meant to reparse to a semantically identical tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Node", "Col", "Number", "String", "DateLit", "Interval", "Binary",
@@ -41,19 +41,24 @@ class Col(Node):
 
 @dataclass(frozen=True)
 class Number(Node):
-    """Numeric literal; the source text is kept so rendering is exact."""
+    """Numeric literal; the source text is kept so rendering is exact.
+    ``position`` (here, on :class:`String` and on :class:`DateLit`) is the
+    literal token's character offset, or -1 for a node built by hand."""
 
     text: str
+    position: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class String(Node):
     value: str
+    position: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class DateLit(Node):
     value: str
+    position: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

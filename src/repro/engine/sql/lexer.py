@@ -1,5 +1,12 @@
 """SQL tokenizer for the engine's query dialect.
 
+One compiled master regex does the scanning: each alternative is one
+token class (whitespace, comment, string, number, word, punctuation),
+and a last catch-all alternative marks the one character no class
+accepts. Line and column ride along: only whitespace and string tokens
+can hold a newline, so the line start moves only when one of those
+does.
+
 Hardened for the never-crash contract: every malformed input — an
 unterminated string, a lone quote at end of input, an absurdly long
 numeric literal, non-ASCII bytes, control characters — raises
@@ -10,7 +17,8 @@ without making progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import SqlError, SqlSyntaxError
 
@@ -42,9 +50,22 @@ MAX_NUMBER_DIGITS = 40
 # that a hostile megabyte of nested parens is refused in O(1).
 MAX_SQL_LENGTH = 1_000_000
 
+# A string closes at the first quote that does not start a doubled
+# (escaped) quote; a body holding a non-ASCII character, or no closing
+# quote at all, falls through to ``bad``, which says which it was.
+_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t\r\n\f\v]+)"
+    r"|(?P<comment>--[^\n]*)"
+    r"|'(?P<string>(?:[^'\x80-\U0010ffff]|'')*)'(?!')"
+    r"|(?P<number>[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct><=|>=|<>|!=|[=<>+\-*/(),.;])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is a keyword name, a punctuation name (``LE``, ``LPAREN``…),
@@ -62,118 +83,89 @@ class Token:
         return f"{self.kind}({self.value!r})"
 
 
-class _Cursor:
-    """Scanner state tracking line/column alongside the offset."""
+def _error(text: str, position: int, message: str) -> SqlError:
+    line_start = text.rfind("\n", 0, position) + 1
+    return SqlError(message, line=text.count("\n", 0, position) + 1,
+                    column=position - line_start + 1)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.line_start = 0
 
-    @property
-    def column(self) -> int:
-        return self.i - self.line_start + 1
+def _number_end(text: str, start: int) -> int:
+    """End of the number at ``start`` when a non-ASCII digit (which
+    ``str.isdigit`` accepts) continues it past the regex's ASCII match."""
+    end, seen_dot = start, False
+    while end < len(text) and (
+        text[end].isdigit() or (text[end] == "." and not seen_dot)
+    ):
+        seen_dot = seen_dot or text[end] == "."
+        end += 1
+    return end
 
-    def error(self, message: str, *, at: tuple[int, int] | None = None) -> SqlError:
-        line, column = at if at is not None else (self.line, self.column)
-        return SqlError(message, line=line, column=column)
 
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.i < len(self.text) and self.text[self.i] == "\n":
-                self.line += 1
-                self.line_start = self.i + 1
-            self.i += 1
+def _bad(text: str, position: int) -> SqlError:
+    """The error for the character no token class accepts."""
+    ch = text[position]
+    if ch == "'":
+        i = position + 1
+        while i < len(text):
+            if text[i] > "\x7f":
+                return _error(text, i, f"non-ASCII character {text[i]!r} in string literal")
+            i += 2 if text[i:i + 2] == "''" else 1
+        return _error(text, position, "unterminated string literal")
+    if ch > "\x7f":
+        return _error(text, position, f"non-ASCII character {ch!r} in SQL input")
+    return _error(text, position, f"unexpected character {ch!r}")
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`SqlError` on any bad input."""
     if not isinstance(text, str):
         raise SqlError(f"SQL statement must be a string, not {type(text).__name__}")
-    if len(text) > MAX_SQL_LENGTH:
-        raise SqlError(
-            f"SQL statement too long ({len(text)} characters; "
-            f"limit {MAX_SQL_LENGTH})"
-        )
-    cur = _Cursor(text)
-    tokens: list[Token] = []
     n = len(text)
-    while cur.i < n:
-        i = cur.i
-        ch = text[i]
-        if ch.isspace() and ch in " \t\r\n\f\v":
-            cur.advance()
-            continue
-        if ord(ch) > 127:
-            raise cur.error(f"non-ASCII character {ch!r} in SQL input")
-        if ch == "-" and text[i:i + 2] == "--":  # line comment
-            nl = text.find("\n", i)
-            cur.advance((n if nl < 0 else nl) - i)
-            continue
-        if ch == "'":
-            start = (cur.line, cur.column)
-            start_pos = i
-            cur.advance()
-            parts: list[str] = []
-            while True:
-                if cur.i >= n:
-                    raise cur.error("unterminated string literal", at=start)
-                c = text[cur.i]
-                if ord(c) > 127:
-                    raise cur.error(f"non-ASCII character {c!r} in string literal")
-                if c == "'":
-                    if text[cur.i + 1:cur.i + 2] == "'":  # escaped quote
-                        parts.append("'")
-                        cur.advance(2)
-                        continue
-                    cur.advance()
-                    break
-                parts.append(c)
-                cur.advance()
-            tokens.append(Token("STRING", "".join(parts), start_pos,
-                                start[0], start[1]))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = (cur.line, cur.column)
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
-                j += 1
-            word = text[i:j]
-            if len(word) > MAX_NUMBER_DIGITS:
-                raise cur.error(
-                    f"numeric literal too long ({len(word)} characters; "
-                    f"limit {MAX_NUMBER_DIGITS})",
-                    at=start,
-                )
-            tokens.append(Token("NUMBER", word, i, start[0], start[1]))
-            cur.advance(j - i)
-            continue
-        if ch.isalpha() and ord(ch) < 128 or ch == "_":
-            start = (cur.line, cur.column)
-            j = i
-            while j < n and (text[j].isalnum() and ord(text[j]) < 128 or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+    if n > MAX_SQL_LENGTH:
+        raise SqlError(
+            f"SQL statement too long ({n} characters; limit {MAX_SQL_LENGTH})"
+        )
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos, line, line_start = 0, 1, 0
+    while pos < n:
+        m = match(text, pos)
+        kind = m.lastgroup
+        end = m.end()
+        if kind == "word":
+            word = m.group(kind)
             upper = word.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(upper, upper, i, start[0], start[1]))
+                append(Token(upper, upper, pos, line, pos - line_start + 1))
             else:
-                tokens.append(Token("IDENT", word, i, start[0], start[1]))
-            cur.advance(j - i)
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT:
-            tokens.append(Token(_PUNCT[two], two, i, cur.line, cur.column))
-            cur.advance(2)
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, i, cur.line, cur.column))
-            cur.advance()
-            continue
-        raise cur.error(f"unexpected character {ch!r}")
-    tokens.append(Token("EOF", "", n, cur.line, cur.column))
+                append(Token("IDENT", word, pos, line, pos - line_start + 1))
+        elif kind == "ws" or kind == "string":
+            if kind == "string":
+                value = m.group(kind)
+                append(Token("STRING", value.replace("''", "'"), pos, line,
+                             pos - line_start + 1))
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "punct" and not (
+            end < n and text[pos] == "." and text[end] > "\x7f" and text[end].isdigit()
+        ):
+            value = m.group(kind)
+            append(Token(_PUNCT[value], value, pos, line, pos - line_start + 1))
+        elif kind == "number" or kind == "punct":
+            if end < n and text[end] > "\x7f":
+                end = _number_end(text, pos)
+            if end - pos > MAX_NUMBER_DIGITS:
+                raise _error(
+                    text, pos,
+                    f"numeric literal too long ({end - pos} characters; "
+                    f"limit {MAX_NUMBER_DIGITS})",
+                )
+            append(Token("NUMBER", text[pos:end], pos, line, pos - line_start + 1))
+        elif kind == "bad":
+            raise _bad(text, pos)
+        pos = end
+    append(Token("EOF", "", n, line, n - line_start + 1))
     return tokens

@@ -355,13 +355,14 @@ class _Parser:
         token = self.peek()
         if token.kind == "NUMBER":
             self.next()
-            return A.Number(token.value)
+            return A.Number(token.value, token.position)
         if token.kind == "STRING":
             self.next()
-            return A.String(token.value)
+            return A.String(token.value, token.position)
         if token.kind == "DATE":
             self.next()
-            return A.DateLit(self.expect("STRING").value)
+            value = self.expect("STRING")
+            return A.DateLit(value.value, value.position)
         if token.kind == "INTERVAL":
             self.next()
             amount = self.expect("STRING")

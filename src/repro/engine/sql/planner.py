@@ -39,7 +39,7 @@ from . import ast as A
 from .errors import SqlError
 from .parser import parse_statement
 
-__all__ = ["parse", "sql", "plan_statement"]
+__all__ = ["lower_literal", "parse", "sql", "plan_statement"]
 
 _CMP_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _AGG_BUILDERS = {"SUM": agg.sum, "AVG": agg.avg, "MIN": agg.min,
@@ -102,13 +102,28 @@ def _days_in_month(year: int, month: int) -> int:
     return (_dt.date(year, month + 1, 1) - _dt.timedelta(days=1)).day
 
 
-class _Shared:
-    """Per-statement planning state: the catalog plus a counter that keeps
-    decorrelated-subquery column names (``__subqN``) globally unique and
-    deterministic in syntax-tree order."""
+def lower_literal(node: A.Number | A.String | A.DateLit) -> Literal:
+    """The engine literal of one literal syntax node; a DATE must be a
+    valid calendar date."""
+    if isinstance(node, A.Number):
+        return lit(float(node.text) if "." in node.text else int(node.text))
+    if isinstance(node, A.DateLit):
+        try:
+            _dt.date.fromisoformat(node.value)
+        except ValueError:
+            raise SqlError(f"invalid DATE literal {node.value!r}") from None
+    return lit(node.value)
 
-    def __init__(self, db: Database):
+
+class _Shared:
+    """Per-statement planning state: the catalog, a counter that keeps
+    decorrelated-subquery column names (``__subqN``) globally unique and
+    deterministic in syntax-tree order, and (when given) the list that
+    records each ``(syntax node, Literal)`` pair in lowering order."""
+
+    def __init__(self, db: Database, literals: list | None = None):
         self.db = db
+        self.literals = literals
         self._subq = 0
 
     def next_subq(self) -> int:
@@ -497,16 +512,11 @@ class _SelectLowering:
             if alias_map is not None and name in alias_map:
                 return alias_map[name]
             raise SqlError(f"column {name!r} is not in scope")
-        if isinstance(node, A.Number):
-            return lit(float(node.text) if "." in node.text else int(node.text))
-        if isinstance(node, A.String):
-            return lit(node.value)
-        if isinstance(node, A.DateLit):
-            try:
-                _dt.date.fromisoformat(node.value)
-            except ValueError:
-                raise SqlError(f"invalid DATE literal {node.value!r}") from None
-            return lit(node.value)
+        if isinstance(node, (A.Number, A.String, A.DateLit)):
+            literal = lower_literal(node)
+            if self.shared.literals is not None:
+                self.shared.literals.append((node, literal))
+            return literal
         if isinstance(node, A.Interval):
             raise SqlError("INTERVAL is only valid in date arithmetic")
         if isinstance(node, A.Unary):
@@ -617,13 +627,15 @@ class _SelectLowering:
         return lit(moved.isoformat())
 
 
-def plan_statement(db: Database, stmt: A.Node) -> Q:
-    """Lower an already-parsed syntax tree onto an engine plan."""
-    return _plan_query(_Shared(db), stmt)
+def plan_statement(db: Database, stmt: A.Node, literals: list | None = None) -> Q:
+    """Lower an already-parsed syntax tree onto an engine plan; every
+    literal node lowered is recorded in ``literals`` when given."""
+    return _plan_query(_Shared(db, literals), stmt)
 
 
-def parse(db: Database, text: str) -> Q:
-    """Parse a SQL SELECT into a plan (alias: :func:`sql`).
+def parse(db: Database, text: str, literals: list | None = None) -> Q:
+    """Parse a SQL SELECT into a plan (alias: :func:`sql`); ``literals``
+    is passed on to :func:`plan_statement`.
 
     Never-crash contract: the only exception this raises for any input
     string is :class:`SqlError`. Unexpected internal failures are wrapped
@@ -631,7 +643,7 @@ def parse(db: Database, text: str) -> Q:
     suite asserts that guard never fires.
     """
     try:
-        return plan_statement(db, parse_statement(text))
+        return plan_statement(db, parse_statement(text), literals)
     except SqlError:
         raise
     except RecursionError:

@@ -87,26 +87,31 @@ class WorkloadMiner:
             optimized = optimize_plan(node, self.db, settings)
         except Exception:
             return 0
-        return self.observe_optimized(optimized)
+        return self.absorb(self.shapes_of(optimized))
 
-    def observe_optimized(self, node: PlanNode) -> int:
-        """Mine an already-optimized (but unrouted) plan."""
-        recorded = 0
+    def shapes_of(self, node: PlanNode) -> list[AggShape]:
+        """The canonical shapes of an already-optimized (but unrouted)
+        plan's aggregates; those that do not canonicalize are left out."""
+        shapes = []
         for aggregate in _walk_aggregates(node):
             try:
                 shape = aggregate_shape(aggregate, self.db)
             except Exception:
                 shape = None
-            if shape is None:
-                continue
-            with self._lock:
+            if shape is not None:
+                shapes.append(shape)
+        return shapes
+
+    def absorb(self, shapes) -> int:
+        """Record one observation of each shape; returns how many."""
+        with self._lock:
+            for shape in shapes:
                 spec = self._specs.get((shape.key, shape.dims))
                 if spec is None:
                     spec = CubeSpec(shape.source, shape.key, shape.dims)
                     self._specs[(shape.key, shape.dims)] = spec
                 spec.absorb(shape)
-            recorded += 1
-        return recorded
+        return len(shapes)
 
     def mine(self, min_count: int = 1) -> list[CubeSpec]:
         """Candidate cubes seen at least ``min_count`` times, widest

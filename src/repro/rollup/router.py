@@ -69,22 +69,25 @@ def try_route_aggregate(node: AggregateNode, db, catalog) -> PlanNode | None:
     return None
 
 
-def route_plan(node: PlanNode, db, catalog) -> PlanNode:
+def route_plan(node: PlanNode, db, catalog, decisions: list | None = None) -> PlanNode:
     """Rewrite every provably-routable aggregate in the plan onto its
-    cube; everything else is rebuilt unchanged."""
+    cube; everything else is rebuilt unchanged. Each routing decision
+    (``True`` for a hit) is also appended to ``decisions`` when given."""
     if catalog is None or not len(catalog):
         return node
-    return _route(node, db, catalog)
+    return _route(node, db, catalog, decisions)
 
 
-def _route(node: PlanNode, db, catalog) -> PlanNode:
+def _route(node: PlanNode, db, catalog, decisions) -> PlanNode:
     if isinstance(node, AggregateNode):
         routed = try_route_aggregate(node, db, catalog)
+        if decisions is not None:
+            decisions.append(routed is not None)
         if routed is not None:
             ROUTER_STATS.hit()
             return routed
         ROUTER_STATS.miss()
-    return node.map_children(lambda child: _route(child, db, catalog))
+    return node.map_children(lambda child: _route(child, db, catalog, decisions))
 
 
 def routed_tables(node: PlanNode) -> list[str]:

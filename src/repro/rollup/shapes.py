@@ -31,12 +31,10 @@ unmatchable — the conservative fallback the router's soundness rests on.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 from repro.engine.expr import ColRef, Expr, col
-from repro.engine.fingerprint import _canonical
+from repro.engine.fingerprint import nested_key, structural_key
 from repro.engine.operators.aggregate import AGG_STATES, AggSpec, two_phase
 from repro.engine.optimizer import output_columns
 from repro.engine.plan import (
@@ -92,46 +90,21 @@ class _Unmatchable(Exception):
     """The subtree cannot be canonicalized soundly; decline the shape."""
 
 
-def _normalize_literals(canonical):
-    """Fold integral numeric literals to floats inside a canonical expr
-    structure, so ``price * (1 - disc)`` (SQL front-end) and
-    ``price * (1.0 - disc)`` (template builders) share one measure key.
-    Safe for measure matching: every supported aggregate of the two
-    variants is numerically identical — engine arithmetic promotes the
-    int literal against the float column either way, and ``/`` is always
-    true division."""
-    if isinstance(canonical, list):
-        if (
-            len(canonical) == 2
-            and canonical[0] == "Literal"
-            and isinstance(canonical[1], list)
-        ):
-            fields = [
-                ["value", float(v)]
-                if k == "value" and isinstance(v, int) and not isinstance(v, bool)
-                else [k, _normalize_literals(v)]
-                for k, v in canonical[1]
-            ]
-            return ["Literal", fields]
-        return [_normalize_literals(item) for item in canonical]
-    return canonical
-
-
 def expr_key(expr: Expr | None) -> str:
-    """Stable structural identity of a measure expression. Numeric
-    literals are compared by value, not lexical type (see
-    :func:`_normalize_literals`)."""
+    """Stable structural identity of a measure expression. Integral
+    numeric literals key as floats, so ``price * (1 - disc)`` (SQL
+    front-end) and ``price * (1.0 - disc)`` (template builders) share one
+    measure: every supported aggregate of the two is numerically
+    identical — engine arithmetic promotes the int literal against the
+    float column either way, and ``/`` is always true division."""
     if expr is None:
         return STAR_KEY
-    return json.dumps(
-        _normalize_literals(_canonical(expr)), sort_keys=True, default=str
-    )
+    return repr(nested_key(expr, fold_ints=True))
 
 
 def source_key(source: PlanNode) -> str:
     """Stable identity of a canonical (stripped) source subtree."""
-    payload = json.dumps(_canonical(source), sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return structural_key(source)
 
 
 def _strip(node: PlanNode) -> tuple[PlanNode, list[Expr]]:

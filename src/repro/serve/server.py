@@ -23,6 +23,11 @@ aspirational:
   evicted from the single-flight cache before any waiter can observe
   them, so a retry always recomputes.
 
+The frontend trip — parse, plan, optimize, mine, route, price — runs
+once per request *shape*, not per request: a SQL text whose tokens match
+a prepared one, literal values aside, re-binds its fresh WHERE literals
+into the prepared routed plan (see :meth:`QueryServer._prepare`).
+
 Transient executor failures retry with capped backoff; repeated
 unexpected failures trip a circuit breaker that sheds fast instead of
 queueing doomed work (:mod:`repro.serve.policy`). Every request gets a
@@ -33,10 +38,12 @@ deadline-missed / completed / failed outcomes.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import queue
 import threading
 import time
+from collections import OrderedDict
 
 from repro.engine import ParallelExecutor
 from repro.engine.cancel import (
@@ -45,17 +52,27 @@ from repro.engine.cancel import (
     QueryCancelled,
     QueryInterrupted,
 )
+from repro.engine.expr import Expr, Literal
+from repro.engine.operators.aggregate import AggSpec
 from repro.engine.optimizer import optimize_plan, route_rollups
-from repro.engine.plan import PlanNode, Q
-from repro.engine.sql import SqlError, sql as parse_sql
-from repro.obs.metrics import metrics
+from repro.engine.plan import FilterNode, PlanNode, Q, ScanNode
+from repro.engine.sql import SqlError, sql as parse_sql, tokenize
+from repro.engine.sql.planner import lower_literal
+from repro.obs.metrics import HitMissStats, metrics
 from repro.obs.trace import NULL_TRACER
+from repro.rollup.router import ROUTER_STATS
 
 from .admission import AdmissionController, AdmissionPolicy, estimate_service_cost
 from .errors import QueryFailed, ServerClosed
 from .policy import CircuitBreaker, RetryPolicy, TransientServeError
 
-__all__ = ["QueryServer", "Ticket"]
+__all__ = ["PREPARED_SHAPES", "QueryServer", "Ticket"]
+
+# Request shapes whose prepared plan a server keeps, least recently used
+# out first.
+PREPARED_SHAPES = 256
+
+_LITERAL_KINDS = ("NUMBER", "STRING")
 
 
 class Ticket:
@@ -121,7 +138,7 @@ class _Request:
     """Internal carrier: what the dispatch queue holds."""
 
     __slots__ = ("seq", "priority", "payload", "ticket", "token", "span",
-                 "enqueued_at", "plan", "error")
+                 "enqueued_at", "plan", "error", "prepared")
 
     def __init__(self, seq, priority, payload, ticket, token, span, enqueued_at):
         self.seq = seq
@@ -135,6 +152,154 @@ class _Request:
         # plan the worker executes, or the error it resolves the ticket with.
         self.plan: PlanNode | None = None
         self.error: Exception | None = None
+        self.prepared: str | None = None  # "hit" | "miss" for SQL text
+
+
+@dataclasses.dataclass(frozen=True)
+class _Prepared:
+    """One request shape's frontend trip, kept to answer the next request
+    of that shape: its routed plan, price, mined shapes and routing
+    decisions, the catalog state it was planned under, the literal
+    tokens a hit must repeat (``fixed``), and the ones it re-binds
+    (``slots``: token index, syntax class, planned Literal) with the
+    plan links from the root down to them (``program``, children first).
+    """
+
+    settings: object
+    catalog: object
+    cubes: int
+    fixed: tuple
+    slots: tuple
+    program: tuple
+    plan: PlanNode
+    cost: float
+    shapes: tuple
+    routed: tuple
+
+    def bind(self, tokens, settings, catalog, cubes) -> PlanNode | None:
+        """The plan for a same-shape request, or ``None`` when it needs
+        a trip of its own (other catalog or settings, another fixed
+        literal). Raises what lowering a fresh slot literal raises."""
+        if self.settings is not settings or self.catalog is not catalog \
+                or self.cubes != cubes:
+            return None
+        if any(tokens[index].value != value for index, value in self.fixed):
+            return None
+        fresh = {}
+        for index, syntax, old in self.slots:
+            new = lower_literal(syntax(tokens[index].value))
+            if type(new.value) is not type(old.value) or new.value != old.value:
+                fresh[id(old)] = new
+        if not fresh:
+            return self.plan
+        for node, links in self.program:
+            changes = {name: fresh[id(child)] for name, child in links if id(child) in fresh}
+            if changes:
+                fresh[id(node)] = _rebuilt(node, changes)
+        return fresh[id(self.plan)]
+
+
+def _rebuilt(node, changes: dict):
+    """A new node with some fields replaced; it carries no cached key."""
+    if isinstance(node, PlanNode):
+        return dataclasses.replace(node, **changes)
+    copy = object.__new__(type(node))
+    copy.__dict__.update(vars(node), **changes)
+    return copy
+
+
+def _is_link(node, name: str, value) -> bool:
+    """Whether a re-bind may rebuild ``node`` around this field: a plan
+    input, a scan or filter predicate, or an expression operand inside
+    one. Subquery plans, lists, projections and aggregates are not."""
+    if isinstance(node, PlanNode):
+        return isinstance(value, PlanNode) or (
+            name == "predicate" and isinstance(value, Expr)
+            and isinstance(node, (ScanNode, FilterNode))
+        )
+    return isinstance(value, Expr) and name[0] != "_"
+
+
+def _literal_sites(plan: PlanNode, shapes) -> tuple[set, set, list]:
+    """Where a routed plan holds its Literals: ids reached through links
+    only (``free``), ids reached any other way or held by a mined shape's
+    source (``bound``: routing and mining key on those), and every linked
+    node with its links in post-order."""
+    free, bound, seen, marked, order = set(), set(), set(), set(), []
+    pending = [shape.source for shape in shapes]
+    stack: list = [(plan, None)]
+    while stack:
+        node, links = stack.pop()
+        if links is not None:
+            order.append((node, links))
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Literal):
+            free.add(id(node))
+            continue
+        links = []
+        for name, value in vars(node).items():
+            if _is_link(node, name, value):
+                links.append((name, value))
+            else:
+                pending.append(value)
+        stack.append((node, tuple(links)))
+        stack.extend((child, None) for _, child in links)
+    while pending:
+        value = pending.pop()
+        if isinstance(value, (Expr, PlanNode)):
+            if id(value) in marked:
+                continue
+            marked.add(id(value))
+            if isinstance(value, Literal):
+                bound.add(id(value))
+            else:
+                pending.extend(vars(value).values())
+        elif isinstance(value, Q):
+            pending.append(value.node)
+        elif isinstance(value, AggSpec):
+            pending.append(value.expr)
+        elif isinstance(value, (tuple, list)):
+            pending.extend(value)
+        elif isinstance(value, dict):
+            pending.extend(value.values())
+    return free, bound, order
+
+
+def _prepared(tokens, literals, plan, cost, shapes, decisions, state) -> _Prepared:
+    """Analyze one successful trip of a SQL request (``literals``: the
+    planner's ``(syntax node, Literal)`` record) into its entry.
+
+    A literal token is a slot when some Literal planned from it reaches
+    the routed plan and every one that does is free: then no optimizer,
+    router, miner or pricing decision read its value — they read a
+    predicate only through ``references()`` — and re-lowering it is all
+    a new value needs. Every other literal token is fixed.
+    """
+    free, bound, order = _literal_sites(plan, shapes)
+    index = {t.position: i for i, t in enumerate(tokens) if t.kind in _LITERAL_KINDS}
+    planned = [(index.get(node.position), type(node), literal) for node, literal in literals]
+    fixed_at = {i for i, _, literal in planned if id(literal) in bound}
+    slots = tuple(
+        (i, syntax, literal) for i, syntax, literal in planned
+        if i is not None and i not in fixed_at and id(literal) in free
+    )
+    hot = {id(literal) for _, _, literal in slots}
+    program = []
+    for node, links in order:
+        used = tuple((name, child) for name, child in links if id(child) in hot)
+        if used:
+            hot.add(id(node))
+            program.append((node, used))
+    slotted = {i for i, _, _ in slots}
+    fixed = tuple(
+        (i, t.value) for i, t in enumerate(tokens)
+        if t.kind in _LITERAL_KINDS and i not in slotted
+    )
+    return _Prepared(*state, fixed, slots, tuple(program), plan, cost,
+                     tuple(shapes), tuple(decisions))
 
 
 # Queue items sort by (-priority, cost, seq): higher priority first,
@@ -217,6 +382,10 @@ class QueryServer:
         from repro.rollup import WorkloadMiner
 
         self.miner = WorkloadMiner(db)
+        # Prepared request shapes: literal-lifted token key -> _Prepared.
+        self._prepared: "OrderedDict[tuple, _Prepared]" = OrderedDict()
+        self._prepared_lock = threading.Lock()
+        self._prepared_stats = HitMissStats("serve.prepared")
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, name=f"serve-{i}", daemon=True
@@ -260,6 +429,8 @@ class QueryServer:
         cost = self._prepare(req)
         if span is not None:
             span.annotate(est_cost_s=cost)
+            if req.prepared is not None:
+                span.annotate(prepared=req.prepared)
         self._queue.put((-priority, cost, seq, req))
         return ticket
 
@@ -276,10 +447,17 @@ class QueryServer:
         ).result()
 
     def stats(self) -> dict:
-        """Deterministic server-state snapshot (admission + breaker)."""
+        """Deterministic server-state snapshot (admission, breaker and
+        the prepared request shapes)."""
         snap = self.admission.snapshot()
         snap["breaker"] = self.breaker.state
         snap["closed"] = self._closed
+        with self._prepared_lock:
+            snap["prepared"] = {
+                "entries": len(self._prepared),
+                "hits": self._prepared_stats.hits,
+                "misses": self._prepared_stats.misses,
+            }
         return dict(sorted(snap.items()))
 
     def close(self, drain: bool = True) -> None:
@@ -409,9 +587,19 @@ class QueryServer:
                 attempt += 1
 
     def _prepare(self, req: _Request) -> float:
-        """The request's one trip through the frontend, at submit: parse,
-        optimize unrouted, feed the miner, route, price. Returns the
-        modeled service cost that ranks the request in the queue.
+        """The request's frontend trip, at submit: parse, optimize
+        unrouted, feed the miner, route, price. Returns the modeled
+        service cost that ranks the request in the queue.
+
+        SQL text takes the trip once per shape. Its key is its token
+        stream with every NUMBER/STRING value lifted out; a request whose
+        shape was prepared under the same catalog, and whose fixed
+        literals repeat, re-lowers only its slot literals and rebuilds
+        the plan from them to the root (:meth:`_Prepared.bind`). It then
+        re-records the shape's mined shapes and routing decisions and
+        reuses its price. Anything else — a new shape, a catalog that
+        gained cubes, a slot literal that does not lower — takes the
+        trip, which alone decides what the request answers or raises.
 
         Never raises: a payload that does not parse or plan keeps its
         error on the request — the worker resolves the ticket with it
@@ -421,25 +609,66 @@ class QueryServer:
         try:
             payload = req.payload
             if isinstance(payload, str):
-                payload = parse_sql(self.db, payload)
-            elif not isinstance(payload, (PlanNode, Q)):
+                return self._prepare_sql(req, payload)
+            if not isinstance(payload, (PlanNode, Q)):
                 raise SqlError(
                     f"unsupported request payload type {type(payload).__name__}; "
                     "expected SQL text or a plan"
                 )
-            node = payload.node if isinstance(payload, Q) else payload
-            if node is None:
-                raise ValueError("cannot execute an empty plan")
-            settings = self.executor.settings
-            node = optimize_plan(node, self.db, settings.without_rollups())
-            # Mined once per request, whatever its retries — and from the
-            # unrouted tree, so a routed query keeps voting for its cube.
-            self.miner.observe_optimized(node)
-            req.plan = route_rollups(node, self.db, settings)
-            return estimate_service_cost(self.db, req.plan)
+            req.plan, _, cost = self._trip(payload.node if isinstance(payload, Q) else payload)
+            return cost
         except Exception as exc:
             req.error = exc
             return 0.0
+
+    def _prepare_sql(self, req: _Request, text: str) -> float:
+        tokens = tokenize(text)
+        key = tuple(t.kind if t.kind in _LITERAL_KINDS else (t.kind, t.value) for t in tokens)
+        settings = self.executor.settings
+        catalog = getattr(self.db, "rollups", None)
+        state = (settings, catalog, len(catalog) if catalog is not None else 0)
+        with self._prepared_lock:
+            entry = self._prepared.get(key)
+            try:
+                plan = entry.bind(tokens, *state) if entry is not None else None
+            except Exception:
+                plan = None  # the trip below raises it as a fresh request would
+            if plan is None:
+                self._prepared_stats.miss()
+            else:
+                self._prepared_stats.hit()
+                self._prepared.move_to_end(key)
+        if plan is not None:
+            req.prepared, req.plan = "hit", plan
+            self.miner.absorb(entry.shapes)
+            for routed in entry.routed:
+                ROUTER_STATS.hit() if routed else ROUTER_STATS.miss()
+            return entry.cost
+        req.prepared = "miss"
+        literals, decisions = [], []
+        node = parse_sql(self.db, text, literals).node
+        req.plan, shapes, cost = self._trip(node, decisions)
+        entry = _prepared(tokens, literals, req.plan, cost, shapes, decisions, state)
+        with self._prepared_lock:
+            self._prepared[key] = entry
+            self._prepared.move_to_end(key)
+            if len(self._prepared) > PREPARED_SHAPES:
+                self._prepared.popitem(last=False)
+        return cost
+
+    def _trip(self, node, decisions: list | None = None):
+        """Optimize unrouted, mine, route and price one plan; returns the
+        routed plan, its mined shapes and its modeled cost."""
+        if node is None:
+            raise ValueError("cannot execute an empty plan")
+        settings = self.executor.settings
+        node = optimize_plan(node, self.db, settings.without_rollups())
+        # Mined once per request, whatever its retries — and from the
+        # unrouted tree, so a routed query keeps voting for its cube.
+        shapes = self.miner.shapes_of(node)
+        self.miner.absorb(shapes)
+        plan = route_rollups(node, self.db, settings, decisions)
+        return plan, shapes, estimate_service_cost(self.db, plan)
 
     def _execute(self, req: _Request):
         """One execution attempt of the prepared plan. Split out so tests

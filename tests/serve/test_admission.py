@@ -342,6 +342,31 @@ class TestOneFrontendTrip:
             assert dict(calls) == {"parse_statement": 1, "pushdown_predicates": 1}
             assert len(server.miner) == 1
 
+            # A second request, a seen shape with a new WHERE literal:
+            # it re-binds into the prepared plan, and none of the
+            # frontend's passes runs again — yet its routing decision
+            # and mined shape still count.
+            from repro.rollup import miner as miner_module
+            from repro.rollup import router as router_module
+            from repro.serve import server as server_module
+
+            count(miner_module, "aggregate_shape")
+            count(router_module, "aggregate_shape")
+            count(router_module, "route_plan")
+            count(server_module, "estimate_service_cost")
+            filtered = "SELECT g, SUM(v) AS s FROM big WHERE g >= {} GROUP BY g"
+            assert len(server.query(filtered.format(1)).rows) == 4
+            calls.clear()
+            before = routed.value
+            rows = server.query(filtered.format(3)).rows
+            assert sorted(rows) == [
+                (g, sum(range(g, 200_000, 5))) for g in (3, 4)
+            ]
+            assert dict(calls) == {}
+            assert routed.value - before == 1
+            assert server.stats()["prepared"] == {"entries": 2, "hits": 1, "misses": 2}
+            assert len(server.miner) == 1 and server.miner.mine()[0].observations == 3
+
 
 class _GatedServer(QueryServer):
     """Single-purpose copy of the server-test gate: executions block on
