@@ -61,17 +61,13 @@ def unsound_distribution_reason(
     from repro.engine.plan import ScanNode
 
     def scans_partitioned(node: PlanNode) -> bool:
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, ScanNode) and current.table == partitioned:
-                return True
-            stack.extend(current.children())
-        return False
+        return any(
+            isinstance(current, ScanNode) and current.table == partitioned
+            for current in node.walk()
+        )
 
-    stack = list(local.children()) if isinstance(local, AggregateNode) else [local]
-    while stack:
-        node = stack.pop()
+    nested = local.child.walk() if isinstance(local, AggregateNode) else local.walk()
+    for node in nested:
         if isinstance(node, AggregateNode) and scans_partitioned(node):
             if key not in node.group_by:
                 group = list(node.group_by) or ["<global>"]
@@ -79,7 +75,6 @@ def unsound_distribution_reason(
                     f"nested aggregate over {partitioned!r} grouped by {group} "
                     f"(not the partition key {key!r}) would diverge per shard"
                 )
-        stack.extend(node.children())
     return None
 
 

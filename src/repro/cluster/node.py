@@ -62,16 +62,13 @@ class NodeSpec:
 def collect_scan_columns(node: PlanNode) -> dict[str, set[str]]:
     """Table -> referenced columns for every scan in a plan."""
     out: dict[str, set[str]] = {}
-    stack = [node]
-    while stack:
-        current = stack.pop()
+    for current in node.walk():
         if isinstance(current, ScanNode):
             cols = out.setdefault(current.table, set())
             if current.columns is not None:
                 cols.update(current.columns)
             else:
                 cols.add("*")
-        stack.extend(current.children())
     return out
 
 

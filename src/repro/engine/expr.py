@@ -189,6 +189,8 @@ class Literal(Expr):
             return Column(FLOAT64, np.full(n, v, dtype=np.float64))
         if isinstance(v, str):
             return Column.from_strings([v] * n) if n else Column.from_strings([])
+        if v is None:  # a scalar subquery's NULL, e.g. MAX over no rows
+            return Column(FLOAT64, np.full(n, np.nan), valid=np.zeros(n, dtype=np.bool_))
         raise TypeError(f"unsupported literal {v!r}")
 
     def references(self) -> set[str]:

@@ -5,8 +5,8 @@ sorted fields, each field value reduced to plain Python values with
 every expression or plan node inside it replaced by *that* node's key.
 The key is independent of object identity — two plans built separately
 for the same query key equal — and it is the one identity behind every
-cache key in the engine: :func:`plan_fingerprint` (the result and
-semantic caches) and the rollup layer's ``expr_key`` / ``source_key``
+cache key in the engine: :func:`plan_fingerprint` (the result cache)
+and the rollup layer's ``expr_key`` / ``source_key`` (the semantic cache)
 all derive from it.
 
 :func:`structural_key` is the hashed form: a node's children enter as

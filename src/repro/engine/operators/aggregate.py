@@ -220,8 +220,9 @@ def reduce_groups(
     group when the caller already has them or when one element stands for
     several rows (run-level segments, which carry no NULLs); without it
     every element is one row. A group no valid row reaches is empty by
-    that count, never by its value: COUNT 0, SUM 0.0, AVG/MIN/MAX NULL
-    (NaN as FLOAT64, a validity mask as INT64).
+    that count, never by its value: COUNT 0, SUM 0.0, MIN/MAX NULL by a
+    validity mask (so a partial state with no rows drops out of a merge),
+    AVG NaN.
 
     Sums always reduce through ``np.bincount``, so the accumulation order
     (and the last ulp) is the same for every caller. With one group the
@@ -285,11 +286,9 @@ def reduce_groups(
     empty = out == init
     if empty.any():
         empty &= rows() == 0
-    if column.dtype is INT64:
-        out[empty] = 0
-        return Column(INT64, out, valid=~empty if empty.any() else None)
-    out[empty] = np.nan
-    return Column(FLOAT64, out)
+    dtype = INT64 if column.dtype is INT64 else FLOAT64
+    out[empty] = 0 if dtype is INT64 else np.nan
+    return Column(dtype, out, valid=~empty if empty.any() else None)
 
 
 def execute_aggregate(
@@ -301,7 +300,7 @@ def execute_aggregate(
     """Group ``frame`` by ``group_by`` and compute ``aggs``.
 
     With no grouping keys the result has exactly one row (global
-    aggregate), even over empty input (COUNT=0, SUM=0, MIN/MAX=NaN): it
+    aggregate), even over empty input (COUNT=0, SUM=0, MIN/MAX NULL): it
     is the one-group case of the same loop, with nothing factorized.
     This is also the tail of the fused filter+aggregate pipeline for
     Q6-class queries: the input is typically a late frame, so each

@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
+from dataclasses import replace
 
 from .cache import ResultCache
 from .executor import ExecContext, Executor
@@ -42,6 +43,7 @@ from .optimizer import OptimizerSettings, optimize_plan
 from .physical import lower
 from .plan import MorselSegmentNode, PlanNode
 from .profile import WorkProfile
+from .table import Database
 
 __all__ = ["ParallelExecutor"]
 
@@ -134,10 +136,10 @@ class ParallelExecutor(Executor):
     def _run_semantic(self, node: PlanNode, qspan, cancel) -> tuple[Frame, WorkProfile]:
         """Execute an optimized plan, preferring the semantic cache.
 
-        When the plan splits into a literal-free finer aggregate plus a
-        re-slice (:mod:`repro.rollup.semantic`), the finer aggregate is
-        cached once and every literal variation of the shape answers
-        from it. Anything unsplittable executes directly.
+        When the plan's aggregation is a shape a cube can answer
+        (:mod:`repro.rollup.semantic`), that one-shape cube is built once
+        and every literal variation of the shape re-slices it. Anything
+        unsplittable executes directly.
         """
         split = None
         if (
@@ -145,33 +147,48 @@ class ParallelExecutor(Executor):
             and self.settings.rollups
             and getattr(self.db, "rollups", None) is not None
         ):
-            from repro.rollup.semantic import semantic_plan
+            from repro.rollup.semantic import semantic_split
 
             try:
-                split = semantic_plan(node, self.db)
+                split = semantic_split(node, self.db)
             except Exception:
                 split = None
         if split is None:
             return self._run_direct(node, qspan, cancel)
 
-        from repro.rollup.semantic import MAX_SEMANTIC_CELLS, run_residual
+        from repro.rollup.builder import cell_budget, cube_plan, make_cube
+        from repro.rollup.miner import CubeSpec
+        from repro.rollup.router import reslice
 
-        key = plan_fingerprint(split.finer, self.settings) + split.cache_suffix
+        wrappers, shape = split
+        spec = CubeSpec.of(shape)
+        parts = sorted((key, tuple(sorted(p))) for key, (_, p) in spec.measures.items())
+        key = (shape.key, spec.dims, tuple(parts), self.settings.cache_key())
+        unrouted = self.settings.without_rollups()
 
         def build():
-            finer = optimize_plan(split.finer, self.db, self.settings)
-            frame, profile = self._run_direct(finer, qspan, cancel)
-            if frame.nrows > MAX_SEMANTIC_CELLS:
-                # Negative-cache oversized shapes: a re-slice over this
-                # many cells would rival the base scan.
-                return None
-            return frame, profile
+            # Built unrouted: a served cube that subsumed this one would
+            # have subsumed, and routed, the query itself.
+            plan, colmap = cube_plan(spec)
+            frame, profile = self._run_direct(
+                optimize_plan(plan, self.db, unrouted), qspan, cancel
+            )
+            budget = cell_budget(self.db, spec)
+            if budget is None or frame.nrows > budget:
+                return None  # negatively cached: not worth a cube
+            cube = make_cube(f"semantic_{shape.key[:8]}", spec, frame, colmap)
+            cells = Database("semantic")
+            cells.add(cube.table)
+            return cube, Executor(cells, unrouted), profile
 
         value, was_cached = self.semantic.get_or_run(key, build, cancel=cancel)
         if value is None:
             return self._run_direct(node, qspan, cancel)
-        finer_frame, build_profile = value
-        residual = run_residual(split, finer_frame, self.settings)
+        cube, cells, build_profile = value
+        plan = reslice(shape, cube)
+        for wrapper in reversed(wrappers):
+            plan = replace(wrapper, child=plan)
+        residual = cells.execute(plan, label="semantic-reslice")
         if qspan is not None:
             qspan.annotate(semantic="hit" if was_cached else "build")
         if was_cached:

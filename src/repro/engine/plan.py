@@ -65,6 +65,15 @@ class PlanNode:
     def children(self) -> list["PlanNode"]:
         return []
 
+    def walk(self):
+        """Every node of this subtree, pre-order: a node before its
+        inputs, the last input's subtree first."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(node.children())
+
     def map_children(self, fn) -> "PlanNode":
         """This node with ``fn`` applied to its input(s) — ``child``, or
         ``left`` and ``right`` — or ``self`` when none of them changed."""

@@ -634,8 +634,9 @@ def plan_statement(db: Database, stmt: A.Node, literals: list | None = None) -> 
 
 
 def parse(db: Database, text: str, literals: list | None = None) -> Q:
-    """Parse a SQL SELECT into a plan (alias: :func:`sql`); ``literals``
-    is passed on to :func:`plan_statement`.
+    """Parse a SQL SELECT into a plan (alias: :func:`sql`).
+
+    ``literals`` is passed on to :func:`plan_statement`.
 
     Never-crash contract: the only exception this raises for any input
     string is :class:`SqlError`. Unexpected internal failures are wrapped

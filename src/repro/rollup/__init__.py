@@ -8,7 +8,8 @@ workload's canonical aggregate shapes (:mod:`.miner`), materialize small
 cubes for them as ordinary in-engine tables at load time (:mod:`.builder`),
 route matching queries onto those cubes with a provable subsumption test
 (:mod:`.router`), and answer literal-only re-runs from a semantic result
-cache that re-slices a finer cached aggregate (:mod:`.semantic`).
+cache whose entries are one-shape cubes, built and re-sliced the same way
+(:mod:`.semantic`).
 
 Entry point::
 
@@ -29,13 +30,7 @@ from .builder import (
 )
 from .miner import CubeSpec, WorkloadMiner, default_workload_plans
 from .router import ROUTER_STATS, route_plan, routed_tables, try_route_aggregate
-from .semantic import (
-    MAX_SEMANTIC_CELLS,
-    SEMANTIC_TABLE,
-    SemanticPlan,
-    run_residual,
-    semantic_plan,
-)
+from .semantic import semantic_split
 from .shapes import (
     ROLLUP_PREFIX,
     SUPPORTED_FUNCS,
@@ -53,13 +48,10 @@ __all__ = [
     "CubeSpec",
     "MAX_CELL_FRACTION",
     "MAX_CUBE_CELLS",
-    "MAX_SEMANTIC_CELLS",
     "ROLLUP_PREFIX",
     "ROUTER_STATS",
     "RollupCatalog",
-    "SEMANTIC_TABLE",
     "SUPPORTED_FUNCS",
-    "SemanticPlan",
     "WorkloadMiner",
     "aggregate_shape",
     "build_rollups",
@@ -69,8 +61,7 @@ __all__ = [
     "expr_key",
     "route_plan",
     "routed_tables",
-    "run_residual",
-    "semantic_plan",
+    "semantic_split",
     "source_key",
     "storage_aggs",
     "try_route_aggregate",

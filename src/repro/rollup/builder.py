@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.engine.executor import Executor
 from repro.engine.optimizer import DEFAULT_SETTINGS
-from repro.engine.plan import AggregateNode, PlanNode, ScanNode
+from repro.engine.plan import AggregateNode, ScanNode
 from repro.engine.profile import WorkProfile
 from repro.engine.table import Table
 from repro.obs.metrics import metrics
@@ -35,7 +35,10 @@ __all__ = [
     "Cube",
     "RollupCatalog",
     "build_rollups",
+    "cell_budget",
+    "cube_plan",
     "enable_rollups",
+    "make_cube",
     "refresh_rollup_gauges",
     "MAX_CUBE_CELLS",
     "MAX_CELL_FRACTION",
@@ -51,13 +54,43 @@ MAX_CUBE_CELLS = 65536
 MAX_CELL_FRACTION = 0.5
 
 
-def _scan_tables(node: PlanNode):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ScanNode):
-            yield current.table
-        stack.extend(current.children())
+def cube_plan(spec: CubeSpec) -> tuple[AggregateNode, dict[tuple[str, str], str]]:
+    """The aggregate that materializes ``spec`` — its source grouped by
+    its dimensions, one stored column per measure part — and the map from
+    ``(measure_key, part)`` to that column."""
+    agg_specs, colmap = storage_aggs(spec.measures)
+    return AggregateNode(spec.source, spec.dims, tuple(sorted(agg_specs.items()))), colmap
+
+
+def cell_budget(
+    db,
+    spec: CubeSpec,
+    max_cells: int = MAX_CUBE_CELLS,
+    max_cell_fraction: float = MAX_CELL_FRACTION,
+) -> int | None:
+    """Most cells a cube of ``spec`` may hold to be worth keeping, or
+    ``None`` when none of its source tables is in ``db``."""
+    source_rows = [
+        db.table(node.table).nrows
+        for node in spec.source.walk()
+        if isinstance(node, ScanNode) and node.table in db
+    ]
+    if not source_rows:
+        return None
+    return min(max_cells, max(64, int(max(source_rows) * max_cell_fraction)))
+
+
+def make_cube(name: str, spec: CubeSpec, frame, colmap, compress: bool = False) -> "Cube":
+    """A materialized cube frame as a named table with zone maps."""
+    table = Table(name, dict(frame.columns))
+    if compress:
+        from repro.engine.compression import compress_table
+
+        table = compress_table(table)
+        table.name = name
+    if table.nrows > 0:
+        table.build_zone_maps()
+    return Cube(name, spec, table, colmap)
 
 
 @dataclass
@@ -151,9 +184,11 @@ def build_rollups(
     max_cells: int = MAX_CUBE_CELLS,
     max_cell_fraction: float = MAX_CELL_FRACTION,
     compress: bool = False,
-    start_index: int = 0,
+    catalog: RollupCatalog | None = None,
 ) -> RollupCatalog:
-    """Materialize mined cube specs as catalog tables.
+    """Materialize mined cube specs as catalog tables, extending
+    ``catalog`` when given (its cube names continue its numbering) or a
+    new one.
 
     ``specs`` arrive widest-dimension-set-first (the miner's order); a
     candidate subsumed by an already-kept cube is skipped, and a
@@ -163,45 +198,26 @@ def build_rollups(
     """
     settings = (settings or DEFAULT_SETTINGS).without_rollups()
     executor = Executor(db, settings)
-    catalog = RollupCatalog()
+    catalog = catalog if catalog is not None else RollupCatalog()
     for spec in specs:
         catalog.candidates_considered += 1
         if any(kept.spec.subsumes(spec) for kept in catalog.cubes):
             continue
-        source_rows = [
-            db.table(t).nrows for t in _scan_tables(spec.source) if t in db
-        ]
-        if not source_rows:
+        budget = cell_budget(db, spec, max_cells, max_cell_fraction)
+        if budget is None:
             catalog.candidates_rejected += 1
             continue
-        cell_budget = min(
-            max_cells, max(64, int(max(source_rows) * max_cell_fraction))
-        )
-        agg_specs, colmap = storage_aggs(spec.measures)
-        plan = AggregateNode(
-            spec.source, spec.dims, tuple(sorted(agg_specs.items()))
-        )
+        plan, colmap = cube_plan(spec)
         try:
             result = executor.execute(plan, label=f"rollup-build:{spec.source_key[:8]}")
         except Exception:
             catalog.candidates_rejected += 1
             continue
-        if result.frame.nrows > cell_budget:
+        if result.frame.nrows > budget:
             catalog.candidates_rejected += 1
             continue
-        name = (
-            f"{ROLLUP_PREFIX}{start_index + len(catalog.cubes):02d}"
-            f"_{spec.source_key[:8]}"
-        )
-        table = Table(name, dict(result.frame.columns))
-        if compress:
-            from repro.engine.compression import compress_table
-
-            table = compress_table(table)
-            table.name = name
-        if table.nrows > 0:
-            table.build_zone_maps()
-        catalog._register(Cube(name, spec, table, colmap))
+        name = f"{ROLLUP_PREFIX}{len(catalog.cubes):02d}_{spec.source_key[:8]}"
+        catalog._register(make_cube(name, spec, result.frame, colmap, compress))
         catalog.build_profile.absorb(result.profile)
         catalog.build_wall_seconds += result.wall_seconds
     refresh_rollup_gauges(catalog)

@@ -38,6 +38,13 @@ class CubeSpec:
     measures: dict[str, tuple[object, set[str]]] = field(default_factory=dict)
     observations: int = 0
 
+    @classmethod
+    def of(cls, shape: AggShape) -> "CubeSpec":
+        """The one-shape spec: a cube answering exactly ``shape``."""
+        spec = cls(shape.source, shape.key, shape.dims)
+        spec.absorb(shape)
+        return spec
+
     def absorb(self, shape: AggShape) -> None:
         self.observations += 1
         for key, (expr, parts) in shape.measures().items():
@@ -56,15 +63,6 @@ class CubeSpec:
             if mine is None or not parts <= mine[1]:
                 return False
         return True
-
-
-def _walk_aggregates(node: PlanNode):
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, AggregateNode):
-            yield current
-        stack.extend(current.children())
 
 
 class WorkloadMiner:
@@ -93,7 +91,9 @@ class WorkloadMiner:
         """The canonical shapes of an already-optimized (but unrouted)
         plan's aggregates; those that do not canonicalize are left out."""
         shapes = []
-        for aggregate in _walk_aggregates(node):
+        for aggregate in node.walk():
+            if not isinstance(aggregate, AggregateNode):
+                continue
             try:
                 shape = aggregate_shape(aggregate, self.db)
             except Exception:
@@ -108,9 +108,9 @@ class WorkloadMiner:
             for shape in shapes:
                 spec = self._specs.get((shape.key, shape.dims))
                 if spec is None:
-                    spec = CubeSpec(shape.source, shape.key, shape.dims)
-                    self._specs[(shape.key, shape.dims)] = spec
-                spec.absorb(shape)
+                    self._specs[(shape.key, shape.dims)] = CubeSpec.of(shape)
+                else:
+                    spec.absorb(shape)
         return len(shapes)
 
     def mine(self, min_count: int = 1) -> list[CubeSpec]:

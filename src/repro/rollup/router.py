@@ -28,9 +28,9 @@ from __future__ import annotations
 from repro.engine.plan import AggregateNode, PlanNode, ProjectNode, ScanNode
 from repro.obs.metrics import HitMissStats
 
-from .shapes import ROLLUP_PREFIX, aggregate_shape, derived_rewrite
+from .shapes import ROLLUP_PREFIX, AggShape, aggregate_shape, derived_rewrite
 
-__all__ = ["route_plan", "try_route_aggregate", "routed_tables", "ROUTER_STATS"]
+__all__ = ["reslice", "route_plan", "try_route_aggregate", "routed_tables", "ROUTER_STATS"]
 
 # Process-wide routing hit/miss counters, mirrored into the metrics
 # registry as rollup.router.hits / rollup.router.misses.
@@ -43,30 +43,34 @@ def try_route_aggregate(node: AggregateNode, db, catalog) -> PlanNode | None:
     shape = aggregate_shape(node, db)
     if shape is None:
         return None
-    needed_dims = set(shape.group_by) | shape.conjunct_columns
-    measures = shape.measures()
     for cube in catalog.cubes_for(shape.key):
-        if not needed_dims <= set(cube.dims):
-            continue
-        if any(
-            not parts <= cube.parts_for(key) for key, (_, parts) in measures.items()
-        ):
-            continue
-        predicate = None
-        for conjunct in shape.conjuncts:
-            predicate = conjunct if predicate is None else (predicate & conjunct)
-        inner_aggs, projections = derived_rewrite(
-            shape.aggs, shape.group_by, cube.colmap
-        )
-        scan_columns: list[str] = list(shape.group_by)
-        for _, spec in inner_aggs:
-            for ref in sorted(spec.expr.references()):
-                if ref not in scan_columns:
-                    scan_columns.append(ref)
-        rewritten: PlanNode = ScanNode(cube.name, tuple(scan_columns), predicate)
-        rewritten = AggregateNode(rewritten, shape.group_by, inner_aggs)
-        return ProjectNode(rewritten, projections)
+        routed = reslice(shape, cube)
+        if routed is not None:
+            return routed
     return None
+
+
+def reslice(shape: AggShape, cube) -> PlanNode | None:
+    """``shape`` answered from one cube over its source, or ``None`` when
+    the cube does not subsume it: scan the cells its filter keeps,
+    re-merge their stored states to the shape's grouping, recompose the
+    measures."""
+    if not (set(shape.group_by) | shape.conjunct_columns) <= set(cube.dims):
+        return None
+    if any(not parts <= cube.parts_for(key) for key, (_, parts) in shape.measures().items()):
+        return None
+    predicate = None
+    for conjunct in shape.conjuncts:
+        predicate = conjunct if predicate is None else (predicate & conjunct)
+    inner_aggs, projections = derived_rewrite(shape.aggs, shape.group_by, cube.colmap)
+    scan_columns: list[str] = list(shape.group_by)
+    for _, spec in inner_aggs:
+        for ref in sorted(spec.expr.references()):
+            if ref not in scan_columns:
+                scan_columns.append(ref)
+    rewritten: PlanNode = ScanNode(cube.name, tuple(scan_columns), predicate)
+    rewritten = AggregateNode(rewritten, shape.group_by, inner_aggs)
+    return ProjectNode(rewritten, projections)
 
 
 def route_plan(node: PlanNode, db, catalog, decisions: list | None = None) -> PlanNode:

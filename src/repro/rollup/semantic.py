@@ -1,32 +1,28 @@
-"""Subsumption-aware semantic result cache.
+"""The semantic result cache's split decision.
 
 The plan-fingerprint :class:`~repro.engine.cache.ResultCache` only hits
 on *identical* plans — a dashboard that re-runs Q1 with a new date
 cutoff misses every time, because the literal is part of the
-fingerprint. The semantic layer fixes that: it caches a **finer
-aggregate** — the query's canonical source grouped by the query's group
-keys *plus every filtered column*, holding decomposable per-cell states
-— keyed by a fingerprint that contains *no filter literals*. Any re-run
-of the same shape, whatever its literals, re-slices the cached cells:
-re-filter on the dimension columns, re-merge the states, recompose
-AVG = SUM/COUNT. The re-slice touches thousands of cells instead of
-millions of base rows.
+fingerprint. The semantic layer answers such re-runs from a cube: the
+plan's aggregation, canonicalized (:mod:`.shapes`), is the one-shape
+:class:`~.miner.CubeSpec` whose cube the parallel executor builds once
+— with the builder's plan and cell guard (:mod:`.builder`), cached by
+the shape's literal-free identity — and every re-run, whatever its
+literals, re-slices with the router's one-cube rewrite
+(:func:`~.router.reslice`), the wrappers peeled here re-applied on top.
+The re-slice touches thousands of cells instead of millions of base
+rows.
 
-Soundness is inherited from the rollup algebra (:mod:`.shapes`): the
-split only applies when the aggregation canonicalizes, its filters are
-provably hoistable, and its measures decompose exactly. Everything else
-falls through to normal execution untouched. Oversized slices (finer
-cell counts near the source cardinality) are negatively cached so the
-shape is not re-attempted.
+Soundness is inherited from the rollup algebra: the split only applies
+when the aggregation canonicalizes, its filters are provably hoistable,
+and its measures decompose exactly. Everything else falls through to
+normal execution untouched, and a cube the guard rejects is cached
+negatively so the shape is not re-attempted.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
-from repro.engine.executor import Executor
-from repro.engine.expr import Expr, ScalarSubquery
+from repro.engine.physical import _scalar_subqueries
 from repro.engine.plan import (
     AggregateNode,
     DistinctNode,
@@ -34,80 +30,28 @@ from repro.engine.plan import (
     LimitNode,
     PlanNode,
     ProjectNode,
-    ScanNode,
     SortNode,
 )
-from repro.engine.table import Database, Table
 
-from .shapes import AggShape, aggregate_shape, derived_rewrite, storage_aggs
+from .shapes import AggShape, aggregate_shape
 
-__all__ = [
-    "SEMANTIC_TABLE",
-    "MAX_SEMANTIC_CELLS",
-    "SemanticPlan",
-    "semantic_plan",
-    "run_residual",
-]
-
-# Name of the transient table the residual re-slice scans.
-SEMANTIC_TABLE = "__semantic_cells"
-
-# Cells beyond this defeat the purpose (the re-slice would rival the
-# base scan); the shape is negatively cached instead.
-MAX_SEMANTIC_CELLS = 65536
+__all__ = ["semantic_split"]
 
 # Plan nodes that may sit between the plan root and the aggregation
-# being cached; they are peeled off and re-applied to the residual.
+# being cached; they are peeled off and re-applied to the re-slice.
 _WRAPPERS = (SortNode, LimitNode, ProjectNode, FilterNode, DistinctNode)
 
 
-@dataclass(frozen=True)
-class SemanticPlan:
-    """A query split into a literal-free finer aggregate (cacheable)
-    and the query-specific residual that re-slices it."""
+def semantic_split(node: PlanNode, db) -> tuple[tuple[PlanNode, ...], AggShape] | None:
+    """An optimized plan's peeled wrappers and aggregate shape, or ``None``.
 
-    wrappers: tuple[PlanNode, ...]
-    shape: AggShape
-    finer: AggregateNode
-    colmap: dict
+    The wrappers (root first) are the sorts, limits, projections,
+    filters and DISTINCT above the aggregation; ``None`` means the plan
+    cannot be answered from a cube (then the caller executes normally).
 
-    @property
-    def cache_suffix(self) -> str:
-        return "#semantic"
-
-
-def _contains_subquery(expr: Expr) -> bool:
-    if isinstance(expr, ScalarSubquery):
-        return True
-    for value in vars(expr).values():
-        if isinstance(value, Expr) and _contains_subquery(value):
-            return True
-        if isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, Expr) and _contains_subquery(item):
-                    return True
-    return False
-
-
-def _residual_exprs(wrappers, shape: AggShape):
-    """Every expression the residual re-evaluates against the scratch
-    database (hoisted conjuncts plus wrapper predicates/projections)."""
-    yield from shape.conjuncts
-    for wrapper in wrappers:
-        if isinstance(wrapper, FilterNode):
-            yield wrapper.predicate
-        elif isinstance(wrapper, ProjectNode):
-            for _, expr in wrapper.exprs:
-                yield expr
-
-
-def semantic_plan(node: PlanNode, db) -> SemanticPlan | None:
-    """Split an optimized plan, or ``None`` when the plan's aggregation
-    cannot be canonicalized (then the caller just executes normally).
-
-    Requires at least one hoisted filter conjunct: without one, the
-    finer aggregate IS the query and the ordinary fingerprint cache
-    already handles re-runs.
+    Requires at least one hoisted filter conjunct: without one, the cube
+    IS the query and the ordinary fingerprint cache already handles
+    re-runs.
     """
     wrappers: list[PlanNode] = []
     current = node
@@ -119,38 +63,14 @@ def semantic_plan(node: PlanNode, db) -> SemanticPlan | None:
     shape = aggregate_shape(current, db)
     if shape is None or not shape.conjuncts:
         return None
-    if any(_contains_subquery(e) for e in _residual_exprs(wrappers, shape)):
-        # The residual executes against a scratch database holding only
-        # the cached cells; embedded subqueries need the real catalog.
+    exprs = list(shape.conjuncts)
+    for wrapper in wrappers:
+        if isinstance(wrapper, FilterNode):
+            exprs.append(wrapper.predicate)
+        elif isinstance(wrapper, ProjectNode):
+            exprs.extend(expr for _, expr in wrapper.exprs)
+    if _scalar_subqueries(exprs, []):
+        # The re-slice runs against a database holding only the cube;
+        # embedded subqueries need the real catalog.
         return None
-    specs, colmap = storage_aggs(shape.measures())
-    finer = AggregateNode(shape.source, shape.dims, tuple(sorted(specs.items())))
-    return SemanticPlan(tuple(wrappers), shape, finer, colmap)
-
-
-def residual_plan(sp: SemanticPlan) -> PlanNode:
-    """The re-slice: filter cached cells by the query's literals,
-    re-merge states to the query's grouping, recompose measures, and
-    re-apply the peeled wrappers (sorts, limits, projections)."""
-    shape = sp.shape
-    predicate = None
-    for conjunct in shape.conjuncts:
-        predicate = conjunct if predicate is None else (predicate & conjunct)
-    inner_aggs, projections = derived_rewrite(shape.aggs, shape.group_by, sp.colmap)
-    node: PlanNode = ScanNode(SEMANTIC_TABLE, None, None)
-    node = FilterNode(node, predicate)
-    node = AggregateNode(node, shape.group_by, inner_aggs)
-    node = ProjectNode(node, projections)
-    for wrapper in reversed(sp.wrappers):
-        node = dataclasses.replace(wrapper, child=node)
-    return node
-
-
-def run_residual(sp: SemanticPlan, finer_frame, settings):
-    """Execute the re-slice over a cached finer frame; returns the
-    engine :class:`~repro.engine.result.Result`."""
-    cells = Table(SEMANTIC_TABLE, dict(finer_frame.columns))
-    scratch = Database("__semantic")
-    scratch.add(cells)
-    executor = Executor(scratch, settings.without_rollups())
-    return executor.execute(residual_plan(sp), label="semantic-reslice")
+    return tuple(wrappers), shape

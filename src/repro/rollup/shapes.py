@@ -206,13 +206,10 @@ class AggShape:
 
 def scans_rollup_table(node: PlanNode) -> bool:
     """True when any scan in the subtree reads a materialized rollup."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ScanNode) and current.table.startswith(ROLLUP_PREFIX):
-            return True
-        stack.extend(current.children())
-    return False
+    return any(
+        isinstance(current, ScanNode) and current.table.startswith(ROLLUP_PREFIX)
+        for current in node.walk()
+    )
 
 
 def aggregate_shape(node: AggregateNode, db) -> AggShape | None:

@@ -683,35 +683,14 @@ class QueryServer:
     def build_rollups(self, min_count: int = 2, **kwargs):
         """Materialize cubes for the aggregate shapes observed in live
         traffic (seen at least ``min_count`` times) and attach them to
-        the served database. New cubes extend an existing catalog (specs
+        the served database, extending its catalog when it has one (specs
         an existing cube already subsumes are skipped); subsequent
         requests route automatically. Returns the active catalog."""
         from repro.rollup import build_rollups
-        from repro.rollup.builder import refresh_rollup_gauges
 
-        existing = getattr(self.db, "rollups", None)
-        specs = self.miner.mine(min_count=min_count)
-        if existing is not None:
-            specs = [
-                s
-                for s in specs
-                if not any(cube.spec.subsumes(s) for cube in existing.cubes)
-            ]
-        fresh = build_rollups(
-            self.db,
-            specs,
+        self.db.rollups = build_rollups(
+            self.db, self.miner.mine(min_count=min_count),
             settings=self.executor.settings,
-            start_index=len(existing.cubes) if existing is not None else 0,
-            **kwargs,
+            catalog=getattr(self.db, "rollups", None), **kwargs,
         )
-        if existing is None:
-            self.db.rollups = fresh
-            return fresh
-        for cube in fresh.cubes:
-            existing._register(cube)
-        existing.build_profile.absorb(fresh.build_profile)
-        existing.build_wall_seconds += fresh.build_wall_seconds
-        existing.candidates_considered += fresh.candidates_considered
-        existing.candidates_rejected += fresh.candidates_rejected
-        refresh_rollup_gauges(existing)
-        return existing
+        return self.db.rollups

@@ -21,6 +21,7 @@ from repro.engine.operators.aggregate import (
     two_phase,
 )
 from repro.engine.profile import WORK_FIELDS, OperatorContext
+from repro.engine.sql import sql
 from repro.engine.types import DATE, FLOAT64, INT64
 from repro.rollup.shapes import AggShape, derived_rewrite, storage_aggs
 
@@ -144,8 +145,8 @@ class TestReduceGroups:
         assert len(got) == n_groups
         if func in ("count", "count_star", "isum", "count_distinct"):
             assert got.dtype is INT64 and got.valid is None
-        elif func in ("min", "max") and kind in ("int64", "small"):
-            assert got.dtype is INT64  # INT64 in, INT64 out, NULL by mask
+        elif func in ("min", "max"):  # NULL by mask; INT64 in, INT64 out
+            assert got.dtype is (INT64 if kind in ("int64", "small") else FLOAT64)
         else:
             assert got.dtype is FLOAT64 and got.valid is None
         nullable_float = got.dtype is FLOAT64
@@ -232,9 +233,10 @@ class TestNoKeysIsOneGroup:
         out = execute_aggregate(frame, [], _ALL_AGGS, _ctx())
         assert out.nrows == 1
         assert [out.column(k).values[0] for k in ("s", "c", "n", "d", "i")] == [0.0, 0, 0, 0, 0]
-        assert all(math.isnan(out.column(k).values[0]) for k in ("a", "lo", "hi"))
-        for k in ("ilo", "ihi"):
-            assert out.column(k).dtype is INT64 and not out.column(k).valid[0]
+        assert math.isnan(out.column("a").values[0])  # AVG of nothing is 0/0
+        for k in ("lo", "hi", "ilo", "ihi"):
+            assert not out.column(k).valid[0]
+        assert out.column("lo").dtype is FLOAT64 and out.column("ilo").dtype is INT64
 
 
 # ----------------------------------------------------------------------
@@ -310,10 +312,37 @@ class TestMinMaxEmptyIsACount:
         out = execute_aggregate(
             frame, ["k"], {"lo": agg.min(col("v")), "hi": agg.max(col("v")), "ilo": agg.min(col("w"))}, _ctx()
         )
-        assert math.isnan(out.column("lo").values[0]) and math.isnan(out.column("hi").values[0])
+        assert out.column("lo").valid.tolist() == out.column("hi").valid.tolist() == [False, True]
         assert out.column("lo").values[1] == out.column("hi").values[1] == 2.0
         assert out.column("ilo").valid.tolist() == [False, True]
         assert out.column("ilo").values.tolist() == [0, 7]
+
+
+class TestFloatMinMaxEmptyIsNull:
+    """An empty or all-NULL FLOAT64 MIN/MAX is NULL by mask, as INT64's
+    is, so a morsel or partial group with no valid rows drops out of a
+    merge instead of poisoning it with NaN."""
+
+    def test_serial_equals_four_workers(self):
+        db = _db({"k": Column.from_ints(range(1, 9)),
+                  "v": Column.from_floats([float(i) for i in range(1, 9)])})
+        plan_of = lambda db: sql(db, "SELECT MIN(v) AS m, MAX(v) AS x FROM t WHERE k >= 4")  # noqa: E731
+        assert Executor(db).execute(plan_of(db)).rows == [(4.0, 8.0)]
+        assert _morsel_merged(db, plan_of).rows == [(4.0, 8.0)]
+
+    def test_a_partial_group_of_only_nulls_drops_out(self):
+        v = Column(FLOAT64, np.asarray([9.0, 5.0, 6.0, 2.0, 7.0]),
+                   valid=np.asarray([False, True, True, True, False]))
+        frame = Frame({"k": Column.from_ints([1, 1, 1, 2, 3]), "v": v}, 5)
+        aggs = {"lo": agg.min(col("v")), "hi": agg.max(col("v"))}
+        partial, _, _ = two_phase(aggs)
+        parts = [execute_aggregate(frame.take(np.asarray(rows)), ["k"], partial, _ctx())
+                 for rows in ([0, 4], [1, 2, 3])]
+        merged = merge_partial_aggregates(parts, ["k"], aggs, _ctx())
+        direct = execute_aggregate(frame, ["k"], aggs, _ctx())
+        for out in (merged, direct):
+            rows = list(zip(*(_as_python(out.column(c)) for c in ("k", "lo", "hi"))))
+            assert rows == [(1, 5.0, 6.0), (2, 2.0, 2.0), (3, None, None)]
 
 
 class TestIntegerMinMaxStaysInteger:
@@ -377,10 +406,9 @@ def _split_case(draw):
 
 
 # Float sums depend on the order rows are added in, so summed inputs are
-# small integers (exact in float64) carrying ``w``'s NULLs. FLOAT64 MIN/MAX
-# keep NULL as NaN in their *state* — which a merge cannot tell from a NaN
-# value (known, not this wall's subject) — so ``v`` carries NaN and ±inf
-# but no NULLs; INT64 states carry a mask, so ``w`` has them.
+# small integers (exact in float64) carrying ``w``'s NULLs. MIN/MAX states
+# carry NULL as a mask in both dtypes, so ``v`` (NaN, ±inf) and ``w`` have
+# NULLs too.
 _TWO_PHASE_AGGS = {
     "s": agg.sum(col("i")), "a": agg.avg(col("i")), "c": agg.count(col("w")),
     "n": agg.count_star(), "lo": agg.min(col("v")), "hi": agg.max(col("v")),
@@ -415,7 +443,6 @@ class TestTwoPhase:
         n, keys, v, w, cuts, order = case
         small = Column(INT64, np.asarray([(k * 7 + i) % 23 - 11 for i, k in enumerate(keys)]),
                        valid=w.valid)
-        v = Column(FLOAT64, v.values)
         frame = Frame({"k": Column.from_ints(keys), "v": v, "w": w, "i": small}, n).take(
             np.asarray(order))
         group_by = ["k"] if grouped else []

@@ -1,14 +1,15 @@
 """Unit coverage for the rollup package internals: canonical shapes,
 the workload miner, the cube builder's guardrails, router bookkeeping,
-the semantic cache's decline paths, and the server's live-mining flow.
-The differential and property walls prove end-to-end soundness; these
-tests pin the individual contracts those walls rest on."""
+the semantic cache's split decision and its one-shape cubes, and the
+server's live-mining flow. The differential and property walls prove
+end-to-end soundness; these tests pin the individual contracts those
+walls rest on."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import Column, Database, Executor, Q, Table, agg, col
+from repro.engine import Column, Database, Executor, ParallelExecutor, Q, Table, agg, col
 from repro.engine.optimizer import DEFAULT_SETTINGS, optimize_plan
 from repro.engine.plan import AggregateNode
 from repro.engine.sql import sql
@@ -19,7 +20,7 @@ from repro.rollup import (
     aggregate_shape,
     build_rollups,
     enable_rollups,
-    semantic_plan,
+    semantic_split,
     storage_aggs,
 )
 
@@ -40,12 +41,9 @@ def _db(n_rows: int = 12) -> Database:
 def _shape(db, q):
     """The first aggregate shape in an optimized (unrouted) plan."""
     node = optimize_plan(q.node, db, ROLLUPS_OFF)
-    stack = [node]
-    while stack:
-        current = stack.pop()
+    for current in node.walk():
         if isinstance(current, AggregateNode):
             return aggregate_shape(current, db)
-        stack.extend(current.children())
     return None
 
 
@@ -141,12 +139,18 @@ class TestBuilder:
         assert len(catalog.cubes) == 1
         assert catalog.cubes[0].spec.dims == ("g", "h")
 
-    def test_start_index_offsets_cube_names(self):
+    def test_extending_a_catalog_continues_its_cube_names(self):
         db = _db()
         miner = WorkloadMiner(db)
         miner.observe(Q(db).scan("t").aggregate(by=["g"], s=agg.sum(col("v"))))
-        catalog = build_rollups(db, miner.mine(), start_index=7)
-        assert catalog.cubes[0].name.startswith(f"{ROLLUP_PREFIX}07_")
+        catalog = build_rollups(db, miner.mine())
+        miner.observe(Q(db).scan("t").aggregate(by=["h"], s=agg.sum(col("v"))))
+        assert build_rollups(db, miner.mine(), catalog=catalog) is catalog
+        # The known spec is subsumed by its own cube; only the new one builds.
+        assert [cube.name[:len(ROLLUP_PREFIX) + 3] for cube in catalog.cubes] == [
+            f"{ROLLUP_PREFIX}00_", f"{ROLLUP_PREFIX}01_"]
+        assert [cube.dims for cube in catalog.cubes] == [("g",), ("h",)]
+        assert catalog.candidates_considered == 3
 
     def test_catalog_tables_resolve_through_database(self):
         db = _db()
@@ -176,26 +180,84 @@ class TestSemanticDeclines:
         db = _db()
         q = sql(db, "SELECT g, SUM(v) AS s FROM t GROUP BY g")
         node = optimize_plan(q.node, db, ROLLUPS_OFF)
-        assert semantic_plan(node, db) is None
+        assert semantic_split(node, db) is None
 
     def test_scalar_subquery_in_residual_declines(self):
-        # The residual re-executes inside a scratch database holding
-        # only the cached cells; a subquery over base tables cannot.
+        # The re-slice executes inside a scratch database holding only
+        # the cube; a subquery over base tables cannot.
         db = _db()
         q = sql(db, "SELECT g, SUM(v) AS s FROM t "
                     "WHERE v > (SELECT MIN(v) FROM t) GROUP BY g")
         node = optimize_plan(q.node, db, ROLLUPS_OFF)
-        assert semantic_plan(node, db) is None
+        assert semantic_split(node, db) is None
 
     def test_filtered_aggregate_splits(self):
         db = _db()
         q = sql(db, "SELECT g, SUM(v) AS s FROM t WHERE v > 12 GROUP BY g")
         node = optimize_plan(q.node, db, ROLLUPS_OFF)
-        sp = semantic_plan(node, db)
-        assert sp is not None
-        assert sp.cache_suffix == "#semantic"
-        # The finer plan groups by every dimension the residual needs.
-        assert set(sp.shape.dims) == {"g", "v"}
+        split = semantic_split(node, db)
+        assert split is not None
+        _, shape = split
+        # The cube groups by every dimension the re-slice needs.
+        assert set(shape.dims) == {"g", "v"}
+
+
+class TestSemanticCube:
+    """A literal-only re-run of a filtered shape answers from a one-shape
+    cube, built once and kept out of the rollup catalog."""
+
+    SHAPE = "SELECT g, SUM(v) AS s, COUNT(*) AS n FROM t WHERE {} GROUP BY g ORDER BY g"
+
+    @staticmethod
+    def _db():
+        db = _db(n_rows=400)
+        enable_rollups(db, plans=[])  # a catalog that routes nothing
+        return db
+
+    @staticmethod
+    def _scanned(result) -> float:
+        return sum(op.tuples_in for op in result.profile.operators if op.operator == "scan")
+
+    def test_a_fresh_literal_reslices_the_cube(self):
+        db = self._db()
+        with ParallelExecutor(db, workers=2) as engine:
+            engine.execute(sql(db, self.SHAPE.format("h = 0")))
+            hits = engine.semantic.hits
+            got = engine.execute(sql(db, self.SHAPE.format("h = 1")))
+            assert engine.semantic.hits == hits + 1
+        # The six (g, h) cells, not the 400 base rows.
+        assert 0 < self._scanned(got) <= 6
+        want = Executor(db, ROLLUPS_OFF).execute(sql(db, self.SHAPE.format("h = 1")))
+        assert got.rows == want.rows
+
+    def test_a_shape_past_the_guard_is_cached_negative(self):
+        db = self._db()
+        text = self.SHAPE.format("u > {}")
+        with ParallelExecutor(db, workers=2) as engine:
+            for cutoff in (10, 20):
+                got = engine.execute(sql(db, text.format(cutoff)))
+                want = Executor(db, ROLLUPS_OFF).execute(sql(db, text.format(cutoff)))
+                assert got.rows == want.rows
+                assert self._scanned(got) == 400  # answered from the base table
+            # 400 (g, u) cells exceed half the 400 source rows: one
+            # rejected build, then its negative entry answers the re-run.
+            assert engine.semantic.stats() == {
+                "capacity": 16, "entries": 1, "hits": 1, "misses": 1}
+
+    def test_entries_stay_out_of_the_catalog(self):
+        from repro.serve import QueryServer
+
+        db = _db(n_rows=400)
+        catalog = enable_rollups(
+            db, plans=[Q(db).scan("t").aggregate(by=["g"], s=agg.sum(col("v")))])
+        gauges = [metrics.gauge(n).value for n in ("rollup.cubes", "rollup.bytes")]
+        with QueryServer(db, workers=2) as server:
+            for literal in (0, 1):
+                server.query(self.SHAPE.format(f"h = {literal}"))
+            assert server.executor.semantic.hits == 1
+            assert server.stats()["prepared"] == {"entries": 1, "hits": 1, "misses": 1}
+        assert db.rollups is catalog and len(catalog) == 1
+        assert [metrics.gauge(n).value for n in ("rollup.cubes", "rollup.bytes")] == gauges
 
 
 class TestServerLiveMining:
