@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine import Database, Table
+from repro.engine import Database, Frame, Table
 from repro.engine.compression import compress_table
 
 __all__ = [
@@ -29,13 +29,16 @@ __all__ = [
 
 
 def partition_table(table: Table, n_nodes: int, key: str) -> list[Table]:
-    """Split ``table`` into ``n_nodes`` disjoint row sets by hashing
-    ``key`` (modulo; keys are dense integers in TPC-H)."""
+    """Split ``table`` into ``n_nodes`` disjoint row sets by integer
+    ``key`` modulo ``n_nodes``, each in table order (the stable scatter
+    :meth:`~repro.engine.frame.Frame.partition`)."""
     if n_nodes < 1:
         raise ValueError("need at least one node")
     keys = table.column(key).values
-    assignment = keys % n_nodes
-    return [table.select_rows(assignment == node) for node in range(n_nodes)]
+    if keys.dtype.kind != "i":
+        raise ValueError(f"partition key {key!r} is {keys.dtype}, not an integer column")
+    parts = Frame.from_table(table).partition(keys % n_nodes, n_nodes)
+    return [Table(table.name, part.columns) for part in parts]
 
 
 @dataclass

@@ -139,7 +139,8 @@ def _subtree_size(node: PlanNode, db: Database) -> tuple[float, float]:
 def _spill_tag(node: PlanNode, db: Database, budget) -> str:
     """Out-of-core annotation: a dry run of the budget dispatch in
     :mod:`repro.engine.spill`, using static size estimates."""
-    from .spill import HASH_ENTRY_BYTES, MAX_SPILL_DEPTH, choose_build_side, choose_partitions
+    from .spill import (MAX_SPILL_DEPTH, choose_build_side, choose_partitions,
+                        group_state_bytes, hash_build_bytes)
 
     limit = getattr(budget, "limit_bytes", budget)
     if limit is None:
@@ -148,15 +149,13 @@ def _spill_tag(node: PlanNode, db: Database, budget) -> str:
         lbytes, lrows = _subtree_size(node.left, db)
         rbytes, nrows = _subtree_size(node.right, db)
         side, estimate = choose_build_side(
-            lbytes + lrows * HASH_ENTRY_BYTES, rbytes + nrows * HASH_ENTRY_BYTES, limit
+            hash_build_bytes(lbytes, lrows), hash_build_bytes(rbytes, nrows), limit
         )
         nrows = nrows if side == "right" else lrows
         kind = "join"
     elif isinstance(node, AggregateNode) and node.group_by:
-        nbytes, nrows = _subtree_size(node.child, db)
-        estimate = nrows * (
-            8.0 * (len(node.group_by) + max(1, len(node.aggs))) + HASH_ENTRY_BYTES
-        )
+        _, nrows = _subtree_size(node.child, db)
+        estimate = group_state_bytes(nrows, len(node.group_by), len(node.aggs))
         kind = "agg"
     else:
         return ""

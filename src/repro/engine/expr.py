@@ -216,7 +216,7 @@ def _string_unique_mask(column: Column, func) -> np.ndarray:
 
 class Arith(Expr):
     """Binary arithmetic; result is FLOAT64 (INT64 when both sides are
-    integers and the op is not division)."""
+    integers and the op is not division), NULL where either operand is."""
 
     _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
@@ -238,11 +238,14 @@ class Arith(Expr):
         else:
             result = self._OPS[self.op](lval, rval)
         ctx.work.ops += frame.nrows
+        valid = lcol.valid
+        if rcol.valid is not None:
+            valid = rcol.valid if valid is None else valid & rcol.valid
         if self.op != "/" and lcol.dtype is INT64 and rcol.dtype is INT64:
-            return Column(INT64, result.astype(np.int64))
+            return Column(INT64, result.astype(np.int64), valid=valid)
         if lcol.dtype is DATE and rcol.dtype is INT64:
-            return Column(DATE, result.astype(np.int32))
-        return Column(FLOAT64, result.astype(np.float64))
+            return Column(DATE, result.astype(np.int32), valid=valid)
+        return Column(FLOAT64, result.astype(np.float64), valid=valid)
 
     def references(self) -> set[str]:
         return self.left.references() | self.right.references()

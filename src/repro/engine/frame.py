@@ -16,10 +16,10 @@ runs. Two physical representations exist behind one logical interface:
   memory-bandwidth argument applied to the engine's own intermediates.
 
 The logical API (:meth:`column`, :meth:`filter`, :meth:`take`,
-:meth:`slice`, :attr:`nrows`, :attr:`nbytes`) always behaves as if the
-frame were dense; operators that can exploit the physical split use
-:attr:`selection` / :meth:`dense` explicitly. Gathers through a
-contiguous selection degrade to zero-copy slices.
+:meth:`slice`, :meth:`partition`, :attr:`nrows`, :attr:`nbytes`) always
+behaves as if the frame were dense; operators that can exploit the
+physical split use :attr:`selection` / :meth:`dense` explicitly. Gathers
+through a contiguous selection degrade to zero-copy slices.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .column import Column
+from .keycache import stable_order
 from .table import Table
 
 __all__ = ["Frame"]
@@ -235,6 +236,15 @@ class Frame:
         if self.selection is not None:
             return Frame(self.columns, selection=self.selection[start:stop])
         return Frame({n: c.slice(start, stop) for n, c in self.columns.items()}, stop - start)
+
+    def partition(self, ids: np.ndarray, n: int) -> list["Frame"]:
+        """Stable scatter: part ``i`` holds the rows whose ``ids`` entry is
+        ``i`` (``0 <= i < n``), in their original relative order — the
+        order every Grace partition and cluster shard relies on. One
+        gather; the parts are zero-copy slices of it."""
+        gathered = self.take(stable_order(ids))
+        bounds = np.append(0, np.cumsum(np.bincount(ids, minlength=n)))
+        return [gathered.slice(bounds[i], bounds[i + 1]) for i in range(n)]
 
     def renamed(self, mapping: dict[str, str]) -> "Frame":
         cols = {mapping.get(n, n): c for n, c in self.columns.items()}

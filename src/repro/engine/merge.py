@@ -29,11 +29,10 @@ import numpy as np
 
 from .column import Column
 from .frame import Frame
-from .operators.aggregate import AggSpec, two_phase
+from .operators.aggregate import AggSpec, mean, two_phase
 from .operators.sort import _sort_key, execute_topk
 from .profile import OperatorWork, WorkProfile
 from .spill import maybe_spill_aggregate
-from .types import FLOAT64
 
 __all__ = [
     "concat_frames",
@@ -109,10 +108,8 @@ def merge_partial_aggregates(
     out: dict[str, Column] = {name: merged.column(name) for name in group_by}
     for name, spec in aggs.items():
         if spec.func == "avg":
-            sums = merged.column(f"{name}@sum").values
-            counts = merged.column(f"{name}@cnt").values
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out[name] = Column(FLOAT64, sums / counts)
+            sums, counts = (merged.column(f"{name}@{part}").values for part in ("sum", "cnt"))
+            out[name] = mean(sums, counts)
         else:
             out[name] = merged.column(name)
     frame = Frame(out, merged.nrows)

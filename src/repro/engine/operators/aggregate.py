@@ -28,13 +28,13 @@ from repro.obs.metrics import metrics
 from repro.obs.trace import note
 
 from ..column import Column
-from ..expr import Expr, col
+from ..expr import Arith, Expr, col
 from ..frame import Frame
 from ..keycache import _INT64_LIMIT, combine_codes, dense_span, factorize, key_cache, stable_order
 from ..types import FLOAT64, INT64, STRING
 
 __all__ = [
-    "AGG_STATES", "AggSpec", "execute_aggregate", "reduce_groups", "two_phase",
+    "AGG_STATES", "AggSpec", "execute_aggregate", "mean", "reduce_groups", "two_phase",
     "sum_", "avg", "count", "count_star", "count_distinct", "min_", "max_",
 ]
 
@@ -119,9 +119,26 @@ def two_phase(aggs: dict[str, AggSpec], state_column=None):
             partial[stored] = build(spec.expr)
             final[out] = AggSpec(merge, col(stored))
             merged[part] = col(out)
-        recomposed = merged["sum"] / merged["cnt"] if spec.func == "avg" else col(name)
+        recomposed = _Mean("/", merged["sum"], merged["cnt"]) if spec.func == "avg" else col(name)
         projections.append((name, recomposed))
     return partial, final, projections
+
+
+def mean(sums: np.ndarray, counts: np.ndarray) -> Column:
+    """AVG from its SUM and COUNT: NULL where nothing was counted."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        values = sums / counts
+    empty = counts == 0
+    return Column(FLOAT64, values, valid=~empty if empty.any() else None)
+
+
+class _Mean(Arith):
+    """``sum / cnt`` recomposing a merged AVG, through :func:`mean`."""
+
+    def evaluate(self, frame: Frame, ctx) -> Column:
+        sums, counts = self.left.evaluate(frame, ctx), self.right.evaluate(frame, ctx)
+        ctx.work.ops += frame.nrows
+        return mean(sums.values, counts.values)
 
 
 _INT64 = np.iinfo(np.int64)
@@ -220,9 +237,8 @@ def reduce_groups(
     group when the caller already has them or when one element stands for
     several rows (run-level segments, which carry no NULLs); without it
     every element is one row. A group no valid row reaches is empty by
-    that count, never by its value: COUNT 0, SUM 0.0, MIN/MAX NULL by a
-    validity mask (so a partial state with no rows drops out of a merge),
-    AVG NaN.
+    that count, never by its value: COUNT 0, SUM 0.0, MIN/MAX/AVG NULL by
+    a validity mask (so a partial state with no rows drops out of a merge).
 
     Sums always reduce through ``np.bincount``, so the accumulation order
     (and the last ulp) is the same for every caller. With one group the
@@ -254,8 +270,7 @@ def reduce_groups(
     if func == "sum":
         return Column(FLOAT64, sums())
     if func == "avg":
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return Column(FLOAT64, sums() / rows())
+        return mean(sums(), rows())
     if func == "isum":
         # Exact integer sum: recombines COUNT-valued partial states
         # (rollup cells, two-phase merges). Inputs are integral and

@@ -16,12 +16,20 @@ the charge and the work profile follow that choice, the rows never do):
 * estimate fits the budget → run the ordinary in-memory operator under
   :meth:`MemoryBudget.charge` (the state really is resident);
 * estimate exceeds the budget and spilling is enabled → Grace: partition
-  both inputs by a depth-salted hash of the join/group keys into spill
+  the inputs by a depth-salted hash of the join/group keys into spill
   files (integer payloads re-use the column codecs; floats and validity
   masks stay raw because the fixed-point codec is only almost-exact),
   then recurse into any partition that still exceeds the budget;
 * spilling disabled → raise :class:`MemoryBudgetExceeded`, the modeled
   "wimpy node OOM" the serve layer used to have to shed.
+
+Joins and grouped aggregates share that dispatch (``_out_of_core``) and
+one recursion (``_grace``) over a tuple of inputs — ``(left, right)`` or
+``(frame,)``. Each operator supplies only what differs: its state
+estimate and the choice it implies (the build side, or none), the input
+that must shrink, its partition keys, its in-memory kernel and refusal
+message, and its order restoration. Every scatter is
+:meth:`Frame.partition`, the stable one the cluster's shards use too.
 
 Recursion terminates unconditionally: a partition re-partitions only
 while it (of a join pair, the build input) is strictly smaller than its
@@ -482,16 +490,6 @@ def _partition_ids(keys: np.ndarray, n_partitions: int, depth: int) -> np.ndarra
     return ((z >> np.uint64(32)) % np.uint64(n_partitions)).astype(np.int64)
 
 
-def _partition_frame(frame: Frame, pids: np.ndarray, n_partitions: int) -> list[Frame]:
-    """Split a dense frame by partition id, preserving original relative
-    row order inside each partition (stable sort — the float-summation
-    order guarantee depends on this). Every column is gathered once; the
-    partitions are zero-copy slices of that one reordered frame."""
-    gathered = frame.take(stable_order(pids))
-    bounds = np.append(0, np.cumsum(np.bincount(pids, minlength=n_partitions)))
-    return [gathered.slice(bounds[i], bounds[i + 1]) for i in range(n_partitions)]
-
-
 def _pow2_ceil(n: int) -> int:
     p = 2
     while p < n:
@@ -511,14 +509,26 @@ def choose_partitions(
 
 
 # ----------------------------------------------------------------------
-# Estimates and dispatch
+# State estimates
 # ----------------------------------------------------------------------
 
 
+def hash_build_bytes(nbytes, nrows):
+    """Resident state of a hash table over ``nrows`` rows holding
+    ``nbytes`` of values: the values plus a hash entry per row."""
+    return nbytes + nrows * HASH_ENTRY_BYTES
+
+
+def group_state_bytes(nrows, n_keys, n_aggs):
+    """Upper bound on grouped-aggregation state over ``nrows`` rows:
+    worst case every row is its own group, each holding its keys and
+    accumulators."""
+    return nrows * (8 * (n_keys + max(1, n_aggs)) + HASH_ENTRY_BYTES)
+
+
 def join_build_estimate(right: Frame) -> int:
-    """Resident state of an in-memory hash join: the build side's values
-    plus a hash entry per build row."""
-    return int(right.nbytes + right.nrows * HASH_ENTRY_BYTES)
+    """Resident state of an in-memory hash join built over ``right``."""
+    return int(hash_build_bytes(right.nbytes, right.nrows))
 
 
 def choose_build_side(left_estimate, right_estimate, limit) -> tuple[str, float]:
@@ -538,10 +548,8 @@ def _build_side(left: Frame, right: Frame, available: float) -> tuple[str, float
 
 
 def aggregate_estimate(frame: Frame, group_by, aggs) -> int:
-    """Upper bound on grouped-aggregation state: worst case every row is
-    its own group, each holding its keys and accumulators."""
-    width = 8 * (len(group_by) + max(1, len(aggs)))
-    return int(frame.nrows * (width + HASH_ENTRY_BYTES))
+    """Grouped-aggregation state bound of ``frame`` (:func:`group_state_bytes`)."""
+    return int(group_state_bytes(frame.nrows, len(group_by), len(aggs)))
 
 
 def _check_cancel(ctx) -> None:
@@ -550,198 +558,74 @@ def _check_cancel(ctx) -> None:
         cancel.check()
 
 
-def maybe_spill_join(left, right, left_on, right_on, how, ctx) -> Frame:
-    """Budget-aware join dispatch (see module docstring for the
-    three-way split). Without a budget this is exactly ``execute_join``."""
-    budget = getattr(ctx, "budget", None)
-    if budget is None or budget.limit_bytes is None:
-        return execute_join(left, right, list(left_on), list(right_on), how, ctx)
-    available = budget.available()
-    side, estimate = _build_side(left, right, available)
-    if estimate <= available:
-        with budget.charge(estimate):
-            return execute_join(
-                left, right, list(left_on), list(right_on), how, ctx, build=side
-            )
-    if not getattr(ctx, "spilling", True):
-        raise MemoryBudgetExceeded(
-            f"hash join build side needs ~{estimate:,} bytes (the {side} input; "
-            f"left ~{join_build_estimate(left):,}, right "
-            f"~{join_build_estimate(right):,}) but only "
-            f"{max(0, int(available)):,} of the {budget.limit_bytes:,}-byte "
-            f"memory budget are free, and spilling is disabled"
-        )
-    return _grace_join(left, right, list(left_on), list(right_on), how, ctx)
-
-
-def maybe_spill_aggregate(frame, group_by, aggs, ctx) -> Frame:
-    """Budget-aware aggregation dispatch. Global aggregates (no group
-    keys) carry O(1) state and never spill."""
-    budget = getattr(ctx, "budget", None)
-    if budget is None or budget.limit_bytes is None or not group_by:
-        return execute_aggregate(frame, list(group_by), dict(aggs), ctx)
-    estimate = aggregate_estimate(frame, group_by, aggs)
-    available = budget.available()
-    if estimate <= available:
-        with budget.charge(estimate):
-            return execute_aggregate(frame, list(group_by), dict(aggs), ctx)
-    if not getattr(ctx, "spilling", True):
-        raise MemoryBudgetExceeded(
-            f"grouped aggregation needs ~{estimate:,} bytes but only "
-            f"{max(0, int(available)):,} of the {budget.limit_bytes:,}-byte "
-            f"memory budget are free, and spilling is disabled"
-        )
-    return _grace_aggregate(frame, list(group_by), dict(aggs), ctx)
-
-
 # ----------------------------------------------------------------------
-# Grace hash join
+# The two operators, as the Grace recursion sees them
 # ----------------------------------------------------------------------
 
 
-def _join_partition_keys(left: Frame, right: Frame, left_on, right_on, ctx):
-    """Hashable key arrays for both sides, encoded *jointly* (the same
-    shared-dictionary / union-remap paths the join itself uses), so equal
-    keys land in the same partition by construction."""
-    left_cols = [left.column(n) for n in left_on]
-    right_cols = [right.column(n) for n in right_on]
-    if len(left_cols) == 1:
-        lk, rk = _encode_key_pair(left_cols[0], right_cols[0], ctx)
-    else:
-        both = _combine_keys(
-            [_stack(lc, rc, ctx) for lc, rc in zip(left_cols, right_cols)]
-        )
-        lk, rk = both[: left.nrows], both[left.nrows :]
-    return _to_uint64(lk), _to_uint64(rk)
+class _HashJoin:
+    """Inputs ``(left, right)``; the choice is the build side, which is
+    also the input that must shrink; transient row-ids restore the
+    serial emission order."""
 
+    name = "join"
 
-def _concat(frames: list[Frame]) -> Frame:
-    from .merge import concat_frames  # local: merge imports this module
+    def __init__(self, left_on, right_on, how):
+        self.left_on, self.right_on, self.how = list(left_on), list(right_on), how
 
-    return concat_frames(frames)
+    def plan(self, inputs, available) -> tuple[str, float]:
+        return _build_side(*inputs, available)
 
+    def pivot(self, side) -> int:
+        return 0 if side == "left" else 1
 
-def _load(spills: SpillSet, ref, ctx):
-    return spills.read_frame(ref, ctx) if isinstance(ref, SpillFile) else ref
-
-
-def _grace_join(left, right, left_on, right_on, how, ctx) -> Frame:
-    budget = ctx.budget
-    work = ctx.work
-    bytes0, depth0 = work.spilled_bytes, work.respill_depth
-    left = left.dense(work)
-    right = right.dense(work)
-    left = left.with_columns(
-        {_LROW: Column(INT64, np.arange(left.nrows, dtype=np.int64))}
-    )
-    if how == "left":  # its validity mask is what marks the outer misses
-        right = right.with_columns(
-            {_RROW: Column(INT64, np.arange(right.nrows, dtype=np.int64))}
-        )
-    _operators_counter.inc()
-    build = _build_side(left, right, budget.available())
-    spills = SpillSet(budget)
-    try:
-        out = _grace_join_level(
-            left, right, left_on, right_on, how, ctx, spills, 0, build
-        )
-    finally:
-        spills.cleanup()
-    out = _restore_join_order(out, how, ctx)
-    note(
-        ctx,
-        spill="grace-join",
-        build=build[0],
-        spilled_bytes=work.spilled_bytes - bytes0,
-        respills=work.respill_depth - depth0,
-    )
-    return out
-
-
-def _grace_join_level(
-    left, right, left_on, right_on, how, ctx, spills, depth, build
-) -> Frame:
-    """One partition pass. ``build`` is the caller's ``(side, estimate)``
-    for this pair; every loaded child pair decides again."""
-    budget = ctx.budget
-    n_parts = choose_partitions(
-        build[1],
-        budget.available(),
-        max(left.nrows, right.nrows),
-        depth,
-    )
-    lkeys, rkeys = _join_partition_keys(left, right, left_on, right_on, ctx)
-    lpids = _partition_ids(lkeys, n_parts, depth)
-    rpids = _partition_ids(rkeys, n_parts, depth)
-    ctx.work.ops += left.nrows + right.nrows  # hash + scatter
-    ctx.work.seq_bytes += left.nbytes + right.nbytes  # partition pass streams both
-    lparts = _partition_frame(left, lpids, n_parts)
-    rparts = _partition_frame(right, rpids, n_parts)
-    parent_rows = {"left": left.nrows, "right": right.nrows}
-    pairs = []
-    for lp, rp in zip(lparts, rparts):
-        _check_cancel(ctx)
-        pairs.append(
-            (
-                spills.write_frame(lp, ctx) if lp.nrows else lp,
-                spills.write_frame(rp, ctx) if rp.nrows else rp,
-            )
-        )
-    del left, right, lparts, rparts  # partitions now live on disk
-
-    outputs = []
-    for lref, rref in pairs:
-        _check_cancel(ctx)
-        lp = _load(spills, lref, ctx)
-        rp = _load(spills, rref, ctx)
-        child = side, child_estimate = _build_side(lp, rp, budget.available())
-        if (
-            child_estimate > budget.available()
-            and depth + 1 < MAX_SPILL_DEPTH
-            and 0 < (rp if side == "right" else lp).nrows < parent_rows[side]
-        ):
-            ctx.work.respill_depth += 1
-            _respills_counter.inc()
-            outputs.append(
-                _grace_join_level(
-                    lp, rp, left_on, right_on, how, ctx, spills, depth + 1, child
-                )
-            )
+    def keys(self, inputs, ctx):
+        """Hashable key arrays for both sides, encoded *jointly* (the same
+        shared-dictionary / union-remap paths the join itself uses), so
+        equal keys land in the same partition by construction."""
+        left, right = inputs
+        left_cols = [left.column(n) for n in self.left_on]
+        right_cols = [right.column(n) for n in self.right_on]
+        if len(left_cols) == 1:
+            lk, rk = _encode_key_pair(left_cols[0], right_cols[0], ctx)
         else:
-            with budget.charge(child_estimate):
-                outputs.append(
-                    execute_join(lp, rp, left_on, right_on, how, ctx, build=side)
-                )
-    return _concat(outputs)
+            both = _combine_keys(
+                [_stack(lc, rc, ctx) for lc, rc in zip(left_cols, right_cols)]
+            )
+            lk, rk = both[: left.nrows], both[left.nrows :]
+        return _to_uint64(lk), _to_uint64(rk)
 
+    def run(self, inputs, ctx, side="right") -> Frame:
+        return execute_join(*inputs, self.left_on, self.right_on, self.how, ctx, build=side)
 
-def _restore_join_order(out: Frame, how: str, ctx) -> Frame:
-    """Reorder the concatenated partition outputs into the serial join's
-    exact emission order, then drop the transient row-id columns.
+    def refusal(self, inputs, side, estimate) -> str:
+        left, right = (join_build_estimate(frame) for frame in inputs)
+        return (f"hash join build side needs ~{estimate:,} bytes (the {side} input; "
+                f"left ~{left:,}, right ~{right:,})")
 
-    The serial join emits match pairs ascending in (left row, right row)
-    — its probe walks left rows in order and the build side's stable
-    sort yields each key's matches ascending in right row — with outer
-    misses appended last, ascending in left row, and semi/anti outputs
-    simply filtered in left order.
-    """
-    order = stable_order(out.column(_LROW).values)  # see the module docstring
-    if how == "left" and out.column(_RROW).valid is not None:  # misses go last
-        matched = out.column(_RROW).valid[order]
-        order = np.concatenate([order[matched], order[~matched]])
-    out = out.take(order)
-    ctx.work.ops += out.nrows  # the restoration sort
-    columns = {
-        name: col
-        for name, col in out.columns.items()
-        if name not in (_LROW, _RROW)
-    }
-    return Frame(columns, out.nrows)
+    def tag(self, inputs):
+        def row_ids(frame, name):
+            ids = np.arange(frame.nrows, dtype=np.int64)
+            return frame.with_columns({name: Column(INT64, ids)})
 
+        left, right = inputs
+        if self.how == "left":  # its validity mask is what marks the outer misses
+            right = row_ids(right, _RROW)
+        return row_ids(left, _LROW), right
 
-# ----------------------------------------------------------------------
-# Grace hash aggregation
-# ----------------------------------------------------------------------
+    def restore(self, out: Frame, ctx) -> Frame:
+        """Reorder the concatenated partition outputs into the serial
+        join's emission order — match pairs ascending in (left row, right
+        row), outer misses last by left row, semi/anti by left row — and
+        drop the transient row-id columns."""
+        order = stable_order(out.column(_LROW).values)  # see the module docstring
+        if self.how == "left" and out.column(_RROW).valid is not None:  # misses last
+            matched = out.column(_RROW).valid[order]
+            order = np.concatenate([order[matched], order[~matched]])
+        out = out.take(order)
+        ctx.work.ops += out.nrows  # the restoration sort
+        kept = {n: c for n, c in out.columns.items() if n not in (_LROW, _RROW)}
+        return Frame(kept, out.nrows)
 
 
 def _group_partition_keys(frame: Frame, group_by) -> np.ndarray:
@@ -752,71 +636,138 @@ def _group_partition_keys(frame: Frame, group_by) -> np.ndarray:
     return _to_uint64(_combined_codes(frame, group_by)[0])
 
 
-def _grace_aggregate(frame, group_by, aggs, ctx) -> Frame:
-    budget = ctx.budget
+class _GroupedAggregate:
+    """Input ``(frame,)``; no choice to make; re-sorting by the group keys
+    restores the serial group order."""
+
+    name = "aggregate"
+
+    def __init__(self, group_by, aggs):
+        self.group_by, self.aggs = list(group_by), dict(aggs)
+
+    def plan(self, inputs, available) -> tuple[None, int]:
+        return None, aggregate_estimate(inputs[0], self.group_by, self.aggs)
+
+    def pivot(self, choice) -> int:
+        return 0
+
+    def keys(self, inputs, ctx):
+        return (_group_partition_keys(inputs[0], self.group_by),)
+
+    def run(self, inputs, ctx, choice=None) -> Frame:
+        return execute_aggregate(inputs[0], self.group_by, self.aggs, ctx)
+
+    def refusal(self, inputs, choice, estimate) -> str:
+        return f"grouped aggregation needs ~{estimate:,} bytes"
+
+    def tag(self, inputs):
+        return inputs
+
+    def restore(self, out: Frame, ctx) -> Frame:
+        if out.nrows > 1:
+            # Every group appears exactly once, so re-ranking the output
+            # keys (same per-column NULL-first collation as the serial
+            # factorization) and sorting reproduces `np.unique`'s
+            # ascending combined-code order.
+            order = np.argsort(_combined_codes(out, self.group_by)[0], kind="stable")
+            out = out.take(order)
+            ctx.work.ops += out.nrows
+        return out
+
+
+# ----------------------------------------------------------------------
+# Dispatch and the Grace recursion
+# ----------------------------------------------------------------------
+
+
+def maybe_spill_join(left, right, left_on, right_on, how, ctx) -> Frame:
+    """Budget-aware join dispatch (see module docstring for the
+    three-way split). Without a budget this is exactly ``execute_join``."""
+    return _out_of_core(_HashJoin(left_on, right_on, how), (left, right), ctx)
+
+
+def maybe_spill_aggregate(frame, group_by, aggs, ctx) -> Frame:
+    """Budget-aware aggregation dispatch. Global aggregates (no group
+    keys) carry O(1) state and never spill."""
+    op = _GroupedAggregate(group_by, aggs)
+    return _out_of_core(op, (frame,), ctx) if op.group_by else op.run((frame,), ctx)
+
+
+def _out_of_core(op, inputs, ctx) -> Frame:
+    """The module docstring's three-way split for either operator; the
+    Grace branch densifies and tags the inputs, runs :func:`_grace` in
+    one :class:`SpillSet`, and restores the serial order."""
+    budget = getattr(ctx, "budget", None)
+    if budget is None or budget.limit_bytes is None:
+        return op.run(inputs, ctx)
+    available = budget.available()
+    choice, estimate = op.plan(inputs, available)
+    if estimate <= available:
+        with budget.charge(estimate):
+            return op.run(inputs, ctx, choice)
+    if not getattr(ctx, "spilling", True):
+        raise MemoryBudgetExceeded(
+            f"{op.refusal(inputs, choice, estimate)} but only "
+            f"{max(0, int(available)):,} of the {budget.limit_bytes:,}-byte "
+            f"memory budget are free, and spilling is disabled"
+        )
     work = ctx.work
     bytes0, depth0 = work.spilled_bytes, work.respill_depth
-    frame = frame.dense(work)
+    inputs = op.tag([frame.dense(work) for frame in inputs])
     _operators_counter.inc()
+    plan = op.plan(inputs, budget.available())
     spills = SpillSet(budget)
     try:
-        out = _grace_aggregate_level(frame, group_by, aggs, ctx, spills, 0)
+        out = _grace(op, inputs, plan, ctx, spills, 0)
     finally:
         spills.cleanup()
-    if out.nrows > 1:
-        # Restore the serial group order: every group appears exactly
-        # once, so re-ranking the output keys (same per-column NULL-first
-        # collation as the serial factorization) and sorting reproduces
-        # `np.unique`'s ascending combined-code order.
-        order = np.argsort(_combined_codes(out, group_by)[0], kind="stable")
-        out = out.take(order)
-        ctx.work.ops += out.nrows
-    note(
-        ctx,
-        spill="grace-aggregate",
-        spilled_bytes=work.spilled_bytes - bytes0,
-        respills=work.respill_depth - depth0,
-    )
+    out = op.restore(out, ctx)
+    build = {} if plan[0] is None else {"build": plan[0]}
+    note(ctx, spill=f"grace-{op.name}", **build, spilled_bytes=work.spilled_bytes - bytes0,
+         respills=work.respill_depth - depth0)
     return out
 
 
-def _grace_aggregate_level(frame, group_by, aggs, ctx, spills, depth) -> Frame:
+def _grace(op, inputs, plan, ctx, spills, depth) -> Frame:
+    """One partition pass: scatter every input by a depth-salted hash of
+    its keys, write the parts, then solve each loaded tuple of parts —
+    in memory under :meth:`MemoryBudget.charge`, or by another pass while
+    its pivot input still shrinks. ``plan`` is the caller's ``(choice,
+    estimate)`` for ``inputs``; every loaded tuple decides again."""
+    from .merge import concat_frames  # local: merge imports this module
+
     budget = ctx.budget
     n_parts = choose_partitions(
-        aggregate_estimate(frame, group_by, aggs),
-        budget.available(),
-        frame.nrows,
-        depth,
+        plan[1], budget.available(), max(frame.nrows for frame in inputs), depth
     )
-    pids = _partition_ids(_group_partition_keys(frame, group_by), n_parts, depth)
-    ctx.work.ops += frame.nrows
-    ctx.work.seq_bytes += frame.nbytes
-    parts = _partition_frame(frame, pids, n_parts)
-    parent_rows = frame.nrows
+    pids = [_partition_ids(keys, n_parts, depth) for keys in op.keys(inputs, ctx)]
+    ctx.work.ops += sum(frame.nrows for frame in inputs)  # hash + scatter
+    ctx.work.seq_bytes += sum(frame.nbytes for frame in inputs)  # one streaming pass
+    parents = [frame.nrows for frame in inputs]
     refs = []
-    for part in parts:
+    for parts in zip(*[frame.partition(p, n_parts) for frame, p in zip(inputs, pids)]):
         _check_cancel(ctx)
-        refs.append(spills.write_frame(part, ctx) if part.nrows else part)
-    del frame, parts
+        refs.append([spills.write_frame(p, ctx) if p.nrows else p for p in parts])
+    del inputs  # partitions now live on disk
 
     outputs = []
-    for ref in refs:
+    for group in refs:
         _check_cancel(ctx)
-        part = _load(spills, ref, ctx)
-        child_estimate = aggregate_estimate(part, group_by, aggs)
+        parts = [
+            spills.read_frame(ref, ctx) if isinstance(ref, SpillFile) else ref
+            for ref in group
+        ]
+        child = choice, estimate = op.plan(parts, budget.available())
+        pivot = op.pivot(choice)
         if (
-            child_estimate > budget.available()
+            estimate > budget.available()
             and depth + 1 < MAX_SPILL_DEPTH
-            and 0 < part.nrows < parent_rows
+            and 0 < parts[pivot].nrows < parents[pivot]
         ):
             ctx.work.respill_depth += 1
             _respills_counter.inc()
-            outputs.append(
-                _grace_aggregate_level(part, group_by, aggs, ctx, spills, depth + 1)
-            )
+            outputs.append(_grace(op, parts, child, ctx, spills, depth + 1))
         else:
-            with budget.charge(child_estimate):
-                outputs.append(
-                    execute_aggregate(part, list(group_by), dict(aggs), ctx)
-                )
-    return _concat(outputs)
+            with budget.charge(estimate):
+                outputs.append(op.run(parts, ctx, choice))
+    return concat_frames(outputs)

@@ -98,7 +98,7 @@ class Table:
 
     def select_rows(self, mask_or_indices: np.ndarray) -> "Table":
         """Return a new table with the given rows (boolean mask or index
-        array). Used by the cluster partitioner."""
+        array)."""
         arr = np.asarray(mask_or_indices)
         if arr.dtype == np.bool_:
             cols = {name: col.filter(arr) for name, col in self.columns.items()}

@@ -38,37 +38,7 @@ from repro.obs.metrics import metrics
 from .errors import CircuitOpen, Overloaded
 from .policy import CircuitBreaker
 
-__all__ = ["AdmissionController", "AdmissionPolicy", "estimate_service_cost"]
-
-
-def estimate_service_cost(db, node) -> float:
-    """Modeled service cost of one prepared request, for
-    shortest-job-first dispatch among equal-priority queued requests.
-
-    The estimate is the performance model's predicted scan time on the
-    paper's Pi: sum the bytes the *optimized* plan's scans stream (so
-    rollup routing and column pruning are reflected — a routed dashboard
-    query is correctly predicted to be near-free) and price that as one
-    synthetic scan operator. Deliberately coarse: it only has to *rank*
-    queued requests, not predict latency.
-    """
-    from repro.engine.plan import ScanNode
-    from repro.engine.profile import WorkProfile
-    from repro.hardware import PI_KEY, PerformanceModel, get_platform
-
-    profile = WorkProfile()
-    work = profile.new_operator("scan")
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ScanNode):
-            table = db.table(current.table)
-            for name in current.streamed_columns(table):
-                work.seq_bytes += table.column(name).nbytes
-            work.tuples_in += table.nrows
-            work.tuples_out += table.nrows
-        stack.extend(current.children())
-    return PerformanceModel().predict(profile, get_platform(PI_KEY))
+__all__ = ["AdmissionController", "AdmissionPolicy"]
 
 
 # Weight of the newest observation in the service-time EWMA. High enough

@@ -23,7 +23,7 @@ aspirational:
   evicted from the single-flight cache before any waiter can observe
   them, so a retry always recomputes.
 
-The frontend trip — parse, plan, optimize, mine, route, price — runs
+The frontend trip — parse, plan, optimize, mine, route — runs
 once per request *shape*, not per request: a SQL text whose tokens match
 a prepared one, literal values aside, re-binds its fresh WHERE literals
 into the prepared routed plan (see :meth:`QueryServer._prepare`).
@@ -62,7 +62,7 @@ from repro.obs.metrics import HitMissStats, metrics
 from repro.obs.trace import NULL_TRACER
 from repro.rollup.router import ROUTER_STATS
 
-from .admission import AdmissionController, AdmissionPolicy, estimate_service_cost
+from .admission import AdmissionController, AdmissionPolicy
 from .errors import QueryFailed, ServerClosed
 from .policy import CircuitBreaker, RetryPolicy, TransientServeError
 
@@ -158,7 +158,7 @@ class _Request:
 @dataclasses.dataclass(frozen=True)
 class _Prepared:
     """One request shape's frontend trip, kept to answer the next request
-    of that shape: its routed plan, price, mined shapes and routing
+    of that shape: its routed plan, mined shapes and routing
     decisions, the catalog state it was planned under, the literal
     tokens a hit must repeat (``fixed``), and the ones it re-binds
     (``slots``: token index, syntax class, planned Literal) with the
@@ -172,7 +172,6 @@ class _Prepared:
     slots: tuple
     program: tuple
     plan: PlanNode
-    cost: float
     shapes: tuple
     routed: tuple
 
@@ -268,15 +267,15 @@ def _literal_sites(plan: PlanNode, shapes) -> tuple[set, set, list]:
     return free, bound, order
 
 
-def _prepared(tokens, literals, plan, cost, shapes, decisions, state) -> _Prepared:
+def _prepared(tokens, literals, plan, shapes, decisions, state) -> _Prepared:
     """Analyze one successful trip of a SQL request (``literals``: the
     planner's ``(syntax node, Literal)`` record) into its entry.
 
     A literal token is a slot when some Literal planned from it reaches
     the routed plan and every one that does is free: then no optimizer,
-    router, miner or pricing decision read its value — they read a
-    predicate only through ``references()`` — and re-lowering it is all
-    a new value needs. Every other literal token is fixed.
+    router or miner decision read its value — they read a predicate
+    only through ``references()`` — and re-lowering it is all a new
+    value needs. Every other literal token is fixed.
     """
     free, bound, order = _literal_sites(plan, shapes)
     index = {t.position: i for i, t in enumerate(tokens) if t.kind in _LITERAL_KINDS}
@@ -298,14 +297,12 @@ def _prepared(tokens, literals, plan, cost, shapes, decisions, state) -> _Prepar
         (i, t.value) for i, t in enumerate(tokens)
         if t.kind in _LITERAL_KINDS and i not in slotted
     )
-    return _Prepared(*state, fixed, slots, tuple(program), plan, cost,
+    return _Prepared(*state, fixed, slots, tuple(program), plan,
                      tuple(shapes), tuple(decisions))
 
 
-# Queue items sort by (-priority, cost, seq): higher priority first,
-# shortest modeled job first within a priority (see
-# :func:`~repro.serve.admission.estimate_service_cost`), and FIFO among
-# equal-cost requests. Shutdown sentinels carry +inf priority rank so
+# Queue items sort by (-priority, seq): higher priority first, FIFO
+# within a priority. Shutdown sentinels carry +inf priority rank so
 # close() drains admitted work before workers exit.
 
 
@@ -426,12 +423,10 @@ class QueryServer:
             if timeout_s is not None:
                 span.annotate(timeout_s=timeout_s)
         req = _Request(seq, priority, request, ticket, token, span, time.monotonic())
-        cost = self._prepare(req)
-        if span is not None:
-            span.annotate(est_cost_s=cost)
-            if req.prepared is not None:
-                span.annotate(prepared=req.prepared)
-        self._queue.put((-priority, cost, seq, req))
+        self._prepare(req)
+        if span is not None and req.prepared is not None:
+            span.annotate(prepared=req.prepared)
+        self._queue.put((-priority, seq, req))
         return ticket
 
     def query(
@@ -480,7 +475,7 @@ class QueryServer:
                 if req is not None:
                     req.token.cancel("server shutdown")
         for _ in self._threads:
-            self._queue.put((float("inf"), 0.0, next(self._seq), None))
+            self._queue.put((float("inf"), next(self._seq), None))
         for thread in self._threads:
             thread.join()
         # A submit that raced the close can strand a request behind the
@@ -586,42 +581,39 @@ class QueryServer:
                 time.sleep(wait)
                 attempt += 1
 
-    def _prepare(self, req: _Request) -> float:
+    def _prepare(self, req: _Request) -> None:
         """The request's frontend trip, at submit: parse, optimize
-        unrouted, feed the miner, route, price. Returns the modeled
-        service cost that ranks the request in the queue.
+        unrouted, feed the miner, route.
 
         SQL text takes the trip once per shape. Its key is its token
         stream with every NUMBER/STRING value lifted out; a request whose
         shape was prepared under the same catalog, and whose fixed
         literals repeat, re-lowers only its slot literals and rebuilds
         the plan from them to the root (:meth:`_Prepared.bind`). It then
-        re-records the shape's mined shapes and routing decisions and
-        reuses its price. Anything else — a new shape, a catalog that
-        gained cubes, a slot literal that does not lower — takes the
-        trip, which alone decides what the request answers or raises.
+        re-records the shape's mined shapes and routing decisions.
+        Anything else — a new shape, a catalog that gained cubes, a slot
+        literal that does not lower — takes the trip, which alone
+        decides what the request answers or raises.
 
         Never raises: a payload that does not parse or plan keeps its
         error on the request — the worker resolves the ticket with it
-        (``sql-error`` / ``failed``) — and costs ``0.0``, because
-        resolving an error ticket is the shortest job of all.
+        (``sql-error`` / ``failed``).
         """
         try:
             payload = req.payload
             if isinstance(payload, str):
-                return self._prepare_sql(req, payload)
-            if not isinstance(payload, (PlanNode, Q)):
+                self._prepare_sql(req, payload)
+            elif isinstance(payload, (PlanNode, Q)):
+                req.plan, _ = self._trip(payload.node if isinstance(payload, Q) else payload)
+            else:
                 raise SqlError(
                     f"unsupported request payload type {type(payload).__name__}; "
                     "expected SQL text or a plan"
                 )
-            req.plan, _, cost = self._trip(payload.node if isinstance(payload, Q) else payload)
-            return cost
         except Exception as exc:
             req.error = exc
-            return 0.0
 
-    def _prepare_sql(self, req: _Request, text: str) -> float:
+    def _prepare_sql(self, req: _Request, text: str) -> None:
         tokens = tokenize(text)
         key = tuple(t.kind if t.kind in _LITERAL_KINDS else (t.kind, t.value) for t in tokens)
         settings = self.executor.settings
@@ -643,22 +635,21 @@ class QueryServer:
             self.miner.absorb(entry.shapes)
             for routed in entry.routed:
                 ROUTER_STATS.hit() if routed else ROUTER_STATS.miss()
-            return entry.cost
+            return
         req.prepared = "miss"
         literals, decisions = [], []
         node = parse_sql(self.db, text, literals).node
-        req.plan, shapes, cost = self._trip(node, decisions)
-        entry = _prepared(tokens, literals, req.plan, cost, shapes, decisions, state)
+        req.plan, shapes = self._trip(node, decisions)
+        entry = _prepared(tokens, literals, req.plan, shapes, decisions, state)
         with self._prepared_lock:
             self._prepared[key] = entry
             self._prepared.move_to_end(key)
             if len(self._prepared) > PREPARED_SHAPES:
                 self._prepared.popitem(last=False)
-        return cost
 
     def _trip(self, node, decisions: list | None = None):
-        """Optimize unrouted, mine, route and price one plan; returns the
-        routed plan, its mined shapes and its modeled cost."""
+        """Optimize unrouted, mine and route one plan; returns the routed
+        plan and its mined shapes."""
         if node is None:
             raise ValueError("cannot execute an empty plan")
         settings = self.executor.settings
@@ -668,7 +659,7 @@ class QueryServer:
         shapes = self.miner.shapes_of(node)
         self.miner.absorb(shapes)
         plan = route_rollups(node, self.db, settings, decisions)
-        return plan, shapes, estimate_service_cost(self.db, plan)
+        return plan, shapes
 
     def _execute(self, req: _Request):
         """One execution attempt of the prepared plan. Split out so tests

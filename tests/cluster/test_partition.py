@@ -4,6 +4,26 @@ import numpy as np
 import pytest
 
 from repro.cluster import partition_table, replicate_database
+from repro.engine import Column, Table
+from repro.engine.types import FLOAT64, INT64
+
+
+def _mask_partition(table, n_nodes, key):
+    """The oracle: one boolean filter per node over ``key % n_nodes``."""
+    assignment = table.column(key).values % n_nodes
+    return [table.select_rows(assignment == node) for node in range(n_nodes)]
+
+
+def _mixed_table(nrows=500, seed=3):
+    """Keys out of order, a dictionary STRING column and a NULL-masked
+    FLOAT64 column."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in rng.integers(0, 17, nrows)]
+    return Table("t", {
+        "k": Column(INT64, rng.integers(-50, 1000, nrows)),
+        "s": Column.from_strings(words),
+        "v": Column(FLOAT64, rng.random(nrows), valid=rng.random(nrows) < 0.7),
+    })
 
 
 class TestPartitionTable:
@@ -34,6 +54,37 @@ class TestPartitionTable:
     def test_invalid_node_count(self, tpch_db):
         with pytest.raises(ValueError):
             partition_table(tpch_db.table("lineitem"), 0, "l_orderkey")
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 5, 24])
+    def test_shards_equal_the_mask_partition(self, n_nodes):
+        """Row for row: values, order, the same dictionary object and the
+        same NULL masks as one boolean filter per node."""
+        table = _mixed_table()
+        got = partition_table(table, n_nodes, "k")
+        want = _mask_partition(table, n_nodes, "k")
+        assert len(got) == len(want) == n_nodes
+        for shard, oracle in zip(got, want):
+            assert shard.name == oracle.name and shard.column_names == oracle.column_names
+            for name in table.column_names:
+                a, b = shard.column(name), oracle.column(name)
+                assert a.dtype is b.dtype and np.array_equal(a.values, b.values)
+                assert a.dictionary is b.dictionary
+                assert (a.valid is None) == (b.valid is None)
+                if a.valid is not None:
+                    assert np.array_equal(a.valid, b.valid)
+
+    def test_lineitem_shards_equal_the_mask_partition(self, tpch_db):
+        lineitem = tpch_db.table("lineitem")
+        for got, want in zip(partition_table(lineitem, 4, "l_orderkey"),
+                             _mask_partition(lineitem, 4, "l_orderkey")):
+            for name in lineitem.column_names:
+                assert np.array_equal(got.column(name).values, want.column(name).values)
+
+    def test_non_integer_key_is_rejected(self):
+        """A fractional key would fall in no shard (0.5 % 2 is no node)."""
+        table = Table("t", {"k": Column(FLOAT64, np.array([0.5, 1.0, 2.5, 3.0]))})
+        with pytest.raises(ValueError, match="integer"):
+            partition_table(table, 2, "k")
 
 
 class TestNodeCatalogs:

@@ -147,6 +147,9 @@ class TestReduceGroups:
             assert got.dtype is INT64 and got.valid is None
         elif func in ("min", "max"):  # NULL by mask; INT64 in, INT64 out
             assert got.dtype is (INT64 if kind in ("int64", "small") else FLOAT64)
+        elif func == "avg":  # NULL by mask exactly where no valid row reached
+            assert got.dtype is FLOAT64
+            assert [a is None for a in _as_python(got)] == [b is None for b in want]
         else:
             assert got.dtype is FLOAT64 and got.valid is None
         nullable_float = got.dtype is FLOAT64
@@ -233,8 +236,7 @@ class TestNoKeysIsOneGroup:
         out = execute_aggregate(frame, [], _ALL_AGGS, _ctx())
         assert out.nrows == 1
         assert [out.column(k).values[0] for k in ("s", "c", "n", "d", "i")] == [0.0, 0, 0, 0, 0]
-        assert math.isnan(out.column("a").values[0])  # AVG of nothing is 0/0
-        for k in ("lo", "hi", "ilo", "ihi"):
+        for k in ("a", "lo", "hi", "ilo", "ihi"):
             assert not out.column(k).valid[0]
         assert out.column("lo").dtype is FLOAT64 and out.column("ilo").dtype is INT64
 
@@ -343,6 +345,39 @@ class TestFloatMinMaxEmptyIsNull:
         for out in (merged, direct):
             rows = list(zip(*(_as_python(out.column(c)) for c in ("k", "lo", "hi"))))
             assert rows == [(1, 5.0, 6.0), (2, 2.0, 2.0), (3, None, None)]
+
+
+class TestAvgOverNothingIsNull:
+    """AVG with no valid row is NULL by mask, as MIN/MAX are, wherever it
+    is reduced or recomposed: the kernel, the morsel merge and the
+    two-phase projection."""
+
+    QUERY = "SELECT AVG(v) AS a, MIN(v) AS m FROM t WHERE k > 100"
+
+    @staticmethod
+    def _t():
+        return _db({"k": Column.from_ints(range(1, 9)),
+                    "v": Column.from_floats([float(i) for i in range(1, 9)])})
+
+    def test_serial(self):
+        db = self._t()
+        assert Executor(db).execute(sql(db, self.QUERY)).rows == [(None, None)]
+
+    def test_four_workers(self):
+        assert _morsel_merged(self._t(), lambda db: sql(db, self.QUERY)).rows == [(None, None)]
+
+    def test_a_grouped_all_null_group(self):
+        v = Column(FLOAT64, np.asarray([1.0, 2.0, 3.0]), valid=np.asarray([True, False, False]))
+        frame = Frame({"k": Column.from_ints([1, 2, 2]), "v": v}, 3)
+        out = execute_aggregate(frame, ["k"], {"a": agg.avg(col("v"))}, _ctx())
+        assert _as_python(out.column("a")) == [1.0, None]
+
+    def test_the_recomposed_two_phase_form(self):
+        _, _, projections = two_phase({"a": agg.avg(col("v"))})
+        merged = Frame({"a@sum": Column.from_floats([3.0, 0.0]),
+                        "a@cnt": Column.from_ints([2, 0])}, 2)
+        out = dict(projections)["a"].evaluate(merged, _ctx())
+        assert out.dtype is FLOAT64 and _as_python(out) == [1.5, None]
 
 
 class TestIntegerMinMaxStaysInteger:

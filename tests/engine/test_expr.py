@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.engine import Column, Frame, case, col, lit
+from repro.engine import Column, Database, Frame, Table, case, col, execute, lit
 from repro.engine.executor import ExecContext
+from repro.engine.sql import sql
 from repro.engine.profile import WorkProfile
 from repro.engine.types import BOOL, DATE, FLOAT64, INT64, STRING
 
@@ -227,3 +228,34 @@ class TestLiterals:
         expr = (col("a") + col("b")) * (1.0 - col("c"))
         assert expr.references() == {"a", "b", "c"}
         assert lit(1).references() == set()
+
+
+class TestArithmeticNulls:
+    """Arithmetic over a NULL operand is NULL, whatever reads the result:
+    ``a(k = 1..4) LEFT JOIN b(k2 = {1, 2})`` leaves ``w`` NULL for k = 3, 4."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database("nulls")
+        db.add(Table("a", {"k": Column.from_ints([1, 2, 3, 4])}))
+        db.add(Table("b", {
+            "k2": Column.from_ints([1, 2]),
+            "w": Column.from_floats([10.0, 20.0]),
+        }))
+        return db
+
+    @staticmethod
+    def run(db, select, rest=""):
+        return execute(db, sql(db, f"SELECT {select} FROM a LEFT JOIN b ON k = k2 {rest}"))
+
+    def test_projection_is_null_where_an_operand_is(self, db):
+        result = self.run(db, "k, w + 1 AS x", "ORDER BY k")
+        assert result.rows == [(1, 11.0), (2, 21.0), (3, None), (4, None)]
+
+    def test_sum_and_count_skip_null_results(self, db):
+        result = self.run(db, "SUM(w + 1) AS s, COUNT(w + 1) AS c")
+        assert result.rows == [(32.0, 2)]
+
+    def test_comparison_with_a_null_result_is_false(self, db):
+        result = self.run(db, "k", "WHERE w + 1 > 0")
+        assert sorted(result.column("k")) == [1, 2]

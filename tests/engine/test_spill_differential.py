@@ -70,7 +70,6 @@ from repro.engine.spill import (
     SpillSet,
     _build_side,
     _encode_values,
-    _partition_frame,
     _partition_ids,
     _to_uint64,
     choose_build_side,
@@ -422,7 +421,7 @@ class TestPartitioningProperties:
         pids = _partition_ids(
             _to_uint64(frame.column("k").values), n_partitions, depth
         )
-        parts = _partition_frame(frame, pids, n_partitions)
+        parts = frame.partition(pids, n_partitions)
         assert len(parts) == n_partitions
         assert sum(p.nrows for p in parts) == n
         seen = []
@@ -941,7 +940,7 @@ class TestRestoreOrder:
     def test_lrow_order_is_the_lexsort_order(
         self, n_left, n_right, domain, fanout, how, seed, tmp_path_factory
     ):
-        """Many-to-many joins through ``_grace_join`` at ``fanout``
+        """Many-to-many joins through the Grace path at ``fanout``
         partitions, re-partitioned at least once: the output — ordered by
         one stable sort of the left row-ids — is in ``np.lexsort((right
         row, left row))`` order, left-outer misses last by left row."""
@@ -967,7 +966,7 @@ class TestRestoreOrder:
             spill, "choose_partitions",
             lambda estimate, available, nrows, depth: fanout if depth == 0 else 2,
         ):
-            got = spill._grace_join(left, right, ["k"], ["k2"], how, ctx)
+            got = maybe_spill_join(left, right, ["k"], ["k2"], how, ctx)
         assert ctx.work.respill_depth >= 1  # depth >= 2 was reached
         assert ctx.work.spill_partitions > 2 * 2
         assert spill._LROW not in got.columns and spill._RROW not in got.columns

@@ -10,11 +10,10 @@ import pytest
 
 import collections
 
-from repro.engine import Column, Database, Q, Table, agg, col
+from repro.engine import Column, Database, Table
 from repro.engine import optimizer as optimizer_module
-from repro.engine.optimizer import DEFAULT_SETTINGS, optimize_plan
 from repro.engine.sql import SqlError, planner as planner_module, sql as parse_sql
-from repro.obs import Tracer, metrics
+from repro.obs import metrics
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -24,7 +23,6 @@ from repro.serve import (
     QueryServer,
     RetryPolicy,
 )
-from repro.serve.admission import estimate_service_cost
 
 
 class TestAdmissionPolicy:
@@ -239,10 +237,10 @@ class TestCircuitBreaker:
 
 
 @pytest.fixture()
-def sjf_db() -> Database:
-    """Two tables far enough apart in size that the modeled scan cost
-    unambiguously ranks queries over them."""
-    db = Database("sjf")
+def sized_db() -> Database:
+    """A big and a small table: a query over ``big`` takes far longer
+    than one over ``small``."""
+    db = Database("sized")
     db.add(Table("big", {
         "v": Column.from_ints(range(200_000)),
         "g": Column.from_ints([i % 5 for i in range(200_000)]),
@@ -251,74 +249,31 @@ def sjf_db() -> Database:
     return db
 
 
-def _cost(db, request, settings=DEFAULT_SETTINGS) -> float:
-    """Price a request the way ``QueryServer`` does at submit: the
-    estimate walks the *optimized* tree."""
-    plan = parse_sql(db, request) if isinstance(request, str) else request
-    node = plan.node if isinstance(plan, Q) else plan
-    return estimate_service_cost(db, optimize_plan(node, db, settings))
-
-
 GROUPED_SQL = "SELECT g, SUM(v) AS s FROM big GROUP BY g"
 
 
-class TestServiceCostEstimate:
-    def test_cost_ranks_by_scanned_bytes(self, sjf_db):
-        big = _cost(sjf_db, "SELECT SUM(v) AS s FROM big")
-        small = _cost(sjf_db, "SELECT SUM(v) AS s FROM small")
-        assert big > small > 0.0
-
-    def test_unplannable_payloads_cost_zero(self, sjf_db):
-        # Resolving an error ticket is the shortest job of all: garbage
-        # must sort ahead of real work, and must never raise out of
-        # submit — the error lands on the ticket.
-        tracer = Tracer()
+class TestUnplannablePayloads:
+    def test_ticket_resolves_with_its_error(self, sized_db):
+        # Garbage must never raise out of submit — the error lands on
+        # the ticket.
         errors = metrics.counter("serve.sql_errors")
         before = errors.value
-        with QueryServer(sjf_db, workers=1, tracer=tracer) as server:
+        with QueryServer(sized_db, workers=1) as server:
             for payload in ("SELEC oops FROM nowhere", object()):
                 ticket = server.submit(payload)
                 with pytest.raises(SqlError):
                     ticket.result(timeout=30)
                 assert ticket.outcome == "sql-error"
         assert errors.value - before == 2
-        assert [span.attrs["est_cost_s"] for span in tracer.roots] == [0.0, 0.0]
-
-    def test_routed_plan_is_cheaper_than_base(self, sjf_db):
-        from repro.rollup import enable_rollups
-
-        plan = Q(sjf_db).scan("big").aggregate(by=["g"], s=agg.sum(col("v")))
-        enable_rollups(sjf_db, plans=[plan])
-        routed = _cost(sjf_db, plan, DEFAULT_SETTINGS)
-        base = _cost(sjf_db, plan, DEFAULT_SETTINGS.without_rollups())
-        # The estimate prices the optimized plan, so a cube-routed
-        # dashboard query is correctly predicted to be near-free and
-        # sorts ahead of the equivalent base-table scan.
-        assert routed < base
-
-    def test_prepared_request_keeps_its_rank(self, sjf_db):
-        """The cost a served request is queued under is the routed
-        plan's: the same text is cheaper on a routing server."""
-        from repro.rollup import enable_rollups
-
-        enable_rollups(sjf_db, plans=[parse_sql(sjf_db, GROUPED_SQL)])
-        costs = []
-        for settings in (DEFAULT_SETTINGS, DEFAULT_SETTINGS.without_rollups()):
-            tracer = Tracer()
-            with QueryServer(sjf_db, workers=1, settings=settings,
-                             tracer=tracer) as server:
-                assert len(server.query(GROUPED_SQL).rows) == 5
-            costs.append(tracer.roots[0].attrs["est_cost_s"])
-        assert 0.0 < costs[0] < costs[1]
 
 
 class TestOneFrontendTrip:
-    def test_request_is_parsed_optimized_and_routed_once(self, sjf_db, monkeypatch):
+    def test_request_is_parsed_optimized_and_routed_once(self, sized_db, monkeypatch):
         """``submit`` prepares the request — parse, optimize, mine,
-        route, price — and the worker executes that plan as is."""
+        route — and the worker executes that plan as is."""
         from repro.rollup import enable_rollups
 
-        enable_rollups(sjf_db, plans=[parse_sql(sjf_db, GROUPED_SQL)])
+        enable_rollups(sized_db, plans=[parse_sql(sized_db, GROUPED_SQL)])
         calls = collections.Counter()
 
         def count(module, name):
@@ -334,7 +289,7 @@ class TestOneFrontendTrip:
         # sql() / optimize_plan() call, however the callers imported those.
         count(planner_module, "parse_statement")
         count(optimizer_module, "pushdown_predicates")
-        with QueryServer(sjf_db, workers=1) as server:
+        with QueryServer(sized_db, workers=1) as server:
             routed = metrics.counter("rollup.router.hits")
             before = routed.value
             assert len(server.query(GROUPED_SQL).rows) == 5
@@ -348,12 +303,10 @@ class TestOneFrontendTrip:
             # and mined shape still count.
             from repro.rollup import miner as miner_module
             from repro.rollup import router as router_module
-            from repro.serve import server as server_module
 
             count(miner_module, "aggregate_shape")
             count(router_module, "aggregate_shape")
             count(router_module, "route_plan")
-            count(server_module, "estimate_service_cost")
             filtered = "SELECT g, SUM(v) AS s FROM big WHERE g >= {} GROUP BY g"
             assert len(server.query(filtered.format(1)).rows) == 4
             calls.clear()
@@ -385,10 +338,12 @@ class _GatedServer(QueryServer):
         return super()._execute(req)
 
 
-class TestShortestJobFirst:
-    def test_equal_priority_backlog_runs_shortest_job_first(self, sjf_db):
+class TestDispatchOrder:
+    def test_priority_first_then_fifo(self, sized_db):
+        """Higher priority runs first; within a priority, arrival order —
+        however much work each request scans."""
         server = _GatedServer(
-            sjf_db,
+            sized_db,
             workers=1,
             admission=AdmissionPolicy(
                 max_concurrent=1, queue_capacity=10, max_queue_delay_s=1e9
@@ -401,43 +356,15 @@ class TestShortestJobFirst:
             while server.admission.snapshot()["running"] != 1:
                 assert time.monotonic() < deadline
                 time.sleep(0.005)
-            # Submission order is expensive-first; dispatch must invert
-            # it because both carry the same priority.
-            expensive = server.submit("SELECT SUM(v) AS s FROM big",
-                                      label="expensive")
-            cheap = server.submit("SELECT SUM(v) AS s FROM small",
-                                  label="cheap")
+            tickets = [blocker] + [
+                server.submit(f"SELECT SUM(v) AS s FROM {table}",
+                              priority=priority, label=f"{table}-{priority}")
+                for table, priority in (("big", 0), ("small", 5), ("small", 0), ("big", 5))
+            ]
             server.gate.set()
-            for ticket in (blocker, expensive, cheap):
+            for ticket in tickets:
                 ticket.result(timeout=30)
-            assert server.executed == ["blocker", "cheap", "expensive"]
-        finally:
-            server.gate.set()
-            server.close()
-
-    def test_priority_still_dominates_cost(self, sjf_db):
-        server = _GatedServer(
-            sjf_db,
-            workers=1,
-            admission=AdmissionPolicy(
-                max_concurrent=1, queue_capacity=10, max_queue_delay_s=1e9
-            ),
-        )
-        try:
-            blocker = server.submit("SELECT SUM(v) AS s FROM small",
-                                    label="blocker")
-            deadline = time.monotonic() + 10.0
-            while server.admission.snapshot()["running"] != 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            cheap_low = server.submit("SELECT SUM(v) AS s FROM small",
-                                      priority=0, label="cheap-low")
-            costly_high = server.submit("SELECT SUM(v) AS s FROM big",
-                                        priority=5, label="costly-high")
-            server.gate.set()
-            for ticket in (blocker, cheap_low, costly_high):
-                ticket.result(timeout=30)
-            assert server.executed == ["blocker", "costly-high", "cheap-low"]
+            assert server.executed == ["blocker", "small-5", "big-5", "big-0", "small-0"]
         finally:
             server.gate.set()
             server.close()
