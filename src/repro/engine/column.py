@@ -212,9 +212,10 @@ class Column:
                     self.dtype, values, dictionary=dictionary,
                     valid=np.zeros(len(indices), dtype=np.bool_),
                 )
-            safe = np.where(indices < 0, 0, indices)
-            values = self.values[safe]
             valid = indices >= 0
+            safe = np.where(valid, indices, 0)
+            values = self.values[safe]
+            values[~valid] = 0  # one placeholder under every NULL, whatever the base
             if self.valid is not None:
                 valid = valid & self.valid[safe]
             return Column(self.dtype, values, dictionary=self.dictionary, valid=valid)

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 
-from repro.obs.trace import NULL_TRACER
+from repro.obs.trace import NULL_TRACER, OperatorSpanScope
 
 from .frame import Frame
 from .optimizer import DEFAULT_SETTINGS, OptimizerSettings, optimize_plan
@@ -71,16 +72,43 @@ class ExecContext(OperatorContext):
         self.db = db
         self._executor = executor
         self.cancel = cancel
-        # Budget-aware operator dispatch (spill.py) reads these; morsel
-        # contexts inherit both so workers share one budget.
+        # Budget-aware operator dispatch (spill.py) reads these, and
+        # joins read ``late``; morsel contexts inherit all three so
+        # workers share one budget.
         self.budget = getattr(executor, "memory_budget", None)
         self.spilling = executor.settings.spilling
+        self.late = executor.settings.late_materialization
         self.pipeline_span = parent_span
         self._scalar_cache: dict[int, object] = {}
         # Reentrant: a scalar subquery's plan may itself reference another
         # scalar subquery. Morsel workers share this context, so cache
         # fills must be serialized.
         self._scalar_lock = threading.RLock()
+
+    @contextmanager
+    def nested_pipeline(self, name: str):
+        """Run a nested plan's operators (a scalar subquery) under their
+        own pipeline span, morsel segments included. The interrupted
+        operator's span closes first, so siblings never overlap, and
+        stays the target of that operator's ``note``s afterwards; it is
+        truncated at the subquery's start, so that operator's work after
+        the subquery (the rest of a filter's mask, say) lies outside
+        every operator span."""
+        outer = self._ops
+        if outer is None:
+            yield
+            return
+        interrupted, parent = outer.open_span, self.pipeline_span
+        outer.close()
+        self.pipeline_span = self.tracer.start("pipeline", name, parent=parent)
+        self._ops = OperatorSpanScope(self.tracer, self.pipeline_span)
+        try:
+            yield
+        finally:
+            self._ops.close()
+            self.tracer.finish(self.pipeline_span)
+            self._ops, self.pipeline_span = outer, parent
+            outer.open_span = interrupted
 
     def scalar(self, plan) -> object:
         """Evaluate an uncorrelated scalar subquery once, merging its work
@@ -90,7 +118,8 @@ class ExecContext(OperatorContext):
             if key not in self._scalar_cache:
                 saved = self.work
                 node = plan.node if isinstance(plan, Q) else plan
-                frame = self._executor._exec(self._executor._lower(node), self)
+                with self.nested_pipeline("scalar"):
+                    frame = self._executor._exec(self._executor._lower(node), self)
                 self.work = saved
                 if frame.nrows != 1 or len(frame.columns) != 1:
                     raise ValueError("scalar subquery must produce a 1x1 result")

@@ -81,12 +81,16 @@ def _describe(node: PlanNode) -> str:
 
 
 def _produces_late(node: PlanNode) -> bool:
-    """Whether this operator's output rides a selection vector (under
-    late materialization) instead of materialized columns."""
+    """Whether this operator's output rides row ids (under late
+    materialization) instead of materialized columns."""
     if isinstance(node, ScanNode):
         return node.predicate is not None
     if isinstance(node, FilterNode):
         return True
+    if isinstance(node, JoinNode):
+        # Inner and left joins emit their match pairs as row ids; semi
+        # and anti joins filter their left input, late or not.
+        return node.how in ("inner", "left") or _produces_late(node.left)
     if isinstance(node, ProjectNode):
         # Pass-through projections keep the selection; computed
         # expressions materialize their inputs.
@@ -102,7 +106,7 @@ def _produces_late(node: PlanNode) -> bool:
 
 def _late_tag(node: PlanNode) -> str:
     if _produces_late(node):
-        return "  [late: selection vector]"
+        return "  [late: row ids]" if isinstance(node, JoinNode) else "  [late: selection vector]"
     if any(_produces_late(child) for child in node.children()):
         return "  [materialize]"
     return ""

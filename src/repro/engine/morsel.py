@@ -92,12 +92,13 @@ class MorselContext(OperatorContext):
         # Morsels inherit the query's cancel token (checked at every
         # operator dispatch, so a cancellation that lands between
         # scheduling and execution still stops the morsel before it
-        # streams any bytes), its memory budget and its spill policy:
-        # every worker's partial state charges one shared budget (and
-        # spills against it when over).
+        # streams any bytes), its memory budget, its spill policy and
+        # its late-materialization gate: every worker's partial state
+        # charges one shared budget (and spills against it when over).
         self.cancel = parent.cancel
         self.budget = parent.budget
         self.spilling = parent.spilling
+        self.late = parent.late
 
     def scalar(self, plan) -> object:
         return self._parent.scalar(plan)

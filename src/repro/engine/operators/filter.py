@@ -21,16 +21,14 @@ def execute_filter(frame: Frame, predicate: Expr, ctx, late: bool = False) -> Fr
     rewrite to a pipeline breaker.
     """
     mask = predicate.evaluate(frame, ctx).values
-    if late or frame.is_late:
-        out = frame.filter_late(mask) if late else frame.filter(mask)
-        if (
-            out.is_late
-            and not out._selection_is_contiguous()
-            and out.nrows > LATE_BREAK_SELECTIVITY * frame.nrows
-        ):
-            # Dense-but-scattered survivors: break the selection vector
-            # and rewrite compactly (streaming beats point gathers here).
-            out = out.dense()
+    late = late or frame.is_late
+    broke = False
+    if late:
+        out = frame.filter_late(mask)
+        if not out.is_contiguous() and out.nrows > LATE_BREAK_SELECTIVITY * frame.nrows:
+            # Dense-but-scattered survivors: break the row ids and
+            # rewrite compactly (streaming beats point gathers here).
+            out, broke = out.dense(), True
     else:
         out = frame.filter(mask)
     ctx.work.tuples_in += frame.nrows
@@ -38,13 +36,17 @@ def execute_filter(frame: Frame, predicate: Expr, ctx, late: bool = False) -> Fr
     ctx.work.seq_bytes += frame.nrows  # the mask/candidate list itself
     ctx.work.gather_bytes += frame.drain_gather_debt()
     if out.is_late:
-        ctx.work.out_bytes += out.selection.nbytes
+        ctx.work.out_bytes += out.id_bytes
         ctx.work.saved_bytes += out.nbytes  # the avoided compact rewrite
     else:
         ctx.work.out_bytes += out.nbytes
+    # ``late`` is the mode the filter ran in, as EXPLAIN predicts it;
+    # ``broke`` says the density rule then rewrote compactly (as a
+    # predicated scan notes it).
     note(
         ctx,
         selectivity=out.nrows / frame.nrows if frame.nrows else 0.0,
-        late=out.is_late,
+        late=late,
+        **({"broke": True} if broke else {}),
     )
     return out

@@ -192,10 +192,12 @@ def execute_join(
     hash table the work profile charges (:mod:`~repro.engine.spill` picks
     the one that fits a budget); rows and their order do not depend on it.
 
-    Late (selection-vector) inputs gather only their key columns here;
-    payload columns materialize once, through the composed
-    selection ∘ match indices, in :func:`_materialize_pair` — or not at
-    all for semi/anti joins, whose outputs stay late.
+    Late inputs gather only their key columns here. Under late
+    materialization (``ctx.late``) an inner or left join returns a late
+    frame (:meth:`Frame.pair`): each input's row ids composed with the
+    match indices, every payload column left for its first reader to
+    gather once, straight from its base. Semi/anti joins filter their
+    left input, late or not.
     """
     left_cols = [left.column(n) for n in left_on]
     right_cols = [right.column(n) for n in right_on]
@@ -240,23 +242,19 @@ def execute_join(
     # part of the operator's resident working set.
     ctx.work.out_bytes += built * 16
 
-    if how == "inner":
-        out = _materialize_pair(left, right, left_idx, right_idx, right_on)
-    elif how == "left":
+    if how == "left":
         miss = np.flatnonzero(counts == 0)
-        all_left = np.concatenate([left_idx, miss]) if len(miss) else left_idx
-        all_right = (
-            np.concatenate([right_idx, np.full(len(miss), -1, dtype=np.int64)])
-            if len(miss)
-            else right_idx
-        )
-        out = _materialize_pair(left, right, all_left, all_right, right_on)
+        if len(miss):
+            left_idx = np.concatenate([left_idx, miss])
+            right_idx = np.concatenate([right_idx, np.full(len(miss), -1, dtype=np.int64)])
+    if how in ("inner", "left"):
+        out = Frame.pair(left, left_idx, right, right_idx, skip=right_on)
+        if not getattr(ctx, "late", False):
+            out = out.dense()
     elif how == "semi":
-        mask = counts > 0
-        out = left.filter(mask)
+        out = left.filter(counts > 0)
     elif how == "anti":
-        mask = counts == 0
-        out = left.filter(mask)
+        out = left.filter(counts == 0)
     else:
         raise ValueError(f"unknown join type {how!r}")
 
@@ -264,10 +262,17 @@ def execute_join(
     # price; charge them as random access.
     ctx.work.gather_bytes += left.drain_gather_debt() + right.drain_gather_debt()
     ctx.work.tuples_out += out.nrows
-    ctx.work.out_bytes += out.nbytes
+    if pairs and out.is_late:
+        # The row ids are what the join writes; the payload copy it no
+        # longer makes is saved (its gather is charged to the reader) —
+        # nothing, when the payload is no wider than its row ids.
+        ctx.work.out_bytes += out.id_bytes
+        ctx.work.saved_bytes += max(out.nbytes - out.id_bytes, 0)
+    else:
+        ctx.work.out_bytes += out.nbytes
     note(
         ctx, how=how, left_rows=left.nrows, right_rows=right.nrows,
-        matches=out.nrows, kernel=kernel, build=build,
+        matches=out.nrows, kernel=kernel, build=build, late=out.is_late,
     )
     return out
 
@@ -287,25 +292,3 @@ def _stack(left_col: Column, right_col: Column, ctx) -> Column:
         )
     values = np.concatenate([left_col.values, right_col.values])
     return Column(left_col.dtype, values)
-
-
-def _materialize_pair(
-    left: Frame,
-    right: Frame,
-    left_idx: np.ndarray,
-    right_idx: np.ndarray,
-    right_on: list[str],
-) -> Frame:
-    """Gather the matched rows of both sides into one dense frame. Late
-    inputs compose their selection with the match indices so every
-    payload column is gathered exactly once, straight from the base."""
-    left_idx = left.row_ids(left_idx)
-    right_idx = right.row_ids(right_idx)
-    columns = {name: col.take(left_idx) for name, col in left.columns.items()}
-    for name, col in right.columns.items():
-        if name in columns:
-            if name in right_on:
-                continue  # equal-named key column: keep the left copy
-            raise ValueError(f"join output would duplicate column {name!r}")
-        columns[name] = col.take(right_idx)
-    return Frame(columns, len(left_idx))

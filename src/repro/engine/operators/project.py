@@ -13,11 +13,10 @@ __all__ = ["execute_project"]
 def execute_project(frame: Frame, exprs: dict[str, Expr], ctx) -> Frame:
     """Evaluate ``exprs`` over ``frame``; the output has exactly those
     columns. Plain column references are zero-copy, and a pass-through
-    projection over a late frame keeps its selection vector intact
-    (renaming base columns costs nothing)."""
+    projection over a late frame keeps its row ids intact (renaming base
+    columns costs nothing)."""
     if frame.is_late and all(isinstance(e, ColRef) for e in exprs.values()):
-        columns = {name: frame.columns[e.name] for name, e in exprs.items()}
-        out = Frame(columns, selection=frame.selection)
+        out = frame.select({name: e.name for name, e in exprs.items()})
         ctx.work.tuples_in += frame.nrows
         ctx.work.tuples_out += out.nrows
         note(ctx, exprs=len(exprs), passthrough=True)

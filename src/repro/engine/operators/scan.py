@@ -191,7 +191,7 @@ def _late_frame(
     sel = sel_parts[0] if len(sel_parts) == 1 else np.concatenate(sel_parts)
     out_frame = Frame({n: decoded[n] for n in out_names}, selection=sel)
     if (
-        not out_frame._selection_is_contiguous()
+        not out_frame.is_contiguous()
         and out_frame.nrows > LATE_BREAK_SELECTIVITY * max(1, survived)
     ):
         # The selection is dense but scattered: the deferred gathers

@@ -63,10 +63,11 @@ class OptimizerSettings:
             scan predicate provably excludes (pushdown without skipping
             still filters at the scan, it just streams every block).
         late_materialization: have scans and filters emit selection
-            vectors over the base columns instead of rewriting compact
-            column copies; gathers are deferred to pipeline breakers
-            (joins, aggregates, sorts, DISTINCT, UNION ALL, the final
-            result). Orthogonal to pushdown/skipping: the ``--no-latemat``
+            vectors, and inner and left joins row ids per input, over
+            the base columns instead of rewriting compact column copies;
+            each column is gathered by its first reader (a join's keys,
+            aggregates, sorts, DISTINCT, UNION ALL, the final result).
+            Orthogonal to pushdown/skipping: the ``--no-latemat``
             ablation flips only this flag.
         compressed_execution: evaluate predicates directly on encoded
             (bitpack/FoR/RLE) columns and aggregate over RLE runs

@@ -217,8 +217,9 @@ class ParallelExecutor(Executor):
         if tracing:
             # A still-open operator span would overlap the segment span
             # as a sibling; close it first (scalar-subquery pre-warm above
-            # already emitted its operator spans under the main pipeline,
-            # strictly before the segment interval starts).
+            # already emitted its operator spans under their own
+            # ``pipeline scalar`` span, strictly before the segment
+            # interval starts).
             ctx.close_op_span()
             seg_span = tracer.start(
                 "pipeline", f"segment:{segment.kind}:{scan.table}",

@@ -38,12 +38,12 @@ class OperatorWork:
         zone_probes: zone-map block probes performed.
         blocks_skipped: zone-map blocks proven empty and not streamed.
         blocks_scanned: zone-map blocks actually streamed.
-        gather_bytes: bytes materialized through a non-contiguous
-            selection vector at a pipeline breaker (priced as random
+        gather_bytes: bytes materialized through non-contiguous row ids
+            by the operator that first reads them (priced as random
             access by the performance model).
         saved_bytes: bytes a late-materialized operator did NOT rewrite
-            because it passed a selection vector downstream instead of a
-            compact column copy.
+            because it passed row ids downstream instead of a compact
+            column copy.
         decoded_bytes: plain-domain bytes a compressed column actually
             materialized (whole-column or per-run decode); the bandwidth
             compressed execution exists to avoid.

@@ -769,5 +769,7 @@ def _grace(op, inputs, plan, ctx, spills, depth) -> Frame:
             outputs.append(_grace(op, parts, child, ctx, spills, depth + 1))
         else:
             with budget.charge(estimate):
-                outputs.append(op.run(parts, ctx, choice))
+                # Dense inside the charge: a loaded partition must not
+                # outlive it, and the gather is charged here.
+                outputs.append(op.run(parts, ctx, choice).dense(ctx.work))
     return concat_frames(outputs)

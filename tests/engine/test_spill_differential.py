@@ -118,10 +118,11 @@ BUDGETS = {
 class _SpillCtx:
     """Minimal execution context for driving spill dispatch directly."""
 
-    def __init__(self, budget=None, spilling=True, cancel=None):
+    def __init__(self, budget=None, spilling=True, cancel=None, late=True):
         self.budget = budget
         self.spilling = spilling
         self.cancel = cancel
+        self.late = late
         self.profile = WorkProfile()
         self.work = self.profile.new_operator("test")
 
@@ -252,6 +253,24 @@ class TestTpchSpillDifferential:
             assert serial.profile.spilled_bytes > 0, f"Q{number}"
             assert serial.profile.spill_partitions > 0, f"Q{number}"
             assert parallel.profile.spilled_bytes > 0, f"Q{number}"
+
+
+@pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
+def test_late_join_charge_splits_the_dense_charge(tpch_db, tpch_params, number):
+    """A late pair join charges its row ids as output and the payload copy
+    it no longer makes as saved: per hashjoin, ``out_bytes + saved_bytes``
+    is its dense output's ``nbytes`` plus ``built x 16`` — what the same
+    join charges as ``out_bytes`` with late materialization off."""
+    plan = get_query(number).build(tpch_db, tpch_params)
+    late, eager = (
+        [op for op in Executor(tpch_db, settings).execute(plan).profile.operators
+         if op.operator == "hashjoin"]
+        for settings in (DEFAULT_SETTINGS, DEFAULT_SETTINGS.without_latemat())
+    )
+    assert len(late) == len(eager), f"Q{number}"
+    for got, want in zip(late, eager):
+        assert want.saved_bytes == 0, f"Q{number}"
+        assert got.out_bytes + got.saved_bytes == want.out_bytes, f"Q{number}"
 
 
 def test_pathological_budget_reaches_recursive_repartition(tpch_db, tpch_params):
@@ -803,7 +822,7 @@ def _assert_rows_bitwise(want: Frame, got: Frame, label: str):
                     c.dtype, np.where(c.valid, c.values, 0).astype(c.values.dtype),
                     dictionary=c.dictionary, valid=c.valid,
                 )
-                for name, c in frame.columns.items()
+                for name, c in frame.dense().columns.items()
             },
             frame.nrows,
         )
@@ -811,11 +830,15 @@ def _assert_rows_bitwise(want: Frame, got: Frame, label: str):
     _assert_frames_bitwise(visible(want), visible(got), label)
 
 
-def _classic_charges(left, right, out, matches, build) -> OperatorWork:
+def _classic_charges(left, right, out, matches, build, late=True) -> OperatorWork:
     """The classic hash join's work by role, written out independently of
-    ``execute_join``: with ``build="right"`` this is the accounting the
-    operator has always had, line for line."""
+    ``execute_join``: with ``build="right"`` and ``late=False`` this is
+    the accounting the operator has always had, line for line. Under
+    late materialization a pair join over these (dense) inputs writes two
+    int32 row ids per output row instead of its payload, and the payload
+    it does not copy is saved."""
     probed, built = (left, right) if build == "right" else (right, left)
+    row_ids = out.nrows * 2 * 4 if late and out.is_late else 0
     work = OperatorWork("test")
     work.tuples_in = left.nrows + right.nrows
     work.seq_bytes = left.column("k").nbytes + right.column("k2").nbytes
@@ -823,7 +846,8 @@ def _classic_charges(left, right, out, matches, build) -> OperatorWork:
     if build == "left":
         work.ops += matches  # pairs go back to left-major order
     work.rand_accesses = probed.nrows + matches
-    work.out_bytes = built.nrows * 16 + out.nbytes
+    work.out_bytes = built.nrows * 16 + (row_ids if row_ids else out.nbytes)
+    work.saved_bytes = max(out.nbytes - row_ids, 0) if row_ids else 0.0
     work.tuples_out = out.nrows
     return work
 
@@ -907,6 +931,45 @@ class TestBuildSide:
         got = execute_join(left, right, ["k"], ["k2"], how, swapped, build="left")
         _assert_frames_bitwise(out, got, f"{how} build=left")
         assert swapped.work == _classic_charges(left, right, out, matches, "left")
+        assert out.is_late == (how in ("inner", "left"))
+
+    @_wall(60)
+    @given(inputs=_small_left_join(), how=st.sampled_from(HOWS))
+    def test_eager_work_is_the_classic_charge(self, inputs, how):
+        """With late materialization off the join returns dense frames
+        and charges exactly what it always has, on either build side."""
+        left, right = inputs
+        matches = execute_join(left, right, ["k"], ["k2"], "inner", _SpillCtx()).nrows
+        for build in ("right", "left"):
+            eager = _SpillCtx(late=False)
+            out = execute_join(left, right, ["k"], ["k2"], how, eager, build=build)
+            assert not out.is_late
+            assert eager.work == _classic_charges(
+                left, right, out, matches, build, late=False
+            )
+
+    def test_payload_narrower_than_row_ids_stays_late_and_saves_nothing(self):
+        """A 4-byte key beside a 1-byte flag under two int32 row ids: the
+        pair join still returns late, with the rows the eager join
+        returns, and charges its row ids with nothing saved."""
+        left = Frame({"k": Column(DATE, np.array([1, 2, 2, 5], dtype=np.int32))}, 4)
+        right = Frame(
+            {
+                "k": Column(DATE, np.array([2, 1, 3], dtype=np.int32)),
+                "flag": Column(BOOL, np.array([True, False, True])),
+            },
+            3,
+        )
+        for how in ("inner", "left"):
+            late, eager = _SpillCtx(), _SpillCtx(late=False)
+            out = execute_join(left, right, ["k"], ["k"], how, late)
+            want = execute_join(left, right, ["k"], ["k"], how, eager)
+            assert out.is_late and len(out.rows) == 2
+            assert out.nbytes < out.id_bytes == out.nrows * 2 * 4
+            _assert_rows_bitwise(want, out, how)
+            assert late.work.out_bytes == right.nrows * 16 + out.id_bytes
+            assert late.work.saved_bytes == 0
+            assert eager.work.out_bytes == right.nrows * 16 + want.nbytes
 
     def test_dispatch_passes_the_side_it_chose(self):
         """Under a budget the left input fits, the operator's recorded

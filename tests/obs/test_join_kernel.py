@@ -1,14 +1,20 @@
 """Decisions taken, not predicted: every hashjoin span says which probe
-kernel ran and which input was the build side, every grouped aggregate
-and distinct span which factorization kernel produced its group ids, and
-the registry counters agree with the spans."""
+kernel ran, which input was the build side and whether its output is
+late, every grouped aggregate and distinct span which factorization
+kernel produced its group ids, and the registry counters agree with the
+spans — and with EXPLAIN's late tags, which predict them."""
 
 import collections
+import re
+
+import pytest
 
 from repro.engine import Executor, Q, agg
+from repro.engine.explain import explain
+from repro.engine.expr import col
 from repro.obs.metrics import metrics
 from repro.obs.trace import Tracer, iter_spans
-from repro.tpch import get_query
+from repro.tpch import ALL_QUERY_NUMBERS, get_query
 
 from .test_trace_invariants import assert_reconciles, assert_span_tree
 
@@ -134,3 +140,70 @@ def test_global_aggregate_factorizes_nothing_and_says_so(tpch_db, tpch_params):
     aggregates = [s for s in spans if s.name == "aggregate"]
     assert aggregates and not any("kernel" in s.attrs for s in aggregates)
     assert moved == {"dense": 0, "sort": 0}
+
+
+def _explained_late(text: str) -> list[tuple[str, bool]]:
+    """``(operator, late tag?)`` of EXPLAIN's Filter and HashJoin lines in
+    execution order: the printed tree walked children first."""
+    root: dict = {"line": "", "children": []}
+    stack = [(-1, root)]
+    for line in text.splitlines():
+        m = re.match(r"( *)-> (.*)", line)
+        if m is None:
+            continue
+        depth, node = len(m.group(1)) // 2, {"line": m.group(2), "children": []}
+        while stack[-1][0] >= depth:
+            stack.pop()
+        stack[-1][1]["children"].append(node)
+        stack.append((depth, node))
+
+    def walk(node):
+        for child in node["children"]:
+            yield from walk(child)
+        yield node["line"]
+
+    kinds = {"Filter": "filter", "HashJoin": "hashjoin"}
+    return [
+        (kinds[line.split()[0]], "[late:" in line)
+        for line in walk(root)
+        if line.split() and line.split()[0] in kinds
+    ]
+
+
+@pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
+def test_late_spans_match_explain(tpch_db, tpch_params, number):
+    """Every join and filter span of the main pipeline carries ``late``,
+    equal to EXPLAIN's ``[late: ...]`` tag for that node (scalar
+    subqueries run under their own pipeline span and EXPLAIN does not
+    print them). Semi and anti joins inherit their left input's form."""
+    plan = get_query(number).build(tpch_db, tpch_params)
+    tracer = Tracer()
+    Executor(tpch_db, tracer=tracer).execute(plan, label=f"Q{number}")
+    main = next(s for s in iter_spans(tracer.roots[0]) if s.kind == "pipeline")
+    assert main.name == "main"
+    spans = [s for s in main.children if s.name in ("filter", "hashjoin")]
+    assert all("late" in s.attrs for s in spans if s.name == "hashjoin")
+    got = [(s.name, s.attrs.get("late")) for s in spans]
+    assert got == _explained_late(explain(plan, tpch_db)), f"Q{number}"
+
+
+def test_narrow_payload_join_is_late_as_explained(tpch_db):
+    """A join whose kept columns are two 4-byte date keys writes row ids
+    exactly as wide as its payload. It is late all the same, as EXPLAIN
+    says, and charges its row ids as output with nothing saved."""
+    plan = (
+        Q(tpch_db).scan("orders", ["o_orderdate"])
+        .filter(col("o_orderdate") < "1992-02-01")
+        .join(Q(tpch_db).scan("lineitem", ["l_receiptdate"]),
+              on=[("o_orderdate", "l_receiptdate")])
+        .aggregate(n=agg.count_star())
+    )
+    assert ("hashjoin", True) in _explained_late(explain(plan, tpch_db))
+    tracer = Tracer()
+    result = Executor(tpch_db, tracer=tracer).execute(plan)
+    (span,) = [s for s in iter_spans(tracer.roots[0]) if s.name == "hashjoin"]
+    assert span.attrs["late"] is True and span.attrs["matches"] > 0
+    (work,) = [op for op in result.profile.operators if op.operator == "hashjoin"]
+    row_ids = span.attrs["matches"] * 2 * 4  # two sources, int32 ids
+    assert work.out_bytes == span.attrs["right_rows"] * 16 + row_ids
+    assert work.saved_bytes == 0
