@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.engine import Executor, ParallelExecutor
+from repro.engine import Executor
 from repro.tpch import generate, get_query
 
 from conftest import write_artifact
@@ -58,7 +58,7 @@ def test_parallel_smoke(benchmark, smoke_db, output_dir, request, query_number):
 
     t_serial = _best_wall(run_serial)
 
-    with ParallelExecutor(smoke_db, workers=workers, cache_size=0) as parallel:
+    with Executor(smoke_db, workers=workers) as parallel:
         def run_parallel():
             start = time.perf_counter()
             parallel.execute(plan)

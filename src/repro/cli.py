@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--explain", action="store_true", help="print the plan")
     query.add_argument("--profile", action="store_true",
                        help="print the per-operator work profile")
-    query.add_argument("--workers", type=int, default=None,
-                       help="morsel-parallel worker threads (default: serial)")
+    query.add_argument("--workers", type=int, default=1,
+                       help="morsel-parallel worker threads (default: 1, serial)")
     _add_engine_args(query)
     _add_trace_args(query)
 
@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     sql_cmd.add_argument("--sf", type=float, default=0.01)
     sql_cmd.add_argument("--limit", type=int, default=20, help="rows to print")
     sql_cmd.add_argument("--explain", action="store_true", help="print the plan")
-    sql_cmd.add_argument("--workers", type=int, default=None,
-                         help="morsel-parallel worker threads (default: serial)")
+    sql_cmd.add_argument("--workers", type=int, default=1,
+                         help="morsel-parallel worker threads (default: 1, serial)")
     _add_engine_args(sql_cmd)
     _add_trace_args(sql_cmd)
 
@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_cmd.add_argument("number", type=int, help="query number 1-22")
     trace_cmd.add_argument("--sf", type=float, default=0.01)
-    trace_cmd.add_argument("--workers", type=int, default=None,
-                           help="morsel-parallel worker threads (default: serial)")
+    trace_cmd.add_argument("--workers", type=int, default=1,
+                           help="morsel-parallel worker threads (default: 1, serial)")
     trace_cmd.add_argument("--out", metavar="PATH",
                            help="write the trace to PATH")
     trace_cmd.add_argument("--format", choices=("json", "chrome"), default="json",
@@ -253,26 +253,11 @@ def _write_trace(tracer, path, fmt: str, meta: dict | None = None) -> None:
     print(f"wrote {fmt} trace to {path}")
 
 
-def _explain(db, plan, workers: int | None, settings, memory_budget) -> str:
-    """EXPLAIN of what the chosen executor runs: with --workers, the
-    parallel executor's own lowering (morsel segments tagged)."""
-    from repro.engine import ParallelExecutor
-    from repro.engine.explain import explain
-
-    if workers is None:
-        return explain(plan, db, settings=settings, memory_budget=memory_budget)
-    with ParallelExecutor(db, workers=workers, settings=settings) as executor:
-        lowered = executor.lower(plan)
-    return explain(
-        lowered, db, optimize=False, settings=settings, memory_budget=memory_budget
-    )
-
-
 def _run_engine_command(args) -> int:
     """query / sql / trace: generate, compress, build rollups, plan, pick
     the settings, explain, execute (typed failures become exit codes),
     print, write the trace."""
-    from repro.engine import CancelToken, ParallelExecutor, execute
+    from repro.engine import CancelToken, Executor
     from repro.tpch import generate, get_query
 
     db = _maybe_compress_db(generate(args.sf), args.compress)
@@ -295,9 +280,6 @@ def _run_engine_command(args) -> int:
         label, meta = f"Q{args.number}", {"query": args.number}
     settings = _settings_from(args)
     memory_budget = getattr(args, "memory_budget", None)
-    if getattr(args, "explain", False):
-        print(_explain(db, plan, args.workers, settings, memory_budget))
-        print()
     tracing = args.command == "trace"
     if tracing:
         from repro.obs import Tracer
@@ -309,18 +291,21 @@ def _run_engine_command(args) -> int:
         )
     timeout = getattr(args, "timeout", None)
     cancel = CancelToken.from_timeout(timeout) if timeout is not None else None
+    executor = Executor(
+        db, settings, workers=args.workers, memory_budget=memory_budget, tracer=tracer
+    )
+    if getattr(args, "explain", False):
+        from repro.engine.explain import explain
+
+        # What this executor runs: with --workers N, morsel segments tagged.
+        print(explain(
+            executor.lower(plan), db, optimize=False, settings=settings,
+            memory_budget=memory_budget,
+        ))
+        print()
     try:
-        if args.workers is None:
-            result = execute(
-                db, plan, settings=settings, tracer=tracer, label=label,
-                cancel=cancel, memory_budget=memory_budget,
-            )
-        else:  # morsel-parallel
-            with ParallelExecutor(
-                db, workers=args.workers, settings=settings, tracer=tracer,
-                memory_budget=memory_budget,
-            ) as executor:
-                result = executor.execute(plan, label=label, cancel=cancel)
+        with executor:
+            result = executor.execute(plan, label=label, cancel=cancel)
     except MemoryBudgetExceeded as err:
         print(f"memory budget exceeded: {err}", file=sys.stderr)
         return 4

@@ -18,7 +18,6 @@ from .expr import Expr, case, col, lit, scalar
 from .fingerprint import plan_fingerprint
 from .frame import Frame
 from .optimizer import DEFAULT_SETTINGS, OptimizerSettings, optimize_plan
-from .parallel import ParallelExecutor
 from .zonemap import ZONE_MAP_BLOCK_ROWS, ZoneMap, build_zone_map
 from .plan import Q, agg
 from .profile import OperatorWork, WorkProfile
@@ -34,6 +33,10 @@ from .spill import (
 from .sql import SqlSyntaxError, sql
 from .table import Database, Schema, Table
 from .types import BOOL, DATE, FLOAT64, INT64, STRING, DataType, date_to_days, days_to_date
+
+# The committed benchmark suite still builds its morsel executors by this
+# name; everything else says ``Executor(db, workers=n)``.
+ParallelExecutor = Executor
 
 __all__ = [
     "CancelToken", "DeadlineExceeded", "QueryCancelled", "QueryInterrupted",

@@ -3,8 +3,8 @@
 A :class:`CancelToken` is the one object a client, a server front door,
 and a deep morsel pipeline all agree on. The client (or an expired
 deadline) flips it; the executors *check* it at natural preemption
-points — operator dispatch in the serial executor, morsel boundaries in
-the parallel executor — so a cancelled query stops consuming worker
+points — every operator dispatch, and every morsel boundary of a
+multi-worker executor — so a cancelled query stops consuming worker
 threads within one morsel of work and its slot frees immediately.
 Checking is cooperative by design: a morsel in flight finishes (numpy
 kernels are not interruptible), but no *new* morsel of a cancelled

@@ -97,7 +97,9 @@ def _produces_late(node: PlanNode) -> bool:
         return all(isinstance(e, ColRef) for _, e in node.exprs) and _produces_late(
             node.child
         )
-    if isinstance(node, LimitNode):
+    if isinstance(node, (LimitNode, SortNode, TopKNode, DistinctNode)):
+        # Each reorders or subsets rows with a ``Frame.take``/``slice``,
+        # which composes a late input's row ids instead of gathering.
         return _produces_late(node.child)
     # Everything else is a pipeline breaker — a morsel segment included:
     # each morsel gathers at its boundary, so the merged frame is dense.
@@ -186,9 +188,9 @@ def explain(
 ) -> str:
     """Render a plan as an indented operator tree (top operator first).
 
-    The tree shown is the one the serial executor interprets under
+    The tree shown is the one a one-worker executor interprets under
     ``settings``: ``plan`` optimized (with ``optimize``) and lowered. To
-    see what a parallel executor runs, hand over its own lowering —
+    see what a multi-worker executor runs, hand over its own lowering —
     ``explain(executor.lower(plan), db, optimize=False, settings=...)`` —
     and the members of each morsel segment carry a ``[segment: ...]``
     tag. A pushed-down scan predicate prints as a ``Filter ... [pushed]``

@@ -147,16 +147,9 @@ def nested_key(obj, fold_ints: bool = False) -> object:
     return _leaf(obj, child)
 
 
-def plan_fingerprint(plan: "Q | PlanNode", settings=None) -> str:
-    """Hex digest uniquely identifying the plan's structure.
-
-    ``settings`` (an :class:`~repro.engine.optimizer.OptimizerSettings`)
-    is mixed into the digest so results computed under different
-    optimizer configurations never alias in the result cache — an
-    ablation run with skipping disabled must not be served a cached
-    skipping result, and vice versa.
-    """
-    body = repr(structural_key(plan))
-    if settings is not None:
-        body += "|settings:" + settings.cache_key()
-    return hashlib.sha256(body.encode()).hexdigest()
+def plan_fingerprint(plan: "Q | PlanNode") -> str:
+    """Hex digest uniquely identifying the plan's structure: the result
+    cache's key. Settings are not part of it — each executor owns its
+    cache and runs under one set of gates, so results computed under
+    different configurations live in different caches."""
+    return hashlib.sha256(repr(structural_key(plan)).encode()).hexdigest()

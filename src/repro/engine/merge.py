@@ -1,6 +1,6 @@
 """Merging per-morsel partial states back into one result.
 
-The parallel executor runs a pipeline fragment once per morsel; this
+A multi-worker executor runs a pipeline fragment once per morsel; this
 module recombines the fragments:
 
 * :func:`concat_frames` — order-preserving concatenation (filter/project

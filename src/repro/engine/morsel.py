@@ -1,7 +1,7 @@
 """Morsel partitioning for intra-query parallelism.
 
 A *morsel* is a fixed-size horizontal slice of a base table (Leis et al.,
-"Morsel-Driven Parallelism"). The parallel executor runs a query's
+"Morsel-Driven Parallelism"). A multi-worker executor runs a query's
 scan → filter → project → partial-aggregate pipeline once per morsel on a
 thread pool (the numpy kernels release the GIL), then merges the partial
 states with :mod:`repro.engine.merge`. Each morsel gets its own
@@ -76,7 +76,7 @@ class MorselContext(OperatorContext):
     Operators charge work into a private
     :class:`~repro.engine.profile.WorkProfile`; scalar
     subqueries delegate to the parent query's context (whose cache the
-    parallel executor pre-warms on the main thread, so worker-thread
+    executor pre-warms on the main thread, so worker-thread
     lookups never re-enter the executor).
     """
 
@@ -84,7 +84,7 @@ class MorselContext(OperatorContext):
         # Per-morsel operator spans are marked ``fragment`` — their work
         # records are coalesced away by the profile merge, so trace
         # reconciliation counts only the coalesced (profile-resident)
-        # operator spans the parallel executor emits at merge time.
+        # operator spans the executor emits at merge time.
         super().__init__(tracer, span, fragment=True)
         self.db = db
         self._parent = parent

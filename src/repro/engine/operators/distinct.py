@@ -26,5 +26,5 @@ def execute_distinct(frame: Frame, columns: list[str] | None, ctx) -> Frame:
     ctx.work.ops += frame.nrows
     ctx.work.out_bytes += out.nbytes
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, distinct=out.nrows, on=len(names), kernel=kernel)
+    note(ctx, distinct=out.nrows, on=len(names), kernel=kernel, late=out.is_late)
     return out

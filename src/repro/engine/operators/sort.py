@@ -42,6 +42,8 @@ def execute_topk(frame: Frame, keys: list[tuple[str, str]], n: int, ctx) -> Fram
     partition on the primary key first and fall back to a full sort of
     the (rare) boundary ties.
     """
+    # ``late``: the output keeps the input's form (``take`` composes row ids).
+    note(ctx, k=n, late=frame.is_late)
     if n <= 0:
         return frame.slice(0, 0)
     if frame.nrows <= n or not keys:
@@ -63,13 +65,14 @@ def execute_topk(frame: Frame, keys: list[tuple[str, str]], n: int, ctx) -> Fram
     ctx.work.ops += frame.nrows
     ctx.work.seq_bytes += frame.column(keys[0][0]).nbytes
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, k=n, candidates=len(candidate_idx))
+    note(ctx, candidates=len(candidate_idx))
     return out
 
 
 def execute_sort(frame: Frame, keys: list[tuple[str, str]], ctx) -> Frame:
     """Sort by ``keys`` — a list of ``(column, "asc"|"desc")`` pairs,
     most-significant first."""
+    note(ctx, keys=len(keys), late=frame.is_late)
     if frame.nrows == 0:
         return frame
     arrays = [_sort_key(frame, name, direction == "asc") for name, direction in keys]
@@ -83,5 +86,4 @@ def execute_sort(frame: Frame, keys: list[tuple[str, str]], ctx) -> Frame:
     ctx.work.seq_bytes += sum(frame.column(k).nbytes for k, _ in keys)
     ctx.work.out_bytes += out.nbytes
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    note(ctx, keys=len(keys))
     return out

@@ -77,7 +77,7 @@ class OptimizerSettings:
         rollups: route aggregate plans to materialized rollup cubes when
             the database carries a rollup catalog (``db.rollups``, built
             by :mod:`repro.rollup`) and subsumption is proven; also
-            enables the semantic result cache in the parallel executor.
+            enables the semantic result cache of a caching executor.
             A no-op for databases without a catalog. The ``--no-rollups``
             ablation flips only this flag.
         spilling: allow hash joins and grouped aggregations whose state
@@ -123,18 +123,6 @@ class OptimizerSettings:
         """These settings with out-of-core execution turned off (an
         over-budget operator raises instead of spilling)."""
         return replace(self, spilling=False)
-
-    def cache_key(self) -> str:
-        """Stable tag mixed into plan fingerprints so results computed
-        under different optimizer settings never alias in the cache."""
-        return (
-            f"pd={int(self.predicate_pushdown)},"
-            f"zm={int(self.zone_map_skipping)},"
-            f"lm={int(self.late_materialization)},"
-            f"ce={int(self.compressed_execution)},"
-            f"ru={int(self.rollups)},"
-            f"sp={int(self.spilling)}"
-        )
 
 
 DEFAULT_SETTINGS = OptimizerSettings()

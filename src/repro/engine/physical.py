@@ -24,7 +24,7 @@ nowhere else:
   declined over compressed inputs the ordinary form is wrapped in an
   :class:`~repro.engine.plan.EncodedMissNode` so the decline is counted
   when — and only when — it executes;
-* **morsel segments** — only when lowering for a parallel executor:
+* **morsel segments** — only when lowering for more than one worker:
   maximal scan → filter/project chains over a morselable base table,
   optionally capped by a decomposable aggregate or a top-k, become
   :class:`~repro.engine.plan.MorselSegmentNode` values with their
@@ -43,7 +43,12 @@ import numpy as np
 from .compression import CompressedColumn
 from .encoded import compile_predicate, prepare_aggregate
 from .expr import Expr, ScalarSubquery
-from .morsel import morsel_ranges, table_is_morselable
+from .morsel import (
+    DEFAULT_MORSEL_ROWS,
+    MIN_PARALLEL_ROWS,
+    morsel_ranges,
+    table_is_morselable,
+)
 from .operators.aggregate import two_phase
 from .operators.scan import drop_empty_ranges
 from .optimizer import DEFAULT_SETTINGS, OptimizerSettings
@@ -141,14 +146,16 @@ def lower(
     node: PlanNode,
     db: Database,
     settings: OptimizerSettings = DEFAULT_SETTINGS,
-    morsels=None,
+    workers: int = 1,
+    morsel_rows: int = DEFAULT_MORSEL_ROWS,
 ) -> PlanNode:
     """Lower an optimized plan to the tree the executor interprets.
 
-    ``morsels`` is the :class:`~repro.engine.parallel.ParallelExecutor`
-    being lowered for — its ``workers`` / ``morsel_rows`` /
-    ``min_parallel_rows`` size the segments; ``None`` lowers for the
-    serial executor (no segments). Already-lowered subtrees pass through
+    ``workers`` and ``morsel_rows`` are the executor's: with more than
+    one worker, segments over tables of at least
+    :data:`~repro.engine.morsel.MIN_PARALLEL_ROWS` rows are cut into
+    morsels of at most ``morsel_rows``; one worker lowers for the serial
+    engine (no segments). Already-lowered subtrees pass through
     unchanged, so lowering is idempotent.
     """
 
@@ -163,7 +170,7 @@ def lower(
     def segment(kind: str, plan: PlanNode, top: PlanNode) -> PlanNode | None:
         """``plan`` as a morsel segment, if ``top`` is a morselable scan
         chain worth splitting (at least two morsels)."""
-        if morsels is None:
+        if workers < 2:
             return None
         exprs: list = []
         scan = top
@@ -183,11 +190,11 @@ def lower(
             allow_encoded=settings.compressed_execution,
         ):
             return None
-        if table.nrows < max(morsels.min_parallel_rows, 2):
+        if table.nrows < max(MIN_PARALLEL_ROWS, 2):
             return None
         # Shrink morsels so large scans yield at least one per worker.
-        per_worker = -(-table.nrows // morsels.workers)
-        ranges = morsel_ranges(table.nrows, max(1, min(morsels.morsel_rows, per_worker)))
+        per_worker = -(-table.nrows // workers)
+        ranges = morsel_ranges(table.nrows, max(1, min(morsel_rows, per_worker)))
         if len(ranges) < 2:
             return None
         # Subqueries resolve bottom-up: scan predicate, chain, then the cap.

@@ -17,7 +17,7 @@ The builder and the optimizer only ever produce the *logical* nodes.
 :func:`repro.engine.physical.lower` turns an optimized tree into the one
 the executor interprets: the same nodes plus :class:`TopKNode`,
 :class:`PredicatedScanNode`, :class:`RunLevelAggregateNode`,
-:class:`EncodedMissNode` and (for a parallel executor)
+:class:`EncodedMissNode` and (for more than one worker)
 :class:`MorselSegmentNode`.
 """
 
@@ -256,7 +256,7 @@ class EncodedMissNode(PlanNode):
 @dataclass(frozen=True)
 class MorselSegmentNode(PlanNode):
     """A scan → filter/project chain, optionally capped by a
-    decomposable aggregate or a top-k, that a parallel executor runs once
+    decomposable aggregate or a top-k, that a multi-worker executor runs once
     per morsel and then merges (:mod:`repro.engine.merge`).
 
     ``plan`` is the fragment in serial form (what EXPLAIN prints and the

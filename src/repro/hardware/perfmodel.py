@@ -76,7 +76,7 @@ class MeasuredScaling:
     """A measured intra-query speedup curve: ``(workers, speedup)`` points.
 
     Produced by :func:`measure_parallel_scaling` from real multi-worker
-    :class:`~repro.engine.ParallelExecutor` runs. When handed to
+    :class:`~repro.engine.Executor` runs. When handed to
     :class:`PerformanceModel`, per-platform core-count scaling follows
     this curve (interpolated, flat beyond the last measured point)
     instead of the assumed-linear Amdahl law.
@@ -119,15 +119,17 @@ def measure_parallel_scaling(
 ) -> MeasuredScaling:
     """Measure the engine's real multi-worker speedup curve.
 
-    Runs each plan through :class:`~repro.engine.ParallelExecutor` at
-    each worker count (result cache off, best-of-``repeats`` wall clock)
-    and returns the geometric-mean speedup relative to one worker. This
-    is the calibration input the ISSUE's Fig. 3 / Table II sweeps feed
+    Runs each plan through :class:`~repro.engine.Executor` at each
+    worker count (result cache off, best-of-``repeats`` wall clock) and
+    returns the geometric-mean speedup relative to the lowest count. A
+    one-worker point is the serial engine itself (no morsel segments),
+    so the curve measures what the morsel machinery buys over not using
+    it. This is the calibration input the Fig. 3 / Table II sweeps feed
     back into the performance model.
     """
     import math
 
-    from repro.engine import ParallelExecutor
+    from repro.engine import Executor
     from repro.engine.morsel import DEFAULT_MORSEL_ROWS
 
     worker_counts = sorted(set(int(w) for w in worker_counts))
@@ -137,7 +139,7 @@ def measure_parallel_scaling(
     best: dict[int, list[float]] = {w: [] for w in worker_counts}
     for plan in plans:
         for w in worker_counts:
-            with ParallelExecutor(db, workers=w, morsel_rows=rows, cache_size=0) as ex:
+            with Executor(db, workers=w, morsel_rows=rows) as ex:
                 wall = min(ex.execute(plan).wall_seconds for _ in range(max(1, repeats)))
             best[w].append(max(wall, 1e-9))
     baseline = best[worker_counts[0]]

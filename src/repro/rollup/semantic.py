@@ -5,7 +5,7 @@ on *identical* plans — a dashboard that re-runs Q1 with a new date
 cutoff misses every time, because the literal is part of the
 fingerprint. The semantic layer answers such re-runs from a cube: the
 plan's aggregation, canonicalized (:mod:`.shapes`), is the one-shape
-:class:`~.miner.CubeSpec` whose cube the parallel executor builds once
+:class:`~.miner.CubeSpec` whose cube a caching executor builds once
 — with the builder's plan and cell guard (:mod:`.builder`), cached by
 the shape's literal-free identity — and every re-run, whatever its
 literals, re-slices with the router's one-cube rewrite

@@ -2,8 +2,8 @@
 
 :class:`QueryServer` multiplexes many concurrent requests — SQL text or
 built plans, each with a priority and an optional deadline — over one
-shared :class:`~repro.engine.parallel.ParallelExecutor` (one morsel
-pool, one single-flight result cache). Robustness is structural, not
+shared :class:`~repro.engine.executor.Executor` (one morsel pool, one
+single-flight result cache). Robustness is structural, not
 aspirational:
 
 * **Never crash.** Whatever a request contains, the caller sees rows or
@@ -40,12 +40,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import queue
 import threading
 import time
 from collections import OrderedDict
 
-from repro.engine import ParallelExecutor
+from repro.engine import Executor
 from repro.engine.cancel import (
     CancelToken,
     DeadlineExceeded,
@@ -53,6 +54,7 @@ from repro.engine.cancel import (
     QueryInterrupted,
 )
 from repro.engine.expr import Expr, Literal
+from repro.engine.morsel import DEFAULT_MORSEL_ROWS
 from repro.engine.operators.aggregate import AggSpec
 from repro.engine.optimizer import optimize_plan, route_rollups
 from repro.engine.plan import FilterNode, PlanNode, Q, ScanNode
@@ -159,13 +161,13 @@ class _Request:
 class _Prepared:
     """One request shape's frontend trip, kept to answer the next request
     of that shape: its routed plan, mined shapes and routing
-    decisions, the catalog state it was planned under, the literal
+    decisions, the catalog state it was planned under (the executor's
+    settings never change, so they need no check), the literal
     tokens a hit must repeat (``fixed``), and the ones it re-binds
     (``slots``: token index, syntax class, planned Literal) with the
     plan links from the root down to them (``program``, children first).
     """
 
-    settings: object
     catalog: object
     cubes: int
     fixed: tuple
@@ -175,12 +177,11 @@ class _Prepared:
     shapes: tuple
     routed: tuple
 
-    def bind(self, tokens, settings, catalog, cubes) -> PlanNode | None:
+    def bind(self, tokens, catalog, cubes) -> PlanNode | None:
         """The plan for a same-shape request, or ``None`` when it needs
-        a trip of its own (other catalog or settings, another fixed
-        literal). Raises what lowering a fresh slot literal raises."""
-        if self.settings is not settings or self.catalog is not catalog \
-                or self.cubes != cubes:
+        a trip of its own (another catalog, another fixed literal).
+        Raises what lowering a fresh slot literal raises."""
+        if self.catalog is not catalog or self.cubes != cubes:
             return None
         if any(tokens[index].value != value for index, value in self.fixed):
             return None
@@ -346,14 +347,11 @@ class QueryServer:
     ):
         self.db = db
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        exec_kwargs = {}
-        if morsel_rows is not None:
-            exec_kwargs["morsel_rows"] = morsel_rows
-        if memory_budget is not None:
-            exec_kwargs["memory_budget"] = memory_budget
-        self.executor = ParallelExecutor(
-            db, workers=workers, settings=settings, cache_size=cache_size,
-            tracer=self.tracer, **exec_kwargs,
+        self.executor = Executor(
+            db, settings,
+            workers=workers if workers is not None else (os.cpu_count() or 1),
+            morsel_rows=morsel_rows if morsel_rows is not None else DEFAULT_MORSEL_ROWS,
+            cache_size=cache_size, memory_budget=memory_budget, tracer=self.tracer,
         )
         self.memory_budget = self.executor.memory_budget
         self.retry = retry if retry is not None else RetryPolicy()
@@ -616,9 +614,8 @@ class QueryServer:
     def _prepare_sql(self, req: _Request, text: str) -> None:
         tokens = tokenize(text)
         key = tuple(t.kind if t.kind in _LITERAL_KINDS else (t.kind, t.value) for t in tokens)
-        settings = self.executor.settings
         catalog = getattr(self.db, "rollups", None)
-        state = (settings, catalog, len(catalog) if catalog is not None else 0)
+        state = (catalog, len(catalog) if catalog is not None else 0)
         with self._prepared_lock:
             entry = self._prepared.get(key)
             try:

@@ -25,7 +25,7 @@ from repro.adevents import (
     generate,
     rows_at_scale,
 )
-from repro.engine import Executor, ParallelExecutor, execute
+from repro.engine import Executor, execute
 from repro.engine.plan import LimitNode, SortNode
 
 GOLDEN = json.loads(
@@ -142,9 +142,8 @@ class TestDifferential:
     @pytest.fixture(scope="class")
     def parallel_executors(self, adevents_db):
         made = {
-            workers: ParallelExecutor(
+            workers: Executor(
                 adevents_db, workers=workers, morsel_rows=MORSEL_ROWS,
-                cache_size=0,
             )
             for workers in (1, 2, 4)
         }

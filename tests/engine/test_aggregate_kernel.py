@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Column, Database, Executor, Frame, ParallelExecutor, Q, Table, agg, col
+from repro.engine import Column, Database, Executor, Frame, Q, Table, agg, col, physical
 from repro.engine.merge import concat_frames, decompose_aggregates, merge_partial_aggregates
 from repro.engine.operators.aggregate import (
     AGG_STATES,
@@ -253,8 +253,9 @@ def _db(columns: dict, name="t") -> Database:
 
 
 def _morsel_merged(db, plan_of, workers=4):
-    with ParallelExecutor(db, workers=workers, morsel_rows=2, min_parallel_rows=2,
-                          cache_size=0) as parallel:
+    with pytest.MonkeyPatch.context() as patch, \
+            Executor(db, workers=workers, morsel_rows=2) as parallel:
+        patch.setattr(physical, "MIN_PARALLEL_ROWS", 2)
         lowered = parallel.lower(plan_of(db))
         assert "MorselSegment" in repr(lowered), "the plan must run as a morsel segment"
         return parallel.execute(plan_of(db))

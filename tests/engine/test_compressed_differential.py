@@ -40,7 +40,6 @@ from repro.engine import (
     Column,
     Executor,
     Frame,
-    ParallelExecutor,
     col,
 )
 from repro.engine.compression import (
@@ -203,12 +202,12 @@ def ctpch_db(tpch_db) -> Database:
 @pytest.fixture(scope="module")
 def ctpch_executors(ctpch_db):
     made = {
-        "enc": ParallelExecutor(
-            ctpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS, cache_size=0,
+        "enc": Executor(
+            ctpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS,
             settings=ENC,
         ),
-        "dec": ParallelExecutor(
-            ctpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS, cache_size=0,
+        "dec": Executor(
+            ctpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS,
             settings=DEC,
         ),
     }
@@ -256,13 +255,11 @@ def cadevents_db() -> Database:
 @pytest.fixture(scope="module")
 def cadevents_executors(cadevents_db):
     made = {
-        "enc": ParallelExecutor(
-            cadevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS,
-            cache_size=0, settings=ENC,
+        "enc": Executor(
+            cadevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS, settings=ENC,
         ),
-        "dec": ParallelExecutor(
-            cadevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS,
-            cache_size=0, settings=DEC,
+        "dec": Executor(
+            cadevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS, settings=DEC,
         ),
     }
     yield made
@@ -360,8 +357,8 @@ class TestMorselsDecodeOnlyTheirRows:
         db.build_zone_maps()  # so no zone-stat decode lands inside a measurement
         meter = _DecodeMeter(monkeypatch)
         serial = Executor(db)
-        with ParallelExecutor(
-            db, workers=workers, morsel_rows=morsel_rows, cache_size=0
+        with Executor(
+            db, workers=workers, morsel_rows=morsel_rows
         ) as parallel:
             for name, text in scan_pins.QUERIES.items():
                 plan = scan_pins.sql(db, text)

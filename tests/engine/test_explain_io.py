@@ -107,7 +107,7 @@ class TestExplainReportsWhatRuns:
     that plan — over the pinned scan set, every query of which has at
     most one predicated scan."""
 
-    @pytest.mark.parametrize("workers", [None, 3])
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("storage", ["plain", "compressed"])
     def test_tags_match_the_traced_execution(
         self, scan_pins, tpch_db, clustered_ctpch_db, storage, workers
@@ -145,8 +145,7 @@ class TestExplainReportsWhatRuns:
                 if s.kind == "pipeline" and s.name.startswith("segment:")
             }
             assert printed_morsels == traced_morsels, name
-        if workers is not None:
-            executor.close()
+        executor.close()
 
     def test_lowering_for_explain_counts_no_dispatch(self, scan_pins, clustered_ctpch_db):
         from repro.engine.encoded import aggregate_stats, predicate_stats

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    Column, Database, Executor, Frame, ParallelExecutor, Q, Table, agg, col,
+    Column, Database, Executor, Frame, Q, Table, agg, col,
     execute, keycache,
 )
 from repro.engine.keycache import combine_codes, dense_span, factorize
@@ -376,7 +376,7 @@ class TestDistinctNulls:
         if workers == 1:
             rows = Executor(tpch_db).execute(plan).rows
         else:
-            executor = ParallelExecutor(tpch_db, workers=workers, morsel_rows=2048, cache_size=0)
+            executor = Executor(tpch_db, workers=workers, morsel_rows=2048)
             try:
                 rows = executor.execute(plan).rows
             finally:

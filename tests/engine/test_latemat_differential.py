@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Column, Executor, Frame, OptimizerSettings, ParallelExecutor, col
+from repro.engine import Column, Executor, Frame, OptimizerSettings, col
 from repro.engine.keycache import KeyCache, combine_codes, key_cache
 from repro.engine.operators.aggregate import count_star, execute_aggregate, sum_
 from repro.engine.plan import LimitNode, SortNode
@@ -116,12 +116,12 @@ def _assert_same(plan, reference, candidate, label):
 @pytest.fixture(scope="module")
 def latemat_executors(tpch_db):
     made = {
-        "late": ParallelExecutor(
-            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS, cache_size=0,
+        "late": Executor(
+            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS,
             settings=LATE,
         ),
-        "eager": ParallelExecutor(
-            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS, cache_size=0,
+        "eager": Executor(
+            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS,
             settings=EAGER,
         ),
     }

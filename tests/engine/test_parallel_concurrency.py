@@ -1,6 +1,6 @@
 """Concurrency tests: result cache single-flight and WorkProfile safety.
 
-One :class:`ParallelExecutor` is hammered from many client threads while
+One multi-worker :class:`Executor` is hammered from many client threads while
 its own morsel pool also runs; the assertions are the ones that break
 under lost updates or duplicated work:
 
@@ -18,7 +18,6 @@ import pytest
 
 from repro.engine import (
     Executor,
-    ParallelExecutor,
     ResultCache,
     WorkProfile,
     plan_fingerprint,
@@ -111,12 +110,12 @@ class TestResultCacheSingleFlight:
         assert cache.get_or_run("k4", lambda: -1) == (4, True)
 
 
-class TestParallelExecutorConcurrency:
+class TestSharedExecutorConcurrency:
     def test_hammered_executor_single_flight_and_identical_results(
         self, tpch_db, tpch_params
     ):
         plan = get_query(6).build(tpch_db, tpch_params)
-        with ParallelExecutor(
+        with Executor(
             tpch_db, workers=2, morsel_rows=MORSEL_ROWS, cache_size=8
         ) as executor:
             results = _hammer(CLIENT_THREADS, lambda i: executor.execute(plan))
@@ -136,7 +135,7 @@ class TestParallelExecutorConcurrency:
         fingerprints = {plan_fingerprint(p) for p in plans}
         assert len(fingerprints) == len(plans)
 
-        with ParallelExecutor(
+        with Executor(
             tpch_db, workers=2, morsel_rows=MORSEL_ROWS, cache_size=8
         ) as executor:
             # 2 client threads per plan, all racing.
@@ -159,8 +158,8 @@ class TestParallelExecutorConcurrency:
         operator shape."""
         plan = get_query(6).build(tpch_db, tpch_params)
         serial = Executor(tpch_db).execute(plan).profile.summary()
-        with ParallelExecutor(
-            tpch_db, workers=2, morsel_rows=MORSEL_ROWS, cache_size=0
+        with Executor(
+            tpch_db, workers=2, morsel_rows=MORSEL_ROWS
         ) as executor:
             solo = executor.execute(plan).profile.summary()
             results = _hammer(4, lambda i: executor.execute(plan))

@@ -1,9 +1,10 @@
 """Differential suite: serial vs morsel-parallel execution.
 
-Every TPC-H query at SF 0.01 runs through :class:`ParallelExecutor` with
-1, 2, and 4 workers (morsels forced small so even the 0.01-scale tables
-split into dozens of fragments) and must produce results identical to the
-serial :class:`Executor`: same columns, same rows, same order where the
+Every TPC-H query at SF 0.01 runs through :class:`Executor` with 1, 2,
+and 4 workers (morsels forced small so even the 0.01-scale tables split
+into dozens of fragments; one worker is the serial engine's own entry)
+and must produce results identical to the default serial
+:class:`Executor`: same columns, same rows, same order where the
 query orders, float values within 1e-9. The parallel results are also
 held against the committed goldens, so both executors are pinned to the
 same external truth.
@@ -13,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from pathlib import Path
 
 import pytest
 
-from repro.engine import Executor, ParallelExecutor
-from repro.engine.plan import LimitNode, SortNode
+from repro.engine import Executor
+from repro.engine.plan import LimitNode, MorselSegmentNode, SortNode
 from repro.tpch import ALL_QUERY_NUMBERS, get_query
 
 GOLDEN = json.loads(
@@ -76,9 +78,7 @@ def _numeric_sum(rows) -> float:
 @pytest.fixture(scope="module")
 def executors(tpch_db):
     made = {
-        workers: ParallelExecutor(
-            tpch_db, workers=workers, morsel_rows=MORSEL_ROWS, cache_size=0
-        )
+        workers: Executor(tpch_db, workers=workers, morsel_rows=MORSEL_ROWS)
         for workers in WORKER_COUNTS
     }
     yield made
@@ -123,3 +123,43 @@ class TestParallelDifferential:
                     assert float(actual) == pytest.approx(
                         pinned_value, rel=1e-9, abs=1e-9
                     )
+
+
+def _has_segment(node) -> bool:
+    return isinstance(node, MorselSegmentNode) or any(
+        _has_segment(child) for child in node.children()
+    )
+
+
+def _morsel_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("morsel")}
+
+
+class TestOneWorkerIsTheSerialEngine:
+    """One class runs every plan: with one worker it lowers, answers and
+    charges exactly as the default executor does, and only a pool of
+    more than one owns threads, until ``close``."""
+
+    @pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
+    def test_same_lowering_rows_and_work(self, tpch_db, tpch_params, executors, number):
+        plan = get_query(number).build(tpch_db, tpch_params)
+        one = executors[1]  # tiny morsels, so only the worker count says "serial"
+        assert not _has_segment(one.lower(plan))
+        serial = Executor(tpch_db).execute(plan)
+        got = one.execute(plan)
+        assert got.rows == serial.rows
+        assert got.profile.operators == serial.profile.operators
+
+    def test_serial_executor_starts_no_thread(self, tpch_db, tpch_params):
+        before = _morsel_threads()
+        with Executor(tpch_db, morsel_rows=MORSEL_ROWS) as serial:
+            serial.execute(get_query(1).build(tpch_db, tpch_params))
+            assert _morsel_threads() == before
+
+    def test_close_leaves_no_morsel_thread(self, tpch_db, tpch_params):
+        before = _morsel_threads()
+        executor = Executor(tpch_db, workers=2, morsel_rows=MORSEL_ROWS)
+        executor.execute(get_query(1).build(tpch_db, tpch_params))
+        assert _morsel_threads() - before, "Q1 must have run on the pool"
+        executor.close()
+        assert _morsel_threads() - before == set()

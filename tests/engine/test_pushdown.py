@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    DEFAULT_SETTINGS,
     Executor,
     OptimizerSettings,
-    ParallelExecutor,
     Q,
     agg,
     col,
@@ -202,13 +200,6 @@ class TestExplainAndFingerprint:
         off = explain(plan.node, toy_db, settings=OptimizerSettings.disabled())
         assert "Scan t" in off
 
-    def test_fingerprint_distinguishes_settings(self, toy_db):
-        plan = Q(toy_db).scan("t").filter(col("k") > 3).node
-        on = plan_fingerprint(plan, DEFAULT_SETTINGS)
-        off = plan_fingerprint(plan, OptimizerSettings.disabled())
-        bare = plan_fingerprint(plan)
-        assert len({on, off, bare}) == 3
-
     def test_fingerprint_normalizes_numpy_scalars(self, toy_db):
         a = Q(toy_db).scan("t").filter(col("k") > lit(np.int64(3))).node
         b = Q(toy_db).scan("t").filter(col("k") > lit(3)).node
@@ -218,9 +209,10 @@ class TestExplainAndFingerprint:
         from repro.tpch import get_query
 
         plan = get_query(6).build(tpch_db, {"sf": 0.01})
-        with ParallelExecutor(tpch_db, workers=2) as on_ex, \
-                ParallelExecutor(
-                    tpch_db, workers=2, settings=OptimizerSettings.disabled()
+        with Executor(tpch_db, workers=2, cache_size=64) as on_ex, \
+                Executor(
+                    tpch_db, workers=2, cache_size=64,
+                    settings=OptimizerSettings.disabled(),
                 ) as off_ex:
             r_on = on_ex.execute(plan)
             r_off = off_ex.execute(plan)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import Executor, OptimizerSettings, ParallelExecutor
+from repro.engine import Executor, OptimizerSettings
 from repro.engine.plan import LimitNode, SortNode
 from repro.tpch import ALL_QUERY_NUMBERS, get_query
 
@@ -83,11 +83,11 @@ def _assert_same(plan, reference, candidate, label):
 @pytest.fixture(scope="module")
 def parallel_executors(tpch_db):
     made = {
-        "on": ParallelExecutor(
-            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS, cache_size=0
+        "on": Executor(
+            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS
         ),
-        "off": ParallelExecutor(
-            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS, cache_size=0,
+        "off": Executor(
+            tpch_db, workers=WORKERS, morsel_rows=MORSEL_ROWS,
             settings=OptimizerSettings.disabled(),
         ),
     }

@@ -54,7 +54,6 @@ from repro.engine import (
     Frame,
     MemoryBudget,
     MemoryBudgetExceeded,
-    ParallelExecutor,
     col,
     optimize_plan,
 )
@@ -197,8 +196,8 @@ def _has_spillable_operator(node) -> bool:
 def tpch_baselines(tpch_db, tpch_params):
     """Unbudgeted reference results, computed once per (query, mode)."""
     cache: dict[tuple[int, str], object] = {}
-    parallel = ParallelExecutor(
-        tpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS, cache_size=0
+    parallel = Executor(
+        tpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS
     )
 
     def get(number: int, mode: str):
@@ -232,9 +231,8 @@ class TestTpchSpillDifferential:
             tpch_baselines(number, "serial").frame, serial.frame,
             f"Q{number} serial {budget_name}",
         )
-        with ParallelExecutor(
-            tpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS,
-            cache_size=0, memory_budget=limit,
+        with Executor(
+            tpch_db, workers=WORKERS, morsel_rows=TPCH_MORSEL_ROWS, memory_budget=limit,
         ) as executor:
             parallel = executor.execute(plan)
         _assert_frames_bitwise(
@@ -298,8 +296,8 @@ def adevents_db():
 @pytest.fixture(scope="module")
 def adevents_baselines(adevents_db):
     cache: dict[tuple[str, str], object] = {}
-    parallel = ParallelExecutor(
-        adevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS, cache_size=0
+    parallel = Executor(
+        adevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS
     )
 
     def get(name: str, mode: str):
@@ -333,9 +331,8 @@ class TestAdEventsSpillDifferential:
             adevents_baselines(name, "serial").frame, serial.frame,
             f"{name} serial {budget_name}",
         )
-        with ParallelExecutor(
-            adevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS,
-            cache_size=0, memory_budget=limit,
+        with Executor(
+            adevents_db, workers=WORKERS, morsel_rows=ADEVENTS_MORSEL_ROWS, memory_budget=limit,
         ) as executor:
             parallel = executor.execute(plan)
         _assert_frames_bitwise(

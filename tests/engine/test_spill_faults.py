@@ -24,7 +24,6 @@ from repro.engine import (
     Executor,
     Frame,
     MemoryBudget,
-    ParallelExecutor,
     QueryCancelled,
     SpillCorrupt,
     SpillDiskFull,
@@ -170,8 +169,8 @@ class TestQueryLevelFaults:
             faults=SpillFaultPlan(disk_full_after_bytes=64 * 1024),
         )
         plan = get_query(3).build(tpch_db, tpch_params)
-        with ParallelExecutor(
-            tpch_db, workers=2, morsel_rows=2048, cache_size=0, memory_budget=budget
+        with Executor(
+            tpch_db, workers=2, morsel_rows=2048, memory_budget=budget
         ) as executor:
             with pytest.raises(SpillDiskFull):
                 executor.execute(plan)

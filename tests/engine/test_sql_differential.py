@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import Executor, ParallelExecutor
+from repro.engine import Executor
 from repro.engine.optimizer import OptimizerSettings
 from repro.engine.plan import LimitNode, SortNode
 from repro.tpch.sqltext import SQL_QUERY_NUMBERS, build_from_sql
@@ -93,8 +93,8 @@ def _assert_rows_agree(reference, candidate, ordered: bool, label: str) -> None:
 @pytest.fixture(scope="module")
 def parallel_executors(tpch_db):
     made = {
-        axis: ParallelExecutor(
-            tpch_db, workers=4, morsel_rows=MORSEL_ROWS, cache_size=0,
+        axis: Executor(
+            tpch_db, workers=4, morsel_rows=MORSEL_ROWS,
             settings=settings,
         )
         for axis, settings in SETTINGS_AXES.items()

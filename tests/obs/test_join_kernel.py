@@ -142,9 +142,13 @@ def test_global_aggregate_factorizes_nothing_and_says_so(tpch_db, tpch_params):
     assert moved == {"dense": 0, "sort": 0}
 
 
+LATE_SPANS = ("filter", "hashjoin", "sort", "topk", "distinct")
+
+
 def _explained_late(text: str) -> list[tuple[str, bool]]:
-    """``(operator, late tag?)`` of EXPLAIN's Filter and HashJoin lines in
-    execution order: the printed tree walked children first."""
+    """``(operator, late tag?)`` of EXPLAIN's Filter, HashJoin, Sort, TopK
+    and Distinct lines in execution order: the printed tree walked
+    children first."""
     root: dict = {"line": "", "children": []}
     stack = [(-1, root)]
     for line in text.splitlines():
@@ -162,7 +166,8 @@ def _explained_late(text: str) -> list[tuple[str, bool]]:
             yield from walk(child)
         yield node["line"]
 
-    kinds = {"Filter": "filter", "HashJoin": "hashjoin"}
+    kinds = {"Filter": "filter", "HashJoin": "hashjoin", "Sort": "sort",
+             "TopK": "topk", "Distinct": "distinct"}
     return [
         (kinds[line.split()[0]], "[late:" in line)
         for line in walk(root)
@@ -172,17 +177,19 @@ def _explained_late(text: str) -> list[tuple[str, bool]]:
 
 @pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
 def test_late_spans_match_explain(tpch_db, tpch_params, number):
-    """Every join and filter span of the main pipeline carries ``late``,
-    equal to EXPLAIN's ``[late: ...]`` tag for that node (scalar
-    subqueries run under their own pipeline span and EXPLAIN does not
-    print them). Semi and anti joins inherit their left input's form."""
+    """Every join, filter, sort, top-k and distinct span of the main
+    pipeline carries ``late``, equal to EXPLAIN's ``[late: ...]`` tag for
+    that node (scalar subqueries run under their own pipeline span and
+    EXPLAIN does not print them). Semi and anti joins inherit their left
+    input's form, and so do sorts, top-ks and distincts: each is a
+    ``take`` that composes row ids."""
     plan = get_query(number).build(tpch_db, tpch_params)
     tracer = Tracer()
     Executor(tpch_db, tracer=tracer).execute(plan, label=f"Q{number}")
     main = next(s for s in iter_spans(tracer.roots[0]) if s.kind == "pipeline")
     assert main.name == "main"
-    spans = [s for s in main.children if s.name in ("filter", "hashjoin")]
-    assert all("late" in s.attrs for s in spans if s.name == "hashjoin")
+    spans = [s for s in main.children if s.name in LATE_SPANS]
+    assert all("late" in s.attrs for s in spans if s.name != "filter")
     got = [(s.name, s.attrs.get("late")) for s in spans]
     assert got == _explained_late(explain(plan, tpch_db)), f"Q{number}"
 

@@ -9,7 +9,6 @@ profile. The NullTracer must record nothing.
 import pytest
 
 from repro.engine import Executor
-from repro.engine.parallel import ParallelExecutor
 from repro.obs.export import trace_to_dict, validate_trace
 from repro.engine.profile import WORK_FIELDS
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, iter_spans
@@ -22,8 +21,8 @@ from ..conftest import TEST_SF
 def parallel_pair(tpch_db):
     """One untraced and one traced 4-worker executor, shared across
     queries (cache disabled so every run really executes)."""
-    with ParallelExecutor(tpch_db, workers=4, cache_size=0) as plain, \
-         ParallelExecutor(tpch_db, workers=4, cache_size=0) as traced:
+    with Executor(tpch_db, workers=4) as plain, \
+         Executor(tpch_db, workers=4) as traced:
         yield plain, traced
 
 

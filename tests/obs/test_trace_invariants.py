@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Database, Executor, Q, Table, agg, col
+from repro.engine import Database, Executor, Q, Table, agg, col, physical
 from repro.engine.column import Column
 from repro.engine.explain import explain
-from repro.engine.parallel import ParallelExecutor
 from repro.engine.profile import WORK_FIELDS
 from repro.obs.trace import Tracer, iter_spans
 
@@ -40,8 +39,11 @@ DB = _build_db()
 
 @pytest.fixture(scope="module")
 def parallel():
-    with ParallelExecutor(DB, workers=3, morsel_rows=128, cache_size=0,
-                          min_parallel_rows=1) as ex:
+    # Lowering reads the threshold at every execution, so the patch
+    # spans the fixture's life: the 600-row table must split.
+    with pytest.MonkeyPatch.context() as patch, \
+            Executor(DB, workers=3, morsel_rows=128) as ex:
+        patch.setattr(physical, "MIN_PARALLEL_ROWS", 1)
         yield ex
 
 

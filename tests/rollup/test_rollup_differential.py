@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.adevents import QUERY_NAMES, build as adevents_build
-from repro.engine import Executor, ParallelExecutor
+from repro.engine import Executor
 from repro.engine.explain import explain
 from repro.engine.optimizer import DEFAULT_SETTINGS
 from repro.tpch import ALL_QUERY_NUMBERS, get_query
@@ -83,7 +83,7 @@ def _assert_rows_match(reference, candidate, label: str) -> None:
 class TestTpchDifferential:
     @pytest.fixture(scope="class")
     def parallel(self, rollup_tpch_db):
-        with ParallelExecutor(rollup_tpch_db, workers=4, cache_size=8) as ex:
+        with Executor(rollup_tpch_db, workers=4, cache_size=8) as ex:
             yield ex
 
     @pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
@@ -106,7 +106,7 @@ class TestTpchDifferential:
 class TestAdeventsDifferential:
     @pytest.fixture(scope="class")
     def parallel(self, rollup_adevents_db):
-        with ParallelExecutor(rollup_adevents_db, workers=4, cache_size=8) as ex:
+        with Executor(rollup_adevents_db, workers=4, cache_size=8) as ex:
             yield ex
 
     @pytest.mark.parametrize("name", QUERY_NAMES)

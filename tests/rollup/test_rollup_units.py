@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Column, Database, Executor, ParallelExecutor, Q, Table, agg, col
+from repro.engine import Column, Database, Executor, Q, Table, agg, col
 from repro.engine.optimizer import DEFAULT_SETTINGS, optimize_plan
 from repro.engine.plan import AggregateNode
 from repro.engine.sql import sql
@@ -220,7 +220,7 @@ class TestSemanticCube:
 
     def test_a_fresh_literal_reslices_the_cube(self):
         db = self._db()
-        with ParallelExecutor(db, workers=2) as engine:
+        with Executor(db, workers=2, cache_size=64) as engine:
             engine.execute(sql(db, self.SHAPE.format("h = 0")))
             hits = engine.semantic.hits
             got = engine.execute(sql(db, self.SHAPE.format("h = 1")))
@@ -233,7 +233,7 @@ class TestSemanticCube:
     def test_a_shape_past_the_guard_is_cached_negative(self):
         db = self._db()
         text = self.SHAPE.format("u > {}")
-        with ParallelExecutor(db, workers=2) as engine:
+        with Executor(db, workers=2, cache_size=64) as engine:
             for cutoff in (10, 20):
                 got = engine.execute(sql(db, text.format(cutoff)))
                 want = Executor(db, ROLLUPS_OFF).execute(sql(db, text.format(cutoff)))
@@ -265,7 +265,7 @@ class TestServerLiveMining:
         from repro.serve import QueryServer
 
         db = _db(n_rows=60)
-        with QueryServer(db, workers=2, cache_size=0) as server:
+        with QueryServer(db, workers=2) as server:
             for cutoff in (20, 30):
                 server.query(f"SELECT g, SUM(v) AS s FROM t "
                              f"WHERE v > {cutoff} GROUP BY g")

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.engine import Executor, ParallelExecutor
+from repro.engine import Executor
 from repro.engine.cache import ResultCache
 from repro.engine.cancel import (
     CancelToken,
@@ -101,7 +101,7 @@ class TestMorselBoundaryCancel:
         cancel_after = 3
         token = CancelToken()
         tracer = _CancelAfterMorsels(token, cancel_after)
-        with ParallelExecutor(
+        with Executor(
             tpch_db, workers=workers, morsel_rows=MORSEL_ROWS,
             cache_size=4, tracer=tracer,
         ) as executor:
@@ -138,7 +138,7 @@ class TestMorselBoundaryCancel:
 
     def test_expired_deadline_rejects_before_any_work(self, tpch_db):
         tracer = Tracer()
-        with ParallelExecutor(
+        with Executor(
             tpch_db, workers=2, morsel_rows=MORSEL_ROWS,
             cache_size=4, tracer=tracer,
         ) as executor:

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Column, Database, Executor, ParallelExecutor, Table
+from repro.engine import Column, Database, Executor, Table
 from repro.engine.fingerprint import plan_fingerprint
 from repro.engine.sql import SqlError, sql, tokenize
 from repro.rollup import ROUTER_STATS, enable_rollups, routed_tables
@@ -328,7 +328,7 @@ def test_900_conjunct_chain_runs_everywhere_the_serial_engine_does():
 
     serial = Executor(db).execute(sql(db, chain(10))).rows
     assert sorted(serial) == [(1, 1.0), (2, 2.0), (3, 3.0)]
-    with ParallelExecutor(db, workers=2, cache_size=64) as engine:
+    with Executor(db, workers=2, cache_size=64) as engine:
         assert engine.execute(sql(db, chain(10))).rows == serial
     with QueryServer(db, workers=2) as server:
         assert server.query(chain(10)).rows == serial

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import Database, Executor, OptimizerSettings, ParallelExecutor
+from repro.engine import Database, Executor, OptimizerSettings
 from repro.engine.compression import compress_table
 from repro.engine.sql import sql
 from repro.tpch import generate
@@ -89,17 +89,14 @@ def clustered_compressed(db: Database) -> Database:
     return out
 
 
-def config_key(gates, storage: str, workers: int | None) -> str:
+def config_key(gates, storage: str, workers: int) -> str:
     skipping, late, compressed = gates
-    mode = "serial" if workers is None else f"w{workers}"
+    mode = "serial" if workers == 1 else f"w{workers}"
     return f"skip={int(skipping)},late={int(late)},enc={int(compressed)}|{storage}|{mode}"
 
 
-def make_executor(db: Database, gates, workers: int | None, **kwargs):
-    settings = gate_settings(*gates)
-    if workers is None:
-        return Executor(db, settings, **kwargs)
-    return ParallelExecutor(db, workers=workers, cache_size=0, settings=settings, **kwargs)
+def make_executor(db: Database, gates, workers: int, **kwargs) -> Executor:
+    return Executor(db, gate_settings(*gates), workers=workers, **kwargs)
 
 
 def profile_rows(profile) -> list[dict]:
@@ -113,13 +110,11 @@ def collect(databases: dict[str, Database]) -> dict[str, list[dict]]:
     for storage, db in databases.items():
         plans = {name: sql(db, text) for name, text in QUERIES.items()}
         for gates in GATES:
-            for workers in (None, WORKERS):
-                executor = make_executor(db, gates, workers)
-                for name, plan in plans.items():
-                    key = f"{config_key(gates, storage, workers)}|{name}"
-                    pins[key] = profile_rows(executor.execute(plan).profile)
-                if workers is not None:
-                    executor.close()
+            for workers in (1, WORKERS):
+                with make_executor(db, gates, workers) as executor:
+                    for name, plan in plans.items():
+                        key = f"{config_key(gates, storage, workers)}|{name}"
+                        pins[key] = profile_rows(executor.execute(plan).profile)
     return pins
 
 
