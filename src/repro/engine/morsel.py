@@ -70,8 +70,8 @@ class MorselContext(OperatorContext):
     """Execution context scoped to one morsel: rows ``[lo, hi)`` of the
     segment's base table, which is all the executor's scan branch reads
     — and all it materializes — under this context (``rows``; a late
-    scan's base columns are that range and its selection row ids are
-    relative to ``lo``, so each morsel gathers at its own boundary).
+    scan's base columns lie inside that range, so each morsel gathers at
+    its own boundary).
 
     Operators charge work into a private
     :class:`~repro.engine.profile.WorkProfile`; scalar

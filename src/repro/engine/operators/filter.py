@@ -7,46 +7,50 @@ from repro.obs.trace import note
 from ..expr import Expr
 from ..frame import LATE_BREAK_SELECTIVITY, Frame
 
-__all__ = ["execute_filter"]
+__all__ = ["execute_filter", "keep_rows"]
+
+
+def keep_rows(survivors: Frame, candidates: int, late: bool, ctx) -> Frame:
+    """The one late/break/eager step every filter ends in — the filter
+    operator's and a predicated scan's.
+
+    ``survivors`` is the late frame of the rows that passed, out of
+    ``candidates`` evaluated. Late mode returns it as is (MonetDB's
+    candidate list, the rewrite deferred to a pipeline breaker) unless
+    its row ids are dense but scattered: then the deferred gathers would
+    touch almost every cache line, so it breaks here and rewrites
+    compactly, as eager mode always does. Charges ``ctx.work`` the rows
+    in and out, the bytes written and — when late — the compact rewrite
+    it saved; ``late`` is noted as the mode it ran in, ``broke`` when
+    the density rule then rewrote.
+    """
+    broke = late and (
+        not survivors.is_contiguous()
+        and survivors.nrows > LATE_BREAK_SELECTIVITY * candidates
+    )
+    out = survivors if late and not broke else survivors.dense()
+    ctx.work.tuples_in += candidates
+    ctx.work.tuples_out += out.nrows
+    if out.is_late:
+        ctx.work.out_bytes += out.id_bytes
+        ctx.work.saved_bytes += out.nbytes
+    else:
+        ctx.work.out_bytes += out.nbytes
+    note(ctx, late=late, **({"broke": True} if broke else {}))
+    return out
 
 
 def execute_filter(frame: Frame, predicate: Expr, ctx, late: bool = False) -> Frame:
     """Keep the rows of ``frame`` where ``predicate`` is true.
 
     The predicate's per-row arithmetic is charged by the expression
-    evaluator; the filter itself charges the selection-vector
-    materialization. Eager mode rewrites the output columns compactly
-    (MonetDB's candidate-list execution); late mode emits or composes a
-    selection vector over the input's base columns and defers the
-    rewrite to a pipeline breaker.
+    evaluator; the filter itself charges the candidate list, and
+    :func:`keep_rows` the output. A late input always stays late: the
+    mask composes its row ids.
     """
     mask = predicate.evaluate(frame, ctx).values
-    late = late or frame.is_late
-    broke = False
-    if late:
-        out = frame.filter_late(mask)
-        if not out.is_contiguous() and out.nrows > LATE_BREAK_SELECTIVITY * frame.nrows:
-            # Dense-but-scattered survivors: break the row ids and
-            # rewrite compactly (streaming beats point gathers here).
-            out, broke = out.dense(), True
-    else:
-        out = frame.filter(mask)
-    ctx.work.tuples_in += frame.nrows
-    ctx.work.tuples_out += out.nrows
+    survivors = frame.filter_late(mask)
     ctx.work.seq_bytes += frame.nrows  # the mask/candidate list itself
     ctx.work.gather_bytes += frame.drain_gather_debt()
-    if out.is_late:
-        ctx.work.out_bytes += out.id_bytes
-        ctx.work.saved_bytes += out.nbytes  # the avoided compact rewrite
-    else:
-        ctx.work.out_bytes += out.nbytes
-    # ``late`` is the mode the filter ran in, as EXPLAIN predicts it;
-    # ``broke`` says the density rule then rewrote compactly (as a
-    # predicated scan notes it).
-    note(
-        ctx,
-        selectivity=out.nrows / frame.nrows if frame.nrows else 0.0,
-        late=late,
-        **({"broke": True} if broke else {}),
-    )
-    return out
+    note(ctx, selectivity=survivors.nrows / frame.nrows if frame.nrows else 0.0)
+    return keep_rows(survivors, frame.nrows, late or frame.is_late, ctx)

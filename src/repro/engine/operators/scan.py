@@ -26,12 +26,14 @@ Everything static about a predicated scan — the block verdicts, which
 conjuncts run on the encoded payloads, what is left for decoded rows,
 late or eager output — was decided by
 :func:`repro.engine.physical.lower` and arrives on the
-:class:`~repro.engine.plan.PredicatedScanNode`; one loop over the runs
-serves every combination. A scan only ever materializes rows of its own
-range ``[start, stop)``: zero-copy slices of plain columns,
-``decode_range`` of compressed ones, so a morsel never decodes a column
-it does not own (the whole-column ``to_column()`` is the
-``[0, nrows)`` case).
+:class:`~repro.engine.plan.PredicatedScanNode`; one path serves every
+combination. The scan materializes its range ``[start, stop)`` once:
+plain columns as zero-copy slices, compressed ones decoded over their
+surviving runs only — output columns over every non-SKIP run, columns
+only the residual reads over the EVAL runs — so neither a skipped block
+nor another morsel's rows is ever decoded. It then builds the selection
+vector run by run and ends in the filter's one late/break/eager step,
+:func:`~repro.engine.operators.filter.keep_rows`.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from repro.obs.trace import note
 from ..column import Column
 from ..compression import CompressedColumn
 from ..encoded import predicate_stats
-from ..frame import LATE_BREAK_SELECTIVITY, SELECTION_DTYPE, Frame
+from ..frame import SELECTION_DTYPE, Frame
 from ..plan import PredicatedScanNode, ScanNode
 from ..profile import OperatorWork
 from ..table import Table
-from ..zonemap import BLOCK_EVAL, BLOCK_SKIP, ZONE_MAP_BLOCK_ROWS
+from ..zonemap import BLOCK_EVAL, BLOCK_SKIP, BLOCK_TAKE, ZONE_MAP_BLOCK_ROWS
+from .filter import keep_rows
 
 __all__ = ["scan_range"]
 
@@ -59,50 +62,60 @@ _BLOCKS_SKIPPED = metrics.counter("engine.zonemap.blocks_skipped")
 _BLOCKS_SCANNED = metrics.counter("engine.zonemap.blocks_scanned")
 
 
-def _merge_runs(
-    codes: np.ndarray, start: int, stop: int, block_rows: int
-) -> list[tuple[int, int, int]]:
-    """Collapse per-block codes into ``(kind, lo, hi)`` row runs clipped
-    to ``[start, stop)``, merging adjacent blocks of the same kind."""
+def _merge_runs(codes: np.ndarray, start: int, stop: int) -> list[tuple[int, int, int]]:
+    """Collapse the per-block ``codes`` of the blocks overlapping
+    ``[start, stop)`` into ``(kind, lo, hi)`` row runs clipped to it,
+    merging adjacent blocks of the same kind."""
+    b0 = start // ZONE_MAP_BLOCK_ROWS
+    edges = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
     runs: list[tuple[int, int, int]] = []
-    b0 = start // block_rows
-    for i, kind in enumerate(codes):
-        lo = max(start, (b0 + i) * block_rows)
-        hi = min(stop, (b0 + i + 1) * block_rows)
-        if hi <= lo:
-            continue
-        if runs and runs[-1][0] == kind and runs[-1][2] == lo:
-            runs[-1] = (kind, runs[-1][1], hi)
-        else:
-            runs.append((int(kind), lo, hi))
+    for first, end in zip(edges, edges[1:]):
+        lo = max(start, (b0 + first) * ZONE_MAP_BLOCK_ROWS)
+        hi = min(stop, (b0 + end) * ZONE_MAP_BLOCK_ROWS)
+        if hi > lo:
+            runs.append((int(codes[first]), lo, hi))
     return runs
 
 
+def _spans(runs: list[tuple[int, int, int]], kinds: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The row ranges of the ``runs`` of ``kinds``, adjacent ones joined."""
+    spans: list[tuple[int, int]] = []
+    for kind, lo, hi in runs:
+        if kind not in kinds:
+            continue
+        if spans and spans[-1][1] == lo:
+            spans[-1] = (spans[-1][0], hi)
+        else:
+            spans.append((lo, hi))
+    return spans
+
+
 def _materialize(
-    table: Table, names: list[str], lo: int, hi: int, work, live: float | None = None
+    table: Table, names: list[str], start: int, stop: int,
+    spans: list[tuple[int, int]], work,
 ) -> dict[str, Column]:
-    """Rows ``[lo, hi)`` of the named columns as plain columns — the one
-    place a scan turns stored rows into values. Plain columns slice
-    zero-copy; compressed ones decode exactly these rows, charging
-    ``work`` the bytes materialized and the column's decode ops pro
-    rata: for every row decoded, or, given ``live``, for that fraction
-    of the range (a range decoded around skipped blocks — a
-    block-granular codec would touch only the live ones)."""
+    """Rows ``[start, stop)`` of the named columns as plain columns — the
+    one place a scan turns stored rows into values. Plain columns slice
+    zero-copy; a compressed one decodes only the rows of ``spans``
+    (ranges inside the window), charging ``work`` their bytes and the
+    column's decode ops pro rata. Its other rows hold zeros, which no
+    caller ever selects."""
     out: dict[str, Column] = {}
     for name in names:
         col = table.column(name)
-        whole = lo == 0 and hi == len(col)
-        if isinstance(col, CompressedColumn):
-            work.decoded_bytes += (hi - lo) * col.dtype.width
-            if live is None:
-                work.ops += col.decode_ops * (hi - lo) / max(1, len(col))
-            else:
-                work.ops += col.decode_ops * ((hi - lo) / max(1, len(col))) * live
-            out[name] = col.to_column() if whole else Column(
-                col.dtype, col.decode_range(lo, hi), dictionary=col.dictionary
-            )
+        if not isinstance(col, CompressedColumn):
+            out[name] = col if start == 0 and stop == len(col) else col.slice(start, stop)
+            continue
+        if spans == [(start, stop)]:
+            values = col.decode_range(start, stop)
         else:
-            out[name] = col if whole else col.slice(lo, hi)
+            values = np.zeros(stop - start, dtype=col.dtype.numpy_dtype)
+            for lo, hi in spans:
+                values[lo - start : hi - start] = col.decode_range(lo, hi)
+        for lo, hi in spans:
+            work.decoded_bytes += (hi - lo) * col.dtype.width
+            work.ops += col.decode_ops * (hi - lo) / max(1, len(col))
+        out[name] = Column(col.dtype, values, dictionary=col.dictionary)
     return out
 
 
@@ -118,7 +131,7 @@ def _scan_unfiltered(
             ctx.work.seq_bytes += (stop - start) * col.dtype.width
     ctx.work.tuples_in += stop - start
     ctx.work.tuples_out += stop - start
-    columns = _materialize(table, names, start, stop, ctx.work, live=1.0)
+    columns = _materialize(table, names, start, stop, [(start, stop)], ctx.work)
     return Frame(columns, stop - start)
 
 
@@ -181,35 +194,6 @@ def drop_empty_ranges(
     return [r for r, drop in zip(ranges, empty) if not drop], skipped
 
 
-def _late_frame(
-    decoded: dict[str, Column], out_names: list[str], sel_parts: list[np.ndarray],
-    survived: int, filter_work, ctx,
-) -> Frame:
-    """The late-materialized result of a predicated scan: the base
-    columns untouched plus the selection vector of surviving row ids —
-    unless that vector is dense but scattered, where it breaks here."""
-    sel = sel_parts[0] if len(sel_parts) == 1 else np.concatenate(sel_parts)
-    out_frame = Frame({n: decoded[n] for n in out_names}, selection=sel)
-    if (
-        not out_frame.is_contiguous()
-        and out_frame.nrows > LATE_BREAK_SELECTIVITY * max(1, survived)
-    ):
-        # The selection is dense but scattered: the deferred gathers
-        # would touch almost every cache line, so break the vector
-        # here and pay the streaming rewrite an eager filter pays.
-        out_frame = out_frame.dense()
-        filter_work.tuples_out += out_frame.nrows
-        filter_work.out_bytes += out_frame.nbytes
-        note(ctx, late=True, broke=True)
-        return out_frame
-    filter_work.tuples_out += out_frame.nrows
-    filter_work.out_bytes += sel.nbytes
-    # The compact column rewrite an eager filter would have paid.
-    filter_work.saved_bytes += out_frame.nbytes
-    note(ctx, late=True)
-    return out_frame
-
-
 def scan_range(table: Table, node: ScanNode, start: int, stop: int, ctx) -> Frame:
     """Scan rows ``[start, stop)`` of ``table`` as the lowered ``node``
     describes, applying its predicate (if any).
@@ -224,21 +208,25 @@ def scan_range(table: Table, node: ScanNode, start: int, stop: int, ctx) -> Fram
     for OLAP queries (and the reason Q1 is the Pi's worst query).
     Compressed columns stream fewer bytes but cost decode ops. Blocks a
     zone map proves empty against the pushed-down predicate are charged
-    ``skipped_bytes`` (and zone probes) instead of streaming. A ``late``
-    node returns a selection vector (row ids relative to ``start``) over
-    the range's columns instead of rewriting the survivors. EVAL runs
-    take their mask from the node's encoded conjuncts (on the packed
+    ``skipped_bytes`` (and zone probes) instead of streaming. The range's
+    rows from its first surviving row to its last are materialized once;
+    rows of compressed columns outside the surviving runs are never
+    decoded (they hold zeros and are never selected). EVAL runs take
+    their mask from the node's encoded conjuncts (on the packed
     payloads, no decode) and its residual (on decoded rows); columns
-    only compiled conjuncts read are never decoded at all.
+    only compiled conjuncts read are never decoded at all. A ``late``
+    node returns a selection vector over those rows instead of
+    rewriting the survivors, unless :func:`keep_rows` breaks it.
     """
     out_names = list(node.columns) if node.columns is not None else table.column_names
     if node.predicate is None:
         return _scan_unfiltered(table, out_names, start, stop, ctx)
 
     codes = _block_codes(node, start, stop)
-    runs = _merge_runs(codes, start, stop, ZONE_MAP_BLOCK_ROWS)
+    runs = _merge_runs(codes, start, stop)
+    live = _spans(runs, (BLOCK_TAKE, BLOCK_EVAL))
     rows = stop - start
-    survived = sum(hi - lo for kind, lo, hi in runs if kind != BLOCK_SKIP)
+    survived = sum(hi - lo for lo, hi in live)
 
     scan_work = ctx.work
     n_skip = _charge_stream(scan_work, table, node, rows, survived, codes)
@@ -254,21 +242,17 @@ def scan_range(table: Table, node: ScanNode, start: int, stop: int, ctx) -> Fram
         predicate_stats.miss()
     note(ctx, runs=len(runs))
 
-    # What is ever decoded: the outputs plus what the residual reads.
+    # The window runs from the first surviving row to the last. Output
+    # columns decode over every surviving run, columns only the residual
+    # reads over the EVAL runs it evaluates.
+    first, last = (live[0][0], live[-1][1]) if live else (start, start)
     residual = node.residual
     residual_names = sorted(residual.references()) if residual is not None else []
-    needed = out_names + [n for n in residual_names if n not in out_names]
-    late = node.late and survived > 0
-    # With encoded conjuncts and compact output only the surviving runs
-    # are materialized, each on its own; otherwise (a selection vector
-    # needs the range's columns whole; the decode-then-eval path always
-    # decoded around its skipped blocks) the range is, once.
-    per_run = bool(node.encoded) and not late
-    origin, window = start, {}
-    if survived and not per_run:
-        window = _materialize(
-            table, needed, start, stop, scan_work, live=survived / max(1, rows)
-        )
+    window = _materialize(table, out_names, first, last, live, scan_work)
+    window.update(_materialize(
+        table, [n for n in residual_names if n not in window], first, last,
+        _spans(runs, (BLOCK_EVAL,)), scan_work,
+    ))
 
     # Predicate evaluation is its own operator, mirroring the explicit
     # filter the optimizer pushed down — profiles keep the same shape.
@@ -276,47 +260,27 @@ def scan_range(table: Table, node: ScanNode, start: int, stop: int, ctx) -> Fram
     note(ctx, pushdown=True)
     if node.encoded:
         note(ctx, encoded=len(node.encoded))
-
-    def run_frame(names: list[str], lo: int, hi: int) -> Frame:
-        return Frame(
-            {n: window[n].slice(lo - origin, hi - origin) for n in names}, hi - lo
-        )
-
     sel_parts: list[np.ndarray] = []
-    pieces: list[Frame] = []
     for kind, lo, hi in runs:
         if kind == BLOCK_SKIP:
             continue
-        filter_work.tuples_in += hi - lo
-        if per_run:
-            origin = lo
-            window = _materialize(
-                table, needed if kind == BLOCK_EVAL else out_names, lo, hi, scan_work
-            )
         mask = None  # BLOCK_TAKE: the zone map proved every row survives
         if kind == BLOCK_EVAL:
             for conjunct in node.encoded:
                 m = conjunct.mask(lo, hi, filter_work)
                 mask = m if mask is None else mask & m
             if residual is not None:
-                m = residual.evaluate(run_frame(residual_names, lo, hi), ctx).values
+                run = {n: window[n].slice(lo - first, hi - first) for n in residual_names}
+                m = residual.evaluate(Frame(run, hi - lo), ctx).values
                 mask = m if mask is None else mask & m
             filter_work.seq_bytes += hi - lo  # the mask / candidate list
-        if not late:
-            piece = run_frame(out_names, lo, hi)
-            pieces.append(piece if mask is None else piece.filter(mask))
-        elif mask is None:
-            sel_parts.append(np.arange(lo - start, hi - start, dtype=SELECTION_DTYPE))
+        if mask is None:
+            sel_parts.append(np.arange(lo - first, hi - first, dtype=SELECTION_DTYPE))
         else:
-            sel_parts.append((lo - start + np.flatnonzero(mask)).astype(SELECTION_DTYPE))
-    if late:
-        return _late_frame(window, out_names, sel_parts, survived, filter_work, ctx)
-    if not pieces:  # nothing survived: zero rows of every output column
-        pieces = [Frame(_materialize(table, out_names, start, start, scan_work), 0)]
-    out_frame = pieces[0] if len(pieces) == 1 else Frame(
-        {n: Column.concat([p.column(n) for p in pieces]) for n in out_names},
-        sum(p.nrows for p in pieces),
-    )
-    filter_work.tuples_out += out_frame.nrows
-    filter_work.out_bytes += out_frame.nbytes
-    return out_frame
+            sel_parts.append((lo - first + np.flatnonzero(mask)).astype(SELECTION_DTYPE))
+    if len(sel_parts) == 1:
+        sel = sel_parts[0]  # one run survived: no copy
+    else:
+        sel = np.concatenate(sel_parts) if sel_parts else np.empty(0, SELECTION_DTYPE)
+    survivors = Frame({n: window[n] for n in out_names}, selection=sel)
+    return keep_rows(survivors, survived, node.late, ctx)

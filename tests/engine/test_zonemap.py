@@ -26,6 +26,7 @@ from repro.engine.compression import (
     RunLengthEncoding,
     compress_column,
 )
+from repro.engine.operators.scan import _merge_runs
 from repro.engine.zonemap import (
     BLOCK_EVAL,
     BLOCK_SKIP,
@@ -327,3 +328,33 @@ def test_classification_is_sound(seed, block_rows):
             assert not chunk.any()
         elif kind == BLOCK_TAKE:
             assert chunk.all()
+
+
+def _merge_runs_by_block(codes, start, stop, block_rows=ZONE_MAP_BLOCK_ROWS):
+    """Per-block reference for the scan's run merge."""
+    runs = []
+    b0 = start // block_rows
+    for i, kind in enumerate(codes):
+        lo = max(start, (b0 + i) * block_rows)
+        hi = min(stop, (b0 + i + 1) * block_rows)
+        if hi <= lo:
+            continue
+        if runs and runs[-1][0] == kind and runs[-1][2] == lo:
+            runs[-1] = (int(kind), runs[-1][1], hi)
+        else:
+            runs.append((int(kind), lo, hi))
+    return runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([BLOCK_SKIP, BLOCK_TAKE, BLOCK_EVAL]), min_size=1, max_size=12),
+    st.data(),
+)
+def test_scan_run_merge_matches_per_block_loop(kinds, data):
+    block_codes = np.array(kinds, dtype=np.int8)
+    n = len(kinds) * ZONE_MAP_BLOCK_ROWS - data.draw(st.integers(0, ZONE_MAP_BLOCK_ROWS - 1))
+    start = data.draw(st.integers(0, n))
+    stop = data.draw(st.integers(start, n))
+    codes = block_codes[start // ZONE_MAP_BLOCK_ROWS : -(-stop // ZONE_MAP_BLOCK_ROWS)]
+    assert _merge_runs(codes, start, stop) == _merge_runs_by_block(codes, start, stop)

@@ -189,7 +189,7 @@ def test_late_spans_match_explain(tpch_db, tpch_params, number):
     main = next(s for s in iter_spans(tracer.roots[0]) if s.kind == "pipeline")
     assert main.name == "main"
     spans = [s for s in main.children if s.name in LATE_SPANS]
-    assert all("late" in s.attrs for s in spans if s.name != "filter")
+    assert all("late" in s.attrs for s in spans)
     got = [(s.name, s.attrs.get("late")) for s in spans]
     assert got == _explained_late(explain(plan, tpch_db)), f"Q{number}"
 

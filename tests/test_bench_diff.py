@@ -61,3 +61,26 @@ def test_malformed_record_exits_nonzero(bench_diff, tmp_path, capsys, monkeypatc
     (tmp_path / "BENCH_PR1.json").write_text(json.dumps([record]))
     assert bench_diff.main([]) == 2
     assert "runs" in capsys.readouterr().err
+
+
+def test_unrecorded_perf_claim_exits_nonzero(bench_diff, tmp_path, capsys, monkeypatch):
+    # The committed repo: every [perf_opt] PR has a record or a reason.
+    assert bench_diff.main([]) == 0
+    err = capsys.readouterr().err
+    for pr, reason in bench_diff.UNRECORDED.items():
+        assert f"PR {pr} has no record: {reason}" in err
+
+    record = (bench_diff.REPO / "BENCH_PR28.json").read_text()
+    (tmp_path / "BENCH_PR28.json").write_text(record)
+    (tmp_path / "CHANGES.md").write_text(
+        "- PR 19: [perf_opt] exempt, it predates the ledger.\n"
+        "- PR 28: [perf_opt] recorded.\n"
+        "- PR 41: [perf_opt] claims a gain with no record.\n"
+        "- PR 42: [simplicity] claims none.\n"
+    )
+    monkeypatch.setattr(bench_diff, "REPO", tmp_path)
+    assert bench_diff.main([]) == 2
+    err = capsys.readouterr().err
+    assert "PR 41 [perf_opt]" in err and "BENCH_PR41.json" in err
+    assert "PR 28 [perf_opt]" not in err and "PR 42" not in err
+    assert "PR 19 [perf_opt]" not in err

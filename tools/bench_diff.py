@@ -8,7 +8,9 @@ end-to-end metric, one row per PR and seed: base and change medians,
 their ratio, wins / pairs and the verdict. ``--workload`` and
 ``--metric`` filter the table. A record missing a field ``bench_pairs.py
 --out`` writes is an error: the file and the field are named on stderr
-and the exit status is 2.
+and the exit status is 2. So is a ``CHANGES.md`` entry tagged
+``[perf_opt]`` whose PR has no ``BENCH_PR<n>.json``, unless ``UNRECORDED``
+names the PR and why; each such exception is printed on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +26,13 @@ RECORD_FIELDS = ("workload", "seed", "smoke", "base", "pairs", "failed",
                  "attempted", "metrics", "runs")
 METRIC_FIELDS = ("base_median", "change_median", "base_iqr", "change_iqr",
                  "allowed", "wins", "pairs", "verdict")
+
+# ``[perf_opt]`` PRs without a record, and why none can be committed.
+UNRECORDED = {
+    19: "predates the ledger (tools/bench_pairs.py --out)",
+    20: "predates the ledger (tools/bench_pairs.py --out)",
+    26: "committed no record, and its gain cannot be measured honestly after the fact",
+}
 
 
 class MalformedRecord(ValueError):
@@ -47,6 +56,17 @@ def load(root: Path) -> list[tuple[int, dict]]:
                 raise MalformedRecord(f"{where}: missing {', '.join(missing)}")
             entries.append((int(match.group(1)), rec))
     return sorted(entries, key=lambda e: (e[0], e[1]["workload"], e[1]["seed"]))
+
+
+def unrecorded_claims(root: Path, entries) -> list[int]:
+    """PRs whose ``CHANGES.md`` entry under ``root`` is tagged
+    ``[perf_opt]`` but that have no record and no ``UNRECORDED`` reason."""
+    changes = root / "CHANGES.md"
+    if not changes.exists():
+        return []
+    claimed = re.findall(r"^- PR (\d+): \[perf_opt\]", changes.read_text(), re.MULTILINE)
+    recorded = {pr for pr, _ in entries}
+    return [int(pr) for pr in claimed if int(pr) not in recorded | set(UNRECORDED)]
 
 
 def render(entries, workload: str | None = None, metric: str | None = None) -> str:
@@ -87,6 +107,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not entries:
         print(f"bench_diff: no BENCH_PR<n>.json under {REPO}", file=sys.stderr)
+        return 2
+    for pr, reason in UNRECORDED.items():
+        print(f"bench_diff: PR {pr} has no record: {reason}", file=sys.stderr)
+    missing = unrecorded_claims(REPO, entries)
+    if missing:
+        for pr in missing:
+            print(f"bench_diff: CHANGES.md tags PR {pr} [perf_opt] "
+                  f"but BENCH_PR{pr}.json is missing", file=sys.stderr)
         return 2
     print(render(entries, args.workload, args.metric))
     return 0
