@@ -14,9 +14,10 @@ the encoded payloads from :mod:`repro.engine.compression`:
   evaluates as clamped comparisons on the narrow packed dtype (bitpack),
   per-block with references (FoR), or once per *run* (RLE).
 * **Dictionary masks.** String predicates (=, !=, <, …, IN, LIKE)
-  evaluate once per dictionary entry — byte-for-byte the same kernel
-  :mod:`repro.engine.expr` uses — and the boolean mask is indexed by the
-  packed codes without materializing an int64 code array.
+  evaluate once per dictionary entry — the same function
+  :mod:`repro.engine.expr` calls, ``dictionary_mask``, memoized per
+  dictionary — and the boolean mask is indexed by the packed codes
+  without materializing an int64 code array.
 * **RLE aggregation.** SUM/AVG/COUNT/MIN/MAX over run-length-encoded
   inputs reduce over ``(value, run_length)`` segments — through the row
   path's own ``reduce_groups`` kernel, one element per segment — and a
@@ -310,53 +311,31 @@ def compile_conjunct(conjunct: Expr, table) -> EncodedConjunct | None:
 
 
 def _compile(conjunct: Expr, table) -> EncodedConjunct | None:
-    if isinstance(conjunct, Cmp):
-        if not (isinstance(conjunct.left, ColRef) and isinstance(conjunct.right, Literal)):
+    if not isinstance(conjunct, (Cmp, InList, Like)):
+        return None
+    is_cmp = isinstance(conjunct, Cmp)
+    operand = conjunct.left if is_cmp else conjunct.operand
+    if not isinstance(operand, ColRef) or (is_cmp and not isinstance(conjunct.right, Literal)):
+        return None
+    name = operand.name
+    col = table.column(name)
+    if not _encodable(col):
+        return None
+    if col.dtype is STRING:
+        if is_cmp and not isinstance(conjunct.right.value, str):
             return None
-        name = conjunct.left.name
-        col = table.column(name)
-        if not _encodable(col):
-            return None
+        return _DictMaskConjunct(name, col, conjunct.dictionary_mask(col.dictionary))
+    if is_cmp:
         rv = conjunct.right.value
-        ufunc = _UFUNCS[conjunct.op]
-        if col.dtype is STRING:
-            if not isinstance(rv, str):
-                return None
-            return _DictMaskConjunct(name, col, ufunc(col.dictionary.astype(str), rv))
         if col.dtype is DATE and isinstance(rv, str) and _DATE_RE.match(rv):
             rv = date_to_days(rv)
-        a, b, neg = _translate_range(col, conjunct.op, rv)
-        return _RangeConjunct(name, col, a, b, neg)
-    if isinstance(conjunct, InList):
-        if not isinstance(conjunct.operand, ColRef):
-            return None
-        name = conjunct.operand.name
-        col = table.column(name)
-        if not _encodable(col):
-            return None
-        if col.dtype is STRING:
-            wanted = set(conjunct.values)
-            return _DictMaskConjunct(
-                name, col, np.asarray([s in wanted for s in col.dictionary])
-            )
-        if col.encoding_name != "rle":
-            return None
-        vals = conjunct.values
-        if col.dtype is DATE:
-            vals = [date_to_days(v) if isinstance(v, str) else v for v in vals]
-        return _InListRunsConjunct(name, col, np.asarray(vals))
-    if isinstance(conjunct, Like):
-        if not isinstance(conjunct.operand, ColRef):
-            return None
-        name = conjunct.operand.name
-        col = table.column(name)
-        if not _encodable(col) or col.dtype is not STRING:
-            return None
-        regex = conjunct._regex
-        return _DictMaskConjunct(
-            name, col, np.asarray([regex.match(s) is not None for s in col.dictionary])
-        )
-    return None
+        return _RangeConjunct(name, col, *_translate_range(col, conjunct.op, rv))
+    if isinstance(conjunct, Like) or col.encoding_name != "rle":
+        return None
+    vals = conjunct.values
+    if col.dtype is DATE:
+        vals = [date_to_days(v) if isinstance(v, str) else v for v in vals]
+    return _InListRunsConjunct(name, col, np.asarray(vals))
 
 
 def compile_predicate(

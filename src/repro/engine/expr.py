@@ -10,14 +10,17 @@ Every evaluation records scalar-operation counts into the active
 :class:`~repro.engine.profile.OperatorWork`, so downstream hardware models
 see the arithmetic the query actually performed.
 
-String columns are dictionary-encoded; comparisons and LIKE run once per
-*unique* value and are then mapped through the code array, exactly the
-trick a columnar DBMS uses.
+String columns are dictionary-encoded; comparisons, IN, LIKE, SUBSTRING
+and UPPER/LOWER run once per *unique* value — once per dictionary, not
+per call — and are then mapped through the code array, exactly the trick
+a columnar DBMS uses.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -208,10 +211,43 @@ def _numeric(column: Column) -> np.ndarray:
     return column.values
 
 
-def _string_unique_mask(column: Column, func) -> np.ndarray:
-    """Apply ``func`` (vectorized over the dictionary) and map through codes."""
-    mask_unique = func(column.dictionary)
-    return mask_unique[column.values]
+_PER_DICTIONARY = 8  # results kept per dictionary, oldest dropped first
+_memo: dict[int, dict] = {}  # id(dictionary) -> {key: result}
+_memo_lock = threading.Lock()  # morsel workers share the memo
+
+
+def _per_dictionary(dictionary: np.ndarray, key, compute):
+    """``compute(dictionary)`` — a LIKE mask, a SUBSTRING dictionary and
+    remap — run once per dictionary object and ``key``: dictionaries are
+    immutable and shared by every frame over a column. A weakref finalizer
+    drops an entry with its dictionary and no strong reference is held, so
+    a recycled ``id`` cannot alias one. Stored arrays are read-only."""
+    with _memo_lock:
+        entries = _memo.get(id(dictionary))
+        if entries is None:
+            entries = _memo[id(dictionary)] = {}
+            weakref.finalize(dictionary, _memo.pop, id(dictionary), None)
+        if key not in entries:
+            value = compute(dictionary)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            if len(entries) >= _PER_DICTIONARY:
+                del entries[next(iter(entries))]
+            entries[key] = value
+        return entries[key]
+
+
+def _entry_mask(dictionary: np.ndarray, key, test) -> np.ndarray:
+    """``test(entry)`` per dictionary entry, as a boolean mask."""
+    return _per_dictionary(dictionary, key, lambda d: np.fromiter(map(test, d), np.bool_, len(d)))
+
+
+def _map_entries(column: Column, key, func) -> Column:
+    """A STRING column through ``func`` per dictionary entry."""
+    new_dict, remap = _per_dictionary(column.dictionary, key, lambda d: np.unique(
+        np.asarray([func(s) for s in d], dtype=object), return_inverse=True))
+    return Column.from_string_codes(remap[column.values].astype(np.int32), new_dict)
 
 
 class Arith(Expr):
@@ -245,7 +281,7 @@ class Arith(Expr):
             return Column(INT64, result.astype(np.int64), valid=valid)
         if lcol.dtype is DATE and rcol.dtype is INT64:
             return Column(DATE, result.astype(np.int32), valid=valid)
-        return Column(FLOAT64, result.astype(np.float64), valid=valid)
+        return Column(FLOAT64, result.astype(np.float64, copy=False), valid=valid)
 
     def references(self) -> set[str]:
         return self.left.references() | self.right.references()
@@ -280,8 +316,7 @@ class Cmp(Expr):
             lcol = self.left.evaluate(frame, ctx)
             rv = self.right.value
             if lcol.dtype is STRING and isinstance(rv, str):
-                mask = _string_unique_mask(lcol, lambda d: ufunc(d.astype(str), rv))
-                return self._masked(lcol, mask)
+                return self._masked(lcol, self.dictionary_mask(lcol.dictionary)[lcol.values])
             if lcol.dtype is DATE and isinstance(rv, str) and _DATE_RE.match(rv):
                 rv = date_to_days(rv)
             return self._masked(lcol, ufunc(lcol.values, rv))
@@ -304,7 +339,12 @@ class Cmp(Expr):
             mask = mask & lcol.valid
         if rcol is not None and rcol.valid is not None:
             mask = mask & rcol.valid
-        return Column(BOOL, mask.astype(np.bool_))
+        return Column(BOOL, mask.astype(np.bool_, copy=False))
+
+    def dictionary_mask(self, dictionary: np.ndarray) -> np.ndarray:
+        """``entry <op> literal`` per dictionary entry (a string literal)."""
+        ufunc, rv = self._OPS[self.op], self.right.value
+        return _per_dictionary(dictionary, ("cmp", self.op, rv), lambda d: ufunc(d.astype(str), rv))
 
     def references(self) -> set[str]:
         return self.left.references() | self.right.references()
@@ -359,8 +399,7 @@ class InList(Expr):
         column = self.operand.evaluate(frame, ctx)
         ctx.work.ops += frame.nrows * max(1, len(self.values) // 2)
         if column.dtype is STRING:
-            wanted = set(self.values)
-            mask = _string_unique_mask(column, lambda d: np.asarray([s in wanted for s in d]))
+            mask = self.dictionary_mask(column.dictionary)[column.values]
         else:
             vals = self.values
             if column.dtype is DATE:
@@ -368,7 +407,12 @@ class InList(Expr):
             mask = np.isin(column.values, np.asarray(vals))
         if column.valid is not None:
             mask = mask & column.valid
-        return Column(BOOL, mask.astype(np.bool_))
+        return Column(BOOL, mask.astype(np.bool_, copy=False))
+
+    def dictionary_mask(self, dictionary: np.ndarray) -> np.ndarray:
+        """Membership in the list per dictionary entry."""
+        wanted = frozenset(self.values)
+        return _entry_mask(dictionary, ("in", wanted), wanted.__contains__)
 
     def references(self) -> set[str]:
         return self.operand.references()
@@ -402,20 +446,24 @@ class Like(Expr):
         column = self.operand.evaluate(frame, ctx)
         if column.dtype is not STRING:
             raise TypeError("LIKE requires a string operand")
-        regex = self._regex
-        mask = _string_unique_mask(
-            column, lambda d: np.asarray([regex.match(s) is not None for s in d])
-        )
+        mask = self.dictionary_mask(column.dictionary)[column.values]
         # Cost model: dictionary pooling makes our LIKE nearly free, but a
         # real engine pattern-matches every row's string bytes. Charge the
         # per-row work it would do: stream the string heap and ~1 op per
         # 2 characters matched.
-        avg_len = float(np.mean([len(s) for s in column.dictionary])) if len(column.dictionary) else 0.0
+        avg_len = _per_dictionary(
+            column.dictionary, "avg_len", lambda d: float(np.mean([len(s) for s in d] or [0]))
+        )
         ctx.work.ops += frame.nrows * avg_len * 0.5
         ctx.work.seq_bytes += frame.nrows * avg_len
         if column.valid is not None:
             mask = mask & column.valid
-        return Column(BOOL, mask.astype(np.bool_))
+        return Column(BOOL, mask.astype(np.bool_, copy=False))
+
+    def dictionary_mask(self, dictionary: np.ndarray) -> np.ndarray:
+        """Whether each dictionary entry matches the pattern."""
+        regex = self._regex
+        return _entry_mask(dictionary, ("like", self.pattern), lambda s: regex.match(s) is not None)
 
     def references(self) -> set[str]:
         return self.operand.references()
@@ -438,10 +486,8 @@ class Substring(Expr):
             raise TypeError("SUBSTRING requires a string operand")
         lo = self.start - 1
         hi = lo + self.length
-        sub_unique = np.asarray([s[lo:hi] for s in column.dictionary], dtype=object)
-        new_dict, remap = np.unique(sub_unique, return_inverse=True)
         ctx.work.ops += frame.nrows
-        return Column.from_string_codes(remap[column.values].astype(np.int32), new_dict)
+        return _map_entries(column, ("substring", lo, hi), lambda s: s[lo:hi])
 
     def references(self) -> set[str]:
         return self.operand.references()
@@ -462,11 +508,8 @@ class StringCase(Expr):
         column = self.operand.evaluate(frame, ctx)
         if column.dtype is not STRING:
             raise TypeError(f"{self.mode.upper()} requires a string operand")
-        func = str.upper if self.mode == "upper" else str.lower
-        mapped = np.asarray([func(s) for s in column.dictionary], dtype=object)
-        new_dict, remap = np.unique(mapped, return_inverse=True)
         ctx.work.ops += frame.nrows
-        return Column.from_string_codes(remap[column.values].astype(np.int32), new_dict)
+        return _map_entries(column, (self.mode,), str.upper if self.mode == "upper" else str.lower)
 
     def references(self) -> set[str]:
         return self.operand.references()

@@ -2,7 +2,7 @@
 
 Joins and group-bys repeatedly factorize the same key arrays: every
 execution of Q3 re-runs ``np.unique`` over ``orders.o_orderkey``, every
-probe of the same build side re-sorts the same encoded keys. For
+probe of a build side whose keys repeat re-sorts them. For
 immutable tables (the engine's :class:`~repro.engine.table.Table` is
 immutable, and unfiltered scans return the table-owned arrays zero-copy)
 the factorization is a pure function of the backing array's identity, so
@@ -24,8 +24,9 @@ exact Python integers and falls back to lexicographic factorization,
 which orders groups identically (mixed-radix mixing of per-column ranks
 *is* the lexicographic order) at the cost of one ``lexsort``. And the
 kernels dense integer keys unlock: :func:`dense_span`, the one test of
-"dense" (the join picks its probe with it), :func:`stable_order`, the
-radix build order behind :meth:`KeyCache.sort_order` misses, and
+"dense" (the join picks its probe with it; a dense build side with
+unique keys is its own slot table and sorts nothing), :func:`stable_order`,
+the radix build order behind :meth:`KeyCache.sort_order` misses, and
 :func:`factorize`, the presence-table ``np.unique`` behind every
 group-by, DISTINCT, run-level and Grace factorization and behind
 :meth:`KeyCache.factorize` misses — so what a cache hit saves on dense

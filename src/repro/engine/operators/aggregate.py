@@ -169,7 +169,7 @@ def _key_codes(column: Column) -> tuple[np.ndarray, int, bool]:
         codes[column.valid] = ranks + 1
         return codes, len(uniques) + 1, _sorted(uniques, ranks)
     uniques, codes = key_cache.factorize(values)
-    return codes, max(1, len(uniques)), _sorted(uniques, codes)
+    return codes, len(uniques), _sorted(uniques, codes)
 
 
 def _combined_codes(frame: Frame, keys: list[str]) -> tuple[np.ndarray, bool]:
@@ -187,10 +187,13 @@ def _group_ids(frame: Frame, keys: list[str]) -> tuple[np.ndarray, int, np.ndarr
     is ``"dense"`` when every factorization behind the ids indexed a
     presence table and ``"sort"`` when any of them sorted its rows.
     """
-    combined, sorts = _combined_codes(frame, keys)
-    uniques, gids = factorize(combined)
-    n_groups = len(uniques)
-    kernel = "sort" if sorts or _sorted(uniques, gids) else "dense"
+    if len(keys) == 1:  # one key's codes are its group ids (read only: maybe cached)
+        gids, n_groups, sorts = _key_codes(frame.column(keys[0]))
+    else:
+        combined, sorts = _combined_codes(frame, keys)
+        uniques, gids = factorize(combined)
+        n_groups, sorts = len(uniques), sorts or _sorted(uniques, gids)
+    kernel = "sort" if sorts else "dense"
     metrics.counter(f"engine.group.kernel.{kernel}").inc()
     first = np.full(n_groups, -1, dtype=np.int64)
     # First occurrence per group (reverse pass keeps the earliest row).
@@ -261,7 +264,7 @@ def reduce_groups(
         return np.bincount(gids, minlength=n_groups)
 
     def sums() -> np.ndarray:
-        values = column.values.astype(np.float64)
+        values = column.values.astype(np.float64, copy=False)
         weights = values if valid is None else np.where(valid, values, 0.0)
         return np.bincount(gids, weights=weights, minlength=n_groups)
 

@@ -129,8 +129,10 @@ def _probe_dense(
     """Direct-address kernel for build keys within ``[base, base + span)``:
     one table slot per key value, nothing sorted or searched to count.
     Same ``(counts, lo, order)`` as :func:`_probe_sort`, the last two
-    ``None`` unless ``pairs`` are wanted."""
-    per_key = np.bincount(np.subtract(right_keys, base, dtype=np.intp), minlength=span + 1)
+    ``None`` unless ``pairs`` are wanted. Unique build keys need no sort:
+    the table holds each key's row, ``lo`` is read off it, ``order`` is ``None``."""
+    slot = np.subtract(right_keys, base, dtype=np.intp)
+    per_key = np.bincount(slot, minlength=span + 1)
     # Left keys outside the build range go to the always-empty slot
     # ``span`` through a bounds mask, never through a wrapped
     # ``left - base`` (both bounds are build keys, so they fit the dtype).
@@ -140,12 +142,22 @@ def _probe_dense(
     counts = per_key[probe]
     if not pairs:
         return counts, None, None
+    if per_key.max() <= 1:
+        rows = np.full(span + 1, -1, dtype=np.intp)
+        rows[slot] = np.arange(len(right_keys))
+        return counts, rows[probe], None
     return counts, (np.cumsum(per_key) - per_key)[probe], key_cache.sort_order(right_keys)
 
 
-def _expand(counts: np.ndarray, lo: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _expand(
+    counts: np.ndarray, lo: np.ndarray, order: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
     """List each (left, right) match pair of a probe: left rows
-    ascending, right rows ascending within a key."""
+    ascending, right rows ascending within a key. Without an ``order``
+    a row matches at most once and ``lo`` is its build row."""
+    if order is None:
+        left_idx = np.flatnonzero(counts)
+        return left_idx, lo[left_idx]
     total = int(counts.sum())
     left_idx = np.repeat(np.arange(len(counts)), counts)
     starts = np.repeat(lo, counts)
@@ -161,7 +173,8 @@ def _match(
 
     Returns ``(kernel, counts, lo, order)``: the probe result
     :func:`_expand` turns into match pairs (``lo``/``order`` may be
-    ``None`` unless ``pairs``), and the name of the kernel that ran —
+    ``None`` unless ``pairs``; ``order`` is also ``None`` when a dense
+    build side's keys are unique), and the name of the kernel that ran —
     ``"dense"`` when both sides share an integer dtype and the build keys
     pass :func:`~repro.engine.keycache.dense_span`, ``"sort"`` otherwise.
     """

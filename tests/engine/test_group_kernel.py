@@ -227,6 +227,60 @@ class TestAggregateDenseVsSparseKeys:
         assert counts == {"dense": 1, "sort": 1}
 
 
+def _multi_key_ids(frame, name):
+    """The multi-key path over one key — ``factorize`` of
+    ``_combined_codes`` — as ``(gids, n_groups, first, kernel)``."""
+    combined, sorts = aggregate_module._combined_codes(frame, [name])
+    uniques, gids = factorize(combined)
+    first = np.full(len(uniques), -1, dtype=np.int64)
+    first[gids[::-1]] = np.arange(frame.nrows - 1, -1, -1)
+    kernel = "sort" if sorts or aggregate_module._sorted(uniques, gids) else "dense"
+    return gids, len(uniques), first, kernel
+
+
+def _one_key_frame(values, nulls, kind):
+    valid = ~np.asarray(nulls, dtype=bool) if any(nulls) else None
+    if kind == "string":
+        codes = Column.from_strings([f"s{v}" for v in values])
+        key = Column(codes.dtype, codes.values, dictionary=codes.dictionary, valid=valid)
+    else:
+        key = _key_column(values, nulls, _SPARSE if kind == "sparse" else 1)
+    return Frame({"k": key}, len(values))
+
+
+class TestSingleKeyGroupIds:
+    """One key's dense codes are its group ids: the same ids, group
+    count, first rows and ``kernel`` as factorizing them a second time."""
+
+    @staticmethod
+    def _assert_same(frame):
+        got = aggregate_module._group_ids(frame, ["k"])
+        want = _multi_key_ids(frame, "k")
+        assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert np.array_equal(got[2], want[2])
+        assert got[3] == want[3]
+
+    @_wall
+    @given(
+        rows=st.lists(st.tuples(st.integers(-4, 30), st.booleans()), max_size=60),
+        kind=st.sampled_from(["int", "sparse", "string"]),
+    )
+    def test_equals_the_multi_key_path(self, rows, kind):
+        values, nulls = [r[0] for r in rows], [r[1] for r in rows]
+        self._assert_same(_one_key_frame(values, nulls, kind))
+
+    @pytest.mark.parametrize("kind", ["int", "sparse", "string"])
+    @pytest.mark.parametrize("shape", ["empty", "all-null", "some-null"])
+    def test_edges(self, kind, shape):
+        values = {"empty": [], "all-null": [3, 1, 3], "some-null": [5, 2, 5, 9]}[shape]
+        nulls = {"empty": [], "all-null": [True] * 3, "some-null": [False, True, False, False]}[shape]
+        frame = _one_key_frame(values, nulls, kind)
+        self._assert_same(frame)
+        n_groups = aggregate_module._group_ids(frame, ["k"])[1]
+        assert n_groups == {"empty": 0, "all-null": 1, "some-null": 3}[shape]
+
+
 # ----------------------------------------------------------------------
 # Grace partition keys: the parent's np.unique + searchsorted, kept here
 # ----------------------------------------------------------------------

@@ -315,7 +315,9 @@ class TestProbeKernels:
         span=st.integers(1, 300),
         n_right=st.integers(1, 200),
         n_left=st.integers(0, 200),
-        distinct=st.sampled_from([1, 3, 50, 10**6]),
+        # "unique": distinct keys sampled from the span, every build key
+        # once, so the dense kernel reads its matches off the slot table.
+        distinct=st.sampled_from([1, 3, 50, 10**6, "unique"]),
         seed=st.integers(0, 2**16),
     )
     def test_dense_equals_sort(self, dtype, anchor, span, n_right, n_left, distinct, seed):
@@ -324,7 +326,14 @@ class TestProbeKernels:
             "min": int(info.min), "max": int(info.max) - span + 1,
             "zero": 0, "negative": -span // 2,
         }[anchor]
-        right = _keys_spanning(dtype, base, span, n_right, distinct, seed)
+        if distinct == "unique":
+            offsets = np.random.default_rng(seed).choice(span, min(n_right, span), replace=False)
+            right = (offsets + base).astype(dtype)
+            low = int(right.min())
+            _, _, order = _probe_dense(right, right, low, int(right.max()) - low + 1, True)
+            assert order is None  # the slot path: nothing sorted
+        else:
+            right = _keys_spanning(dtype, base, span, n_right, distinct, seed)
         # Probe keys: inside the build range (duplicates included), just
         # outside it on both ends, and at both ends of the dtype.
         rng = np.random.default_rng(seed + 1)
@@ -448,3 +457,20 @@ class TestJoinKernelsEndToEnd:
         assert dense_rows == sort_rows == _reference_join(lkeys, lnulls, rkeys, rnulls, how)
         assert dataclasses.asdict(dense_work) == dataclasses.asdict(sort_work)
         assert dense_work.rand_accesses > len(lkeys)  # probes + matches
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_unique_build_with_nulls_equals_the_sort_kernel(self, how):
+        """A unique dense build side takes the slot table (no build order
+        is asked for); NULL keys on either side still match nothing, and
+        rows and work equal the sort kernel's."""
+        rng = np.random.default_rng(23)
+        lkeys = rng.integers(0, 90, 400).tolist()
+        rkeys = rng.permutation(80)[:60].tolist()  # each key once
+        lnulls = (rng.random(400) < 0.15).tolist()
+        rnulls = (rng.random(60) < 0.15).tolist()
+        with mock.patch.object(keycache.key_cache, "sort_order", side_effect=AssertionError):
+            dense_rows, dense_work = _run_join(*_frames(lkeys, lnulls, rkeys, rnulls), how)
+        sort_rows, sort_work = _run_join(*_frames(lkeys, lnulls, rkeys, rnulls, 10**6), how)
+        assert dense_rows == sort_rows == _reference_join(lkeys, lnulls, rkeys, rnulls, how)
+        assert dataclasses.asdict(dense_work) == dataclasses.asdict(sort_work)
+        assert any(r is None for _, r in dense_rows) == (how == "left")

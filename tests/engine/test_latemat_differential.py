@@ -516,7 +516,8 @@ class TestKeyCache:
 
     def test_process_wide_cache_hits_on_repeated_join(self):
         """Two executions of the same join against immutable tables hit
-        the factorization cache the second time."""
+        the build-order cache the second time — where build keys repeat;
+        a unique build side is its own slot table and never asks."""
         db = Database("kc")
         n = 10_000
         rng = np.random.default_rng(3)
@@ -525,8 +526,12 @@ class TestKeyCache:
             "x": Column.from_floats(rng.random(n).tolist()),
         }))
         db.add(Table("r", {
-            "k2": Column.from_ints(list(range(500))),
-            "y": Column.from_floats([float(i) for i in range(500)]),
+            "k2": Column.from_ints(list(range(500)) * 2),
+            "y": Column.from_floats([float(i) for i in range(1000)]),
+        }))
+        db.add(Table("u", {
+            "k3": Column.from_ints(list(range(500))),
+            "z": Column.from_floats([float(i) for i in range(500)]),
         }))
         from repro.engine.plan import Q
 
@@ -536,3 +541,8 @@ class TestKeyCache:
         before = key_cache.stats()["hits"]
         executor.execute(plan)
         assert key_cache.stats()["hits"] > before
+
+        unique = Q(db).scan("l").join(Q(db).scan("u"), on=[("k", "k3")])
+        before = key_cache.stats()
+        executor.execute(unique)
+        assert key_cache.stats() == before
