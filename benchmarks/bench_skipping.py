@@ -37,7 +37,9 @@ import numpy as np
 import pytest
 
 from repro.engine import Database, Executor, OptimizerSettings, Q, agg, col
+from repro.engine.sql import sql
 from repro.tpch import generate, get_query
+from repro.tpch.sqltext import sql_text
 
 from conftest import write_artifact
 
@@ -56,9 +58,7 @@ def _q6(db):
 
 def _q6_narrow(db):
     """Q6 shape over a one-month window: ~99% of blocks prune."""
-    return get_query(6).build(
-        db, {"sf": BENCH_SF, "date": "1994-01-01", "date_end": "1994-02-01"}
-    )
+    return sql(db, sql_text(6).replace("INTERVAL '1' YEAR", "INTERVAL '1' MONTH"))
 
 
 def _orders_quarter(db):

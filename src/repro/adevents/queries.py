@@ -1,9 +1,9 @@
 """The ad-events query family: named SQL templates over the star schema.
 
-Unlike the TPC-H side (where SQL texts mirror handwritten builder
-plans), this family is SQL-first: the texts below are the reference
-definitions and the differential harness checks serial vs parallel
-execution and committed goldens, not SQL-vs-builder. Together they
+Like the TPC-H side (:mod:`repro.tpch.sqltext`), this family is
+SQL-only: the texts below are the reference definitions and the
+differential harness checks serial vs parallel execution and committed
+goldens. Together they
 exercise every generalized frontend construct: CASE pivots, BETWEEN,
 UNION, NOT EXISTS, correlated scalar subqueries, IN (SELECT ... HAVING),
 derived tables, and the string functions (UPPER / CONCAT / SUBSTRING).

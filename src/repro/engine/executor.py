@@ -143,15 +143,16 @@ class ExecContext(OperatorContext):
             outer.open_span = interrupted
 
     def scalar(self, plan) -> object:
-        """Evaluate an uncorrelated scalar subquery once, merging its work
-        into this query's profile."""
+        """Evaluate an uncorrelated scalar subquery once (optimized and
+        lowered like any plan), merging its work into this query's
+        profile."""
         key = id(plan)
         with self._scalar_lock:
             if key not in self._scalar_cache:
                 saved = self.work
                 node = plan.node if isinstance(plan, Q) else plan
                 with self.nested_pipeline("scalar"):
-                    frame = self._executor._exec(self._executor._lower(node), self)
+                    frame = self._executor._exec(self._executor.lower(node), self)
                 self.work = saved
                 if frame.nrows != 1 or len(frame.columns) != 1:
                     raise ValueError("scalar subquery must produce a 1x1 result")

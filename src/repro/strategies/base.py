@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 from repro.engine import OperatorWork, WorkProfile
 from repro.hardware import CalibrationConstants
+from repro.tpch import CHOKEPOINTS
 
 __all__ = ["Strategy", "COMPILED_CONSTANTS", "STRATEGY_QUERIES"]
 
 # The 8 queries of Fig. 4 (same chokepoint subset as SF 10).
-STRATEGY_QUERIES = (1, 3, 4, 5, 6, 13, 14, 19)
+STRATEGY_QUERIES = CHOKEPOINTS
 
 # Hand-written compiled C: a few cycles per logical op, no interpreter
 # dispatch, and no DBMS system overhead ("the median performance gap is

@@ -11,11 +11,14 @@ it has >= 2 distinct suppliers overall but fewer than 2 among its late
 lines).
 
 Q11's spec FRACTION depends on the scale factor, so its text carries a
-``{fraction}`` placeholder; :func:`sql_text` substitutes it using the
-same defaulting rule as the builder.
+``{fraction}`` placeholder; :func:`sql_text` substitutes 0.0001 / SF
+unless ``params`` gives the fraction itself.
 
-Each text is validated against its builder plan by
-``tests/tpch/test_sqltext.py``.
+These texts are the only definition of the queries:
+:meth:`repro.tpch.QueryDef.build` plans them, and
+``tests/tpch/test_golden.py`` checks their rows against golden files and
+``tests/tpch/test_sqltext.py`` against stdlib ``sqlite3`` running the same
+text.
 """
 
 from __future__ import annotations
@@ -384,8 +387,7 @@ def sql_text(number: int, params: dict | None = None) -> str:
         text = SQL_QUERIES[number]
     except KeyError:
         raise KeyError(
-            f"Q{number} has no SQL text in this dialect; use "
-            f"repro.tpch.get_query({number}).build(...) instead"
+            f"Q{number} has no SQL text: TPC-H queries are numbered 1-22"
         ) from None
     if number == 11:
         p = params or {}

@@ -96,9 +96,11 @@ class TestAllQueriesMatchSingleNode:
         try:
             rows = clusters[4].run_query(number).result.rows
         except NodeUnresponsiveError:
-            # Q7 at 4 nodes over-commits past the §III-C4 threshold; the
-            # rows behind the modeled failure are still checkable.
-            assert number == 7
+            # Q7 and Q18 at 4 nodes over-commit past the §III-C4
+            # threshold (Q18's IN semi join runs after its lineitem
+            # join); the rows behind the modeled failure are still
+            # checkable.
+            assert number in (7, 18)
             rows = clusters[4].driver.run(get_query(number), tpch_params).result.rows
         assert len(rows) == len(single.rows)
         for got, want in zip(rows, single.rows):

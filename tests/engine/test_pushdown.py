@@ -246,6 +246,25 @@ class TestScanAccounting:
         # Skipping strictly reduces streamed bytes on clustered data.
         assert on.profile.seq_bytes < off.profile.seq_bytes
 
+    def test_scalar_subquery_filter_reaches_its_scan(self):
+        """A scalar subquery is optimized like any plan: its filter is
+        pushed into its scan, whose zone maps then skip blocks."""
+        from repro.engine import Column, Database, Table, scalar
+
+        db = Database("sub")
+        db.add(Table("big", {"x": Column.from_ints(np.arange(20_000))}))
+        db.add(Table("one", {"y": Column.from_ints([0, 5000])}))
+        inner = Q(db).scan("big").filter(col("x") < 1000).aggregate(m=agg.max(col("x")))
+        plan = Q(db).scan("one").filter(col("y") < scalar(inner)).node
+
+        on = Executor(db).execute(plan)
+        big_scan = on.profile.operators[2]
+        assert big_scan.operator == "scan"
+        assert big_scan.tuples_out < 20_000
+        assert on.profile.blocks_skipped > 0
+        off = Executor(db, OptimizerSettings.disabled()).execute(plan)
+        assert on.rows == off.rows == [(0,)]
+
     def test_pushdown_without_skipping_streams_everything(self, toy_db):
         import numpy as np
 

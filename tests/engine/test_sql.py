@@ -187,7 +187,7 @@ class TestSubqueries:
 
 
 class TestTPCHEquivalence:
-    """Queries written in actual SQL match the builder-defined plans."""
+    """Queries written in SQL here match the registry's TPC-H plans."""
 
     def _rows_equal(self, a, b):
         assert len(a) == len(b)
@@ -214,8 +214,8 @@ class TestTPCHEquivalence:
             GROUP BY l_returnflag, l_linestatus
             ORDER BY l_returnflag, l_linestatus
         """)
-        builder = execute(tpch_db, get_query(1).build(tpch_db, tpch_params))
-        self._rows_equal(execute(tpch_db, plan).rows, builder.rows)
+        registry = execute(tpch_db, get_query(1).build(tpch_db, tpch_params))
+        self._rows_equal(execute(tpch_db, plan).rows, registry.rows)
 
     def test_q06(self, tpch_db, tpch_params):
         plan = sql(tpch_db, """
@@ -226,8 +226,8 @@ class TestTPCHEquivalence:
               AND l_discount BETWEEN 0.049 AND 0.071
               AND l_quantity < 24
         """)
-        builder = execute(tpch_db, get_query(6).build(tpch_db, tpch_params))
-        assert execute(tpch_db, plan).scalar() == pytest.approx(builder.scalar())
+        registry = execute(tpch_db, get_query(6).build(tpch_db, tpch_params))
+        assert execute(tpch_db, plan).scalar() == pytest.approx(registry.scalar())
 
     def test_q04(self, tpch_db, tpch_params):
         plan = sql(tpch_db, """
@@ -240,8 +240,8 @@ class TestTPCHEquivalence:
             GROUP BY o_orderpriority
             ORDER BY o_orderpriority
         """)
-        builder = execute(tpch_db, get_query(4).build(tpch_db, tpch_params))
-        self._rows_equal(execute(tpch_db, plan).rows, builder.rows)
+        registry = execute(tpch_db, get_query(4).build(tpch_db, tpch_params))
+        self._rows_equal(execute(tpch_db, plan).rows, registry.rows)
 
     def test_q14(self, tpch_db, tpch_params):
         plan = sql(tpch_db, """
@@ -253,8 +253,8 @@ class TestTPCHEquivalence:
             WHERE l_shipdate >= DATE '1995-09-01'
               AND l_shipdate < DATE '1995-09-01' + INTERVAL '1' MONTH
         """)
-        builder = execute(tpch_db, get_query(14).build(tpch_db, tpch_params))
-        assert execute(tpch_db, plan).scalar() == pytest.approx(builder.scalar())
+        registry = execute(tpch_db, get_query(14).build(tpch_db, tpch_params))
+        assert execute(tpch_db, plan).scalar() == pytest.approx(registry.scalar())
 
     def test_q19_style_disjunction(self, tpch_db, tpch_params):
         plan = sql(tpch_db, """
@@ -272,8 +272,8 @@ class TestTPCHEquivalence:
                     AND p_size BETWEEN 1 AND 15
                     AND p_container IN ('LG CASE', 'LG BOX', 'LG PACK', 'LG PKG')))
         """)
-        builder = execute(tpch_db, get_query(19).build(tpch_db, tpch_params))
-        assert execute(tpch_db, plan).scalar() == pytest.approx(builder.scalar())
+        registry = execute(tpch_db, get_query(19).build(tpch_db, tpch_params))
+        assert execute(tpch_db, plan).scalar() == pytest.approx(registry.scalar())
 
 
 class TestDerivedTables:

@@ -1,7 +1,7 @@
 """SQL-text differential wall over all 22 TPC-H queries.
 
-Every query is planned from its SQL text (``repro.tpch.sqltext``) —
-not the hand-written builder — and must:
+Every query is planned from its SQL text (``repro.tpch.sqltext``, the
+one definition ``get_query(n).build`` also plans) and must:
 
 * reproduce the golden results exactly with the default serial executor
   (same pins as ``tests/tpch/test_golden.py``: row count, column names,
@@ -106,7 +106,7 @@ def parallel_executors(tpch_db):
 
 @pytest.mark.parametrize("number", SQL_QUERY_NUMBERS)
 def test_sql_text_matches_golden_serial(tpch_db, tpch_params, number):
-    """SQL-planned queries hit the exact same golden pins as the builders."""
+    """SQL-planned queries hit the exact same golden pins as test_golden."""
     expected = GOLDEN[str(number)]
     plan = build_from_sql(tpch_db, number, tpch_params)
     result = Executor(tpch_db).execute(plan)
