@@ -19,14 +19,13 @@ a columnar DBMS uses.
 from __future__ import annotations
 
 import re
-import threading
-import weakref
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .column import Column
 from .frame import Frame
+from .keycache import key_cache
 from .types import BOOL, DATE, FLOAT64, INT64, STRING, date_to_days
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -211,31 +210,12 @@ def _numeric(column: Column) -> np.ndarray:
     return column.values
 
 
-_PER_DICTIONARY = 8  # results kept per dictionary, oldest dropped first
-_memo: dict[int, dict] = {}  # id(dictionary) -> {key: result}
-_memo_lock = threading.Lock()  # morsel workers share the memo
-
-
 def _per_dictionary(dictionary: np.ndarray, key, compute):
     """``compute(dictionary)`` — a LIKE mask, a SUBSTRING dictionary and
-    remap — run once per dictionary object and ``key``: dictionaries are
-    immutable and shared by every frame over a column. A weakref finalizer
-    drops an entry with its dictionary and no strong reference is held, so
-    a recycled ``id`` cannot alias one. Stored arrays are read-only."""
-    with _memo_lock:
-        entries = _memo.get(id(dictionary))
-        if entries is None:
-            entries = _memo[id(dictionary)] = {}
-            weakref.finalize(dictionary, _memo.pop, id(dictionary), None)
-        if key not in entries:
-            value = compute(dictionary)
-            for part in value if isinstance(value, tuple) else (value,):
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-            if len(entries) >= _PER_DICTIONARY:
-                del entries[next(iter(entries))]
-            entries[key] = value
-        return entries[key]
+    remap — run once per dictionary object and ``key`` through the one
+    identity memo: dictionaries are immutable and shared by every frame
+    over a column."""
+    return key_cache.memo(dictionary, key, compute)
 
 
 def _entry_mask(dictionary: np.ndarray, key, test) -> np.ndarray:
@@ -492,6 +472,9 @@ class Substring(Expr):
     def references(self) -> set[str]:
         return self.operand.references()
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"substring({self.operand!r}, {self.start}, {self.length})"
+
 
 class StringCase(Expr):
     """UPPER/LOWER over a dictionary-encoded string column. Like
@@ -513,6 +496,9 @@ class StringCase(Expr):
 
     def references(self) -> set[str]:
         return self.operand.references()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{self.mode}({self.operand!r})"
 
 
 class Concat(Expr):
@@ -546,6 +532,9 @@ class Concat(Expr):
             refs |= part.references()
         return refs
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"concat({', '.join(map(repr, self.parts))})"
+
 
 class ExtractYear(Expr):
     """EXTRACT(YEAR FROM date_column)."""
@@ -564,6 +553,9 @@ class ExtractYear(Expr):
 
     def references(self) -> set[str]:
         return self.operand.references()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"year({self.operand!r})"
 
 
 class Case(Expr):
@@ -590,6 +582,9 @@ class Case(Expr):
             refs |= cond.references() | value.references()
         return refs
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"case({self.whens!r}, {self.otherwise!r})"
+
 
 class IsNull(Expr):
     def __init__(self, operand: Expr, negate: bool):
@@ -610,6 +605,9 @@ class IsNull(Expr):
     def references(self) -> set[str]:
         return self.operand.references()
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"({self.operand!r} IS {'NOT ' if self.negate else ''}NULL)"
+
 
 class ScalarSubquery(Expr):
     """A subplan producing a single value, usable as a literal.
@@ -629,6 +627,13 @@ class ScalarSubquery(Expr):
 
     def references(self) -> set[str]:
         return set()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        """The subplan's root and tables, not its whole tree."""
+        plan = getattr(self.plan, "node", self.plan)  # a Q builder or its node
+        tables = sorted({node.table for node in plan.walk() if hasattr(node, "table")})
+        root = type(plan).__name__.removesuffix("Node").lower()
+        return f"scalar({root} over {', '.join(tables)})"
 
 
 def rewrite_colrefs(expr: Expr, mapping: dict[str, str]) -> Expr:

@@ -45,15 +45,6 @@ __all__ = ["Frame"]
 
 SELECTION_DTYPE = np.int32
 
-# Adaptive break point for late execution: when a non-contiguous
-# selection keeps more than this fraction of the scanned rows, the
-# deferred point-gathers would touch nearly every cache line anyway, so
-# an eager compact rewrite (pure streaming) is cheaper. Filters and
-# predicated scans materialize instead of emitting a selection vector
-# above this density; contiguous selections always stay late (they are
-# zero-copy slices).
-LATE_BREAK_SELECTIVITY = 0.75
-
 _UNKNOWN = object()
 
 
@@ -233,12 +224,6 @@ class Frame:
                 index = int(ids[0])
             self._index[source] = index
         return index
-
-    def is_contiguous(self) -> bool:
-        """True when every row-id array is a contiguous ascending run."""
-        return all(
-            isinstance(self._source_index(i), int) for i in range(len(self.rows))
-        )
 
     def _gather(self, name: str) -> Column:
         """Materialize one column through its row ids (memoized)."""

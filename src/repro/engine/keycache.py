@@ -1,20 +1,24 @@
-"""Process-wide join-key factorization cache and key-combination helpers.
+"""Process-wide identity memo of pure array kernels, and key-combination helpers.
 
 Joins and group-bys repeatedly factorize the same key arrays: every
 execution of Q3 re-runs ``np.unique`` over ``orders.o_orderkey``, every
-probe of a build side whose keys repeat re-sorts them. For
-immutable tables (the engine's :class:`~repro.engine.table.Table` is
-immutable, and unfiltered scans return the table-owned arrays zero-copy)
-the factorization is a pure function of the backing array's identity, so
-``(table id, column set, version)`` collapses to "the same ndarray
-object" — which this cache keys on directly. Holding a strong reference
-to the keyed array guarantees its ``id()`` cannot be recycled while the
-entry lives, making identity checks sound.
+probe of a build side whose keys repeat re-sorts them; string
+predicates re-derive the same per-entry mask of the same dictionary.
+Each is a pure function of an immutable array (the engine's
+:class:`~repro.engine.table.Table` is immutable, unfiltered scans return
+the table-owned arrays zero-copy, and dictionaries are shared by every
+frame over a column), so ``(table id, column set, version)`` collapses to
+"the same ndarray object" — which :class:`KeyCache` keys on directly.
+It holds no strong reference: a weakref finalizer drops an array's
+results when the array dies, so a recycled ``id()`` never finds a stale
+entry and a transient per-query array pins nothing past its query.
 
-The cache is process-wide and thread-safe (morsel workers share it), and
-bounded both by entry count and by total cached bytes so transient
-per-query arrays cannot pin unbounded memory. Eviction is FIFO — the
-stable table-owned arrays that benefit re-enter on the next execution.
+The memo is process-wide and thread-safe (morsel workers share it and
+compute different results side by side); each array keeps a constant
+number of results, and stored arrays are read-only.
+:meth:`KeyCache.factorize` and :meth:`KeyCache.sort_order` serve joins
+and group-bys; the dictionary kernels of
+:mod:`repro.engine.expr` go through :meth:`KeyCache.memo` itself.
 
 Also hosted here (shared by join, aggregate, and distinct):
 :func:`combine_codes`, the overflow-safe mixed-radix code combiner. The
@@ -36,6 +40,8 @@ keys is an O(n) pass, no longer a sort.
 from __future__ import annotations
 
 import threading
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -49,6 +55,7 @@ _INT64_LIMIT = 2**63
 # is no larger than the order + sorted-keys + lo + hi arrays the
 # sort-based join kernel allocates for the same rows.
 _DENSE_FACTOR = 2
+_PER_ARRAY = 8  # results a KeyCache keeps per array, oldest dropped first
 
 
 def combine_codes(code_arrays: "list[np.ndarray]", cards: "list[int]") -> np.ndarray:
@@ -147,16 +154,13 @@ def _lexicographic_codes(code_arrays: "list[np.ndarray]") -> np.ndarray:
 
 
 class KeyCache:
-    """Bounded, thread-safe cache of per-array factorizations and sort
-    orders, keyed by array identity (see module docstring)."""
+    """Thread-safe memo of pure kernels over immutable arrays, keyed by
+    array identity and dropped with the array (see module docstring)."""
 
-    def __init__(self, max_entries: int = 32, max_bytes: int = 256 * 1024 * 1024):
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
+    def __init__(self):
         self._lock = threading.Lock()
-        # key -> (source_array, cached_value); insertion order = FIFO age.
-        self._entries: dict[tuple[str, int], tuple[np.ndarray, object]] = {}
-        self._bytes = 0
+        self._entries: dict[int, dict] = {}  # id(array) -> {key: result}
+        self._pending: dict[tuple, Future] = {}  # (id(array), key) -> in-flight result
         self._stats = HitMissStats("engine.key_cache")
 
     @property
@@ -167,79 +171,68 @@ class KeyCache:
     def misses(self) -> int:
         return self._stats.misses
 
-    # -- internals -----------------------------------------------------
-
-    @staticmethod
-    def _payload_bytes(source: np.ndarray, value) -> int:
-        total = source.nbytes
-        for part in value if isinstance(value, tuple) else (value,):
-            if isinstance(part, np.ndarray):
-                total += part.nbytes
-        return total
-
-    def _lookup(self, kind: str, array: np.ndarray):
-        key = (kind, id(array))
+    def memo(self, array: np.ndarray, key, compute):
+        """``compute(array)``, run once per array object and ``key``. A
+        weakref finalizer drops the array's entries when it dies and no
+        strong reference is held, so a recycled ``id`` cannot alias one.
+        Each array keeps its ``_PER_ARRAY`` newest results; stored arrays
+        are read-only. Racing callers of one ``(array, key)`` wait for the
+        first one's result; callers of other pairs never wait on it."""
+        ident = id(array)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is array:
+            entries = self._entries.get(ident)
+            if entries is None:
+                entries = self._entries[ident] = {}
+                weakref.finalize(array, self._entries.pop, ident, None)
+            if key in entries:
                 self._stats.hit()
-                return entry[1]
-            self._stats.miss()
-            return None
-
-    def _store(self, kind: str, array: np.ndarray, value) -> None:
-        size = self._payload_bytes(array, value)
-        if size > self.max_bytes:
-            return
-        key = (kind, id(array))
-        with self._lock:
-            if key in self._entries:
-                return
-            while self._entries and (
-                len(self._entries) >= self.max_entries
-                or self._bytes + size > self.max_bytes
-            ):
-                old_key = next(iter(self._entries))
-                old_source, old_value = self._entries.pop(old_key)
-                self._bytes -= self._payload_bytes(old_source, old_value)
-            self._entries[key] = (array, value)
-            self._bytes += size
-
-    # -- cached computations -------------------------------------------
+                return entries[key]
+            pending = self._pending.get((ident, key))
+            computes = pending is None
+            if computes:
+                self._stats.miss()
+                pending = self._pending[ident, key] = Future()
+            else:
+                self._stats.hit()
+        if not computes:
+            return pending.result()
+        try:  # outside the lock: workers computing other pairs go on
+            value = compute(array)
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            with self._lock:
+                if len(entries) >= _PER_ARRAY:
+                    del entries[next(iter(entries))]
+                entries[key] = value
+            pending.set_result(value)
+            return value
+        except BaseException as exc:
+            pending.set_exception(exc)
+            raise
+        finally:
+            with self._lock:
+                del self._pending[ident, key]
 
     def factorize(self, array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`factorize` of ``array``, cached by array identity."""
-        cached = self._lookup("factorize", array)
-        if cached is not None:
-            return cached
-        value = factorize(array)
-        self._store("factorize", array, value)
-        return value
+        """:func:`factorize` of ``array``, memoized."""
+        return self.memo(array, "factorize", factorize)
 
     def sort_order(self, array: np.ndarray) -> np.ndarray:
-        """Stable argsort of ``array``, cached by array identity (the
-        build-side ordering a repeated hash-join probe reuses)."""
-        cached = self._lookup("sort_order", array)
-        if cached is not None:
-            return cached
-        order = stable_order(array)
-        self._store("sort_order", array, order)
-        return order
-
-    # -- management ----------------------------------------------------
+        """:func:`stable_order` of ``array``, memoized (the build-side
+        ordering a repeated hash-join probe reuses)."""
+        return self.memo(array, "sort_order", stable_order)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._bytes = 0
             self._stats.reset_local()
 
     def stats(self) -> dict:
-        """Deterministic (key-sorted) cache statistics."""
+        """Deterministic (key-sorted) memo statistics."""
         with self._lock:
             return {
-                "bytes": self._bytes,
-                "entries": len(self._entries),
+                "entries": sum(map(len, self._entries.values())),
                 "hits": self._stats.hits,
                 "misses": self._stats.misses,
             }

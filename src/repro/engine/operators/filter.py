@@ -5,30 +5,23 @@ from __future__ import annotations
 from repro.obs.trace import note
 
 from ..expr import Expr
-from ..frame import LATE_BREAK_SELECTIVITY, Frame
+from ..frame import Frame
 
 __all__ = ["execute_filter", "keep_rows"]
 
 
 def keep_rows(survivors: Frame, candidates: int, late: bool, ctx) -> Frame:
-    """The one late/break/eager step every filter ends in — the filter
+    """The one late/eager step every filter ends in — the filter
     operator's and a predicated scan's.
 
     ``survivors`` is the late frame of the rows that passed, out of
     ``candidates`` evaluated. Late mode returns it as is (MonetDB's
-    candidate list, the rewrite deferred to a pipeline breaker) unless
-    its row ids are dense but scattered: then the deferred gathers would
-    touch almost every cache line, so it breaks here and rewrites
-    compactly, as eager mode always does. Charges ``ctx.work`` the rows
-    in and out, the bytes written and — when late — the compact rewrite
-    it saved; ``late`` is noted as the mode it ran in, ``broke`` when
-    the density rule then rewrote.
+    candidate list, the rewrite deferred to a pipeline breaker); eager
+    mode rewrites it compactly. Charges ``ctx.work`` the rows in and
+    out, the bytes written and — when late — the compact rewrite it
+    saved; ``late`` is noted as the mode it ran in.
     """
-    broke = late and (
-        not survivors.is_contiguous()
-        and survivors.nrows > LATE_BREAK_SELECTIVITY * candidates
-    )
-    out = survivors if late and not broke else survivors.dense()
+    out = survivors if late else survivors.dense()
     ctx.work.tuples_in += candidates
     ctx.work.tuples_out += out.nrows
     if out.is_late:
@@ -36,7 +29,7 @@ def keep_rows(survivors: Frame, candidates: int, late: bool, ctx) -> Frame:
         ctx.work.saved_bytes += out.nbytes
     else:
         ctx.work.out_bytes += out.nbytes
-    note(ctx, late=late, **({"broke": True} if broke else {}))
+    note(ctx, late=late)
     return out
 
 

@@ -32,7 +32,7 @@ plain columns as zero-copy slices, compressed ones decoded over their
 surviving runs only — output columns over every non-SKIP run, columns
 only the residual reads over the EVAL runs — so neither a skipped block
 nor another morsel's rows is ever decoded. It then builds the selection
-vector run by run and ends in the filter's one late/break/eager step,
+vector run by run and ends in the filter's one late/eager step,
 :func:`~repro.engine.operators.filter.keep_rows`.
 """
 
@@ -216,7 +216,7 @@ def scan_range(table: Table, node: ScanNode, start: int, stop: int, ctx) -> Fram
     payloads, no decode) and its residual (on decoded rows); columns
     only compiled conjuncts read are never decoded at all. A ``late``
     node returns a selection vector over those rows instead of
-    rewriting the survivors, unless :func:`keep_rows` breaks it.
+    rewriting the survivors.
     """
     out_names = list(node.columns) if node.columns is not None else table.column_names
     if node.predicate is None:

@@ -4,18 +4,20 @@ Morsel workers and serving threads hammer :class:`ResultCache` and
 :class:`KeyCache` simultaneously; these tests drive both with thread
 storms well past their capacities and assert the invariants that keep
 them safe to share: values are always correct, single-flight really is
-single-flight, bounds hold, and the accounting (hits + misses, byte
-totals) stays exact under interleaving.
+single-flight, bounds hold, and the accounting (hits + misses) stays
+exact under interleaving.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.engine import keycache
 from repro.engine.cache import ResultCache
 from repro.engine.keycache import KeyCache
 
@@ -153,7 +155,7 @@ class TestKeyCacheStress:
         ]
 
     def test_concurrent_factorize_matches_numpy(self, arrays):
-        cache = KeyCache(max_entries=4, max_bytes=1 << 20)
+        cache = KeyCache()
         expected = [np.unique(a, return_inverse=True) for a in arrays]
         errors = []
 
@@ -175,11 +177,11 @@ class TestKeyCacheStress:
         assert not errors
 
         stats = cache.stats()
-        assert stats["entries"] <= 4
+        assert stats["entries"] <= len(arrays)  # one result per array
         assert stats["hits"] + stats["misses"] == self.N_THREADS * self.ROUNDS
 
     def test_concurrent_sort_order_matches_numpy(self, arrays):
-        cache = KeyCache(max_entries=4, max_bytes=1 << 20)
+        cache = KeyCache()
         expected = [np.argsort(a, kind="stable") for a in arrays]
         errors = []
 
@@ -196,56 +198,89 @@ class TestKeyCacheStress:
 
         _run_threads(self.N_THREADS, client)
         assert not errors
-        assert cache.stats()["entries"] <= 4
+        assert cache.stats()["entries"] <= len(arrays)  # one result per array
 
-    def test_mixed_kinds_share_the_bound(self, arrays):
-        cache = KeyCache(max_entries=6, max_bytes=1 << 20)
-        errors = []
+    def test_four_threads_factorizing_one_array_compute_it_once(self, monkeypatch):
+        """Racing threads wait for the one computation of an
+        ``(array, key)`` and share its result."""
+        runs, factorize = [], keycache.factorize
 
-        def client(i: int):
-            rng = random.Random(200 + i)
-            try:
-                for _ in range(self.ROUNDS):
-                    j = rng.randrange(len(arrays))
-                    if rng.random() < 0.5:
-                        cache.factorize(arrays[j])
-                    else:
-                        cache.sort_order(arrays[j])
-            except BaseException as exc:  # pragma: no cover - diagnostics
-                errors.append(exc)
+        def counting(keys):
+            runs.append(id(keys))
+            return factorize(keys)
 
-        _run_threads(self.N_THREADS, client)
-        assert not errors
-        stats = cache.stats()
-        assert stats["entries"] <= 6
-        assert stats["bytes"] <= 1 << 20
-
-    def test_byte_accounting_is_exact_after_storm(self, arrays):
-        """bytes must equal the recomputed payload sizes of the
-        surviving entries — no drift from concurrent insert/evict."""
-        cache = KeyCache(max_entries=4, max_bytes=1 << 20)
-        errors = []
+        monkeypatch.setattr(keycache, "factorize", counting)
+        cache = KeyCache()
+        keys = np.random.default_rng(11).integers(0, 5_000, size=200_000)
+        results = [None] * 4
 
         def client(i: int):
-            rng = random.Random(300 + i)
+            results[i] = cache.factorize(keys)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(4, client)
+        finally:
+            sys.setswitchinterval(switch)
+        assert runs == [id(keys)]
+        assert all(r is results[0] for r in results)
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 3
+
+    def test_a_slow_computation_does_not_hold_up_other_keys(self):
+        """Only callers of the same ``(array, key)`` wait: a worker
+        computing one key never blocks another worker's different key."""
+        cache = KeyCache()
+        slow_keys, fast_keys = np.arange(10), np.arange(10)
+        started, released, waited = threading.Event(), threading.Event(), []
+
+        def slow(keys):
+            started.set()
+            waited.append(released.wait(timeout=5))
+            return keys + 1
+
+        def fast(keys):
+            released.set()
+            return keys * 2
+
+        thread = threading.Thread(target=cache.memo, args=(slow_keys, "slow", slow))
+        thread.start()
+        assert started.wait(timeout=5)
+        assert cache.memo(fast_keys, "fast", fast).tolist() == (fast_keys * 2).tolist()
+        thread.join(timeout=10)
+        assert waited == [True]
+        assert cache.memo(slow_keys, "slow", slow).tolist() == (slow_keys + 1).tolist()
+        assert cache.stats() == {"entries": 2, "hits": 1, "misses": 2}
+
+    def test_a_failed_computation_reaches_its_waiters_and_is_not_kept(self):
+        cache = KeyCache()
+        keys = np.arange(10)
+        started, release = threading.Event(), threading.Event()
+        errors = []
+
+        def failing(_):
+            started.set()
+            assert release.wait(timeout=5)
+            raise ValueError("boom")
+
+        def caller():
             try:
-                for _ in range(self.ROUNDS):
-                    cache.factorize(arrays[rng.randrange(len(arrays))])
-            except BaseException as exc:  # pragma: no cover - diagnostics
-                errors.append(exc)
+                cache.memo(keys, "k", failing)
+            except ValueError as exc:
+                errors.append(str(exc))
 
-        _run_threads(self.N_THREADS, client)
-        assert not errors
-        with cache._lock:
-            recomputed = sum(
-                cache._payload_bytes(source, value)
-                for source, value in cache._entries.values()
-            )
-            assert cache._bytes == recomputed
-
-    def test_oversized_payload_is_not_cached(self):
-        cache = KeyCache(max_entries=4, max_bytes=128)
-        big = np.arange(1000, dtype=np.int64)
-        order = cache.sort_order(big)
-        np.testing.assert_array_equal(order, np.argsort(big, kind="stable"))
-        assert cache.stats()["entries"] == 0
+        first = threading.Thread(target=caller)
+        first.start()
+        assert started.wait(timeout=5)
+        second = threading.Thread(target=caller)
+        second.start()
+        for _ in range(5000):  # until the second caller waits on the first
+            if cache.hits:
+                break
+            threading.Event().wait(0.001)
+        release.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert errors == ["boom", "boom"]
+        assert cache.memo(keys, "k", lambda k: k + 1).tolist() == (keys + 1).tolist()
+        assert cache.stats()["misses"] == 2

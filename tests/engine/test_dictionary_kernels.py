@@ -1,6 +1,7 @@
 """Dictionary kernels run once per dictionary: string comparisons, IN,
-LIKE, SUBSTRING and UPPER/LOWER derive their per-entry result through one
-memo in ``repro.engine.expr``, which the encoded predicate compiler shares.
+LIKE, SUBSTRING and UPPER/LOWER derive their per-entry result through the
+engine's one identity memo (``repro.engine.keycache.key_cache``), which
+the encoded predicate compiler shares.
 Each result is computed once per (dictionary, expression), dies with its
 dictionary, is read-only, and stays right past the per-dictionary limit
 and under concurrent evaluation."""
@@ -16,6 +17,7 @@ import pytest
 
 from repro.engine import Column, Database, Executor, Frame, Q, Table, col
 from repro.engine import expr as expr_module
+from repro.engine import keycache
 from repro.engine.compression import compress_table
 from repro.engine.encoded import compile_conjunct
 from repro.engine.expr import Like
@@ -129,22 +131,22 @@ class TestMemoLifetime:
         Like(col("s"), "a%").evaluate(frame, _ctx())
         dictionary = frame.column("s").dictionary
         ident, ref = id(dictionary), weakref.ref(dictionary)
-        assert ident in expr_module._memo
+        assert ident in keycache.key_cache._entries
         del frame, dictionary
         gc.collect()
         assert ref() is None
-        assert ident not in expr_module._memo
+        assert ident not in keycache.key_cache._entries
 
     def test_past_the_limit_the_oldest_entry_goes_and_answers_stay_right(self, spy):
         values = [f"{w}{i}" for i, w in enumerate(_WORDS * 3)]
         frame = _frame(values)
         dictionary = frame.column("s").dictionary
-        letters = "abcdefghijklmnop"[: expr_module._PER_DICTIONARY + 1]
+        letters = "abcdefghijklmnop"[: keycache._PER_ARRAY + 1]
         patterns = [f"%{c}%" for c in letters]
         for pattern in patterns:
             Like(col("s"), pattern).dictionary_mask(dictionary)
-        entries = expr_module._memo[id(dictionary)]
-        assert len(entries) == expr_module._PER_DICTIONARY
+        entries = keycache.key_cache._entries[id(dictionary)]
+        assert len(entries) == keycache._PER_ARRAY
         assert ("like", patterns[0]) not in entries
         assert ("like", patterns[-1]) in entries
         for pattern, letter in zip(patterns, letters):
@@ -160,7 +162,7 @@ class TestMemoLifetime:
             col("s").substring(1, 1), col("s").upper(),
         ):
             expression.evaluate(frame, ctx)
-        stored = list(expr_module._memo[id(frame.column("s").dictionary)].values())
+        stored = list(keycache.key_cache._entries[id(frame.column("s").dictionary)].values())
         arrays = [
             part for value in stored
             for part in (value if isinstance(value, tuple) else (value,))

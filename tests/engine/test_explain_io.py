@@ -4,10 +4,11 @@ import re
 
 import pytest
 
-from repro.engine import Q, agg, col, execute
+from repro.engine import Executor, Q, agg, col, execute
 from repro.engine.explain import explain, explain_profile
 from repro.engine.io import load_database, read_csv, save_database, write_csv
 from repro.obs import Tracer, iter_spans
+from repro.tpch import get_query
 
 
 class TestExplain:
@@ -157,6 +158,19 @@ class TestExplainReportsWhatRuns:
             explain(scan_pins.sql(db, text), db)
         assert before == (predicate_stats.hits, predicate_stats.misses,
                           aggregate_stats.hits, aggregate_stats.misses)
+
+
+class TestExplainIsDeterministic:
+    @pytest.mark.parametrize("number", range(1, 23))
+    def test_no_object_addresses_in_lowered_tpch_plans(self, tpch_db, tpch_params, number):
+        """Every expression prints by value (a scalar subquery as a short
+        form), so the same query explains the same way in every run."""
+        executor = Executor(tpch_db)
+        text = explain(
+            executor.lower(get_query(number).build(tpch_db, tpch_params)),
+            tpch_db, optimize=False, settings=executor.settings,
+        )
+        assert " object at 0x" not in text
 
 
 class TestCsvRoundtrip:

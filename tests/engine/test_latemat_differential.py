@@ -23,9 +23,11 @@ Also hosted here, because they guard the same machinery:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -473,25 +475,17 @@ class TestKeyCache:
         assert o1 is o2
         assert o1.tolist() == [3, 1, 0, 2]
 
-    def test_entry_count_bound(self):
-        cache = KeyCache(max_entries=3)
-        kept = [np.arange(4, dtype=np.int64) + i for i in range(6)]
-        for arr in kept:
-            cache.factorize(arr)
-        assert cache.stats()["entries"] <= 3
-        # Oldest entries were evicted; newest still hits.
-        cache.factorize(kept[-1])
-        assert cache.stats()["hits"] == 1
-
-    def test_byte_budget_bound(self):
-        cache = KeyCache(max_bytes=4096)
-        big = np.arange(10_000, dtype=np.int64)  # 80KB source alone
-        cache.factorize(big)
-        assert cache.stats()["entries"] == 0  # too large to admit
-        small = np.arange(8, dtype=np.int64)
-        cache.factorize(small)
-        assert cache.stats()["entries"] == 1
-        assert cache.stats()["bytes"] <= 4096
+    def test_the_memo_pins_nothing(self):
+        """A transient key array dies with its last user; the memo's
+        finalizer drops its entry."""
+        arr = np.arange(1_000, dtype=np.int64)
+        ident, ref = id(arr), weakref.ref(arr)
+        key_cache.factorize(arr)
+        assert ident in key_cache._entries
+        del arr
+        gc.collect()
+        assert ref() is None
+        assert ident not in key_cache._entries
 
     def test_thread_safety_smoke(self):
         cache = KeyCache()

@@ -158,7 +158,7 @@ class TestCacheStatsDedup:
     def test_key_cache_stats_key_order(self):
         stats = KeyCache().stats()
         assert list(stats) == sorted(stats)
-        assert list(stats) == ["bytes", "entries", "hits", "misses"]
+        assert list(stats) == ["entries", "hits", "misses"]
 
     def test_key_cache_clear_resets_local_only(self):
         before = metrics.counter("engine.key_cache.misses").value
