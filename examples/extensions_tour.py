@@ -10,7 +10,6 @@ Run:  python examples/extensions_tour.py
 """
 
 from repro.cluster import NodeSpec, WimPiCluster
-from repro.cluster.shuffle import run_repartitioned
 from repro.cluster.tailored import PI4_NODE, TailoredCluster
 from repro.core.extensions import compression_study, nam_study, proportionality_study
 from repro.tpch import generate
@@ -55,12 +54,12 @@ def main() -> None:
     db = generate(0.02)
     flat = WimPiCluster(24, base_sf=0.02, target_sf=10.0, db=db).run_query(13)
     keys = {"orders": "o_custkey", "customer": "c_custkey"}
-    shuffled = run_repartitioned(13, 24, keys, base_sf=0.02, db=db)
-    pre = run_repartitioned(13, 24, keys, base_sf=0.02, db=db, include_shuffle=False)
+    q13 = WimPiCluster(24, base_sf=0.02, target_sf=10.0, db=db,
+                       partition_keys=keys).run_query(13)
     print(f"  Q13: paper driver {flat.total_seconds:.1f} s (flat at every size)")
-    print(f"       with shuffle  {shuffled.total_seconds:.2f} s "
-          f"(of which {shuffled.shuffle_seconds:.2f} s repartitioning)")
-    print(f"       pre-partitioned {pre.total_seconds:.2f} s\n")
+    print(f"       with shuffle  {q13.total_seconds + q13.shuffle_seconds:.2f} s "
+          f"(of which {q13.shuffle_seconds:.2f} s repartitioning)")
+    print(f"       pre-partitioned {q13.total_seconds:.2f} s\n")
 
     print("=== 5. Tailored node composition (paper §III-C1) ===")
     mixed = TailoredCluster([NodeSpec()] * 20 + [PI4_NODE] * 4,

@@ -7,8 +7,8 @@ from .distplan import (
     NotDistributableError,
     SplitPlan,
     concat_frames,
+    single_node_reason,
     split_for_partial_aggregation,
-    unsound_distribution_reason,
 )
 from .faults import (
     FAULT_KINDS,
@@ -34,7 +34,6 @@ from .resilient import (
     ShardOutcome,
 )
 from .tailored import PI4_NODE, TailoredCluster
-from .shuffle import RepartitionedRun, repartition_database, run_repartitioned
 from .scheduler import PowerPolicy, QueryArrival, SimulationResult, WorkloadSimulator, poisson_workload
 from .frameworks import FRAMEWORKS, Framework, feasible_cluster_size, framework_pressure
 from .reliability import (
@@ -52,8 +51,7 @@ __all__ = [
     "QueryOutOfMemoryError", "SwapPolicy", "classify_pressure", "reliability_report",
     "PowerPolicy", "QueryArrival", "SimulationResult", "WorkloadSimulator",
     "poisson_workload", "FRAMEWORKS", "Framework", "feasible_cluster_size",
-    "framework_pressure", "RepartitionedRun", "repartition_database",
-    "run_repartitioned", "PI4_NODE", "TailoredCluster",
+    "framework_pressure", "PI4_NODE", "TailoredCluster",
     "NetworkModel", "NodeSpec", "NotDistributableError", "SplitPlan",
     "WimPiCluster", "collect_scan_columns", "concat_frames",
     "partition_table", "split_for_partial_aggregation",
@@ -61,5 +59,5 @@ __all__ = [
     "FAULT_KINDS", "FaultPlan", "FaultingNode", "InjectedFault", "NodeAttempt",
     "TransientNetworkError", "ReplicatedLayout", "replicate_database",
     "RecoveryEvent", "RecoveryLog", "RecoveryPolicy", "ResilientDriver",
-    "ResilientRun", "ShardOutcome", "unsound_distribution_reason",
+    "ResilientRun", "ShardOutcome", "single_node_reason",
 ]

@@ -10,6 +10,11 @@ cluster would show at the nominal SF:
             + sequential gather of partials over the 220 Mbps links
             + driver-side merge
 
+and, next to the total, the time a layout other than the paper's would
+take to get there: ``shuffle_seconds`` repartitions the partitioned
+tables' referenced columns across the links (§II-D2's deferred
+distributed joins).
+
 The thrash multiplier reproduces Table III's 4-node cliff: once a node's
 working set exceeds its ~850 MB of usable memory, the microSD-backed
 paging costs grow exponentially with overcommit.
@@ -26,7 +31,7 @@ from repro.tpch import generate, get_query
 
 from .faults import FaultPlan
 from .network import NetworkModel
-from .node import MemoryModel, NodeSpec
+from .node import MemoryModel, NodeSpec, collect_scan_columns
 from .partition import replicate_database
 from .reliability import (
     NodeUnresponsiveError,
@@ -60,6 +65,11 @@ class ClusterQueryRun:
     healthy cluster), ``coverage`` is the fraction of partitioned rows
     the answer covers (< 1.0 only after unrecoverable loss), and
     ``recovery_log`` carries the structured recovery events.
+    ``shuffle_seconds`` is the modeled time to hash-repartition (one
+    copy of) the partitioned tables the run read into the cluster's
+    layout; it is not part of ``total_seconds``, which prices a
+    pre-partitioned layout (0.0 for a single-node run, which reads the
+    full catalog).
     """
 
     run: ResilientRun
@@ -72,6 +82,7 @@ class ClusterQueryRun:
     recovery_seconds: float
     coverage: float
     recovery_log: RecoveryLog
+    shuffle_seconds: float
 
     @property
     def result(self):
@@ -103,6 +114,14 @@ class WimPiCluster:
             replicas to recover lost shards from.
         fault_plan: deterministic injected-fault script.
         recovery: retry/timeout/speculation policy.
+        partition_keys: ``{table: key column}`` to hash-partition, every
+            other table replicated; default the paper's lineitem on
+            ``l_orderkey``. ``{"orders": "o_custkey", "customer":
+            "c_custkey"}`` co-partitions Q13's join, which then runs
+            distributed. A query runs on one node whenever the layout
+            would make it diverge per shard
+            (:func:`~repro.cluster.distplan.single_node_reason`), so any
+            keys return the single-node rows.
 
     A plain cluster raises the §III-C4 errors its memory model predicts
     (see ``swap_policy``); one asked for ``replication`` > 1, a
@@ -127,6 +146,7 @@ class WimPiCluster:
         fault_plan: FaultPlan | None = None,
         recovery: RecoveryPolicy | None = None,
         tracer=None,
+        partition_keys: dict[str, str] | None = None,
     ):
         if n_nodes < 1:
             raise ValueError("cluster needs at least one node")
@@ -148,7 +168,7 @@ class WimPiCluster:
             replication > 1 or fault_plan is not None or recovery is not None
         )
         self.layout = replicate_database(
-            self.db, n_nodes, replication=replication, compress=compress
+            self.db, n_nodes, replication, partition_keys, compress
         )
         self.driver = ResilientDriver(
             self.layout,
@@ -251,6 +271,23 @@ class WimPiCluster:
         slowest = max(node_seconds) if node_seconds else 0.0
         slowest_clean = max(base_seconds) if base_seconds else 0.0
         total = slowest + gather + merge
+        # Repartitioning from another layout: all nodes send at once,
+        # each holding 1/N of every partitioned table and keeping 1/N
+        # of it, so each sends bytes/N x (N-1)/N over its own link.
+        referenced = collect_scan_columns(pruned_local)
+        shuffled = 0.0
+        for name in layout.partition_keys:
+            if name not in referenced:
+                continue
+            table = layout.base.table(name)
+            columns = referenced[name]
+            for column in table.column_names if "*" in columns else sorted(columns):
+                per_row = self.memory.column_bytes_per_row(layout.base, name, column)
+                shuffled += per_row * table.nrows * self.scale
+        n = self.n_nodes
+        shuffle = (
+            self.network.transfer_time(shuffled / n * (n - 1) / n) if shuffled else 0.0
+        )
         energy = total * sum(
             self.node_spec(i).platform.tdp_w for i in range(self.n_nodes)
         )
@@ -265,6 +302,7 @@ class WimPiCluster:
             recovery_seconds=slowest - slowest_clean,
             coverage=run.coverage,
             recovery_log=run.recovery,
+            shuffle_seconds=shuffle,
         )
 
     # ------------------------------------------------------------------

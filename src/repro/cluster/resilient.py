@@ -26,10 +26,11 @@ duplicates — is charged in PerformanceModel Pi-seconds and lands in the
 under faults. Given the same fault plan the run is fully deterministic:
 same events, same charges, bit-identical results.
 
-A query that cannot be distributed — no partitioned table in it (the
-paper's Q13), a top-level aggregate that does not decompose (Q15/Q20),
-or nested aggregates that would diverge per shard (Q17 — see
-:func:`~repro.cluster.distplan.unsound_distribution_reason`) — is the
+A query that cannot be distributed over the layout — no partitioned
+table in it (the paper's Q13 on its lineitem layout), a top-level
+aggregate that does not decompose (Q15/Q20), or a step that would
+diverge per shard (Q17's per-part AVG — see
+:func:`~repro.cluster.distplan.single_node_reason`) — is the
 one-shard case of the same path: it runs over
 :meth:`~repro.cluster.partition.ReplicatedLayout.unpartitioned`, the
 full catalog held by every node, and needs no merge. So every one of
@@ -55,8 +56,8 @@ from .distplan import (
     NotDistributableError,
     SplitPlan,
     concat_frames,
+    single_node_reason,
     split_for_partial_aggregation,
-    unsound_distribution_reason,
 )
 from .faults import FaultPlan, FaultingNode, NodeAttempt, TransientNetworkError
 from .network import NetworkModel
@@ -323,24 +324,20 @@ class ResilientDriver:
         self,
         query: QueryDef,
         params: dict | None = None,
-        force_distribute: bool = False,
         fallback_host: int = 0,
     ) -> ResilientRun:
-        """Run ``query``: distributed when it scans lineitem, its top
-        aggregate decomposes into partials and no nested aggregate would
-        diverge per shard; on one node (``fallback_host`` first, any
-        other on failover) otherwise — the paper's Q13 behaviour.
-        ``force_distribute`` skips the lineitem heuristic and the
-        soundness check: the shuffle executor's co-partitioning makes
-        other queries distributable, and its caller vouches for the
-        keys."""
+        """Run ``query``: distributed when its top aggregate decomposes
+        into partials and :func:`~repro.cluster.distplan.single_node_reason`
+        finds its local plan sound under the layout's ``partition_keys``;
+        on one node (``fallback_host`` first, any other on failover)
+        otherwise — the paper's Q13 behaviour on its lineitem layout."""
         params = params or {}
         tracer = self.tracer
         qspan = None
         if tracer.enabled:
             qspan = tracer.start("query", f"cluster:Q{query.number}")
         try:
-            split = self._split(query, params, force_distribute)
+            split = self._split(query, params)
             if split is None:
                 layout = self.layout.unpartitioned(fallback_host)
                 local = query.build(layout.base, params).node
@@ -363,23 +360,18 @@ class ResilientDriver:
             tracer.finalize(qspan)
         return run
 
-    def _split(
-        self, query: QueryDef, params: dict, force_distribute: bool
-    ) -> SplitPlan | None:
+    def _split(self, query: QueryDef, params: dict) -> SplitPlan | None:
         """The local/final rewrite of ``query`` over this layout, or
         ``None`` when it has to run on a single node."""
         layout = self.layout
-        if layout.n_nodes == 1 or not (query.uses_lineitem or force_distribute):
+        if layout.n_nodes == 1:
             return None
         plan = query.build(layout.node_dbs[0], params)
         try:
             split = split_for_partial_aggregation(plan.node)
         except NotDistributableError:
             return None
-        if not force_distribute and any(
-            unsound_distribution_reason(split.local, table, key) is not None
-            for table, key in layout.partition_keys.items()
-        ):
+        if single_node_reason(split.local, layout.partition_keys) is not None:
             return None
         return split
 

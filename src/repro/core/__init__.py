@@ -1,6 +1,6 @@
 """Study harness: profiling, experiments, paper data, comparisons."""
 
-from .compare import ShapeComparison, agreement_on_winner, compare_grids, geometric_mean_ratio
+from .compare import ShapeComparison, compare_grids
 from .paperdata import (
     SF10_QUERIES,
     TABLE2_SF1_RUNTIMES,
@@ -18,7 +18,6 @@ __all__ = [
     "EXPERIMENT_IDS", "ExperimentStudy", "ProfiledQuery", "SF10_QUERIES",
     "ShapeComparison", "StudyConfig", "TABLE2_SF1_RUNTIMES",
     "TABLE3_SF10_RUNTIMES", "TABLE3_WIMPI_RUNTIMES", "TPCHProfiler",
-    "WIMPI_CLUSTER_SIZES", "agreement_on_winner", "compare_grids",
-    "geometric_mean_ratio", "runtimes_to_csv", "save_json", "to_jsonable",
+    "WIMPI_CLUSTER_SIZES", "compare_grids", "runtimes_to_csv", "save_json", "to_jsonable",
     "CLAIMS", "Claim", "ClaimResult", "evaluate_claims", "full_report",
 ]

@@ -11,8 +11,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-__all__ = ["ShapeComparison", "compare_grids", "agreement_on_winner",
-           "geometric_mean_ratio"]
+__all__ = ["ShapeComparison", "compare_grids"]
 
 
 @dataclass(frozen=True)
@@ -76,36 +75,3 @@ def compare_grids(
         p90_abs_log_ratio=logs[min(n - 1, int(0.9 * n))],
         spearman_like=rho,
     )
-
-
-def agreement_on_winner(
-    measured: dict[str, dict[int, float]],
-    published: dict[str, dict[int, float]],
-) -> float:
-    """Fraction of queries whose fastest platform matches the paper's."""
-    queries = sorted({
-        q for per in published.values() for q in per
-        if all(q in measured.get(p, {}) for p in published)
-    })
-    if not queries:
-        raise ValueError("no common queries")
-    hits = 0
-    for q in queries:
-        paper_winner = min(published, key=lambda p: published[p][q])
-        our_winner = min(published, key=lambda p: measured[p][q])
-        hits += paper_winner == our_winner
-    return hits / len(queries)
-
-
-def geometric_mean_ratio(
-    measured: dict[int, float], published: dict[int, float]
-) -> float:
-    """Geometric mean of measured/published over shared keys."""
-    logs = [
-        math.log(measured[k] / published[k])
-        for k in published
-        if k in measured
-    ]
-    if not logs:
-        raise ValueError("no shared keys")
-    return math.exp(sum(logs) / len(logs))

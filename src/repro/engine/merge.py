@@ -5,16 +5,13 @@ module recombines the fragments:
 
 * :func:`concat_frames` — order-preserving concatenation (filter/project
   chains).
-* :func:`decompose_aggregates` / :func:`merge_partial_aggregates` — the
-  classic two-phase group-by: per-morsel partial aggregation, then a
-  merge aggregation over the stacked partials. What each function keeps
+* :func:`merge_partial_aggregates` — the classic two-phase group-by:
+  per-morsel partial aggregation, then a merge aggregation over the
+  stacked partials. What each function keeps
   and how it merges is ``operators.aggregate.AGG_STATES``, read through
   ``two_phase``; nothing here names a function but AVG's final ratio.
 * :func:`merge_topk` — local top-k per morsel, then top-k over the
   survivors; ties resolve exactly as a global stable sort would.
-* :func:`merge_sorted_runs` — stable k-way merge of per-morsel sorted
-  runs (binary-merge via ``searchsorted`` on a single key; stable lexsort
-  fallback for compound keys).
 * :func:`merge_profiles` — coalesce per-morsel work profiles back into
   one operator sequence so profiles stay comparable with serial runs.
 
@@ -25,21 +22,17 @@ serial operator, which the differential and property suites assert.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .column import Column
 from .frame import Frame
 from .operators.aggregate import AggSpec, mean, two_phase
-from .operators.sort import _sort_key, execute_topk
+from .operators.sort import execute_topk
 from .profile import OperatorWork, WorkProfile
 from .spill import maybe_spill_aggregate
 
 __all__ = [
     "concat_frames",
-    "decompose_aggregates",
     "merge_partial_aggregates",
     "merge_profiles",
-    "merge_sorted_runs",
     "merge_topk",
 ]
 
@@ -65,22 +58,6 @@ def concat_frames(frames: list[Frame]) -> Frame:
 # ----------------------------------------------------------------------
 # Two-phase aggregation
 # ----------------------------------------------------------------------
-
-def decompose_aggregates(
-    aggs: dict[str, AggSpec],
-) -> tuple[dict[str, AggSpec], dict[str, AggSpec]] | None:
-    """Split aggregates into (per-morsel partial, merge-phase final) specs
-    — the first two thirds of :func:`two_phase`.
-
-    Returns ``None`` when any aggregate is not decomposable (COUNT(DISTINCT):
-    such plans fall back to a serial aggregate over the concatenated, still
-    parallel-scanned, input). AVG expands to two partial columns
-    (``name@sum``, ``name@cnt``) that :func:`merge_partial_aggregates`
-    recombines.
-    """
-    split = two_phase(aggs)
-    return None if split is None else split[:2]
-
 
 def merge_partial_aggregates(
     frames: list[Frame],
@@ -131,45 +108,6 @@ def merge_topk(
     order), so a top-k over the stacked survivors is exact.
     """
     return execute_topk(concat_frames(frames), keys, n, ctx)
-
-
-def merge_sorted_runs(frames: list[Frame], keys: list[tuple[str, str]]) -> Frame:
-    """Stable merge of per-morsel sorted runs into one sorted frame.
-
-    Equal keys keep run order (run i before run j for i < j), matching a
-    stable sort of the concatenated input. Single-key merges use true
-    ``searchsorted`` binary merging; compound keys fall back to a stable
-    lexsort over the concatenation.
-    """
-    frames = [f for f in frames if f.nrows]
-    if not frames:
-        raise ValueError("need at least one non-empty frame")
-    if len(frames) == 1:
-        return frames[0]
-    if len(keys) == 1:
-        name, direction = keys[0]
-        merged = frames[0]
-        merged_key = _sort_key(merged, name, direction == "asc")
-        for nxt in frames[1:]:
-            nxt_key = _sort_key(nxt, name, direction == "asc")
-            merged, merged_key = _merge_two(merged, merged_key, nxt, nxt_key)
-        return merged
-    combined = concat_frames(frames)
-    arrays = [_sort_key(combined, k, d == "asc") for k, d in keys]
-    return combined.take(np.lexsort(arrays[::-1]))
-
-
-def _merge_two(
-    fa: Frame, ka: np.ndarray, fb: Frame, kb: np.ndarray
-) -> tuple[Frame, np.ndarray]:
-    """Stably merge two sorted (frame, key) runs; ``fa`` rows win ties."""
-    pos_a = np.arange(len(ka)) + np.searchsorted(kb, ka, side="left")
-    pos_b = np.arange(len(kb)) + np.searchsorted(ka, kb, side="right")
-    order = np.empty(len(ka) + len(kb), dtype=np.int64)
-    order[pos_a] = np.arange(len(ka))
-    order[pos_b] = np.arange(len(kb)) + len(ka)
-    combined = concat_frames([fa, fb]).take(order)
-    return combined, np.concatenate([ka, kb])[order]
 
 
 # ----------------------------------------------------------------------

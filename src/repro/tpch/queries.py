@@ -13,14 +13,9 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
 
-import numpy as np
+from repro.engine import Database, Q
 
-from repro.engine import Column, Database, Q, Table
-from repro.engine.types import STRING
-
-from .schema import TPCH_SCHEMAS
 from .sqltext import build_from_sql
 
 __all__ = ["QUERIES", "ALL_QUERY_NUMBERS", "CHOKEPOINTS", "get_query", "QueryDef"]
@@ -51,26 +46,10 @@ _NAMES = {
 }
 
 
-@cache
-def _schema_catalog() -> Database:
-    """Zero-row TPC-H tables: all the planner reads to resolve names."""
-    db = Database("tpch_schema")
-    for table, schema in TPCH_SCHEMAS.items():
-        db.add(Table(table, {
-            name: Column(
-                dtype, np.empty(0, dtype.numpy_dtype),
-                np.empty(0, dtype=object) if dtype is STRING else None,
-            )
-            for name, dtype in schema.fields
-        }))
-    return db
-
-
 @dataclass(frozen=True)
 class QueryDef:
-    """A TPC-H query: its number, spec title, SQL plan and scanned tables.
+    """A TPC-H query: its number, spec title and SQL plan.
 
-    The scanned tables are what the distributed planner needs.
     ``build(db, params)`` plans the query's SQL text against ``db``;
     ``params`` may carry ``sf`` (Q11's HAVING fraction is 0.0001 / SF
     per the spec) or Q11's ``fraction`` itself.
@@ -81,19 +60,6 @@ class QueryDef:
 
     def build(self, db: Database, params: dict | None = None) -> Q:
         return build_from_sql(db, self.number, params)
-
-    @cached_property
-    def tables(self) -> tuple[str, ...]:
-        """Tables the planned query scans, sorted."""
-        from repro.cluster.node import collect_scan_columns  # cluster imports tpch
-
-        return tuple(sorted(collect_scan_columns(self.build(_schema_catalog()).node)))
-
-    @property
-    def uses_lineitem(self) -> bool:
-        """Whether the query touches the partitioned lineitem table (the
-        cluster runs the others, Q13 among them, on a single node)."""
-        return "lineitem" in self.tables
 
 
 QUERIES: dict[int, QueryDef] = {n: QueryDef(n, name) for n, name in _NAMES.items()}

@@ -86,22 +86,68 @@ class TestTableIIIShape:
         assert run.energy_joules == pytest.approx(expected)
 
 
+# Partition layouts the all-queries wall runs under: the paper's, the
+# shuffle study's co-partitioned Q13 keys, and one that partitions
+# customer and orders on keys their join does not pair.
+LAYOUTS = {
+    "default": None,
+    "q13-keys": {"orders": "o_custkey", "customer": "c_custkey"},
+    "not-co-partitioned": {"orders": "o_orderkey", "customer": "c_custkey"},
+}
+
+# Queries each layout runs on one node (``single_node_reason``). The
+# default set is the paper's: the queries without lineitem, plus the
+# non-decomposable Q15/Q16/Q20 and Q17's per-part AVG.
+SINGLE_NODE = {
+    "default": {2, 11, 13, 15, 16, 17, 20, 22},
+    "q13-keys": {1, 2, 6, 11, 14, 15, 16, 17, 19, 20, 22},
+    "not-co-partitioned": {1, 2, 3, 5, 6, 7, 8, 10, 11, 13, 14, 15, 16, 17,
+                           18, 19, 20, 22},
+}
+
+# Queries whose 4-node run over-commits a node past the §III-C4
+# threshold (modeled; the rows behind the failure are still checkable).
+UNRESPONSIVE = {
+    "default": {7, 18},
+    "q13-keys": {1, 3, 5, 7, 8, 9, 10, 18, 19, 21},
+    "not-co-partitioned": {1, 3, 5, 7, 8, 9, 10, 18, 19, 21},
+}
+
+
+@pytest.fixture(scope="module")
+def layout_clusters(tpch_db, clusters):
+    """4-node clusters over each of ``LAYOUTS``."""
+    return {
+        name: clusters[4] if keys is None else WimPiCluster(
+            4, base_sf=0.01, target_sf=10.0, db=tpch_db, partition_keys=keys
+        )
+        for name, keys in LAYOUTS.items()
+    }
+
+
 class TestAllQueriesMatchSingleNode:
     @pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
-    def test_plain_cluster_rows(self, tpch_db, tpch_params, clusters, number):
-        """Every TPC-H query on the default cluster returns the
-        single-node answer, value types included — Q15/Q20 (nested
-        lineitem scans) and Q17 (per-shard divergent AVG) too."""
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_plain_cluster_rows(self, tpch_db, tpch_params, layout_clusters,
+                                layout, number):
+        """Every TPC-H query returns the single-node answer, value types
+        included, under every layout — whether the layout lets it run
+        distributed or sends it to one node (Q15/Q20: nested lineitem
+        scans; Q17: per-shard divergent AVG; Q22 under the Q13 keys: a
+        scalar AVG over partitioned customers)."""
+        cluster = layout_clusters[layout]
         single = execute(tpch_db, get_query(number).build(tpch_db, tpch_params))
         try:
-            rows = clusters[4].run_query(number).result.rows
+            run = cluster.run_query(number).run
         except NodeUnresponsiveError:
-            # Q7 and Q18 at 4 nodes over-commit past the §III-C4
-            # threshold (Q18's IN semi join runs after its lineitem
-            # join); the rows behind the modeled failure are still
-            # checkable.
-            assert number in (7, 18)
-            rows = clusters[4].driver.run(get_query(number), tpch_params).result.rows
+            # E.g. Q7 and Q18 at 4 nodes on the default layout (Q18's IN
+            # semi join runs after its lineitem join).
+            assert number in UNRESPONSIVE[layout]
+            run = cluster.driver.run(get_query(number), tpch_params)
+        else:
+            assert number not in UNRESPONSIVE[layout]
+        assert run.single_node == (number in SINGLE_NODE[layout])
+        rows = run.result.rows
         assert len(rows) == len(single.rows)
         for got, want in zip(rows, single.rows):
             for g, w in zip(got, want):

@@ -1,7 +1,6 @@
 """Tests for paper data, shape comparison, profiler, and serialization."""
 
 import json
-import math
 
 import pytest
 
@@ -10,9 +9,7 @@ from repro.core import (
     TABLE3_SF10_RUNTIMES,
     TABLE3_WIMPI_RUNTIMES,
     TPCHProfiler,
-    agreement_on_winner,
     compare_grids,
-    geometric_mean_ratio,
     runtimes_to_csv,
     save_json,
     to_jsonable,
@@ -63,18 +60,6 @@ class TestCompare:
     def test_disjoint_grids_rejected(self):
         with pytest.raises(ValueError):
             compare_grids({"a": {1: 1.0}}, {"b": {2: 1.0}})
-
-    def test_agreement_on_winner(self):
-        published = {"a": {1: 1.0, 2: 9.0}, "b": {1: 5.0, 2: 2.0}}
-        perfect = agreement_on_winner(published, published)
-        assert perfect == 1.0
-        flipped = {"a": {1: 9.0, 2: 1.0}, "b": {1: 2.0, 2: 5.0}}
-        assert agreement_on_winner(flipped, published) == 0.0
-
-    def test_geometric_mean_ratio(self):
-        assert geometric_mean_ratio({1: 2.0, 2: 8.0}, {1: 1.0, 2: 2.0}) == pytest.approx(
-            math.sqrt(8.0)
-        )
 
 
 class TestProfiler:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Column, Database, Executor, Frame, Q, Table, agg, col, physical
-from repro.engine.merge import concat_frames, decompose_aggregates, merge_partial_aggregates
+from repro.engine.merge import concat_frames, merge_partial_aggregates
 from repro.engine.operators.aggregate import (
     AGG_STATES,
     AggSpec,
@@ -458,7 +458,7 @@ class TestTwoPhase:
             spec = AggSpec(func, None if func == "count_star" else col("v"))
             split = two_phase({"x": spec, "n": agg.count_star()})
             assert (split is None) == (func == "count_distinct") == (func not in AGG_STATES), func
-            assert (decompose_aggregates({"x": spec}) is None) == (split is None)
+            assert (two_phase({"x": spec}) is None) == (split is None)
 
     def test_the_function_table(self):
         partial, final, projections = two_phase(_TWO_PHASE_AGGS)
@@ -471,7 +471,7 @@ class TestTwoPhase:
             "s": "sum", "a@sum": "sum", "a@cnt": "isum", "c": "isum", "n": "isum",
             "lo": "min", "hi": "max", "z": "isum", "ilo": "min", "ihi": "max"}
         assert [name for name, _ in projections] == list(_TWO_PHASE_AGGS)
-        assert decompose_aggregates(_TWO_PHASE_AGGS) == (partial, final)
+        assert two_phase(_TWO_PHASE_AGGS)[:2] == (partial, final)
 
     @_wall
     @given(case=_split_case(), grouped=st.booleans())

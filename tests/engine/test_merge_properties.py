@@ -7,8 +7,7 @@ drives random data and random split points through each merge path:
 * partial-aggregate merge is associative/commutative (any split, any
   morsel order) and agrees with single-pass aggregation;
 * filter + concat preserves row order;
-* top-k merge equals global sort-then-limit;
-* sorted-run merge equals a global stable sort.
+* top-k merge equals global sort-then-limit.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ from hypothesis import strategies as st
 from repro.engine import Column, Frame, WorkProfile, agg, col
 from repro.engine.merge import (
     concat_frames,
-    decompose_aggregates,
     merge_partial_aggregates,
     merge_profiles,
-    merge_sorted_runs,
     merge_topk,
 )
-from repro.engine.operators.aggregate import execute_aggregate
+from repro.engine.operators.aggregate import execute_aggregate, two_phase
 from repro.engine.operators.filter import execute_filter
 from repro.engine.operators.sort import execute_sort, execute_topk
 
@@ -110,7 +107,7 @@ class TestPartialAggregateMerge:
         frame = _frame(keys, values)
         serial = execute_aggregate(frame, ["k"], AGGS, _Ctx())
 
-        partial_specs, _ = decompose_aggregates(AGGS)
+        partial_specs, _ = two_phase(AGGS)[:2]
         partials = [
             execute_aggregate(part, ["k"], partial_specs, _Ctx())
             for part in _split(frame, cuts)
@@ -125,7 +122,7 @@ class TestPartialAggregateMerge:
     def test_merge_is_commutative_in_morsel_order(self, data, rng):
         keys, values, cuts = data
         frame = _frame(keys, values)
-        partial_specs, _ = decompose_aggregates(AGGS)
+        partial_specs, _ = two_phase(AGGS)[:2]
         partials = [
             execute_aggregate(part, ["k"], partial_specs, _Ctx())
             for part in _split(frame, cuts)
@@ -148,7 +145,7 @@ class TestPartialAggregateMerge:
         """
         keys, values, cuts = data
         frame = _frame(keys, values)
-        partial_specs, _ = decompose_aggregates(AGGS)
+        partial_specs, _ = two_phase(AGGS)[:2]
         flat = [
             execute_aggregate(part, ["k"], partial_specs, _Ctx())
             for part in _split(frame, cuts)
@@ -165,7 +162,7 @@ class TestPartialAggregateMerge:
         _assert_rows_close(_rows_of(b), _rows_of(a))
 
     def test_count_distinct_is_not_decomposable(self):
-        assert decompose_aggregates({"d": agg.count_distinct(col("v"))}) is None
+        assert two_phase({"d": agg.count_distinct(col("v"))}) is None
 
 
 class TestOrderPreservation:
@@ -197,36 +194,6 @@ class TestTopKMerge:
             for part in _split(frame, cuts)
         ]
         merged = merge_topk(local, sort_keys, n, _Ctx())
-        assert _rows_of(merged) == _rows_of(global_sorted)
-
-
-class TestSortedRunMerge:
-    @given(keyed_data())
-    @settings(max_examples=60, deadline=None)
-    def test_single_key_merge_equals_stable_sort(self, data):
-        keys, values, cuts = data
-        frame = _frame(keys, values)
-        sort_keys = [("k", "asc")]
-        global_sorted = execute_sort(frame, sort_keys, _Ctx())
-        runs = [
-            execute_sort(part, sort_keys, _Ctx())
-            for part in _split(frame, cuts)
-        ]
-        merged = merge_sorted_runs(runs, sort_keys)
-        assert _rows_of(merged) == _rows_of(global_sorted)
-
-    @given(keyed_data())
-    @settings(max_examples=40, deadline=None)
-    def test_multi_key_merge_equals_stable_sort(self, data):
-        keys, values, cuts = data
-        frame = _frame(keys, values)
-        sort_keys = [("k", "desc"), ("v", "asc")]
-        global_sorted = execute_sort(frame, sort_keys, _Ctx())
-        runs = [
-            execute_sort(part, sort_keys, _Ctx())
-            for part in _split(frame, cuts)
-        ]
-        merged = merge_sorted_runs(runs, sort_keys)
         assert _rows_of(merged) == _rows_of(global_sorted)
 
 

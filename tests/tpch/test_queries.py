@@ -23,15 +23,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="1-22"):
             get_query(23)
 
-    def test_lineitem_flags(self):
-        assert not QUERIES[2].uses_lineitem
-        assert not QUERIES[11].uses_lineitem
-        assert not QUERIES[13].uses_lineitem
-        assert not QUERIES[16].uses_lineitem
-        assert not QUERIES[22].uses_lineitem
-        assert QUERIES[1].uses_lineitem
-        assert QUERIES[6].uses_lineitem
-
 
 class TestAllQueriesExecute:
     @pytest.mark.parametrize("number", ALL_QUERY_NUMBERS)
