@@ -334,9 +334,15 @@ def execute_aggregate(
     else:
         gids, n_groups = np.zeros(frame.nrows, dtype=np.int64), 1
 
+    # Rows per group, counted once for every COUNT and AVG that reads all
+    # rows (a nullable column counts its valid rows; one group is O(1)).
+    counts = None
     for name, spec in aggs.items():
         column = None if spec.func == "count_star" else spec.expr.evaluate(frame, ctx)
-        out_columns[name] = reduce_groups(spec.func, column, gids, n_groups)
+        if counts is None and n_groups > 1 and spec.func in ("count", "count_star", "avg") \
+                and (column is None or column.valid is None):
+            counts = np.bincount(gids, minlength=n_groups)
+        out_columns[name] = reduce_groups(spec.func, column, gids, n_groups, counts)
 
     out = Frame(out_columns, n_groups)
     # Work accounting: one hash insert (random access) per input row per

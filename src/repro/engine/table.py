@@ -80,6 +80,28 @@ class Table:
             cache[key] = build_zone_map(self.column(name), block_rows)
         return cache[key]
 
+    def distinct_count(self, names: tuple[str, ...]) -> int:
+        """The (lazily counted, cached) number of distinct value
+        combinations of the columns ``names``. Tables are immutable, so a
+        count is valid for the table's lifetime; only the count is kept
+        (a compressed column is decoded for the count and dropped)."""
+        cache = self.__dict__.setdefault("_distinct_counts", {})
+        if names not in cache:
+            from .keycache import combine_codes, factorize
+
+            parts = []
+            for name in names:
+                stored = self.column(name)
+                plain = stored.to_column() if hasattr(stored, "to_column") else stored
+                parts.append(factorize(plain.values))
+            if len(parts) == 1:
+                cache[names] = len(parts[0][0])
+            else:
+                combined = combine_codes([codes for _, codes in parts],
+                                         [len(uniques) for uniques, _ in parts])
+                cache[names] = len(factorize(combined)[0])
+        return cache[names]
+
     def build_zone_maps(self, block_rows: int | None = None) -> None:
         """Eagerly build zone maps for every column (load-time hook, so
         first-query latency excludes the one-off statistics pass)."""

@@ -107,9 +107,11 @@ SINGLE_NODE = {
 
 # Queries whose 4-node run over-commits a node past the §III-C4
 # threshold (modeled; the rows behind the failure are still checkable).
+# Q18 is not among them on a distributed layout: its IN semi join runs
+# on the orders scan, before the lineitem join it used to follow.
 UNRESPONSIVE = {
-    "default": {7, 18},
-    "q13-keys": {1, 3, 5, 7, 8, 9, 10, 18, 19, 21},
+    "default": {7},
+    "q13-keys": {1, 3, 5, 7, 8, 9, 10, 19, 21},
     "not-co-partitioned": {1, 3, 5, 7, 8, 9, 10, 18, 19, 21},
 }
 
@@ -140,8 +142,7 @@ class TestAllQueriesMatchSingleNode:
         try:
             run = cluster.run_query(number).run
         except NodeUnresponsiveError:
-            # E.g. Q7 and Q18 at 4 nodes on the default layout (Q18's IN
-            # semi join runs after its lineitem join).
+            # E.g. Q7 at 4 nodes on the default layout; see UNRESPONSIVE.
             assert number in UNRESPONSIVE[layout]
             run = cluster.driver.run(get_query(number), tpch_params)
         else:

@@ -216,6 +216,21 @@ def test_tpch_comparison_literals_are_slots(tpch_servers):
     assert outcomes == {1: "miss", 3: "hit", 6: "hit", 19: "hit"}
 
 
+def test_a_value_that_reorders_joins_takes_a_trip(tpch_servers):
+    """Q3's dates price its join order, so a new date re-plans the
+    request: re-dated above, the order holds and the shape re-binds. A
+    ship date that leaves almost no lineitem rows starts the order from
+    lineitem instead, so that request takes a trip of its own."""
+    db, hot, cold = tpch_servers
+    text = sql_text(3, {"sf": 0.01})
+    variant = text.replace("l_shipdate > DATE '1995-03-15'",
+                           "l_shipdate > DATE '1998-11-20'")
+    assert hot._join_orders(variant) != hot._join_orders(text)
+    _prepare(hot, text)
+    assert _assert_like_fresh(hot, cold, variant, db).prepared == "miss"
+    assert _prepare(hot, variant)[0].prepared == "hit"  # its own shape entry now
+
+
 @given(st.one_of(_random_select(), _random_grouped_select()), st.integers(0, 2**32))
 @_WALL
 def test_generated_query_bindings_equal_a_fresh_trip(grammar_servers, text, seed):

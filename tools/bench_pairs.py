@@ -3,7 +3,10 @@ driver judges them (choosing-metrics §8).
 
     python tools/bench_pairs.py --base HEAD~1 --workload tpch_power --pairs 10
 
-checks ``--base`` out into a temporary clone, then runs each tree's own,
+checks ``--base`` and the working tree out into two sibling temporary
+clones — the working tree as its commit, or as a snapshot commit of
+every tracked and untracked (not ignored) file when it has changes — so
+the two sides differ only in code, then runs each tree's own,
 unmodified ``benchmarks/suite/run.py --workload W --trace 0`` ``--pairs``
 times per side, alternating which side goes first. Run length, metric
 directions and bounds are read from ``BENCHMARK.json``; nothing is
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -45,15 +49,36 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 
 
-def checkout(ref: str, into: Path) -> tuple[Path, str]:
-    """A detached checkout of ``ref`` in a fresh clone that borrows this
-    repository's object store (no copy, and nothing is left behind in
-    ``.git`` when the directory is removed), and the sha it resolved to."""
-    sha = subprocess.run(
-        ["git", "-C", str(REPO), "rev-parse", "--verify", f"{ref}^{{commit}}"],
-        check=True, stdout=subprocess.PIPE, text=True,
-    ).stdout.strip()
-    tree = into / "base"
+def _git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", "-C", str(REPO), *args], check=True, env=env,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def working_tree_commit(scratch: Path) -> str:
+    """The working tree as a commit: ``HEAD`` when nothing differs from
+    it, else a commit object parented on ``HEAD`` of every tracked and
+    untracked (not ignored) file as it stands. It is written through a
+    temporary index, so no ref, index entry or file of the repository
+    changes; the unreferenced object is left for ``git gc``."""
+    if not _git("status", "--porcelain"):
+        return _git("rev-parse", "HEAD")
+    env = {**os.environ, "GIT_INDEX_FILE": str(scratch / "index"),
+           "GIT_AUTHOR_NAME": "bench_pairs", "GIT_AUTHOR_EMAIL": "bench_pairs@localhost",
+           "GIT_COMMITTER_NAME": "bench_pairs",
+           "GIT_COMMITTER_EMAIL": "bench_pairs@localhost"}
+    _git("read-tree", "HEAD", env=env)
+    _git("add", "--all", env=env)
+    tree = _git("write-tree", env=env)
+    return _git("commit-tree", tree, "-p", "HEAD", "-m", "working tree", env=env)
+
+
+def checkout(ref: str, into: Path, name: str) -> tuple[Path, str]:
+    """A detached checkout of ``ref`` in a fresh clone ``into/name`` that
+    borrows this repository's object store (no copy, and nothing is left
+    behind in ``.git`` when the directory is removed), and the sha it
+    resolved to."""
+    sha = _git("rev-parse", "--verify", f"{ref}^{{commit}}")
+    tree = into / name
     subprocess.run(
         ["git", "clone", "--quiet", "--shared", "--no-checkout", str(REPO), str(tree)],
         check=True,
@@ -133,8 +158,9 @@ def main() -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     runs = {"base": [], "change": []}
     try:
-        base_tree, base_sha = checkout(args.base, scratch)
-        trees = {"base": base_tree, "change": REPO}
+        base_tree, base_sha = checkout(args.base, scratch, "base")
+        change_tree, change_sha = checkout(working_tree_commit(scratch), scratch, "change")
+        trees = {"base": base_tree, "change": change_tree}
         for pair in range(args.pairs):
             for side in ("base", "change") if pair % 2 == 0 else ("change", "base"):
                 result = run_once(trees[side], args.workload, args.seed,
@@ -179,7 +205,7 @@ def main() -> int:
     if args.out is not None:
         record(args.out, {
             "workload": args.workload, "seed": args.seed, "smoke": args.smoke,
-            "base": base_sha, "pairs": args.pairs, **totals,
+            "base": base_sha, "change": change_sha, "pairs": args.pairs, **totals,
             "metrics": judged, "runs": runs,
         })
     return 1 if failed else 0
