@@ -273,7 +273,8 @@ class WimPiCluster:
         total = slowest + gather + merge
         # Repartitioning from another layout: all nodes send at once,
         # each holding 1/N of every partitioned table and keeping 1/N
-        # of it, so each sends bytes/N x (N-1)/N over its own link.
+        # of it, so each sends bytes/N x (N-1)/N over its own link, once
+        # per replica: every partition goes to its r holders.
         referenced = collect_scan_columns(pruned_local)
         shuffled = 0.0
         for name in layout.partition_keys:
@@ -286,7 +287,8 @@ class WimPiCluster:
                 shuffled += per_row * table.nrows * self.scale
         n = self.n_nodes
         shuffle = (
-            self.network.transfer_time(shuffled / n * (n - 1) / n) if shuffled else 0.0
+            self.network.transfer_time(shuffled / n * (n - 1) / n * layout.replication)
+            if shuffled else 0.0
         )
         energy = total * sum(
             self.node_spec(i).platform.tdp_w for i in range(self.n_nodes)

@@ -24,10 +24,10 @@ A predicate the sample cannot price — a HAVING over aggregates, a
 comparison against a scalar subquery, a residual over several joined
 relations — keeps :data:`UNPRICED` of its input.
 
-Every Literal whose value a sample evaluation read is reported by
-:meth:`Estimator.read_literals`: a plan ordered from the estimates
-depends on those values (a prepared server shape re-plans a request
-that changes one, and re-binds only while the join orders hold).
+The samples read the predicates' literal values, so a plan ordered
+from the estimates depends on them: the planner records its join-order
+decisions, and a prepared server shape whose trip made one re-plans a
+request with new values, re-binding only while the decisions hold.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .column import Column
 from .compression import CompressedColumn
-from .expr import ColRef, Expr, Literal, ScalarSubquery
+from .expr import ColRef, Expr
 from .frame import Frame
 from .keycache import key_cache
 from .optimizer import output_columns
@@ -72,20 +72,6 @@ def sample_indices(nrows: int) -> np.ndarray:
     return np.arange(0, nrows, step)
 
 
-def _literals(expr: Expr) -> list[Literal]:
-    """The Literals of an expression tree (not those of a subquery)."""
-    out, stack = [], [expr]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Literal):
-            out.append(node)
-        elif isinstance(node, Expr) and not isinstance(node, ScalarSubquery):
-            stack.extend(vars(node).values())
-        elif isinstance(node, (list, tuple)):
-            stack.extend(node)
-    return out
-
-
 def _table_sample(table: Table) -> tuple[np.ndarray, dict[str, Column]]:
     """The sample rows of ``table`` and its sampled columns so far, one
     memo entry per table; a column is sampled on first use."""
@@ -106,14 +92,9 @@ class Estimator:
 
     def __init__(self, db: Database):
         self.db = db
-        self._evaluated: list[Expr] = []  # what a sample evaluation read
         self._context = _SampleContext()
         self._rows: dict[int, tuple[PlanNode, float]] = {}
         self._ndv: dict[tuple, tuple] = {}  # (id(node), key) -> (node, ndv)
-
-    def read_literals(self) -> set[int]:
-        """The ids of every Literal whose value a sample evaluation read."""
-        return {id(lit) for expr in self._evaluated for lit in _literals(expr)}
 
     # -- sampling -------------------------------------------------------
 
@@ -122,11 +103,9 @@ class Estimator:
         scalar subquery, which the sample's context cannot run, or an
         ill-typed expression, which fails at run time instead)."""
         try:
-            column = expr.evaluate(frame, self._context)
+            return expr.evaluate(frame, self._context)
         except Exception:
             return None
-        self._evaluated.append(expr)
-        return column
 
     def _mask(self, frame: Frame, expr: Expr) -> np.ndarray | None:
         """Which sample rows pass ``expr``; None when it cannot be priced."""

@@ -15,20 +15,27 @@ materialization, and tracing apply to SQL-originated plans unchanged:
 * ``CASE``/``BETWEEN``/string functions lower to the vectorized
   expression kernels in :mod:`repro.engine.expr`.
 
+Each SELECT block is lowered once: FROM+WHERE, then the SELECT list,
+ORDER BY and LIMIT. A subquery's FROM+WHERE is lowered with the outer
+scope to find its correlation; an uncorrelated one is finished from that
+same lowering.
+
 Joins run in estimated order, not text order. Each SELECT block is a
 join graph: its FROM/JOIN items (and decorrelated scalar aggregates)
 are the relations, their ON pairs the edges, and each relation is priced
 with the WHERE conjuncts that touch it alone
-(:mod:`repro.engine.estimate`). One cost — the estimated rows entering
-every join, probe and build side — decides both the left-deep order of
-the inner joins and where each ``IN``/``EXISTS`` semi or anti join
-goes: on the one relation that supplies its keys, or at the point of
-the order above their lowest supplier that costs least (:class:`_JoinOrder`).
+(:mod:`repro.engine.estimate`). A greedy walk from each first relation
+builds a left-deep order of the inner joins, and one cost — the
+estimated rows entering every join, probe and build side — picks among
+them, with each ``IN``/``EXISTS`` semi or anti join placed where that
+cost is least: on the one relation that supplies its keys, or at a point
+of the order above their lowest supplier (:class:`_JoinOrder`).
 A LEFT or explicit SEMI/ANTI JOIN keeps its text position and nothing
 sinks below it into its null-supplying side; ``SELECT *`` keeps the
 text's column order. Blocks with nothing to choose — one relation, or
 two and no subquery join — keep the text order, and the plan is a
-deterministic function of the text and the catalog. A catalog remembers
+deterministic function of the text and the catalog. Each block's
+decision is recorded once, in planning order, and a catalog remembers
 the decisions of the statements it planned last, so planning one again
 replays them instead of estimating (:class:`_Shared`).
 
@@ -147,7 +154,6 @@ class _Remembered(NamedTuple):
 
     catalog: tuple  # the catalog's tables and rollups when it was planned
     decisions: tuple  # each estimated block's decision, in planning order
-    read: frozenset  # indexes into its lowered literals that an estimate read
 
 
 def _catalog(db: Database) -> tuple:
@@ -165,8 +171,8 @@ class _Shared:
     """Per-statement planning state: the catalog, a counter that keeps
     decorrelated-subquery column names (``__subqN``) globally unique and
     deterministic in syntax-tree order, every ``(syntax node, Literal)``
-    pair in lowering order, and (when given) the list that records each
-    estimated block's join-order decision (:class:`_JoinOrder`).
+    pair in lowering order, and each estimated block's join-order
+    decision (:class:`_JoinOrder`), in planning order.
 
     A decision is a function of the statement and the tables it reads,
     and tables are immutable, so the catalog remembers the decisions of
@@ -175,11 +181,10 @@ class _Shared:
     in order, instead of estimating. Estimates are most of a repeated
     statement's planning time."""
 
-    def __init__(self, db: Database, stmt: A.Node, orders: list | None = None):
+    def __init__(self, db: Database, stmt: A.Node):
         self.db = db
         self.stmt = stmt
         self.literals: list = []
-        self.orders = orders
         self.decisions: list = []
         self._subq = 0
         self._estimator: Estimator | None = None
@@ -215,24 +220,15 @@ class _Shared:
         self.decisions.append(decision)
         return decision
 
-    def remember(self) -> set[int]:
-        """Remember the statement's decisions when they were estimated;
-        returns the ids of the lowered Literals whose value an estimate
-        read."""
-        if self._replay:
-            return {id(self.literals[i][1]) for i in self._replay.read}
-        read = self._estimator.read_literals() if self._estimator is not None else set()
-        if self.decisions:
-            entry = _Remembered(
-                _catalog(self.db), tuple(self.decisions),
-                frozenset(i for i, (_, literal) in enumerate(self.literals)
-                          if id(literal) in read))
+    def remember(self) -> None:
+        """Remember the statement's decisions when they were estimated."""
+        if self.decisions and not self._replay:
+            entry = _Remembered(_catalog(self.db), tuple(self.decisions))
             with _REMEMBERED_LOCK:
                 memo = self._memo()
                 memo[self.stmt] = entry
                 if len(memo) > REMEMBERED_STATEMENTS:
                     memo.popitem(last=False)
-        return read
 
 
 class _Relation:
@@ -270,8 +266,9 @@ class _JoinOrder:
     selective first, to the position the cost prefers: after any join at
     or above their keys' lowest supplier, or on that supplier itself,
     before it is joined, when it alone supplies them and is inner-joined
-    (never onto a LEFT join's null-supplying side). The cheapest order
-    wins; ties keep the earlier start and position (text order).
+    (never onto a LEFT join's null-supplying side). The cheapest order,
+    priced by :meth:`_cost` with its semi/anti joins placed, wins; ties
+    keep the earlier start and position (text order).
     :meth:`plan` is None when there is nothing to choose.
     """
 
@@ -297,11 +294,7 @@ class _JoinOrder:
                     self.edges.setdefault((self.owner[a], i), []).append((a, b))
                     self.edges.setdefault((i, self.owner[a]), []).append((b, a))
         decision = self.shared.decide(self._choose)
-        if decision is None:
-            return None
-        if self.shared.orders is not None:
-            self.shared.orders.append(decision)
-        return self._build(*decision)
+        return None if decision is None else self._build(*decision)
 
     def _choose(self) -> tuple | None:
         """The cheapest order and its semi/anti placements, ``(order,
@@ -349,17 +342,12 @@ class _JoinOrder:
         self.selective = sorted(range(len(self.semis)), key=lambda k: (self.keep[k], k))
         best = None
         for start in self.runs[0][1]:
-            # Without semi/anti joins the greedy walk prices its own order
-            # and stops once it cannot win.
-            bound = None if self.semis or best is None else best[0]
-            order, cost = self._greedy(start, bound)
+            order = self._greedy(start)
             if order is None:
                 continue
-            placed = {}
-            if self.semis:
-                steps = self._steps(order)
-                placed = self._place(steps)
-                cost = self._cost(steps, placed)
+            steps = self._steps(order)
+            placed = self._place(steps)
+            cost = self._cost(steps, placed)
             if best is None or cost < best[0]:
                 best = (cost, order, placed)
         if best is None:
@@ -379,11 +367,11 @@ class _JoinOrder:
         return UNPRICED ** sum(1 for r in self.residuals
                                if r <= covered and not r <= before)
 
-    def _greedy(self, start: int, bound: float | None) -> tuple[list[int] | None, float]:
-        """The greedy order from ``start`` and its cost without semi/anti
-        joins; ``(None, 0)`` when the relations are not connected or the
-        cost reaches ``bound``."""
-        order, covered, p, cost = [], set(), self.rows[start], 0.0
+    def _greedy(self, start: int) -> list[int] | None:
+        """The greedy order from ``start``: each next relation is the
+        connected one with the smallest estimated intermediate. None when
+        the relations are not connected."""
+        order, covered, p = [], set(), self.rows[start]
         reach: dict[int, float] = {}  # relation -> selectivity of joining it now
 
         def cover(j: int) -> None:
@@ -397,7 +385,6 @@ class _JoinOrder:
         cover(start)
         for boundary, run in self.runs:
             if boundary is not None:
-                cost += p + self.rows[boundary]
                 cover(boundary)
             remaining = [i for i in run if i not in covered]
             while remaining:
@@ -410,14 +397,11 @@ class _JoinOrder:
                         if pick is None or new < pick[1]:
                             pick = (i, new)
                 if pick is None:
-                    return None, 0.0  # disconnected: leave it to the text's order
-                cost += p + self.rows[pick[0]]
-                if bound is not None and cost >= bound:
-                    return None, 0.0
+                    return None  # disconnected: leave it to the text's order
                 cover(pick[0])
                 remaining.remove(pick[0])
                 p = pick[1]
-        return order, cost
+        return order
 
     def _steps(self, order: list) -> list[tuple[int, float | None, float]]:
         """Per position of ``order``: the relation, the selectivity of its
@@ -547,6 +531,11 @@ class _SelectLowering:
         if not isinstance(stmt, A.SelectStmt):
             return _plan_query(self.shared, stmt)
         plan, scope, _corr = self._from_where(stmt, corr_scope=None)
+        return self._finish(plan, scope, stmt)
+
+    def _finish(self, plan: Q, scope: set, stmt: A.SelectStmt) -> Q:
+        """The block's SELECT list and aggregates, ORDER BY and LIMIT over
+        its FROM+WHERE ``plan``."""
         plan = self._project_and_aggregate(plan, scope, stmt)
         if stmt.order_by:
             out_cols = set(output_columns(plan.node, self.db))
@@ -610,10 +599,7 @@ class _SelectLowering:
                 rels.append(_Relation("inner", sub, tuple(on)))
                 text_columns += list(output_columns(sub.node, self.db))
         semis = [(how, sub, on) for how, sub, on in pending if how != "inner"]
-        # An attempt to correlate that finds no correlation is thrown
-        # away (its caller plans the subquery again): nothing to order.
-        discarded = corr_scope is not None and not corr
-        plan = None if discarded else _JoinOrder(self.shared, rels, semis, filters).plan()
+        plan = _JoinOrder(self.shared, rels, semis, filters).plan()
         if plan is None:  # nothing to choose: text order, subquery joins last
             plan = rels[0].plan
             for rel in rels[1:]:
@@ -663,16 +649,28 @@ class _SelectLowering:
     # -- subquery conjuncts ---------------------------------------------
 
     def _try_correlate(self, query: A.Node, outer_scope: set):
-        """Plan ``query``'s FROM+WHERE extracting correlation against
-        ``outer_scope``. Returns ``(child, plan, inner_scope, corr)`` or
-        None when the subquery is uncorrelated (or a UNION)."""
+        """Lower ``query`` once, extracting the equality conjuncts that
+        correlate it with ``outer_scope``. Returns ``(plan, corr, child,
+        inner_scope)``: when ``corr`` is non-empty, ``plan`` is the block's
+        FROM+WHERE for ``child`` to finish over ``inner_scope``; when it is
+        empty (an uncorrelated block or a UNION), ``plan`` is the finished
+        subquery."""
         if not isinstance(query, A.SelectStmt):
-            return None
+            return _plan_query(self.shared, query), [], None, None
         child = _SelectLowering(self.shared)
         plan, inner_scope, corr = child._from_where(query, corr_scope=outer_scope)
         if not corr:
-            return None
-        return child, plan, inner_scope, corr
+            plan = child._finish(plan, inner_scope, query)
+        return plan, corr, child, inner_scope
+
+    def _correlation_keys(self, corr: list) -> tuple[str, dict, list]:
+        """A fresh ``__subqN`` name, the correlation's inner columns
+        projected as ``__subqN_kI`` and their join pairs with the outer
+        columns."""
+        vname = f"__subq{self.shared.next_subq()}"
+        names = [f"{vname}_k{i}" for i in range(len(corr))]
+        return (vname, {name: col(inner) for name, (inner, _) in zip(names, corr)},
+                [(outer, name) for name, (_, outer) in zip(names, corr)])
 
     @staticmethod
     def _reject_block_clauses(sub: A.SelectStmt, what: str) -> None:
@@ -689,88 +687,65 @@ class _SelectLowering:
         if left_name not in scope:
             raise SqlError(f"column {left_name!r} is not in scope")
         how = "anti" if c.negated else "semi"
-        prep = self._try_correlate(c.query, scope)
-        if prep is None:
-            subplan = _plan_query(self.shared, c.query)
-            sub_cols = output_columns(subplan.node, self.db)
+        inner_plan, corr, child, inner_scope = self._try_correlate(c.query, scope)
+        if not corr:
+            sub_cols = output_columns(inner_plan.node, self.db)
             if len(sub_cols) != 1:
                 raise SqlError("IN subquery must produce exactly one column")
             pending.append(
-                (how, subplan.project(__sub=col(sub_cols[0])), [(left_name, "__sub")])
+                (how, inner_plan.project(__sub=col(sub_cols[0])), [(left_name, "__sub")])
             )
             return
-        child, inner_plan, inner_scope, corr = prep
         sub = c.query
         self._reject_block_clauses(sub, "IN")
         if len(sub.items) != 1 or sub.items[0].expr is None:
             raise SqlError("IN subquery must produce exactly one column")
         value = child._lower_expr(sub.items[0].expr, inner_scope)
-        n = self.shared.next_subq()
-        vname = f"__subq{n}"
-        proj = {vname: value}
-        on = [(left_name, vname)]
-        for i, (inner_col, outer_col) in enumerate(corr):
-            key = f"{vname}_k{i}"
-            proj[key] = col(inner_col)
-            on.append((outer_col, key))
-        pending.append((how, inner_plan.project(**proj), on))
+        vname, keys, on = self._correlation_keys(corr)
+        pending.append((how, inner_plan.project(**{vname: value}, **keys),
+                        [(left_name, vname), *on]))
 
     def _lower_exists(self, c: A.Exists, scope: set, pending: list,
                       filters: list) -> None:
-        prep = self._try_correlate(c.query, scope)
-        if prep is None:
-            subplan = _plan_query(self.shared, c.query)
-            counted = scalar(subplan.aggregate(by=[], __exists=agg.count_star()))
+        inner_plan, corr, _, _ = self._try_correlate(c.query, scope)
+        if not corr:
+            counted = scalar(inner_plan.aggregate(by=[], __exists=agg.count_star()))
             filters.append((counted == lit(0)) if c.negated else (counted > lit(0)))
             return
-        child, inner_plan, inner_scope, corr = prep
         if c.query.group_by or c.query.having is not None:
             raise SqlError("correlated EXISTS subquery cannot use GROUP BY/HAVING")
-        n = self.shared.next_subq()
-        proj = {}
-        on = []
-        for i, (inner_col, outer_col) in enumerate(corr):
-            key = f"__subq{n}_k{i}"
-            proj[key] = col(inner_col)
-            on.append((outer_col, key))
-        pending.append(("anti" if c.negated else "semi", inner_plan.project(**proj), on))
+        _, keys, on = self._correlation_keys(corr)
+        pending.append(("anti" if c.negated else "semi", inner_plan.project(**keys), on))
 
     def _corr_scalar_filter(self, c: A.Node, scope: set, pending: list) -> Expr | None:
-        """Decorrelate ``expr CMP (SELECT agg ... WHERE inner = outer)``:
-        aggregate the subquery grouped by its correlation keys, inner-join
-        it back, and compare against the joined value column."""
+        """Lower ``expr CMP (SELECT ...)``. A correlated aggregate is
+        decorrelated: the subquery is aggregated grouped by its correlation
+        keys, inner-joined back, and compared against the joined value
+        column. An uncorrelated subquery is a scalar subquery."""
         if not (isinstance(c, A.Binary) and c.op in _CMP_OPS):
             return None
         for sub_side, other_side in ((c.right, c.left), (c.left, c.right)):
             if not isinstance(sub_side, A.SubqueryExpr):
                 continue
-            prep = self._try_correlate(sub_side.query, scope)
-            if prep is None:
-                return None  # uncorrelated: ordinary expression lowering
-            child, inner_plan, inner_scope, corr = prep
-            sub = sub_side.query
-            self._reject_block_clauses(sub, "scalar")
-            if len(sub.items) != 1 or sub.items[0].expr is None:
-                raise SqlError("scalar subquery must produce exactly one column")
-            value = child._lower_expr(sub.items[0].expr, inner_scope, allow_aggs=True)
-            if not child._aggs:
-                raise SqlError("correlated scalar subquery must compute an aggregate")
-            keys = [inner_col for inner_col, _ in corr]
-            agg_plan = inner_plan.aggregate(by=keys, **child._aggs)
-            n = self.shared.next_subq()
-            vname = f"__subq{n}"
-            proj = {}
-            on = []
-            for i, (inner_col, outer_col) in enumerate(corr):
-                key = f"{vname}_k{i}"
-                proj[key] = col(inner_col)
-                on.append((outer_col, key))
-            proj[vname] = value
-            pending.append(("inner", agg_plan.project(**proj), on))
+            inner_plan, corr, child, inner_scope = self._try_correlate(sub_side.query, scope)
+            if corr:
+                sub = sub_side.query
+                self._reject_block_clauses(sub, "scalar")
+                if len(sub.items) != 1 or sub.items[0].expr is None:
+                    raise SqlError("scalar subquery must produce exactly one column")
+                value = child._lower_expr(sub.items[0].expr, inner_scope, allow_aggs=True)
+                if not child._aggs:
+                    raise SqlError("correlated scalar subquery must compute an aggregate")
+                agg_plan = inner_plan.aggregate(by=[inner for inner, _ in corr], **child._aggs)
+                vname, keys, on = self._correlation_keys(corr)
+                pending.append(("inner", agg_plan.project(**keys, **{vname: value}), on))
+                value = col(vname)
+            else:
+                value = self._scalar(inner_plan)
             other = self._lower_expr(other_side, scope)
             if sub_side is c.right:
-                return Cmp(_CMP_OPS[c.op], other, col(vname))
-            return Cmp(_CMP_OPS[c.op], col(vname), other)
+                return Cmp(_CMP_OPS[c.op], other, value)
+            return Cmp(_CMP_OPS[c.op], value, other)
         return None
 
     # -- projection + aggregation ---------------------------------------
@@ -840,7 +815,8 @@ class _SelectLowering:
                     needed |= spec.expr.references()
             for e in pre_project.values():
                 needed |= e.references()
-            keep = {name: col(name) for name in needed & scope}
+            # Sorted: a set of names iterates in an order the hash seed picks.
+            keep = {name: col(name) for name in sorted(needed & scope)}
             keep.update({g: col(g) for g in group_names if g in scope})
             keep.update(pre_project)
             plan = plan.project(**keep)
@@ -956,12 +932,13 @@ class _SelectLowering:
                 return self._register_agg(agg.count_distinct(arg))
             return self._register_agg(_AGG_BUILDERS[node.func](arg))
         if isinstance(node, A.SubqueryExpr):
-            subplan = _plan_query(self.shared, node.query)
-            sub_cols = output_columns(subplan.node, self.db)
-            if len(sub_cols) != 1:
-                raise SqlError("scalar subquery must produce exactly one column")
-            return scalar(subplan)
+            return self._scalar(_plan_query(self.shared, node.query))
         raise SqlError(f"cannot lower expression {type(node).__name__}")
+
+    def _scalar(self, subplan: Q) -> Expr:
+        if len(output_columns(subplan.node, self.db)) != 1:
+            raise SqlError("scalar subquery must produce exactly one column")
+        return scalar(subplan)
 
     def _lower_binary(self, node: A.Binary, scope: set, allow_aggs: bool,
                       alias_map: dict[str, Expr] | None,
@@ -1020,19 +997,20 @@ def plan_statement(db: Database, stmt: A.Node, literals: list | None = None,
                    orders: list | None = None) -> Q:
     """Lower an already-parsed syntax tree onto an engine plan.
 
-    When given, ``literals`` records every literal node lowered as
-    ``(syntax node, Literal, read)``: ``read`` when a join-order estimate
-    read the literal's value, so another value may plan another order.
-    ``orders`` records each estimated block's decision, in planning
-    order: the plan is the same function of its literals as long as
-    these decisions are.
+    When given, ``literals`` records every literal node lowered into the
+    plan as ``(syntax node, Literal)``, and ``orders`` each join-order
+    decision of an estimated block (None when it kept the text's order),
+    in planning order. The estimates read literal values, so the plan is
+    the same function of its literals only as long as these decisions
+    are.
     """
-    shared = _Shared(db, stmt, orders)
+    shared = _Shared(db, stmt)
     plan = _plan_query(shared, stmt)
-    read = shared.remember()
+    shared.remember()
     if literals is not None:
-        literals.extend((node, literal, id(literal) in read)
-                        for node, literal in shared.literals)
+        literals.extend(shared.literals)
+    if orders is not None:
+        orders.extend(shared.decisions)
     return plan
 
 

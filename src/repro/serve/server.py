@@ -166,17 +166,15 @@ class _Prepared:
     tokens a hit must repeat (``fixed``), and the ones it re-binds
     (``slots``: token index, syntax class, planned Literal) with the
     plan links from the root down to them (``program``, children first).
-    ``orders`` is the planner's join-order record of the trip, and
-    ``checked`` the slot Literals a join-order estimate read: a new value
-    of one of those re-binds only while the planner, re-run on the
-    request, still records the same orders.
+    ``orders`` is the planner's join-order record of the trip: when it
+    holds a decision, new slot values re-bind only while the planner,
+    re-run on the request, still records the same orders.
     """
 
     catalog: object
     cubes: int
     fixed: tuple
     slots: tuple
-    checked: frozenset
     orders: tuple
     program: tuple
     plan: PlanNode
@@ -188,8 +186,8 @@ class _Prepared:
         a trip of its own (another catalog, another fixed literal, a
         join order the new values change). ``orders()`` plans the
         request and returns its join-order record; it runs only when a
-        checked slot changed. Raises what lowering a fresh slot literal
-        raises."""
+        slot changed and the trip recorded a join-order decision. Raises
+        what lowering a fresh slot literal raises."""
         if self.catalog is not catalog or self.cubes != cubes:
             return None
         if any(tokens[index].value != value for index, value in self.fixed):
@@ -201,7 +199,7 @@ class _Prepared:
                 fresh[id(old)] = new
         if not fresh:
             return self.plan
-        if not self.checked.isdisjoint(fresh) and orders() != self.orders:
+        if self.orders and orders() != self.orders:
             return None
         for node, links in self.program:
             changes = {name: fresh[id(child)] for name, child in links if id(child) in fresh}
@@ -281,29 +279,26 @@ def _literal_sites(plan: PlanNode, shapes) -> tuple[set, set, list]:
 
 def _prepared(tokens, literals, orders, plan, shapes, decisions, state) -> _Prepared:
     """Analyze one successful trip of a SQL request (``literals``: the
-    planner's ``(syntax node, Literal, read)`` record, ``orders`` its
+    planner's ``(syntax node, Literal)`` record, ``orders`` its
     join-order record) into its entry.
 
     A literal token is a slot when some Literal planned from it reaches
     the routed plan and every one that does is free: then no optimizer,
     router or miner decision read its value — they read a predicate
     only through ``references()`` — and re-lowering it is all a new
-    value needs, as long as the join orders the planner's estimates
-    chose from it (``read``) stay the same. Every other literal token
-    is fixed.
+    value needs, as long as the planner's join orders, which its
+    estimates may have chosen from any literal, stay the same. Every
+    other literal token is fixed.
     """
     free, bound, order = _literal_sites(plan, shapes)
     index = {t.position: i for i, t in enumerate(tokens) if t.kind in _LITERAL_KINDS}
-    planned = [(index.get(node.position), type(node), literal, read)
-               for node, literal, read in literals]
-    fixed_at = {i for i, _, literal, _ in planned if id(literal) in bound}
+    planned = [(index.get(node.position), type(node), literal)
+               for node, literal in literals]
+    fixed_at = {i for i, _, literal in planned if id(literal) in bound}
     slots = tuple(
-        (i, syntax, literal) for i, syntax, literal, _ in planned
+        (i, syntax, literal) for i, syntax, literal in planned
         if i is not None and i not in fixed_at and id(literal) in free
     )
-    slot_ids = {id(literal) for _, _, literal in slots}
-    checked = frozenset(id(literal) for _, _, literal, read in planned
-                        if read and id(literal) in slot_ids)
     hot = {id(literal) for _, _, literal in slots}
     program = []
     for node, links in order:
@@ -316,7 +311,7 @@ def _prepared(tokens, literals, orders, plan, shapes, decisions, state) -> _Prep
         (i, t.value) for i, t in enumerate(tokens)
         if t.kind in _LITERAL_KINDS and i not in slotted
     )
-    return _Prepared(*state, fixed, slots, checked, tuple(orders), tuple(program),
+    return _Prepared(*state, fixed, slots, tuple(orders), tuple(program),
                      plan, tuple(shapes), tuple(decisions))
 
 
@@ -605,10 +600,11 @@ class QueryServer:
         stream with every NUMBER/STRING value lifted out; a request whose
         shape was prepared under the same catalog, and whose fixed
         literals repeat, re-lowers only its slot literals and rebuilds
-        the plan from them to the root (:meth:`_Prepared.bind`). A slot
-        whose value priced a join order also re-runs the planner, and
-        re-binds only when the orders it picks are the shape's. It then
-        re-records the shape's mined shapes and routing decisions.
+        the plan from them to the root (:meth:`_Prepared.bind`). When the
+        shape's trip made a join-order decision, new values also re-run
+        the planner, and re-bind only when the orders it picks are the
+        shape's. It then re-records the shape's mined shapes and routing
+        decisions.
         Anything else — a new shape, a catalog that gained cubes, a slot
         literal that does not lower, a value that re-orders a join —
         takes the trip, which alone decides what the request answers or
@@ -639,7 +635,7 @@ class QueryServer:
         state = (catalog, len(catalog) if catalog is not None else 0)
         with self._prepared_lock:
             entry = self._prepared.get(key)
-        try:  # outside the lock: a checked slot re-plans the request
+        try:  # outside the lock: a join-order decision re-plans the request
             plan = None if entry is None else entry.bind(
                 tokens, *state, lambda: self._join_orders(text))
         except Exception:

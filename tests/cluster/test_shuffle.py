@@ -79,6 +79,17 @@ class TestQ13Distribution:
     def test_shuffle_volume_decreases_per_node(self, keyed):
         assert keyed[24].run_query(13).shuffle_seconds < keyed[4].run_query(13).shuffle_seconds
 
+    def test_every_replica_receives_the_shuffle(self, tpch_db, keyed):
+        """Under replication r each partition goes to its r holders, so
+        each node sends r copies of its share."""
+        single = keyed[4].run_query(13)
+        paired = WimPiCluster(4, base_sf=0.01, target_sf=10.0, db=tpch_db,
+                              partition_keys=Q13_KEYS, replication=2).run_query(13)
+        latency = keyed[4].network.message_latency_s
+        assert not paired.run.single_node
+        assert paired.shuffle_seconds - latency == pytest.approx(
+            2 * (single.shuffle_seconds - latency))
+
 
 class TestOtherQueries:
     def test_q3_correct_under_custkey_partitioning(self, tpch_db, tpch_params, keyed):

@@ -10,8 +10,11 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import itertools
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +23,12 @@ from repro.engine import Column, Database, Table, col, execute
 from repro.engine.estimate import SAMPLE_ROWS, UNPRICED, Estimator, sample_indices
 from repro.engine.fingerprint import plan_fingerprint
 from repro.engine.plan import JoinNode, Q, ScanNode, agg
+import repro
 from repro.engine.sql import SqlError, sql
+from repro.engine.sql import ast as A
 from repro.engine.sql.parser import parse_statement
 from repro.engine.sql.planner import plan_statement
-from repro.tpch.sqltext import sql_text
+from repro.tpch.sqltext import SQL_QUERY_NUMBERS, sql_text
 
 from ..tpch import sqlite_oracle
 
@@ -103,13 +108,6 @@ class TestEstimator:
         having = grouped.filter(col("n") > 12)
         assert est.rows(having.node) == pytest.approx(groups * UNPRICED)
 
-    def test_sampled_literals_are_recorded(self):
-        db = _db()
-        est = Estimator(db)
-        pred = col("f_x") < 37
-        est.filtered_rows(_scan(db, "fact"), [pred])
-        assert id(pred.right) in est.read_literals()
-
 
 # -- plans -----------------------------------------------------------------
 
@@ -120,6 +118,19 @@ def _joins(node):
 
 def _tables(node):
     return {n.table for n in node.walk() if isinstance(n, ScanNode)}
+
+
+def _select_blocks(stmt) -> int:
+    """How many SELECT blocks a syntax tree holds."""
+    blocks, stack = 0, [stmt]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, A.Node):
+            blocks += isinstance(node, A.SelectStmt)
+            stack.extend(vars(node).values())
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+    return blocks
 
 
 def _first_join(node) -> JoinNode:
@@ -169,6 +180,49 @@ class TestPlanShape:
             prints.add(plan_fingerprint(plan))
             valid += 1
         assert valid > 1 and len(prints) == 1
+
+    def test_plans_do_not_depend_on_the_hash_seed(self):
+        """Two interpreters with different string hashes plan the 22
+        texts alike (a set's iteration order must not reach a plan)."""
+        script = (
+            "from repro.engine.fingerprint import plan_fingerprint\n"
+            "from repro.engine.sql import sql\n"
+            "from repro.tpch import generate\n"
+            "from repro.tpch.sqltext import SQL_QUERY_NUMBERS, sql_text\n"
+            "db = generate(0.01, seed=42)\n"
+            "for n in SQL_QUERY_NUMBERS:\n"
+            "    print(n, plan_fingerprint(sql(db, sql_text(n, {'sf': 0.01}))))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        prints = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=300, check=True)
+            prints.append(run.stdout.splitlines())
+        assert len(prints[0]) == len(SQL_QUERY_NUMBERS)
+        assert prints[0] == prints[1]
+
+    def test_each_select_block_is_lowered_once(self, tpch_db, tpch_params, monkeypatch):
+        """Planning the 22 texts lowers each SELECT block's FROM+WHERE
+        once: an uncorrelated subquery finishes the lowering it tried to
+        correlate instead of planning the block again."""
+        planner = importlib.import_module("repro.engine.sql.planner")
+        from_where, calls = planner._SelectLowering._from_where, []
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return from_where(self, *args, **kwargs)
+
+        monkeypatch.setattr(planner._SelectLowering, "_from_where", counted)
+        blocks = 0
+        for number in SQL_QUERY_NUMBERS:
+            stmt = parse_statement(sql_text(number, tpch_params))
+            blocks += _select_blocks(stmt)
+            plan_statement(tpch_db, stmt)
+        assert len(calls) == blocks == 46
+        assert len({id(block) for block in calls}) == blocks
 
     def test_select_star_keeps_text_column_order(self, tpch_db):
         text = ("SELECT * FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
@@ -276,18 +330,17 @@ def counted_estimators(monkeypatch):
 
 
 def _planned(db, text):
-    literals, orders = [], []
-    plan = plan_statement(db, parse_statement(text), literals, orders)
-    read = [(node.position, is_read) for node, _literal, is_read in literals]
-    return plan_fingerprint(plan), read, orders
+    orders = []
+    plan = plan_statement(db, parse_statement(text), orders=orders)
+    return plan_fingerprint(plan), orders
 
 
 class TestRememberedDecisions:
     def test_a_statement_planned_again_replays_its_decisions(self, counted_estimators):
         db = _db()
         first = _planned(db, _SEMI_TEXT)
-        assert first[2] and any(is_read for _, is_read in first[1])
-        assert _planned(db, _SEMI_TEXT) == first  # plan, read literals, orders
+        assert first[1]
+        assert _planned(db, _SEMI_TEXT) == first  # plan, orders
         assert len(counted_estimators) == 1
 
     def test_another_literal_is_another_statement(self, counted_estimators):
