@@ -5,7 +5,9 @@ plan — one sticky node failure plus one straggler — and replication 2,
 every one of the 22 TPC-H queries must still match the committed
 fault-free goldens, and the whole run must stay inside a wall-clock
 budget (injected hangs and backoffs never sleep, so chaos runs at test
-speed).
+speed). The same plan then runs through a ``WimPiCluster``, whose own
+clock prices every attempt: the goldens still hold, and no query's
+modeled total comes in under the clean replication-2 cluster's.
 
 Run::
 
@@ -26,6 +28,7 @@ from repro.cluster import (
     InjectedFault,
     RecoveryPolicy,
     ResilientDriver,
+    WimPiCluster,
     replicate_database,
 )
 from repro.tpch import ALL_QUERY_NUMBERS, generate, get_query
@@ -62,6 +65,16 @@ def _numeric_sum(rows) -> float:
     return total
 
 
+def _assert_golden(number, run):
+    expected = GOLDEN[str(number)]
+    assert run.coverage == 1.0, f"Q{number}: lost data under the smoke plan"
+    assert len(run.result) == expected["rows"], f"Q{number}: row count"
+    assert run.result.column_names == expected["columns"], f"Q{number}: columns"
+    assert _numeric_sum(run.result.rows) == pytest.approx(
+        expected["numeric_sum"], rel=1e-6, abs=0.02
+    ), f"Q{number}: checksum"
+
+
 def test_chaos_smoke(output_dir):
     db = generate(SMOKE_SF, seed=SMOKE_SEED)
     layout = replicate_database(db, N_NODES, replication=REPLICATION)
@@ -72,13 +85,7 @@ def test_chaos_smoke(output_dir):
     events = 0
     for number in ALL_QUERY_NUMBERS:
         run = driver.run(get_query(number), {"sf": SMOKE_SF})
-        expected = GOLDEN[str(number)]
-        assert run.coverage == 1.0, f"Q{number}: lost data under the smoke plan"
-        assert len(run.result) == expected["rows"], f"Q{number}: row count"
-        assert run.result.column_names == expected["columns"], f"Q{number}: columns"
-        assert _numeric_sum(run.result.rows) == pytest.approx(
-            expected["numeric_sum"], rel=1e-6, abs=0.02
-        ), f"Q{number}: checksum"
+        _assert_golden(number, run)
         events += len(run.recovery.events)
         lines.append(
             f"Q{number:>2}: coverage {run.coverage:.3f}, "
@@ -92,4 +99,20 @@ def test_chaos_smoke(output_dir):
 
     lines += ["", f"all 22 queries match goldens; wall clock {wall:.2f}s "
               f"(budget {WALL_BUDGET_S:.0f}s), {events} recovery events total"]
+
+    # The cluster's clock: the same plan, every attempt priced at SF 10.
+    kwargs = dict(base_sf=SMOKE_SF, db=db, replication=REPLICATION)
+    chaos = WimPiCluster(N_NODES, fault_plan=SMOKE_PLAN, **kwargs)
+    clean = WimPiCluster(N_NODES, **kwargs)
+    lines += ["", f"WimPiCluster({N_NODES}, replication={REPLICATION}) at SF "
+              f"{chaos.target_sf:g} modeled: clean vs smoke-plan total seconds"]
+    for number in ALL_QUERY_NUMBERS:
+        run = chaos.run_query(number)
+        _assert_golden(number, run)
+        clean_s = clean.run_query(number).total_seconds
+        assert run.total_seconds >= clean_s, f"Q{number}: faults made it faster"
+        lines.append(
+            f"Q{number:>2}: clean {clean_s:.3f}s, chaos {run.total_seconds:.3f}s, "
+            f"{len(run.recovery_log.events)} recovery events"
+        )
     write_artifact(output_dir, "chaos_smoke", "\n".join(lines))

@@ -388,9 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         if replication is None:
             replication = 2 if args.chaos else 1
         resilient = args.chaos or replication > 1
-        if resilient and args.nam:
-            print("--chaos / --replication are not supported with --nam")
-            return 2
         cluster_cls = NamCluster if args.nam else WimPiCluster
         kwargs = {}
         fault_plan = None
@@ -426,16 +423,16 @@ def main(argv: list[str] | None = None) -> int:
         if fault_plan is not None:
             print(f"  {fault_plan.describe()}")
         print(f"  wall-clock: {run.total_seconds:.3f} s")
-        if hasattr(run, "offloaded_nodes") and run.offloaded_nodes:
-            print(f"  offloaded fragments: {len(run.offloaded_nodes)} -> memory server")
-        base = run.base if hasattr(run, "base") else run
-        if base.node_pressure:
-            print(f"  max node pressure: {max(base.node_pressure):.2f}")
-        print(f"  gather: {base.gather_seconds:.3f} s, merge: {base.merge_seconds:.3f} s")
+        offloaded = cluster.offloaded(run) if args.nam else []
+        if offloaded:
+            print(f"  offloaded fragments: {len(offloaded)} -> memory server")
+        if run.node_pressure:
+            print(f"  max node pressure: {max(run.node_pressure):.2f}")
+        print(f"  gather: {run.gather_seconds:.3f} s, merge: {run.merge_seconds:.3f} s")
         if resilient:
-            print(f"  recovery overhead: {base.recovery_seconds:.3f} s "
-                  f"(coverage {base.coverage:.3f})")
-            print(base.run.report())
+            print(f"  recovery overhead: {run.recovery_seconds:.3f} s "
+                  f"(coverage {run.coverage:.3f})")
+            print(run.run.report())
         result = run.result
         if result is None:
             print("  result: NONE (all replicas exhausted; coverage 0)")

@@ -2,7 +2,7 @@
 memory model, and the cluster facade."""
 
 from .cluster import ClusterQueryRun, WimPiCluster, thrash_multiplier
-from .nam import NamCluster, NamQueryRun
+from .nam import NamCluster
 from .distplan import (
     NotDistributableError,
     SplitPlan,
@@ -47,7 +47,7 @@ from .reliability import (
 
 __all__ = [
     "ClusterQueryRun", "MemoryModel",
-    "NamCluster", "NamQueryRun", "MemoryOutcome", "NodeUnresponsiveError",
+    "NamCluster", "MemoryOutcome", "NodeUnresponsiveError",
     "QueryOutOfMemoryError", "SwapPolicy", "classify_pressure", "reliability_report",
     "PowerPolicy", "QueryArrival", "SimulationResult", "WorkloadSimulator",
     "poisson_workload", "FRAMEWORKS", "Framework", "feasible_cluster_size",

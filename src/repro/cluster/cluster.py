@@ -6,14 +6,18 @@ Pi nodes, really executes queries through the distributed driver (so
 results are checkable), and predicts the wall-clock the paper's physical
 cluster would show at the nominal SF:
 
-    total = max over nodes(node compute x thrash multiplier + recovery)
+    total = max over shards(recovery charges
+                            + compute x thrash multiplier x slowdown)
             + sequential gather of partials over the 220 Mbps links
             + driver-side merge
 
 and, next to the total, the time a layout other than the paper's would
 take to get there: ``shuffle_seconds`` repartitions the partitioned
 tables' referenced columns across the links (§II-D2's deferred
-distributed joins).
+distributed joins). One clock prices the node phase:
+:meth:`WimPiCluster._price` gives each attempt the seconds its node pays
+at the target SF, and the driver derives every recovery charge from
+those same seconds.
 
 The thrash multiplier reproduces Table III's 4-node cliff: once a node's
 working set exceeds its ~850 MB of usable memory, the microSD-backed
@@ -25,7 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.engine import Database, WorkProfile
 from repro.engine.optimizer import prune_columns
+from repro.engine.plan import PlanNode
 from repro.hardware import EnergyModel, PerformanceModel, PLATFORMS, PI_KEY
 from repro.tpch import generate, get_query
 
@@ -174,7 +180,7 @@ class WimPiCluster:
             self.layout,
             fault_plan=fault_plan,
             policy=recovery,
-            perf=self.perf,
+            price=self._price,
             network=self.network,
             tracer=tracer,
         )
@@ -219,47 +225,38 @@ class WimPiCluster:
                     raise NodeUnresponsiveError(i, pressure)
         return modeled
 
+    def _price(
+        self, node: int, db: Database, plan: PlanNode, profile: WorkProfile
+    ) -> tuple[float, float, bool]:
+        """Modeled seconds and memory pressure of one attempt of ``plan``
+        on ``node`` over ``db``, and whether the node itself ran it
+        (always, here): the measured profile scaled to the target SF,
+        predicted on the node's platform and multiplied by the thrash
+        its pressure causes. The driver prices every attempt with this
+        and charges its recovery actions on the same clock."""
+        spec = self.node_spec(node)
+        scaled = profile.scaled(self.scale)
+        ratio = MemoryModel(spec).pressure_ratio(
+            db, prune_columns(plan, db), scaled, self.scale
+        )
+        seconds = self.perf.predict(scaled, spec.platform, spec.platform.total_cores)
+        return seconds * thrash_multiplier(ratio), ratio, True
+
     def _model(self, run: ResilientRun) -> ClusterQueryRun:
-        """Wall-clock model of one execution: per-fragment compute with
-        thrash multipliers, plus every recovery charge — backoff waits,
-        paid timeouts, abandoned attempts, speculative copies — scaled
-        to the target SF so Table III-style numbers stay honest under
-        faults. A single-node run is one fragment over the full catalog
-        on the node that answered, with nothing to gather or merge."""
+        """Wall-clock model of one execution, assembled from what the
+        driver priced: each shard's modeled completion (its winner's
+        seconds plus every recovery charge — backoff waits, paid
+        timeouts, abandoned attempts, speculative copies), then gather,
+        merge, shuffle and energy. A single-node run is one fragment
+        over the full catalog on the node that answered, with nothing to
+        gather or merge."""
         layout = run.layout
-        pruned_local = prune_columns(run.local_plan, layout.node_dbs[0])
-        outcome_by_shard = {o.shard: o for o in run.shard_outcomes}
-        node_seconds: list[float] = []
-        base_seconds: list[float] = []
-        node_pressure: list[float] = []
-        for shard, host, profile in zip(
-            run.covered_shards, run.exec_nodes, run.node_profiles
-        ):
-            spec = self.node_spec(host)
-            scaled = profile.scaled(self.scale)
-            ratio = MemoryModel(spec).pressure_ratio(
-                layout.db_for(shard, host), pruned_local, scaled, self.scale
-            )
-            seconds = self.perf.predict(
-                scaled, spec.platform, spec.platform.total_cores
-            )
-            outcome = outcome_by_shard[shard]
-            compute = seconds * thrash_multiplier(ratio)
-            base_seconds.append(compute)
-            node_seconds.append(
-                compute
-                + outcome.overhead_scaled_s * self.scale
-                + outcome.overhead_fixed_s
-            )
-            node_pressure.append(ratio)
-        for outcome in run.shard_outcomes:
-            if not outcome.covered:
-                # Nothing answered: the driver still paid for the chain
-                # of timeouts before giving up.
-                node_seconds.append(
-                    outcome.overhead_scaled_s * self.scale
-                    + outcome.overhead_fixed_s
-                )
+        covered = [o for o in run.shard_outcomes if o.covered]
+        # A shard nothing answered still paid its chain of timeouts.
+        node_seconds = [o.completion_s for o in covered] + [
+            o.completion_s for o in run.shard_outcomes if not o.covered
+        ]
+        node_pressure = [o.winner.pressure for o in covered]
         # Partial results do not grow with SF (they are aggregates), so
         # gather/merge use the measured sizes directly.
         gather = self.network.gather_time(run.partial_bytes_per_node)
@@ -269,13 +266,15 @@ class WimPiCluster:
             else 0.0
         )
         slowest = max(node_seconds) if node_seconds else 0.0
-        slowest_clean = max(base_seconds) if base_seconds else 0.0
+        slowest_clean = max((o.winner.estimate_s for o in covered), default=0.0)
         total = slowest + gather + merge
         # Repartitioning from another layout: all nodes send at once,
         # each holding 1/N of every partitioned table and keeping 1/N
         # of it, so each sends bytes/N x (N-1)/N over its own link, once
         # per replica: every partition goes to its r holders.
-        referenced = collect_scan_columns(pruned_local)
+        referenced = collect_scan_columns(
+            prune_columns(run.local_plan, layout.node_dbs[0])
+        )
         shuffled = 0.0
         for name in layout.partition_keys:
             if name not in referenced:

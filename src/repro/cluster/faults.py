@@ -28,16 +28,23 @@ Fault kinds:
   :class:`TransientNetworkError`, then the node recovers (retryable).
 * ``straggler`` — attempts succeed but report a modeled ``slowdown``
   (e.g. a node paging lightly or thermally throttled).
+
+``oom``, ``hang`` and ``drop`` strike the node as it takes the request,
+before its fragment runs and so before anything decides where the
+fragment's work is done: they apply to a NAM cluster's nodes as to a
+plain one's. A straggler's slowdown is the node's own slowness, so it
+does not apply to a fragment a NAM memory server ran.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.engine import Database, Executor, Frame, WorkProfile
 from repro.engine.plan import PlanNode
-from repro.hardware import PLATFORMS, PI_KEY, PerformanceModel, PlatformSpec
+from repro.hardware import PLATFORMS, PI_KEY, PerformanceModel
 from repro.obs.metrics import metrics
 
 from .reliability import NodeUnresponsiveError, QueryOutOfMemoryError
@@ -186,14 +193,25 @@ class FaultPlan:
         return f"fault plan{seed}: " + "; ".join(parts)
 
 
+def _measured_pi_price(
+    node: int, db: Database, plan: PlanNode, profile: WorkProfile
+) -> tuple[float, float, bool]:
+    """A bare driver's clock, for driving it without a cluster (tests,
+    the chaos smoke): the measured profile as-is on one Pi 3B+, with no
+    memory model (pressure 0.0). A cluster passes its own
+    :meth:`~repro.cluster.cluster.WimPiCluster._price` instead."""
+    pi = PLATFORMS[PI_KEY]
+    return PerformanceModel().predict(profile, pi, pi.total_cores), 0.0, True
+
+
 @dataclass
 class NodeAttempt:
     """One successful execution attempt and its modeled cost.
 
-    ``estimate_s`` is the PerformanceModel's Pi-seconds for the attempt's
-    measured profile; ``simulated_s`` additionally pays any injected
-    straggler slowdown. Both are modeled time — real wall-clock stays at
-    test speed.
+    ``estimate_s`` and ``pressure`` are the attempt's price on the
+    driver's clock; ``simulated_s`` additionally
+    pays any injected straggler slowdown. Both are modeled time — real
+    wall-clock stays at test speed.
     """
 
     node: int
@@ -202,6 +220,7 @@ class NodeAttempt:
     frame: Frame
     profile: WorkProfile
     estimate_s: float
+    pressure: float
     slowdown: float = 1.0
 
     @property
@@ -212,6 +231,12 @@ class NodeAttempt:
 class FaultingNode:
     """Per-node execution wrapper that consults the fault plan.
 
+    Each successful attempt is priced once, by ``price`` — ``(node, db,
+    plan, profile) -> (seconds, pressure, on_node)``. ``on_node`` is
+    False when the fragment ran off the node (a NAM memory server): a
+    straggler's slowdown is the node's own slowness, so it applies only
+    to fragments the node ran.
+
     The wrapper is stateless across calls (safe to share between pool
     threads); attempt indices are supplied by the driver so that
     ``drop`` faults can distinguish first tries from retries.
@@ -221,13 +246,11 @@ class FaultingNode:
         self,
         node: int,
         fault_plan: FaultPlan | None = None,
-        perf: PerformanceModel | None = None,
-        platform: PlatformSpec | None = None,
+        price: Callable[..., tuple[float, float, bool]] = _measured_pi_price,
     ):
         self.node = node
         self.fault = (fault_plan or FaultPlan.none()).fault_for(node)
-        self.perf = perf or PerformanceModel()
-        self.platform = platform or PLATFORMS[PI_KEY]
+        self.price = price
 
     def execute(
         self,
@@ -255,10 +278,12 @@ class FaultingNode:
         result = Executor(db, tracer=tracer).execute(
             plan, label=f"node{self.node}", parent_span=parent_span
         )
-        estimate = self.perf.predict(
-            result.profile, self.platform, self.platform.total_cores
+        estimate, pressure, on_node = self.price(self.node, db, plan, result.profile)
+        slowdown = (
+            fault.slowdown
+            if on_node and fault is not None and fault.kind == "straggler"
+            else 1.0
         )
-        slowdown = fault.slowdown if fault is not None and fault.kind == "straggler" else 1.0
         return NodeAttempt(
             node=self.node,
             shard=shard,
@@ -266,5 +291,6 @@ class FaultingNode:
             frame=result.frame,
             profile=result.profile,
             estimate_s=estimate,
+            pressure=pressure,
             slowdown=slowdown,
         )

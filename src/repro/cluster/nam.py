@@ -16,42 +16,27 @@ normalizations remain honest for the hybrid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.engine.optimizer import prune_columns
+from repro.engine import Database, WorkProfile
+from repro.engine.plan import PlanNode
 from repro.hardware import PLATFORMS, PlatformSpec
-from repro.tpch import get_query
 
-from .cluster import ClusterQueryRun, WimPiCluster, thrash_multiplier
+from .cluster import ClusterQueryRun, WimPiCluster
 from .network import NetworkModel
 
-__all__ = ["NamCluster", "NamQueryRun"]
+__all__ = ["NamCluster"]
 
 # The memory server sits on the switch with a real GbE port (no USB bus),
 # so transfers run at ~940 Mbps usable.
 _SERVER_LINK = NetworkModel(bandwidth_mbps=940.0, message_latency_s=0.0015)
 
 
-@dataclass
-class NamQueryRun:
-    """A hybrid execution: where each fragment ran and the wall-clock."""
-
-    base: ClusterQueryRun
-    offloaded_nodes: list[int]
-    server_seconds: float
-    total_seconds: float
-
-    @property
-    def result(self):
-        return self.base.result
-
-    @property
-    def offloaded(self) -> bool:
-        return bool(self.offloaded_nodes)
-
-
 class NamCluster(WimPiCluster):
     """A WIMPI cluster plus one memory server.
+
+    It runs on the cluster's one runtime and returns its
+    :class:`~repro.cluster.cluster.ClusterQueryRun`; only the price of
+    an attempt differs (:meth:`_price`), and :meth:`offloaded` names the
+    fragments the server ran.
 
     Args:
         memory_server: platform hosting the pool (default op-e5).
@@ -73,36 +58,28 @@ class NamCluster(WimPiCluster):
         )
         self.offload_threshold = offload_threshold
 
-    def run_query(self, number: int, params: dict | None = None) -> NamQueryRun:  # type: ignore[override]
-        query = get_query(number)
-        params = dict(params or {})
-        params.setdefault("sf", self.base_sf)
-        base = super().run_query(number, params)
+    def _price(
+        self, node: int, db: Database, plan: PlanNode, profile: WorkProfile
+    ) -> tuple[float, float, bool]:
+        """A fragment that would thrash its Pi is offloaded: the server
+        executes it at its own speed on pool-resident data (no thrash),
+        then ships the fragment result back over its GbE link. The
+        pressure stays the Pi's, which is what marks it offloaded."""
+        seconds, pressure, _ = super()._price(node, db, plan, profile)
+        if pressure <= self.offload_threshold:
+            return seconds, pressure, True
+        scaled = profile.scaled(self.scale)
+        fragment = self.perf.predict(scaled, self.memory_server)
+        transfer = _SERVER_LINK.transfer_time(scaled.result_bytes)
+        return fragment + transfer, pressure, False
 
-        offloaded: list[int] = []
-        node_seconds = list(base.node_seconds)
-        server_seconds = 0.0
-        profiles = [p.scaled(self.scale) for p in base.run.node_profiles]
-        for i, (pressure, profile) in enumerate(zip(base.node_pressure, profiles)):
-            if pressure <= self.offload_threshold:
-                continue
-            # Offload: the server executes the fragment at its own speed
-            # on pool-resident data (no thrash), then ships the fragment
-            # result back over its GbE link.
-            fragment = self.perf.predict(profile, self.memory_server)
-            result_bytes = profile.result_bytes
-            transfer = _SERVER_LINK.transfer_time(result_bytes)
-            node_seconds[i] = fragment + transfer
-            server_seconds += fragment
-            offloaded.append(i)
-
-        total = max(node_seconds) + base.gather_seconds + base.merge_seconds
-        return NamQueryRun(
-            base=base,
-            offloaded_nodes=offloaded,
-            server_seconds=server_seconds,
-            total_seconds=total,
-        )
+    def offloaded(self, run: ClusterQueryRun) -> list[int]:
+        """Indices into ``run.node_pressure`` of the fragments the memory
+        server ran."""
+        return [
+            i for i, pressure in enumerate(run.node_pressure)
+            if pressure > self.offload_threshold
+        ]
 
     # ------------------------------------------------------------------
     # Honest cost/energy accounting for the hybrid

@@ -9,8 +9,8 @@ layout with no fault plan that is all it does. It is also the runtime
 the paper's reliability findings (§III-C4) call for: per-shard
 execution fans out on a thread pool, transient faults are retried with
 capped exponential backoff, unresponsive nodes are abandoned after a
-timeout derived from the :class:`~repro.hardware.PerformanceModel`
-estimate, stragglers past a latency threshold get a speculative copy on
+timeout derived from the modeled seconds of the successful attempts,
+stragglers past a latency threshold get a speculative copy on
 a buddy replica, and shards lost with their primaries are recovered
 from replicas (:func:`~repro.cluster.partition.replicate_database`).
 Only when every replica of a shard is exhausted does the driver degrade
@@ -19,12 +19,16 @@ fraction < 1 and a per-shard outcome report instead of a crash.
 
 Two clocks are in play. *Wall clock*: execution is real (results are
 checkable bit-for-bit against single-node runs) and fast — injected
-hangs and backoff waits never sleep. *Modeled clock*: every recovery
-action — backoff waits, abandoned attempts, paid timeouts, speculative
-duplicates — is charged in PerformanceModel Pi-seconds and lands in the
-:class:`RecoveryLog`, so Table III-style wall-clock numbers stay honest
-under faults. Given the same fault plan the run is fully deterministic:
-same events, same charges, bit-identical results.
+hangs and backoff waits never sleep. *Modeled clock*: each successful
+attempt is priced once, by the driver's ``price`` hook — a
+:class:`~repro.cluster.cluster.WimPiCluster` passes its own (the
+target SF on the node's platform, with thrash); a bare driver, as
+tests drive it, prices the measured profile on one Pi — and every recovery action (backoff
+waits, abandoned attempts, paid timeouts, speculative duplicates) is
+charged on that same clock and lands in the :class:`RecoveryLog`, so
+Table III-style wall-clock numbers stay honest under faults. Given the
+same fault plan the run is fully deterministic: same events, same
+charges, bit-identical results.
 
 A query that cannot be distributed over the layout — no partitioned
 table in it (the paper's Q13 on its lineitem layout), a top-level
@@ -43,10 +47,10 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.engine import Database, Executor, Result, WorkProfile
 from repro.engine.plan import PlanNode
-from repro.hardware import PLATFORMS, PI_KEY, PerformanceModel
 from repro.obs.metrics import metrics
 from repro.obs.trace import NULL_TRACER
 from repro.serve.policy import RetryPolicy
@@ -59,7 +63,9 @@ from .distplan import (
     single_node_reason,
     split_for_partial_aggregation,
 )
-from .faults import FaultPlan, FaultingNode, NodeAttempt, TransientNetworkError
+from .faults import (
+    FaultPlan, FaultingNode, NodeAttempt, TransientNetworkError, _measured_pi_price,
+)
 from .network import NetworkModel
 from .partition import ReplicatedLayout
 from .reliability import NodeUnresponsiveError, QueryOutOfMemoryError
@@ -80,7 +86,9 @@ class RecoveryPolicy(RetryPolicy):
 
     The retry fields and ``backoff_s`` are the serving layer's capped
     exponential backoff; here the waits are charged to the modeled
-    clock, never slept.
+    clock, never slept. Every time below is on the driver's one clock —
+    for a :class:`~repro.cluster.cluster.WimPiCluster`, seconds a node
+    pays at the target SF.
 
     Attributes:
         max_retries: transient-fault retries per node before failing
@@ -89,13 +97,11 @@ class RecoveryPolicy(RetryPolicy):
             retry up to ``backoff_cap_s``.
         backoff_cap_s: backoff ceiling.
         timeout_factor: a node is abandoned (or speculated against) once
-            its modeled time exceeds this multiple of the median
-            PerformanceModel estimate across successful shards.
-        fallback_timeout_s: timeout charge when no estimate exists yet
-            (e.g. every first-wave attempt hung).
+            its modeled time exceeds this multiple of the median modeled
+            seconds of the successful attempts.
+        fallback_timeout_s: the estimate OOM and timeout charges use when
+            no attempt succeeded (e.g. every first-wave attempt hung).
         speculate: launch speculative copies of stragglers on replicas.
-        max_workers: thread-pool width for concurrent node dispatch
-            (never wider than the shard count or the host's cores).
     """
 
     backoff_base_s: float = 0.05
@@ -103,7 +109,6 @@ class RecoveryPolicy(RetryPolicy):
     timeout_factor: float = 4.0
     fallback_timeout_s: float = 5.0
     speculate: bool = True
-    max_workers: int = 8
 
     def __post_init__(self):
         super().__post_init__()
@@ -111,8 +116,6 @@ class RecoveryPolicy(RetryPolicy):
             raise ValueError("timeout_factor must exceed 1.0")
         if self.fallback_timeout_s <= 0:
             raise ValueError("fallback_timeout_s must be positive")
-        if self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -186,30 +189,23 @@ class _AttemptRecord:
 class ShardOutcome:
     """How one shard's execution ended after all recovery machinery.
 
-    Recovery overhead splits into two parts so the cluster model can
-    extrapolate honestly: ``overhead_scaled_s`` covers charges that grow
-    with data volume (abandoned attempts, paid timeouts, straggler
-    detection delays — all derived from PerformanceModel estimates) and
-    is multiplied by the SF scale; ``overhead_fixed_s`` covers true
-    wall-clock waits (retry backoff, re-sent messages), which do not.
+    ``completion_s`` is the shard's modeled finish on the driver's
+    clock: ``overhead_s`` — every failed attempt's charge (backoff and
+    re-send, abandoned OOM work, paid timeouts) plus, when a speculative
+    copy was adopted, the straggler-detection wait — then the winning
+    attempt's ``simulated_s`` (straggler slowdown included).
     """
 
     shard: int
     status: str  # "ok" | "recovered" | "lost"
     winner: NodeAttempt | None
     attempts: list[_AttemptRecord]
-    completion_s: float = 0.0  # modeled completion incl. recovery charges
-    overhead_fixed_s: float = 0.0
-    overhead_scaled_s: float = 0.0
+    completion_s: float = 0.0
+    overhead_s: float = 0.0
 
     @property
     def covered(self) -> bool:
         return self.winner is not None
-
-    @property
-    def overhead_s(self) -> float:
-        """Modeled time beyond the winning attempt itself (base scale)."""
-        return self.overhead_fixed_s + self.overhead_scaled_s
 
 
 @dataclass
@@ -219,12 +215,11 @@ class ResilientRun:
     ``layout`` is the placement the fragments actually ran over: the
     driver's own for a distributed run, its
     :meth:`~repro.cluster.partition.ReplicatedLayout.unpartitioned` form
-    for a single-node one. ``node_profiles``, ``exec_nodes`` and
-    ``covered_shards`` are aligned, one entry per answered shard;
-    ``partial_bytes_per_node`` and ``node_results_rows`` describe the
-    gathered partials and are empty when there was nothing to merge.
-    The recovery surface is ``coverage``, ``shard_outcomes``,
-    ``recovery`` and ``wasted_profile``.
+    for a single-node one. ``node_profiles`` and ``exec_nodes`` are
+    aligned, one entry per answered shard; ``partial_bytes_per_node``
+    and ``node_results_rows`` describe the gathered partials and are
+    empty when there was nothing to merge. The recovery surface is
+    ``coverage``, ``shard_outcomes`` and ``recovery``.
     """
 
     query_number: int
@@ -237,10 +232,8 @@ class ResilientRun:
     recovery: RecoveryLog
     node_profiles: list[WorkProfile]
     exec_nodes: list[int]
-    covered_shards: list[int]
     merge_profile: WorkProfile | None
     partial_bytes_per_node: list[float]
-    wasted_profile: WorkProfile
     single_node: bool
     local_plan: PlanNode
     node_results_rows: list[int]
@@ -282,8 +275,12 @@ class ResilientDriver:
             (:func:`~repro.cluster.partition.replicate_database`).
         fault_plan: deterministic fault script (``None`` injects nothing).
         policy: retry/timeout/speculation knobs.
-        perf: performance model used for modeled-time charges and the
-            timeout estimates.
+        price: prices each successful attempt — ``(node, db, plan,
+            profile) -> (seconds, pressure, on_node)`` (see
+            :class:`~repro.cluster.faults.FaultingNode`); timeouts, OOM
+            charges and the straggler threshold all derive from these
+            seconds. The default, the measured profile on one Pi, is a
+            test clock for a driver run without a cluster.
         network: network model used to charge re-sent messages.
         tracer: optional :class:`~repro.obs.trace.Tracer`. Each run
             contributes one ``query`` root span (``cluster:Q<n>``) with
@@ -298,19 +295,17 @@ class ResilientDriver:
         layout: ReplicatedLayout,
         fault_plan: FaultPlan | None = None,
         policy: RecoveryPolicy | None = None,
-        perf: PerformanceModel | None = None,
+        price: Callable[..., tuple[float, float, bool]] = _measured_pi_price,
         network: NetworkModel | None = None,
         tracer=None,
     ):
         self.layout = layout
         self.fault_plan = fault_plan or FaultPlan.none()
         self.policy = policy or RecoveryPolicy()
-        self.perf = perf or PerformanceModel()
         self.network = network or NetworkModel()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._pi = PLATFORMS[PI_KEY]
         self._nodes = {
-            node: FaultingNode(node, self.fault_plan, self.perf, self._pi)
+            node: FaultingNode(node, self.fault_plan, price)
             for node in range(layout.n_nodes)
         }
 
@@ -467,9 +462,11 @@ class ResilientDriver:
         outcome: ShardOutcome,
         plan: PlanNode,
         threshold_s: float,
-    ) -> tuple[ShardOutcome, list[NodeAttempt]]:
+    ) -> float | None:
         """Launch a speculative copy of a straggling shard on the next
-        healthy replica; adopt it if the modeled finish is earlier."""
+        healthy replica and adopt it if its modeled finish is earlier.
+        Returns the adopted copy's modeled start — the threshold plus
+        its own backoffs — or ``None`` when the straggler stands."""
         shard = outcome.shard
         assert outcome.winner is not None
         tried = {r.node for r in outcome.attempts}
@@ -482,7 +479,7 @@ class ResilientDriver:
             None,
         )
         if backup is None:
-            return outcome, []
+            return None
         chain, spec = self._attempt_chain(
             shard, backup, plan, layout.db_for(shard, backup)
         )
@@ -490,36 +487,28 @@ class ResilientDriver:
             rec.speculative = True
         outcome.attempts.extend(chain)
         if spec is None:
-            return outcome, []
-        spec_finish = threshold_s + self._chain_charge_s(chain, threshold_s) + spec.simulated_s
-        if spec_finish < outcome.winner.simulated_s:
-            wasted = [outcome.winner]
-            outcome.winner = spec
-            outcome.status = "recovered"
-            return outcome, wasted
-        return outcome, [spec]
+            return None
+        start_s = threshold_s + sum(self._attempt_s(rec, threshold_s) for rec in chain)
+        if start_s + spec.simulated_s >= outcome.winner.simulated_s:
+            return None
+        outcome.winner = spec
+        outcome.status = "recovered"
+        return start_s
 
     # Modeled-time charging --------------------------------------------
 
-    def _chain_charge_s(self, records: list[_AttemptRecord], est_s: float) -> float:
-        """Modeled seconds spent on the *failed* attempts of a chain."""
-        total = 0.0
-        for rec in records:
-            if rec.outcome == "drop":
-                total += self.policy.backoff_s(rec.attempt) + self.network.resend_time()
-            elif rec.outcome == "oom":
-                total += est_s
-            elif rec.outcome == "hang":
-                total += self.policy.timeout_factor * est_s
-        return total
-
-    def _spec_fixed_s(self, outcome: ShardOutcome) -> float:
-        """Backoff/message waits spent inside a speculative chain."""
-        return sum(
-            self.policy.backoff_s(rec.attempt) + self.network.resend_time()
-            for rec in outcome.attempts
-            if rec.speculative and rec.outcome == "drop"
-        )
+    def _attempt_s(self, rec: _AttemptRecord, est_s: float) -> float:
+        """Modeled seconds a failed attempt costs, given the estimate
+        ``est_s``: a drop its backoff plus a re-send, an OOM the
+        estimate (its work is lost), a hang the timeout. A successful
+        attempt costs nothing here; its own price is the result's."""
+        if rec.outcome == "drop":
+            return self.policy.backoff_s(rec.attempt) + self.network.resend_time()
+        if rec.outcome == "oom":
+            return est_s
+        if rec.outcome == "hang":
+            return self.policy.timeout_factor * est_s
+        return 0.0
 
     def _charge(
         self,
@@ -527,16 +516,14 @@ class ResilientDriver:
         outcomes: list[ShardOutcome],
         speculated: dict[int, float],
         log: RecoveryLog,
-        median_est_s: float | None,
+        est_s: float,
     ) -> None:
         """Walk every shard's attempt history in deterministic order,
         recording recovery events and computing modeled completions.
-        Estimate-derived charges accrue to ``overhead_scaled_s`` (they
-        grow with data volume); backoff waits to ``overhead_fixed_s``."""
-        est = median_est_s if median_est_s is not None else self.policy.fallback_timeout_s
-        timeout_s = self.policy.timeout_factor * est
+        ``speculated`` maps each shard whose speculative copy was
+        adopted to that copy's modeled start."""
         for outcome in outcomes:
-            fixed = scaled = 0.0
+            overhead = 0.0
             prev_node: int | None = None
             for rec in outcome.attempts:
                 if rec.speculative:
@@ -547,26 +534,24 @@ class ResilientDriver:
                         f"shard {outcome.shard} failed over node {prev_node} -> {rec.node}",
                     )
                 prev_node = rec.node
+                charged = self._attempt_s(rec, est_s)
+                overhead += charged
                 if rec.outcome == "drop":
-                    wait = self.policy.backoff_s(rec.attempt)
-                    charged = wait + self.network.resend_time()
-                    fixed += charged
                     log.record(
                         "retry", outcome.shard, rec.node, rec.attempt, charged,
-                        f"transient network drop; backing off {wait:.3f}s",
+                        f"transient network drop; backing off "
+                        f"{self.policy.backoff_s(rec.attempt):.3f}s",
                     )
                 elif rec.outcome == "oom":
-                    scaled += est
                     log.record(
-                        "oom", outcome.shard, rec.node, rec.attempt, est,
+                        "oom", outcome.shard, rec.node, rec.attempt, charged,
                         "query OOM (swap off); abandoning node's attempt",
                     )
                 elif rec.outcome == "hang":
-                    scaled += timeout_s
                     log.record(
-                        "timeout", outcome.shard, rec.node, rec.attempt, timeout_s,
+                        "timeout", outcome.shard, rec.node, rec.attempt, charged,
                         f"node unresponsive; abandoned after modeled "
-                        f"{timeout_s:.3f}s timeout "
+                        f"{charged:.3f}s timeout "
                         f"({self.policy.timeout_factor:.1f}x estimate)",
                     )
                 # "ok" attempts are charged below: the winner's own time
@@ -578,27 +563,23 @@ class ResilientDriver:
                     f"shard {outcome.shard}: all "
                     f"{len(layout.holders[outcome.shard])} replicas exhausted",
                 )
-            elif outcome.shard in speculated:
-                # Detection waited until the straggler threshold; the
-                # adopted copy then ran (plus any of its own backoffs).
-                threshold_s = speculated[outcome.shard]
-                spec_fixed = self._spec_fixed_s(outcome)
-                scaled += threshold_s
-                fixed += spec_fixed
-                winner_s = outcome.winner.simulated_s
-                log.record(
-                    "speculate", outcome.shard, outcome.winner.node,
-                    outcome.winner.attempt,
-                    threshold_s + spec_fixed + winner_s,
-                    f"straggler past {threshold_s:.3f}s threshold; speculative "
-                    f"copy on node {outcome.winner.node} finished at modeled "
-                    f"{threshold_s + spec_fixed + winner_s:.3f}s",
-                )
             else:
                 winner_s = outcome.winner.simulated_s
-            outcome.overhead_fixed_s = fixed
-            outcome.overhead_scaled_s = scaled
-            outcome.completion_s = fixed + scaled + winner_s
+                if outcome.shard in speculated:
+                    # Detection waited until the straggler threshold; the
+                    # adopted copy then ran (plus any of its own backoffs).
+                    start_s = speculated[outcome.shard]
+                    overhead += start_s
+                    log.record(
+                        "speculate", outcome.shard, outcome.winner.node,
+                        outcome.winner.attempt, start_s + winner_s,
+                        f"straggler past "
+                        f"{self.policy.timeout_factor * est_s:.3f}s threshold; "
+                        f"speculative copy on node {outcome.winner.node} "
+                        f"finished at modeled {start_s + winner_s:.3f}s",
+                    )
+            outcome.overhead_s = overhead
+            outcome.completion_s = overhead + winner_s
 
     # Scatter / gather ---------------------------------------------------
 
@@ -616,38 +597,30 @@ class ResilientDriver:
         policy = self.policy
         # Fragments are CPU-bound: threads beyond the cores only contend.
         with ThreadPoolExecutor(
-            max_workers=min(policy.max_workers, layout.n_shards, os.cpu_count() or 1)
+            max_workers=min(layout.n_shards, os.cpu_count() or 1)
         ) as pool:
             outcomes = list(pool.map(
                 lambda s: self._run_shard(layout, s, local, parent=qspan),
                 range(layout.n_shards),
             ))
 
-        # Timeout / straggler threshold from the PerformanceModel
-        # estimates of the successful attempts (median is robust to the
-        # stragglers themselves).
+        # Timeout / straggler threshold from the modeled seconds of the
+        # successful attempts (median is robust to the stragglers
+        # themselves).
         estimates = [o.winner.estimate_s for o in outcomes if o.winner is not None]
-        median_est = statistics.median(estimates) if estimates else None
-        threshold_s = policy.timeout_factor * (
-            median_est if median_est is not None else policy.fallback_timeout_s
-        )
+        est_s = statistics.median(estimates) if estimates else policy.fallback_timeout_s
+        threshold_s = policy.timeout_factor * est_s
 
-        wasted: list[NodeAttempt] = []
         speculated: dict[int, float] = {}
-        if policy.speculate and median_est is not None:
-            stragglers = [
-                o for o in outcomes
-                if o.winner is not None and o.winner.simulated_s > threshold_s
-            ]
-            for outcome in stragglers:  # deterministic shard order
-                before = outcome.winner
-                outcome, extra = self._speculate(layout, outcome, local, threshold_s)
-                wasted.extend(extra)
-                if outcome.winner is not before:
-                    speculated[outcome.shard] = threshold_s
+        if policy.speculate and estimates:
+            for outcome in outcomes:  # deterministic shard order
+                if outcome.winner is not None and outcome.winner.simulated_s > threshold_s:
+                    start_s = self._speculate(layout, outcome, local, threshold_s)
+                    if start_s is not None:
+                        speculated[outcome.shard] = start_s
 
         log = RecoveryLog()
-        self._charge(layout, outcomes, speculated, log, median_est)
+        self._charge(layout, outcomes, speculated, log, est_s)
         self._mirror_log(qspan, log)
 
         covered = [o for o in outcomes if o.covered]
@@ -688,10 +661,8 @@ class ResilientDriver:
             recovery=log,
             node_profiles=profiles,
             exec_nodes=[o.winner.node for o in covered],
-            covered_shards=[o.shard for o in covered],
             merge_profile=merge_profile,
             partial_bytes_per_node=partial_bytes,
-            wasted_profile=WorkProfile.merged_all([w.profile for w in wasted]),
             single_node=split is None,
             local_plan=local,
             node_results_rows=rows,

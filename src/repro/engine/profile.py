@@ -159,13 +159,6 @@ class WorkProfile:
     def merged(self, other: "WorkProfile") -> "WorkProfile":
         return WorkProfile(list(self.operators) + list(other.operators))
 
-    @classmethod
-    def merged_all(cls, profiles: "list[WorkProfile]") -> "WorkProfile":
-        """Combine any number of profiles into one (an empty list yields
-        an empty profile). Used by the resilient cluster runtime to
-        account the wasted work of abandoned and duplicated attempts."""
-        return cls([op for profile in profiles for op in profile.operators])
-
     def summary(self) -> dict:
         return {
             "seq_bytes": self.seq_bytes,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import FaultPlan, RecoveryPolicy, ResilientDriver, replicate_database
+from repro.cluster import FaultPlan, ResilientDriver, replicate_database
 from repro.tpch import ALL_QUERY_NUMBERS, get_query
 
 N_NODES = 4
@@ -123,9 +123,7 @@ class TestChaosProperties:
         outcomes = []
         for _ in range(2):
             layout = replicate_database(tpch_db, N_NODES, replication=REPLICATION)
-            driver = ResilientDriver(
-                layout, fault_plan=plan, policy=RecoveryPolicy(max_workers=3)
-            )
+            driver = ResilientDriver(layout, fault_plan=plan)
             outcomes.append(driver.run(get_query(6), tpch_params))
         a, b = outcomes
         assert a.recovery.signature() == b.recovery.signature()

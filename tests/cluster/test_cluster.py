@@ -2,6 +2,7 @@
 network plateau, cost/energy properties."""
 
 import math
+import statistics
 
 import pytest
 
@@ -232,3 +233,46 @@ class TestChaosCluster:
             a, b = plain.run_query(number), packed.run_query(number)
             assert b.result.rows == a.result.rows
             assert max(b.node_pressure) < max(a.node_pressure)
+
+
+class TestOneClock:
+    """A faulted cluster run is priced on the cluster's own clock (the
+    target SF, the node's platform, thrash): the driver's charges are
+    derived from the same seconds the Table III model reports."""
+
+    @staticmethod
+    def _cluster(tpch_db, replication, *faults):
+        return WimPiCluster(
+            4, base_sf=0.01, target_sf=10.0, db=tpch_db,
+            replication=replication, fault_plan=FaultPlan(faults),
+        )
+
+    @pytest.fixture(scope="class")
+    def clean(self, tpch_db):
+        return WimPiCluster(4, base_sf=0.01, target_sf=10.0, db=tpch_db).run_query(6)
+
+    def test_unspeculated_straggler_pays_its_slowdown(self, tpch_db, clean):
+        """With replication 1 no copy can be speculated: the straggling
+        node's shard costs its slowdown times its clean seconds."""
+        run = self._cluster(
+            tpch_db, 1, InjectedFault("straggler", 0, slowdown=8.0)
+        ).run_query(6)
+        assert run.recovery_log.events == []
+        assert run.node_seconds[0] == pytest.approx(8 * clean.node_seconds[0])
+        assert run.node_seconds[1:] == pytest.approx(clean.node_seconds[1:])
+        assert run.total_seconds > clean.total_seconds
+
+    def test_timeout_is_factor_times_median_node_seconds(self, tpch_db, clean):
+        """A hang is charged ``timeout_factor`` x the median modeled
+        seconds of the successful attempts — the clean shards' own node
+        seconds, not a base-SF estimate."""
+        cluster = self._cluster(tpch_db, 2, InjectedFault("hang", 0))
+        run = cluster.run_query(6)
+        [timeout] = [e for e in run.recovery_log.events if e.kind == "timeout"]
+        estimates = [o.winner.estimate_s for o in run.run.shard_outcomes]
+        assert estimates == pytest.approx(clean.node_seconds)
+        assert estimates[1:] == run.node_seconds[1:]
+        assert timeout.charged_s == pytest.approx(
+            cluster.driver.policy.timeout_factor * statistics.median(estimates)
+        )
+        assert run.node_seconds[0] == pytest.approx(timeout.charged_s + estimates[0])

@@ -153,6 +153,27 @@ class TestFaultingNode:
         assert attempt.slowdown == 5.0
         assert attempt.simulated_s == pytest.approx(5.0 * attempt.estimate_s)
 
+    def test_attempt_is_priced_by_the_hook(self, tpch_db, plan6):
+        seen = []
+
+        def price(node, db, plan, profile):
+            seen.append((node, db, plan))
+            return 2.0, 0.5, True
+
+        plan = FaultPlan((InjectedFault("straggler", 3, slowdown=5.0),))
+        attempt = FaultingNode(3, plan, price).execute(tpch_db, plan6)
+        assert seen == [(3, tpch_db, plan6)]
+        assert (attempt.estimate_s, attempt.pressure) == (2.0, 0.5)
+        assert attempt.simulated_s == 10.0
+
+    def test_straggler_spares_a_fragment_run_off_the_node(self, tpch_db, plan6):
+        plan = FaultPlan((InjectedFault("straggler", 3, slowdown=5.0),))
+        attempt = FaultingNode(3, plan, lambda *_: (2.0, 1.5, False)).execute(
+            tpch_db, plan6
+        )
+        assert attempt.slowdown == 1.0
+        assert attempt.simulated_s == 2.0
+
     def test_fault_on_other_node_is_ignored(self, tpch_db, plan6):
         node = FaultingNode(0, FaultPlan((InjectedFault("oom", 1),)))
         assert node.execute(tpch_db, plan6).frame.nrows == 1

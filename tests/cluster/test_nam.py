@@ -1,8 +1,10 @@
 """NAM hybrid-cluster tests (§III-C1 extension)."""
 
+import statistics
+
 import pytest
 
-from repro.cluster import WimPiCluster
+from repro.cluster import FaultPlan, InjectedFault, WimPiCluster
 from repro.cluster.nam import NamCluster
 
 
@@ -17,7 +19,7 @@ class TestOffloading:
     def test_thrashing_fragments_offload(self, pair):
         _, hybrid = pair
         run = hybrid.run_query(1)  # Q1 at 4 nodes is in the thrash regime
-        assert run.offloaded
+        assert hybrid.offloaded(run)
         assert run.total_seconds < 5.0
 
     def test_nam_eliminates_the_cliff(self, pair):
@@ -28,20 +30,61 @@ class TestOffloading:
             assert nam.total_seconds < base.total_seconds / 5, q
 
     def test_light_fragments_stay_on_pis(self, pair):
-        _, hybrid = pair
+        plain, hybrid = pair
         run = hybrid.run_query(6)  # Q6 fits comfortably per node
-        assert not run.offloaded
-        assert run.total_seconds == pytest.approx(run.base.total_seconds)
+        assert not hybrid.offloaded(run)
+        assert run.total_seconds == pytest.approx(plain.run_query(6).total_seconds)
 
     def test_q13_single_node_offloads(self, pair):
-        _, hybrid = pair
+        plain, hybrid = pair
         run = hybrid.run_query(13)
-        assert run.offloaded_nodes == [0]
-        assert run.total_seconds < run.base.total_seconds
+        assert hybrid.offloaded(run) == [0]
+        assert run.total_seconds < plain.run_query(13).total_seconds
 
     def test_results_identical_to_plain(self, pair):
         plain, hybrid = pair
         assert hybrid.run_query(1).result.rows == plain.run_query(1).result.rows
+
+
+class TestFaultsOnTheHybrid:
+    """Faults strike the Pi nodes; the hybrid prices what survives."""
+
+    @staticmethod
+    def _hybrid(tpch_db, replication, *faults):
+        return NamCluster(
+            4, base_sf=0.01, target_sf=10.0, db=tpch_db,
+            replication=replication, fault_plan=FaultPlan(faults),
+        )
+
+    def test_straggler_does_not_slow_an_offloaded_fragment(self, pair, tpch_db):
+        """A slow Pi does not slow the work the memory server did."""
+        _, hybrid = pair
+        clean = hybrid.run_query(1)
+        faulted = self._hybrid(tpch_db, 1, InjectedFault("straggler", 0, slowdown=8.0))
+        run = faulted.run_query(1)
+        assert 0 in faulted.offloaded(run)
+        assert run.node_seconds == clean.node_seconds
+        assert run.run.shard_outcomes[0].winner.slowdown == 1.0
+
+    def test_straggler_slows_a_fragment_its_pi_ran(self, pair, tpch_db):
+        _, hybrid = pair
+        clean = hybrid.run_query(6)
+        faulted = self._hybrid(tpch_db, 1, InjectedFault("straggler", 0, slowdown=8.0))
+        run = faulted.run_query(6)
+        assert faulted.offloaded(run) == []
+        assert run.node_seconds[0] == pytest.approx(8 * clean.node_seconds[0])
+
+    def test_oom_is_charged_on_the_hybrid_clock(self, pair, tpch_db):
+        """An OOM on an offloading node is recovered from its buddy and
+        charged the median of the hybrid-priced attempts."""
+        plain, hybrid = pair
+        faulted = self._hybrid(tpch_db, 2, InjectedFault("oom", 0))
+        run = faulted.run_query(1)
+        [oom] = [e for e in run.recovery_log.events if e.kind == "oom"]
+        estimates = [o.winner.estimate_s for o in run.run.shard_outcomes]
+        assert oom.charged_s == pytest.approx(statistics.median(estimates))
+        assert faulted.offloaded(run)
+        assert run.result.rows == plain.run_query(1).result.rows
 
 
 class TestHonestAccounting:

@@ -77,6 +77,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "offloaded fragments" in out
 
+    def test_cluster_command_with_nam_and_chaos(self, capsys):
+        """The NAM hybrid runs on the one resilient runtime: faults are
+        recovered, thrashing fragments offloaded, rows unchanged."""
+        assert main(["cluster", "1", "--nodes", "4"]) == 0
+        plain = capsys.readouterr().out
+        assert main([
+            "cluster", "1", "--nodes", "4", "--nam", "--chaos", "--seed", "11",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "offloaded fragments: 4 -> memory server" in out
+        assert "recovery log: 1 events" in out
+        assert "[retry    ] shard 3 node 3" in out
+        rows = out[out.index("result rows:"):]
+        assert rows == plain[plain.index("result rows:"):]
+
     def test_sql_command(self, capsys):
         assert main([
             "sql", "SELECT COUNT(*) AS n FROM nation", "--sf", "0.005",
