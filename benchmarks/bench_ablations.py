@@ -158,13 +158,12 @@ def test_extension_shuffle_q13(benchmark, db, output_dir):
 def test_extension_tailored_composition(benchmark, db, output_dir):
     """§III-C1: mixing a few 8 GB Pi 4B nodes into the cluster gives
     memory-bound fallback queries somewhere to live."""
-    from repro.cluster import NodeSpec
-    from repro.cluster.tailored import PI4_NODE, TailoredCluster
+    from repro.cluster import PI4_NODE, NodeSpec
 
     def run():
         uniform = WimPiCluster(24, base_sf=BASE_SF, target_sf=10.0, db=db)
-        mixed = TailoredCluster(
-            [NodeSpec()] * 20 + [PI4_NODE] * 4,
+        mixed = WimPiCluster(
+            24, node=[NodeSpec()] * 20 + [PI4_NODE] * 4,
             base_sf=BASE_SF, target_sf=10.0, db=db,
         )
         rows = []

@@ -5,9 +5,10 @@ plan — one sticky node failure plus one straggler — and replication 2,
 every one of the 22 TPC-H queries must still match the committed
 fault-free goldens, and the whole run must stay inside a wall-clock
 budget (injected hangs and backoffs never sleep, so chaos runs at test
-speed). The same plan then runs through a ``WimPiCluster``, whose own
-clock prices every attempt: the goldens still hold, and no query's
-modeled total comes in under the clean replication-2 cluster's.
+speed). The same plan then runs through a ``WimPiCluster`` and a
+``NamCluster``, whose own clocks price every attempt: the goldens still
+hold, and no query's modeled total comes in under the clean
+replication-2 cluster's of the same kind.
 
 Run::
 
@@ -31,6 +32,7 @@ from repro.cluster import (
     WimPiCluster,
     replicate_database,
 )
+from repro.cluster.nam import NamCluster
 from repro.tpch import ALL_QUERY_NUMBERS, generate, get_query
 
 from conftest import write_artifact
@@ -100,19 +102,22 @@ def test_chaos_smoke(output_dir):
     lines += ["", f"all 22 queries match goldens; wall clock {wall:.2f}s "
               f"(budget {WALL_BUDGET_S:.0f}s), {events} recovery events total"]
 
-    # The cluster's clock: the same plan, every attempt priced at SF 10.
+    # The clusters' clocks: the same plan, every attempt priced at SF 10,
+    # on the plain cluster and on the NAM hybrid.
     kwargs = dict(base_sf=SMOKE_SF, db=db, replication=REPLICATION)
-    chaos = WimPiCluster(N_NODES, fault_plan=SMOKE_PLAN, **kwargs)
-    clean = WimPiCluster(N_NODES, **kwargs)
-    lines += ["", f"WimPiCluster({N_NODES}, replication={REPLICATION}) at SF "
-              f"{chaos.target_sf:g} modeled: clean vs smoke-plan total seconds"]
-    for number in ALL_QUERY_NUMBERS:
-        run = chaos.run_query(number)
-        _assert_golden(number, run)
-        clean_s = clean.run_query(number).total_seconds
-        assert run.total_seconds >= clean_s, f"Q{number}: faults made it faster"
-        lines.append(
-            f"Q{number:>2}: clean {clean_s:.3f}s, chaos {run.total_seconds:.3f}s, "
-            f"{len(run.recovery_log.events)} recovery events"
-        )
+    for cls in (WimPiCluster, NamCluster):
+        chaos = cls(N_NODES, fault_plan=SMOKE_PLAN, **kwargs)
+        clean = cls(N_NODES, **kwargs)
+        lines += ["", f"{cls.__name__}({N_NODES}, replication={REPLICATION}) at "
+                  f"SF {chaos.target_sf:g} modeled: clean vs smoke-plan total seconds"]
+        for number in ALL_QUERY_NUMBERS:
+            run = chaos.run_query(number)
+            _assert_golden(number, run)
+            clean_s = clean.run_query(number).total_seconds
+            assert run.total_seconds >= clean_s, f"Q{number}: faults made it faster"
+            lines.append(
+                f"Q{number:>2}: clean {clean_s:.3f}s, chaos {run.total_seconds:.3f}s, "
+                f"{len(run.recovery_log.events)} recovery events, "
+                f"{len(run.offloaded)} offloaded"
+            )
     write_artifact(output_dir, "chaos_smoke", "\n".join(lines))

@@ -9,8 +9,7 @@
 Run:  python examples/extensions_tour.py
 """
 
-from repro.cluster import NodeSpec, WimPiCluster
-from repro.cluster.tailored import PI4_NODE, TailoredCluster
+from repro.cluster import PI4_NODE, NodeSpec, WimPiCluster
 from repro.core.extensions import compression_study, nam_study, proportionality_study
 from repro.tpch import generate
 
@@ -62,8 +61,8 @@ def main() -> None:
     print(f"       pre-partitioned {q13.total_seconds:.2f} s\n")
 
     print("=== 5. Tailored node composition (paper §III-C1) ===")
-    mixed = TailoredCluster([NodeSpec()] * 20 + [PI4_NODE] * 4,
-                            base_sf=0.02, target_sf=10.0, db=db)
+    mixed = WimPiCluster(24, node=[NodeSpec()] * 20 + [PI4_NODE] * 4,
+                         base_sf=0.02, target_sf=10.0, db=db)
     q13 = mixed.run_query(13)
     print(f"  20x Pi 3B+ + 4x Pi 4B (8 GB): Q13 {q13.total_seconds:.2f} s "
           f"(pressure {max(q13.node_pressure):.2f})")

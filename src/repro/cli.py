@@ -423,9 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         if fault_plan is not None:
             print(f"  {fault_plan.describe()}")
         print(f"  wall-clock: {run.total_seconds:.3f} s")
-        offloaded = cluster.offloaded(run) if args.nam else []
-        if offloaded:
-            print(f"  offloaded fragments: {len(offloaded)} -> memory server")
+        if run.offloaded:
+            print(f"  offloaded fragments: {len(run.offloaded)} -> memory server")
         if run.node_pressure:
             print(f"  max node pressure: {max(run.node_pressure):.2f}")
         print(f"  gather: {run.gather_seconds:.3f} s, merge: {run.merge_seconds:.3f} s")

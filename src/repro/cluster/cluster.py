@@ -27,12 +27,13 @@ paging costs grow exponentially with overcommit.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.engine import Database, WorkProfile
 from repro.engine.optimizer import prune_columns
 from repro.engine.plan import PlanNode
-from repro.hardware import EnergyModel, PerformanceModel, PLATFORMS, PI_KEY
+from repro.hardware import PerformanceModel, PLATFORMS, PI_KEY
 from repro.tpch import generate, get_query
 
 from .faults import FaultPlan
@@ -68,14 +69,11 @@ class ClusterQueryRun:
 
     ``recovery_seconds`` is the modeled wall-clock added to the critical
     path by retries, timeouts and speculative re-execution (0.0 on a
-    healthy cluster), ``coverage`` is the fraction of partitioned rows
-    the answer covers (< 1.0 only after unrecoverable loss), and
-    ``recovery_log`` carries the structured recovery events.
-    ``shuffle_seconds`` is the modeled time to hash-repartition (one
-    copy of) the partitioned tables the run read into the cluster's
-    layout; it is not part of ``total_seconds``, which prices a
-    pre-partitioned layout (0.0 for a single-node run, which reads the
-    full catalog).
+    healthy cluster). ``shuffle_seconds`` is the modeled time to
+    hash-repartition (one copy of) the partitioned tables the run read
+    into the cluster's layout; it is not part of ``total_seconds``,
+    which prices a pre-partitioned layout (0.0 for a single-node run,
+    which reads the full catalog).
     """
 
     run: ResilientRun
@@ -84,10 +82,7 @@ class ClusterQueryRun:
     gather_seconds: float
     merge_seconds: float
     total_seconds: float
-    energy_joules: float
     recovery_seconds: float
-    coverage: float
-    recovery_log: RecoveryLog
     shuffle_seconds: float
 
     @property
@@ -98,9 +93,27 @@ class ClusterQueryRun:
     def n_nodes(self) -> int:
         return self.run.n_nodes
 
+    @property
+    def coverage(self) -> float:
+        """Fraction of partitioned rows the answer covers (< 1.0 only
+        after unrecoverable loss)."""
+        return self.run.coverage
+
+    @property
+    def recovery_log(self) -> RecoveryLog:
+        return self.run.recovery
+
+    @property
+    def offloaded(self) -> list[int]:
+        """Indices into ``node_pressure`` of the fragments that ran off
+        their node (on a NAM memory server): those priced ``on_node``
+        False."""
+        winners = [o.winner for o in self.run.shard_outcomes if o.covered]
+        return [i for i, winner in enumerate(winners) if not winner.on_node]
+
 
 class WimPiCluster:
-    """A cluster of N simulated Raspberry Pi 3B+ nodes.
+    """A cluster of N simulated Raspberry Pi nodes (3B+ by default).
 
     Args:
         n_nodes: cluster size (the paper tests 4-24).
@@ -108,7 +121,10 @@ class WimPiCluster:
         target_sf: nominal scale factor the runtime model reports for
             (the paper's SF 10).
         seed: dbgen seed.
-        node: node spec (memory size, platform).
+        node: node spec (memory size, platform), or one spec per node
+            for a mixed cluster (§III-C1's tailored composition).
+            Single-node queries run on the node with the most available
+            memory, node 0 on a uniform cluster.
         network: network model (defaults to the USB-limited GbE).
         perf: performance model (defaults to calibrated constants).
         db: pre-generated database to reuse across cluster sizes
@@ -142,7 +158,7 @@ class WimPiCluster:
         base_sf: float = 0.05,
         target_sf: float = 10.0,
         seed: int = 42,
-        node: NodeSpec | None = None,
+        node: NodeSpec | Sequence[NodeSpec] | None = None,
         network: NetworkModel | None = None,
         perf: PerformanceModel | None = None,
         db=None,
@@ -160,12 +176,18 @@ class WimPiCluster:
         self.tracer = tracer
         self.base_sf = base_sf
         self.target_sf = target_sf
-        self.node = node or NodeSpec()
+        if node is None or isinstance(node, NodeSpec):
+            node = [node or NodeSpec()] * n_nodes
+        if len(node) != n_nodes:
+            raise ValueError(f"{len(node)} node specs for {n_nodes} nodes")
+        self.nodes = tuple(node)
+        self.host = max(range(n_nodes), key=lambda i: self.nodes[i].available_bytes)
+        # The machines the cluster's cost and power are summed over.
+        self.machines = tuple(spec.platform for spec in self.nodes)
         self.network = network or NetworkModel()
         self.perf = perf or PerformanceModel()
         self.swap_policy = swap_policy
-        self.memory = MemoryModel(self.node)
-        self.energy = EnergyModel()
+        self.memory = MemoryModel(self.nodes[0])
         self.db = db if db is not None else generate(base_sf, seed=seed)
         self.compress = compress
         self.replication = replication
@@ -190,34 +212,24 @@ class WimPiCluster:
     def scale(self) -> float:
         return self.target_sf / self.base_sf
 
-    # Node-composition hooks (overridden by the tailored cluster) --------
-
-    def node_spec(self, node_index: int) -> NodeSpec:
-        """Spec of one node (uniform by default)."""
-        return self.node
-
-    def single_node_index(self, query) -> int:
-        """Which node hosts single-node-fallback queries (e.g. Q13)."""
-        return 0
-
-    # ------------------------------------------------------------------
-
     def run_query(self, number: int, params: dict | None = None) -> ClusterQueryRun:
         """Execute TPC-H query ``number`` on the cluster and model its
         wall-clock at the target scale factor."""
         query = get_query(number)
         params = dict(params or {})
         params.setdefault("sf", self.base_sf)
-        run = self.driver.run(
-            query, params, fallback_host=self.single_node_index(query)
-        )
+        run = self.driver.run(query, params, fallback_host=self.host)
         modeled = self._model(run)
         if not self._absorbs_failures:
             # §III-C4 reliability semantics: with swap disabled an
             # over-committed fragment dies with an isolated OOM (node
             # stays healthy); with swap enabled it thrashes, and only an
-            # extreme over-commit renders the node unresponsive.
+            # extreme over-commit renders the node unresponsive. A
+            # fragment that ran off its node never loaded it.
+            offloaded = modeled.offloaded
             for i, pressure in enumerate(modeled.node_pressure):
+                if i in offloaded:
+                    continue
                 outcome = classify_pressure(i, pressure, self.swap_policy)
                 if outcome.outcome == "oom":
                     raise QueryOutOfMemoryError(i, pressure)
@@ -234,7 +246,7 @@ class WimPiCluster:
         predicted on the node's platform and multiplied by the thrash
         its pressure causes. The driver prices every attempt with this
         and charges its recovery actions on the same clock."""
-        spec = self.node_spec(node)
+        spec = self.nodes[node]
         scaled = profile.scaled(self.scale)
         ratio = MemoryModel(spec).pressure_ratio(
             db, prune_columns(plan, db), scaled, self.scale
@@ -247,7 +259,7 @@ class WimPiCluster:
         driver priced: each shard's modeled completion (its winner's
         seconds plus every recovery charge — backoff waits, paid
         timeouts, abandoned attempts, speculative copies), then gather,
-        merge, shuffle and energy. A single-node run is one fragment
+        merge and shuffle. A single-node run is one fragment
         over the full catalog on the node that answered, with nothing to
         gather or merge."""
         layout = run.layout
@@ -289,9 +301,6 @@ class WimPiCluster:
             self.network.transfer_time(shuffled / n * (n - 1) / n * layout.replication)
             if shuffled else 0.0
         )
-        energy = total * sum(
-            self.node_spec(i).platform.tdp_w for i in range(self.n_nodes)
-        )
         return ClusterQueryRun(
             run=run,
             node_seconds=node_seconds,
@@ -299,10 +308,7 @@ class WimPiCluster:
             gather_seconds=gather,
             merge_seconds=merge,
             total_seconds=total,
-            energy_joules=energy,
             recovery_seconds=slowest - slowest_clean,
-            coverage=run.coverage,
-            recovery_log=run.recovery,
             shuffle_seconds=shuffle,
         )
 
@@ -310,14 +316,10 @@ class WimPiCluster:
 
     @property
     def total_msrp_usd(self) -> float:
-        """Hardware cost of the cluster (the paper's $35/node figure)."""
-        return self.n_nodes * self._pi.msrp_usd
-
-    @property
-    def hourly_usd(self) -> float:
-        """Electricity cost per hour at peak draw for all nodes."""
-        return self.n_nodes * self._pi.hourly_usd
+        """Hardware cost of the cluster's machines (the paper's $35 per
+        Pi 3B+)."""
+        return sum(m.total_msrp_usd or 0.0 for m in self.machines)
 
     @property
     def peak_power_w(self) -> float:
-        return self.n_nodes * self._pi.tdp_w
+        return sum(m.total_tdp_w or 0.0 for m in self.machines)

@@ -209,9 +209,9 @@ class NodeAttempt:
     """One successful execution attempt and its modeled cost.
 
     ``estimate_s`` and ``pressure`` are the attempt's price on the
-    driver's clock; ``simulated_s`` additionally
-    pays any injected straggler slowdown. Both are modeled time — real
-    wall-clock stays at test speed.
+    driver's clock, and ``on_node`` is whether the node itself ran it;
+    ``simulated_s`` additionally pays any injected straggler slowdown.
+    Both are modeled time — real wall-clock stays at test speed.
     """
 
     node: int
@@ -221,6 +221,7 @@ class NodeAttempt:
     profile: WorkProfile
     estimate_s: float
     pressure: float
+    on_node: bool = True
     slowdown: float = 1.0
 
     @property
@@ -292,5 +293,6 @@ class FaultingNode:
             profile=result.profile,
             estimate_s=estimate,
             pressure=pressure,
+            on_node=on_node,
             slowdown=slowdown,
         )

@@ -10,8 +10,8 @@ amount of memory, such as an aggregation with many distinct keys or
 performing a join". Results return over the server's (non-USB-limited)
 Gigabit link.
 
-Cost/energy accounting includes the extra server, so the Figs. 5-7
-normalizations remain honest for the hybrid.
+The server is one more of the cluster's machines, so its cost and power
+count in the hybrid's Figs. 5-7 normalizations.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.engine import Database, WorkProfile
 from repro.engine.plan import PlanNode
 from repro.hardware import PLATFORMS, PlatformSpec
 
-from .cluster import ClusterQueryRun, WimPiCluster
+from .cluster import WimPiCluster
 from .network import NetworkModel
 
 __all__ = ["NamCluster"]
@@ -35,7 +35,8 @@ class NamCluster(WimPiCluster):
 
     It runs on the cluster's one runtime and returns its
     :class:`~repro.cluster.cluster.ClusterQueryRun`; only the price of
-    an attempt differs (:meth:`_price`), and :meth:`offloaded` names the
+    an attempt differs (:meth:`_price`), and the run's
+    :attr:`~repro.cluster.cluster.ClusterQueryRun.offloaded` names the
     fragments the server ran.
 
     Args:
@@ -57,6 +58,7 @@ class NamCluster(WimPiCluster):
             PLATFORMS[memory_server] if isinstance(memory_server, str) else memory_server
         )
         self.offload_threshold = offload_threshold
+        self.machines += (self.memory_server,)
 
     def _price(
         self, node: int, db: Database, plan: PlanNode, profile: WorkProfile
@@ -64,7 +66,7 @@ class NamCluster(WimPiCluster):
         """A fragment that would thrash its Pi is offloaded: the server
         executes it at its own speed on pool-resident data (no thrash),
         then ships the fragment result back over its GbE link. The
-        pressure stays the Pi's, which is what marks it offloaded."""
+        pressure stays the Pi's; ``on_node`` False marks it offloaded."""
         seconds, pressure, _ = super()._price(node, db, plan, profile)
         if pressure <= self.offload_threshold:
             return seconds, pressure, True
@@ -72,25 +74,3 @@ class NamCluster(WimPiCluster):
         fragment = self.perf.predict(scaled, self.memory_server)
         transfer = _SERVER_LINK.transfer_time(scaled.result_bytes)
         return fragment + transfer, pressure, False
-
-    def offloaded(self, run: ClusterQueryRun) -> list[int]:
-        """Indices into ``run.node_pressure`` of the fragments the memory
-        server ran."""
-        return [
-            i for i, pressure in enumerate(run.node_pressure)
-            if pressure > self.offload_threshold
-        ]
-
-    # ------------------------------------------------------------------
-    # Honest cost/energy accounting for the hybrid
-    # ------------------------------------------------------------------
-
-    @property
-    def total_msrp_usd(self) -> float:
-        server = self.memory_server.total_msrp_usd or 0.0
-        return super().total_msrp_usd + server
-
-    @property
-    def peak_power_w(self) -> float:
-        server = self.memory_server.total_tdp_w or 0.0
-        return super().peak_power_w + server

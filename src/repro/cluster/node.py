@@ -17,9 +17,11 @@ import numpy as np
 from repro.engine import Database, WorkProfile
 from repro.engine.plan import PlanNode, ScanNode
 from repro.engine.types import STRING
-from repro.hardware import PLATFORMS, PI_KEY, PlatformSpec
+from repro.hardware import PLATFORMS, PI4_KEY, PI_KEY, PlatformSpec
 
-__all__ = ["NodeSpec", "MemoryModel", "collect_scan_columns", "SPEC_STRING_BYTES"]
+__all__ = [
+    "NodeSpec", "MemoryModel", "PI4_NODE", "collect_scan_columns", "SPEC_STRING_BYTES",
+]
 
 # Average per-row string-heap bytes for columns that are unique (or
 # near-unique) per row in real TPC-H data. Our dbgen pools these for
@@ -57,6 +59,11 @@ class NodeSpec:
     @property
     def available_bytes(self) -> float:
         return self.memory_bytes - self.os_reserve_bytes
+
+
+# An 8 GB Raspberry Pi 4B worker (§III-C1's tailored node mix).
+PI4_NODE = NodeSpec(platform=PLATFORMS[PI4_KEY], memory_bytes=8e9,
+                    os_reserve_bytes=250e6)
 
 
 def collect_scan_columns(node: PlanNode) -> dict[str, set[str]]:

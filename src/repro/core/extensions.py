@@ -124,7 +124,7 @@ def nam_study(
         per_query[number] = {
             "plain_seconds": base.total_seconds,
             "nam_seconds": nam.total_seconds,
-            "offloaded_nodes": len(hybrid.offloaded(nam)),
+            "offloaded_nodes": len(nam.offloaded),
         }
     return {
         "queries": per_query,

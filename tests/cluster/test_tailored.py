@@ -1,17 +1,17 @@
-"""Tailored (heterogeneous) cluster tests — paper §III-C1's node-mix idea."""
+"""Tailored (heterogeneous) cluster tests — paper §III-C1's node-mix idea:
+one ``WimPiCluster`` given one node spec per node."""
 
 import pytest
 
-from repro.cluster import NodeSpec, WimPiCluster
-from repro.cluster.tailored import PI4_NODE, TailoredCluster
+from repro.cluster import PI4_NODE, NodeSpec, WimPiCluster
 from repro.hardware import PI4_KEY, get_platform
 
 
 @pytest.fixture(scope="module")
 def clusters(tpch_db):
     uniform = WimPiCluster(24, base_sf=0.01, target_sf=10.0, db=tpch_db)
-    mixed = TailoredCluster(
-        [NodeSpec()] * 20 + [PI4_NODE] * 4,
+    mixed = WimPiCluster(
+        24, node=[NodeSpec()] * 20 + [PI4_NODE] * 4,
         base_sf=0.01, target_sf=10.0, db=tpch_db,
     )
     return uniform, mixed
@@ -56,14 +56,13 @@ class TestTailoring:
 
     def test_single_node_placement_picks_largest_memory(self, clusters):
         _, mixed = clusters
-        host = mixed.single_node_index(None)
-        assert mixed.node_specs[host] is PI4_NODE
+        assert mixed.nodes[mixed.host] is PI4_NODE
 
     def test_placement_holds_under_replication(self, tpch_db):
         specs = [NodeSpec()] * 3 + [PI4_NODE]
         kwargs = dict(base_sf=0.01, target_sf=10.0, db=tpch_db)
-        single_copy = TailoredCluster(specs, **kwargs).run_query(13)
-        replicated = TailoredCluster(specs, replication=2, **kwargs).run_query(13)
+        single_copy = WimPiCluster(4, node=specs, **kwargs).run_query(13)
+        replicated = WimPiCluster(4, node=specs, replication=2, **kwargs).run_query(13)
         assert replicated.run.exec_nodes == [3]
         assert replicated.total_seconds == single_copy.total_seconds
 
@@ -74,14 +73,14 @@ class TestTailoring:
         assert mixed.total_msrp_usd > uniform.total_msrp_usd
 
     def test_tailoring_is_cheaper_than_all_pi4(self, tpch_db):
-        all_pi4 = TailoredCluster([PI4_NODE] * 24, base_sf=0.01,
-                                  target_sf=10.0, db=tpch_db)
-        mixed = TailoredCluster([NodeSpec()] * 20 + [PI4_NODE] * 4,
-                                base_sf=0.01, target_sf=10.0, db=tpch_db)
+        all_pi4 = WimPiCluster(24, node=PI4_NODE, base_sf=0.01,
+                               target_sf=10.0, db=tpch_db)
+        mixed = WimPiCluster(24, node=[NodeSpec()] * 20 + [PI4_NODE] * 4,
+                             base_sf=0.01, target_sf=10.0, db=tpch_db)
         assert mixed.total_msrp_usd < all_pi4.total_msrp_usd
         # ...while solving the same Q13 memory problem.
         assert max(mixed.run_query(13).node_pressure) < 1.0
 
     def test_empty_composition_rejected(self, tpch_db):
         with pytest.raises(ValueError):
-            TailoredCluster([], db=tpch_db)
+            WimPiCluster(0, node=[], db=tpch_db)

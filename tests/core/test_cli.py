@@ -77,6 +77,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "offloaded fragments" in out
 
+    def test_cluster_command_with_nam_runs_q7(self, capsys):
+        """A plain 4-node cluster reports Q7 unresponsive; the hybrid's
+        server runs every fragment, so the command answers."""
+        assert main([
+            "cluster", "7", "--nodes", "4", "--base-sf", "0.01", "--nam",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "offloaded fragments: 4 -> memory server" in out
+        assert "result rows: 4" in out
+
     def test_cluster_command_with_nam_and_chaos(self, capsys):
         """The NAM hybrid runs on the one resilient runtime: faults are
         recovered, thrashing fragments offloaded, rows unchanged."""
