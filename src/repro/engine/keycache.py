@@ -47,7 +47,9 @@ import numpy as np
 
 from repro.obs.metrics import HitMissStats
 
-__all__ = ["KeyCache", "combine_codes", "dense_span", "factorize", "key_cache", "stable_order"]
+__all__ = [
+    "KeyCache", "combine_codes", "dense_span", "factorize", "fits_direct", "key_cache", "stable_order",
+]
 
 _INT64_LIMIT = 2**63
 # Integer keys are dense when they span at most this many values per
@@ -91,7 +93,14 @@ def dense_span(keys: np.ndarray, rows: int) -> "tuple[int, int] | None":
         return None
     base = int(keys.min())
     span = int(keys.max()) - base + 1
-    return (base, span) if span <= _DENSE_FACTOR * rows else None
+    return (base, span) if fits_direct(span, rows) else None
+
+
+def fits_direct(span: int, rows: int) -> bool:
+    """Whether a direct-address table of ``span`` slots is small enough to
+    serve ``rows`` rows: the footprint rule behind :func:`dense_span`, and
+    behind a group-by whose key tuples address their slots directly."""
+    return span <= _DENSE_FACTOR * rows
 
 
 def stable_order(keys: np.ndarray) -> np.ndarray:

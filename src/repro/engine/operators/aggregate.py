@@ -9,13 +9,35 @@ is what it keeps so that partitions merge, read through
 :func:`two_phase` by the morsel merge, the cluster driver, segment
 lowering and rollup routing.
 
-Grouping keys are factorized per column and mixed into a single group
-id; no keys is the one-group case, with nothing factorized. Every
-factorization is :func:`~repro.engine.keycache.factorize`, which indexes
-a presence table by the key where the keys are dense integers and sorts
-only where they are not — same codes either way, so rows, group order
-and work accounting never depend on which ran; the span's ``kernel``
-attr says ``"sort"`` when any factorization behind the group ids sorted.
+A group-by takes one of three grouping kernels, chosen from the keys it
+is handed and named by the span's ``kernel`` attr and the
+``engine.group.kernel.*`` counters:
+
+- ``direct``: every key is NULL-free and dense by
+  :func:`~repro.engine.keycache.dense_span`, and the product of their
+  spans passes the same footprint rule
+  (:func:`~repro.engine.keycache.fits_direct`). A row's group id is then
+  the mixed-radix offset of its key tuple, ``sum((value_i - base_i) *
+  radix_i)``; the aggregates reduce over every slot, slots no row
+  reached are dropped, and each output key is ``base_i + digit_i`` of a
+  kept slot. Nothing is factorized.
+- ``dense`` and ``sort``: every other key tuple is factorized per column
+  and mixed into one code, which is factorized again. Every
+  factorization is :func:`~repro.engine.keycache.factorize`: a presence
+  table indexed by the key where the keys are dense integers
+  (``dense``), ``np.unique`` where they are not (``sort``, when any
+  factorization behind the group ids sorted).
+
+Offsets are monotone in the key tuple, like compacted ranks, so all
+three give the same groups in the same (``np.unique``) order, reduce
+each group's rows in row order, and charge the same work. No keys is
+the one-group case, with nothing grouped. DISTINCT keeps the
+factorizing :func:`_group_ids`, because it needs each group's first row.
+
+Inside one aggregate, every function of the same input is evaluated
+once and every (function, input) pair is reduced once, keyed on the
+input's :func:`~repro.engine.fingerprint.structural_key`; each use is
+still charged as if it had evaluated its input itself.
 """
 
 from __future__ import annotations
@@ -30,7 +52,10 @@ from repro.obs.trace import note
 from ..column import Column
 from ..expr import Arith, Expr, col
 from ..frame import Frame
-from ..keycache import _INT64_LIMIT, combine_codes, dense_span, factorize, key_cache, stable_order
+from ..keycache import (
+    _INT64_LIMIT, combine_codes, dense_span, factorize, fits_direct, key_cache, stable_order,
+)
+from ..profile import OperatorWork
 from ..types import FLOAT64, INT64, STRING
 
 __all__ = [
@@ -201,6 +226,44 @@ def _group_ids(frame: Frame, keys: list[str]) -> tuple[np.ndarray, int, np.ndarr
     return gids, n_groups, first, kernel
 
 
+def _direct_slots(frame: Frame, keys: list[str]):
+    """``(slots, n_slots, counts, kept, key_columns)`` when the key tuples
+    address their groups directly, else ``None``.
+
+    ``slots`` holds each row's mixed-radix offset (the first key most
+    significant), ``counts`` the rows per slot, ``kept`` the slots some
+    row reached, in order, and ``key_columns`` each key's value per kept
+    slot — same dtype, same dictionary. Applies when every key is
+    NULL-free and ``dense_span`` accepts it, and the slot count (the
+    product of the spans) fits the same footprint rule.
+    """
+    columns = [frame.column(name) for name in keys]
+    spans = []
+    n_slots = 1
+    for column in columns:
+        dense = None if column.has_nulls() else dense_span(column.values, frame.nrows)
+        if dense is None:
+            return None
+        spans.append(dense)
+        n_slots *= dense[1]
+    if not fits_direct(n_slots, frame.nrows):
+        return None
+    slots = np.subtract(columns[0].values, spans[0][0], dtype=np.int64)
+    for column, (base, span) in zip(columns[1:], spans[1:]):
+        slots *= span
+        slots += np.subtract(column.values, base, dtype=np.int64)  # in [0, span): no wrap
+    counts = np.bincount(slots, minlength=n_slots)
+    kept = np.flatnonzero(counts)
+    key_columns = {}
+    rest = kept
+    for name, column, (base, span) in reversed(list(zip(keys, columns, spans))):
+        rest, digit = np.divmod(rest, span)
+        values = (digit + base).astype(column.values.dtype)
+        key_columns[name] = Column(column.dtype, values, dictionary=column.dictionary)
+    metrics.counter("engine.group.kernel.direct").inc()
+    return slots, n_slots, counts, kept, {name: key_columns[name] for name in keys}
+
+
 def _count_distinct(gids: np.ndarray, n_groups: int, column: Column) -> np.ndarray:
     """Distinct non-NULL values of ``column`` per group id. Integer keys
     sort one mixed ``gid * card + code`` per row; anything else (floats:
@@ -309,6 +372,50 @@ def reduce_groups(
     return Column(dtype, out, valid=~empty if empty.any() else None)
 
 
+def _input_keys(aggs: dict[str, AggSpec]) -> list:
+    """One key per aggregate input, equal exactly where two inputs are the
+    same expression (``None`` for COUNT(*), which reads none). Only inputs
+    of one node type can be the same: those are keyed by
+    :func:`~repro.engine.fingerprint.structural_key` (never ``Expr ==``,
+    which builds an always-truthy comparison node), which hashes the
+    whole tree; every other input is keyed by its identity."""
+    from ..fingerprint import structural_key  # fingerprint imports AggSpec from here
+
+    exprs = [None if spec.func == "count_star" else spec.expr for spec in aggs.values()]
+    kinds = [type(expr) for expr in exprs]
+    return [
+        None if expr is None else structural_key(expr) if kinds.count(type(expr)) > 1 else id(expr)
+        for expr in exprs
+    ]
+
+
+def _evaluate_once(expr: Expr, key, shared: bool, evaluated: dict, frame: Frame, ctx) -> Column:
+    """``expr`` over ``frame``, evaluated once per input ``key`` when the
+    input is ``shared`` by several aggregates; every call charges
+    ``ctx.work`` what one evaluation charges."""
+    if not shared:
+        return expr.evaluate(frame, ctx)
+    if key not in evaluated:
+        work, ctx.work = ctx.work, OperatorWork(ctx.work.operator)
+        try:
+            column = expr.evaluate(frame, ctx)
+        finally:
+            charged, ctx.work = ctx.work, work
+        evaluated[key] = column, charged
+    column, charged = evaluated[key]
+    ctx.work.add(charged)
+    return column
+
+
+def _take_kept(column: Column, kept: np.ndarray) -> Column:
+    """The kept slots of one reduced column; a validity mask that only
+    the dropped, empty slots needed goes with them."""
+    out = column.take(kept)
+    if out.valid is not None and bool(out.valid.all()):
+        return Column(out.dtype, out.values, dictionary=out.dictionary)
+    return out
+
+
 def execute_aggregate(
     frame: Frame,
     group_by: list[str],
@@ -327,23 +434,40 @@ def execute_aggregate(
     """
     out_columns: dict[str, Column] = {}
     attrs = {}
-    if group_by:
+    counts = kept = None
+    direct = _direct_slots(frame, group_by) if group_by else None
+    if direct is not None:
+        gids, n_groups, counts, kept, out_columns = direct
+        attrs["kernel"] = "direct"
+    elif group_by:
         gids, n_groups, first, attrs["kernel"] = _group_ids(frame, group_by)
         for name in group_by:
             out_columns[name] = frame.column(name).take(first)
     else:
         gids, n_groups = np.zeros(frame.nrows, dtype=np.int64), 1
 
-    # Rows per group, counted once for every COUNT and AVG that reads all
-    # rows (a nullable column counts its valid rows; one group is O(1)).
-    counts = None
-    for name, spec in aggs.items():
-        column = None if spec.func == "count_star" else spec.expr.evaluate(frame, ctx)
+    inputs = _input_keys(aggs)
+    evaluated: dict = {}  # input key -> (column, work its evaluation charged)
+    reduced: dict = {}  # (function, input key) -> reduced column
+    for (name, spec), key in zip(aggs.items(), inputs):
+        column = None
+        if key is not None:
+            column = _evaluate_once(spec.expr, key, inputs.count(key) > 1, evaluated, frame, ctx)
+        # Rows per group, counted once for every COUNT and AVG that reads
+        # all rows (a nullable column counts its valid rows; one group is
+        # O(1)); the direct kernel has them already.
         if counts is None and n_groups > 1 and spec.func in ("count", "count_star", "avg") \
                 and (column is None or column.valid is None):
             counts = np.bincount(gids, minlength=n_groups)
-        out_columns[name] = reduce_groups(spec.func, column, gids, n_groups, counts)
+        if (spec.func, key) not in reduced:
+            reduced[spec.func, key] = reduce_groups(spec.func, column, gids, n_groups, counts)
+        out_columns[name] = reduced[spec.func, key]
 
+    if kept is not None:  # the direct kernel: drop the slots no row reached
+        if len(kept) < n_groups:
+            for name in aggs:
+                out_columns[name] = _take_kept(out_columns[name], kept)
+        n_groups = len(kept)
     out = Frame(out_columns, n_groups)
     # Work accounting: one hash insert (random access) per input row per
     # grouped aggregate pass, plus streaming the aggregate inputs.

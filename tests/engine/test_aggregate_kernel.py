@@ -5,6 +5,7 @@ per-group pure-Python reference that shares no code with either."""
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Column, Database, Executor, Frame, Q, Table, agg, col, physical
 from repro.engine.merge import concat_frames, merge_partial_aggregates
+from repro.engine.operators import aggregate as aggregate_module
 from repro.engine.operators.aggregate import (
     AGG_STATES,
     AggSpec,
@@ -517,3 +519,69 @@ class TestTwoPhase:
         assert list(routed.columns) == [c for c in want.columns if c != "z"]
         for name in routed.columns:
             _assert_columns_equal(routed.column(name), want.column(name), name)
+
+
+# ----------------------------------------------------------------------
+# Shared inputs: one reduction per distinct (function, input) pair
+# ----------------------------------------------------------------------
+
+def _aggregate_node(node):
+    from repro.engine.plan import AggregateNode
+
+    while not isinstance(node, AggregateNode):
+        (node,) = node.children()
+    return node
+
+
+class TestSharedReductionsRunOnce:
+    @staticmethod
+    def _reductions(run):
+        """``run()``'s result and its ``reduce_groups`` calls, grouped by
+        the aggregate that made them (one ``gids`` array per aggregate)."""
+        calls: dict[int, list] = {}
+        keep = []  # hold every gids array, so no id() is recycled
+        real = aggregate_module.reduce_groups
+
+        def recording(func, column, gids, n_groups, counts=None):
+            keep.append(gids)
+            calls.setdefault(id(gids), []).append(func)
+            return real(func, column, gids, n_groups, counts)
+
+        with mock.patch.object(aggregate_module, "reduce_groups", recording):
+            result = run()
+        return result, list(calls.values())
+
+    def test_a_q1_morsel_partial_reduces_each_pair_once(self, tpch_db, tpch_params):
+        from repro.engine.fingerprint import structural_key
+        from repro.tpch import get_query
+
+        plan = get_query(1).build(tpch_db, tpch_params)
+        partial, final, _ = two_phase(dict(_aggregate_node(plan.node).aggs))
+        pairs = {(s.func, None if s.expr is None else structural_key(s.expr)) for s in partial.values()}
+        assert len(pairs) < len(partial)  # sum_qty and avg_qty@sum, ...
+
+        with Executor(tpch_db, workers=2, morsel_rows=8192) as parallel:
+            result, calls = self._reductions(lambda: parallel.execute(plan))
+        partial_calls = sorted(func for func, _ in pairs)
+        final_calls = sorted(s.func for s in final.values())
+        morsels = [c for c in calls if sorted(c) == partial_calls]
+        assert len(morsels) >= 2
+        assert all(sorted(c) in (partial_calls, final_calls) for c in calls)
+        # Two-phase sums reorder float additions: equal to the last few ulps.
+        serial = Executor(tpch_db).execute(plan).rows
+        assert [r[:2] + r[-1:] for r in result.rows] == [r[:2] + r[-1:] for r in serial]
+        for got, want in zip(result.rows, serial):
+            assert got[2:-1] == pytest.approx(want[2:-1], rel=1e-12)
+
+    def test_different_inputs_to_one_function_stay_apart(self, tpch_db):
+        text = ("SELECT l_returnflag, SUM(l_tax) AS tax, SUM(l_discount) AS disc "
+                "FROM lineitem GROUP BY l_returnflag")
+        result, calls = self._reductions(lambda: Executor(tpch_db).execute(sql(tpch_db, text)))
+        assert calls == [["sum", "sum"]]
+        lineitem = tpch_db.table("lineitem")
+        flags = lineitem.column("l_returnflag").decoded()
+        for flag, tax, disc in result.rows:
+            rows = flags == flag
+            assert tax == pytest.approx(lineitem.column("l_tax").values[rows].sum())
+            assert disc == pytest.approx(lineitem.column("l_discount").values[rows].sum())
+            assert tax != disc

@@ -4,6 +4,7 @@ cut-off, and nothing a group-by, DISTINCT, COUNT(DISTINCT) or Grace
 partitioning returns or charges depends on which kernel ran. ``np.unique``
 and Python sets stay here as the oracles."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -25,7 +26,7 @@ from repro.engine.operators.distinct import execute_distinct
 from repro.engine.profile import OperatorContext
 from repro.engine.spill import _group_partition_keys, _to_uint64
 from repro.engine.sql import sql
-from repro.engine.types import FLOAT64, INT64
+from repro.engine.types import DATE, FLOAT64, INT64, STRING
 
 # Tier-1 example counts; CI raises them (HYPOTHESIS_PROFILE=ci).
 _CI = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
@@ -217,14 +218,143 @@ class TestAggregateDenseVsSparseKeys:
     def test_the_two_key_shapes_do_take_different_kernels(self):
         from repro.obs.metrics import metrics
 
-        rows = [(i % 7, 0, 0, 9, i) for i in range(50)]
+        # Every fifth row's key is NULL where the shape has NULLs.
+        rows = [(i % 7, 0, 0, 9 if i % 5 else 0, i) for i in range(50)]
+        shapes = {"direct": (1, False), "dense": (1, True), "sort": (_SPARSE, False)}
+        counters = {name: metrics.counter(f"engine.group.kernel.{name}") for name in shapes}
         counts = {}
-        for name, scale in (("dense", 1), ("sort", _SPARSE)):
-            counter = metrics.counter(f"engine.group.kernel.{name}")
-            before = counter.value
-            _run_aggregate(rows, 1, scale, False)
-            counts[name] = counter.value - before
-        assert counts == {"dense": 1, "sort": 1}
+        for taken, (scale, with_nulls) in shapes.items():
+            before = {name: counter.value for name, counter in counters.items()}
+            _run_aggregate(rows, 1, scale, with_nulls)
+            counts[taken] = {name: counter.value - before[name] for name, counter in counters.items()}
+        assert counts == {taken: {name: int(name == taken) for name in shapes} for taken in shapes}
+
+
+# ----------------------------------------------------------------------
+# Direct addressing: the key tuple's offset is its group id
+# ----------------------------------------------------------------------
+
+_EVERY_FUNCTION = {
+    "n": AggSpec("count_star"),
+    "c": AggSpec("count", col("v")),
+    "s": AggSpec("sum", col("v")),
+    "s_again": AggSpec("sum", col("v")),
+    "a": AggSpec("avg", col("v")),
+    "lo": AggSpec("min", col("v")),
+    "hi": AggSpec("max", col("v")),
+    "ilo": AggSpec("min", col("i")),
+    "ihi": AggSpec("max", col("i")),
+    "is": AggSpec("isum", col("i")),
+    "d": AggSpec("count_distinct", col("w")),
+    "sd": AggSpec("count_distinct", col("v")),
+}
+
+# Unsorted on purpose: group order follows the codes, not the strings.
+_UNSORTED_DICTIONARY = np.asarray(["m", "b", "z", "a", "q", "c", "y", "d"], dtype=object)
+_INT64_INFO = np.iinfo(np.int64)
+
+
+def _direct_key(offsets, kind, where, nulls):
+    """One key column whose values are ``offsets`` from a base chosen by
+    ``where`` (the int64 ends included); ``nulls`` marks NULL rows."""
+    valid = ~np.asarray(nulls, dtype=bool) if any(nulls) else None
+    if kind == "string":
+        codes = np.asarray(offsets, dtype=np.int32) % len(_UNSORTED_DICTIONARY)
+        return Column(STRING, codes, dictionary=_UNSORTED_DICTIONARY, valid=valid)
+    if kind == "date":
+        return Column(DATE, np.asarray([9000 + o for o in offsets], dtype=np.int32), valid=valid)
+    top = max(offsets, default=0)
+    base = {"min": int(_INT64_INFO.min), "negative": -7, "max": int(_INT64_INFO.max) - top}[where]
+    return Column(INT64, np.asarray([base + o for o in offsets], dtype=np.int64), valid=valid)
+
+
+def _grouped(frame, keys, factorizing):
+    """``(rows with dtypes, OperatorWork, kernel counter deltas)`` of one
+    grouped aggregate, with the direct kernel refused when ``factorizing``."""
+    from repro.obs.metrics import metrics
+
+    counters = {k: metrics.counter(f"engine.group.kernel.{k}") for k in ("direct", "dense", "sort")}
+    before = {k: c.value for k, c in counters.items()}
+    ctx = OperatorContext(None, None)
+    work = ctx.begin_operator("aggregate")
+    refuse = mock.patch.object(aggregate_module, "_direct_slots", lambda frame, keys: None)
+    with refuse if factorizing else contextlib.nullcontext():
+        out = execute_aggregate(frame, keys, dict(_EVERY_FUNCTION), ctx)
+    columns = [out.column(name) for name in out.columns]
+    rows = [(c.dtype.name, c.dictionary is not None and c.dictionary is _UNSORTED_DICTIONARY,
+             c.values.dtype.str, c.to_list()) for c in columns]
+    return rows, dataclasses.asdict(work), {k: c.value - before[k] for k, c in counters.items()}
+
+
+class TestDirectAddressedGroupBy:
+    """The direct kernel returns the factorizing kernels' rows, in their
+    order, bit for bit, and charges the same ``OperatorWork``; it runs
+    exactly where every key is NULL-free and dense and the slot count
+    fits the footprint rule, and falls back everywhere else."""
+
+    @_wall
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(0, 39),
+                      st.integers(-40, 40), st.integers(0, 9)),
+            max_size=40,
+        ),
+        n_keys=st.integers(1, 3),
+        kinds=st.tuples(*[st.sampled_from(["int", "string", "date"])] * 3),
+        where=st.sampled_from(["min", "negative", "max"]),
+        spread=st.sampled_from([1, 2, 5, 40]),
+        null_key=st.sampled_from([None, 0, 2]),
+        null_values=st.booleans(),
+    )
+    def test_same_rows_order_and_work_as_factorizing(
+        self, rows, n_keys, kinds, where, spread, null_key, null_values
+    ):
+        n = len(rows)
+        columns = {}
+        for k in range(n_keys):
+            # The row number keeps the keys apart when the draws are all 0.
+            offsets = [(row[k] + i * (2 * k + 1)) % spread for i, row in enumerate(rows)]
+            nulls = [null_key == k and row[4] < 3 for row in rows]
+            columns[f"k{k}"] = _direct_key(offsets, kinds[k], where, nulls)
+        payload = [row[3] for row in rows]
+        valid = np.asarray([row[4] != 7 for row in rows], dtype=bool) if null_values else None
+        columns["v"] = Column(FLOAT64, np.asarray(payload, dtype=np.float64) / 4, valid=valid)
+        columns["i"] = Column(INT64, np.asarray(payload, dtype=np.int64) * 2**40, valid=valid)
+        columns["w"] = Column.from_ints([p % 3 for p in payload])
+        frame = Frame(columns, n)
+        keys = [f"k{k}" for k in range(n_keys)]
+
+        got_rows, got_work, got_kernels = _grouped(frame, keys, factorizing=False)
+        want_rows, want_work, want_kernels = _grouped(frame, keys, factorizing=True)
+        assert got_rows == want_rows
+        assert got_work == want_work
+
+        spans = [dense_span(frame.column(name).values, n) for name in keys]
+        direct = (
+            not any(frame.column(name).has_nulls() for name in keys)
+            and None not in spans
+            and math.prod(span for _, span in spans) <= keycache._DENSE_FACTOR * n
+        )
+        assert got_kernels == (
+            {"direct": 1, "dense": 0, "sort": 0} if direct else {"direct": 0, **want_kernels}
+        )
+        assert want_kernels["direct"] == 0 and sum(want_kernels.values()) == 1
+
+    @pytest.mark.parametrize("shape", ["empty", "one row", "nullable", "product above bound"])
+    def test_edges_take_the_kernel_their_shape_allows(self, shape):
+        n = {"empty": 0, "one row": 1}.get(shape, 6)
+        a = Column(INT64, np.arange(n, dtype=np.int64) % 3 + int(_INT64_INFO.max) - 2)
+        b = Column(STRING, (np.arange(n) * 5 % 8).astype(np.int32), dictionary=_UNSORTED_DICTIONARY)
+        if shape == "nullable":
+            a = Column(INT64, a.values, valid=np.arange(n) != 4)
+        # 3 x 8 slots over 6 rows: each key is dense, their product is not.
+        frame = Frame({"a": a, "b": b, "v": Column.from_floats([0.5] * n),
+                       "i": Column.from_ints(range(n)), "w": Column.from_ints([1] * n)}, n)
+        got_rows, got_work, got_kernels = _grouped(frame, ["a", "b"], factorizing=False)
+        want_rows, want_work, _ = _grouped(frame, ["a", "b"], factorizing=True)
+        assert (got_rows, got_work) == (want_rows, want_work)
+        assert got_kernels["direct"] == int(shape == "one row")
+        assert len(got_rows[0][3]) == {"empty": 0, "one row": 1}.get(shape, 6)
 
 
 def _multi_key_ids(frame, name):

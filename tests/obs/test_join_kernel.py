@@ -112,12 +112,14 @@ def _traced_plan(db, plan):
 
 
 def test_q1_groups_by_direct_addressing(tpch_db, tpch_params):
+    direct = metrics.counter("engine.group.kernel.direct")
+    before = direct.value
     spans, moved = _traced_plan(tpch_db, get_query(1).build(tpch_db, tpch_params))
     aggregates = [s for s in spans if s.name == "aggregate"]
-    # Two dictionary-coded keys: dense per column and dense combined.
-    assert [s.attrs["kernel"] for s in aggregates] == ["dense"]
+    # Two dictionary-coded keys: their code pair is the group's slot.
+    assert [s.attrs["kernel"] for s in aggregates] == ["direct"]
     assert aggregates[0].attrs["groups"] == 4
-    assert moved == {"dense": 1, "sort": 0}
+    assert {"direct": direct.value - before, **moved} == {"direct": 1, "dense": 0, "sort": 0}
 
 
 def test_float_keyed_group_by_sorts(tpch_db):
