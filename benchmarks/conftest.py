@@ -1,9 +1,9 @@
-"""Shared benchmark fixtures: one study instance, one output directory.
+"""Shared benchmark fixtures: one output directory, paired timing.
 
-Every ``bench_*`` module regenerates one of the paper's tables/figures;
-alongside the timing, the rendered artifact is written to
-``benchmarks/output/<name>.txt`` so the regenerated rows can be diffed
-against the paper (see EXPERIMENTS.md).
+Each ``bench_*`` module times one engine feature or extension study and
+writes what it measured to ``benchmarks/output/<name>.txt``. The paper's
+tables and figures are rendered by ``repro.core.report`` alone
+(``tools/gen_experiments.py`` writes them into EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import time
 from pathlib import Path
 
 import pytest
-
-from repro.core import ExperimentStudy, StudyConfig
 
 OUTPUT_DIR = Path(__file__).parent / "output"
 
@@ -28,12 +26,6 @@ def pytest_addoption(parser):
         "--assert-speedup", default=None,
         help="fail the parallel smoke benchmark below this serial/parallel ratio",
     )
-
-
-@pytest.fixture(scope="session")
-def study() -> ExperimentStudy:
-    """Study harness at a bench-friendly base scale factor."""
-    return ExperimentStudy(StudyConfig(base_sf=0.02))
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from repro.hardware import PLATFORMS, PI_KEY, PlatformSpec, get_platform
 
+from .energy import energy_improvement
+
 __all__ = ["msrp_improvement", "hourly_improvement", "break_even_nodes",
            "normalized_improvement"]
 
@@ -67,8 +69,14 @@ def break_even_nodes(
     metric: str = "msrp",
 ) -> int | None:
     """Smallest cluster size whose normalized improvement crosses 1.0
-    (the paper's dotted break-even line), or None if none does."""
-    improve = msrp_improvement if metric == "msrp" else hourly_improvement
+    (the paper's dotted break-even line), or None if none does.
+    ``metric`` is Fig. 5's ``"msrp"``, Fig. 6's ``"hourly"`` or Fig. 7's
+    ``"energy"``."""
+    improve = {
+        "msrp": msrp_improvement,
+        "hourly": hourly_improvement,
+        "energy": energy_improvement,
+    }[metric]
     for nodes in sorted(cluster_seconds_by_nodes):
         if improve(server, server_seconds, cluster_seconds_by_nodes[nodes], nodes) >= 1.0:
             return nodes

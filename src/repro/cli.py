@@ -142,8 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scaling = sub.add_parser(
         "scaling",
-        help="measure the engine's multi-worker speedup curve and the "
-             "calibrated Amdahl serial fraction it implies",
+        help="measure the engine's multi-worker speedup curve on this host",
     )
     scaling.add_argument("--sf", type=float, default=0.05)
     scaling.add_argument("--workers", default="1,2,4",
@@ -443,24 +442,17 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "validate":
         from repro.core.claims import evaluate_claims
+        from repro.core.report import render_claims
 
         study = ExperimentStudy(StudyConfig(base_sf=args.base_sf))
         results = evaluate_claims(study)
         passed = sum(r.passed for r in results)
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"[{mark}] {r.claim_id:<8} {r.quote}")
-            print(f"        -> {r.detail}")
+        print(render_claims(results))
         print(f"\n{passed}/{len(results)} claims reproduced")
         return 0 if passed == len(results) else 1
 
     if args.command == "scaling":
-        from repro.hardware import (
-            PI_KEY,
-            PerformanceModel,
-            get_platform,
-            measure_parallel_scaling,
-        )
+        from repro.hardware import measure_parallel_scaling
         from repro.tpch import generate, get_query
 
         worker_counts = [int(w) for w in args.workers.split(",")]
@@ -471,18 +463,8 @@ def main(argv: list[str] | None = None) -> int:
             db, plans, worker_counts=worker_counts, repeats=args.repeats
         )
         print(f"measured speedup curve (SF {args.sf:g}, Q{numbers}):")
-        for n, s in curve.points:
-            print(f"  {int(n)} workers: {s:.2f}x")
-        print(f"fitted Amdahl serial fraction: {curve.serial_fraction:.4f}")
-        # Show what the calibrated curve does to the Pi prediction.
-        from repro.engine import execute as _execute
-
-        profile = _execute(db, plans[0]).profile
-        pi = get_platform(PI_KEY)
-        assumed = PerformanceModel().predict(profile, pi)
-        calibrated = PerformanceModel(scaling=curve).predict(profile, pi)
-        print(f"Pi 3B+ prediction for Q{numbers[0]} at this profile: "
-              f"{assumed:.3f}s assumed-Amdahl -> {calibrated:.3f}s calibrated")
+        for n, s in curve:
+            print(f"  {n} workers: {s:.2f}x")
         return 0
 
     if args.command in _EXTENSIONS:

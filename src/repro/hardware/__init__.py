@@ -10,11 +10,9 @@ from .calibration import (
     DEFAULT_CONSTANTS,
     DEFAULT_PLATFORM_FACTORS,
     fit_constants,
-    fit_serial_fraction,
 )
 from .energy import EnergyEstimate, EnergyModel
 from .perfmodel import (
-    MeasuredScaling,
     PerformanceModel,
     RuntimeBreakdown,
     measure_parallel_scaling,
@@ -36,8 +34,8 @@ from .platforms import (
 __all__ = [
     "ALL_KEYS", "CLOUD", "CalibrationConstants", "DEFAULT_CONSTANTS",
     "DEFAULT_PLATFORM_FACTORS", "EnergyEstimate", "EnergyModel",
-    "KWH_PRICE_USD", "MeasuredScaling", "ON_PREMISES", "PI_KEY", "PI4_KEY",
+    "KWH_PRICE_USD", "ON_PREMISES", "PI_KEY", "PI4_KEY",
     "PLATFORMS", "PerformanceModel", "PlatformSpec", "RuntimeBreakdown",
-    "SBC", "SERVER_KEYS", "fit_constants", "fit_serial_fraction",
+    "SBC", "SERVER_KEYS", "fit_constants",
     "get_platform", "measure_parallel_scaling",
 ]

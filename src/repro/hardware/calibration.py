@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 __all__ = [
     "CalibrationConstants", "DEFAULT_CONSTANTS", "fit_constants",
-    "fit_serial_fraction",
 ]
 
 
@@ -125,36 +124,6 @@ DEFAULT_PLATFORM_FACTORS: dict[str, float] = {
     # efficiency profile (same OS/DBMS build, similar ARM core family).
     "pi4b-8gb": 0.540,
 }
-
-
-def fit_serial_fraction(
-    worker_counts: "list[int]", speedups: "list[float]"
-) -> float:
-    """Least-squares Amdahl serial fraction from a measured scaling curve.
-
-    Fits ``1/S(n) = f + (1 - f)/n`` over the measured ``(n, S)`` points.
-    Substituting ``y = 1/S - 1/n`` and ``a = 1 - 1/n`` makes the model
-    linear (``y = f * a``), so the fit is closed-form — no scipy needed
-    at measurement time.
-
-    Used to recalibrate the performance model's assumed ``serial_fraction``
-    from *real* multi-worker engine runs (see
-    :func:`repro.hardware.perfmodel.measure_parallel_scaling`) instead of
-    the frozen Table II fit.
-    """
-    if len(worker_counts) != len(speedups):
-        raise ValueError("worker_counts and speedups must align")
-    num = den = 0.0
-    for n, s in zip(worker_counts, speedups):
-        if n <= 1 or s <= 0:
-            continue
-        a = 1.0 - 1.0 / n
-        y = 1.0 / s - 1.0 / n
-        num += a * y
-        den += a * a
-    if den == 0.0:
-        return DEFAULT_CONSTANTS.serial_fraction
-    return float(min(1.0, max(0.0, num / den)))
 
 
 def fit_constants(

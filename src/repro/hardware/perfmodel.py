@@ -28,12 +28,10 @@ from .calibration import (
     CalibrationConstants,
     DEFAULT_CONSTANTS,
     DEFAULT_PLATFORM_FACTORS,
-    fit_serial_fraction,
 )
 from .platforms import PlatformSpec
 
 __all__ = [
-    "MeasuredScaling",
     "PerformanceModel",
     "RuntimeBreakdown",
     "measure_parallel_scaling",
@@ -71,61 +69,23 @@ class RuntimeBreakdown:
     spill: float = 0.0
 
 
-@dataclass(frozen=True)
-class MeasuredScaling:
-    """A measured intra-query speedup curve: ``(workers, speedup)`` points.
-
-    Produced by :func:`measure_parallel_scaling` from real multi-worker
-    :class:`~repro.engine.Executor` runs. When handed to
-    :class:`PerformanceModel`, per-platform core-count scaling follows
-    this curve (interpolated, flat beyond the last measured point)
-    instead of the assumed-linear Amdahl law.
-    """
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("a scaling curve needs at least one point")
-        object.__setattr__(
-            self, "points", tuple(sorted((float(n), float(s)) for n, s in self.points))
-        )
-
-    def speedup(self, workers: float) -> float:
-        """Piecewise-linear interpolated speedup at ``workers`` threads."""
-        pts = self.points
-        if workers <= pts[0][0]:
-            return pts[0][1] if pts[0][0] > 1 else max(1.0, pts[0][1] * workers / pts[0][0])
-        for (n0, s0), (n1, s1) in zip(pts, pts[1:]):
-            if workers <= n1:
-                t = (workers - n0) / (n1 - n0)
-                return s0 + t * (s1 - s0)
-        return pts[-1][1]  # flat extrapolation: no free linear scaling
-
-    @property
-    def serial_fraction(self) -> float:
-        """Amdahl serial fraction fitted to the measured points."""
-        return fit_serial_fraction(
-            [int(n) for n, _ in self.points], [s for _, s in self.points]
-        )
-
-
 def measure_parallel_scaling(
     db,
     plans,
     worker_counts=(1, 2, 4),
     repeats: int = 3,
     morsel_rows: int | None = None,
-) -> MeasuredScaling:
+) -> list[tuple[int, float]]:
     """Measure the engine's real multi-worker speedup curve.
 
     Runs each plan through :class:`~repro.engine.Executor` at each
     worker count (result cache off, best-of-``repeats`` wall clock) and
-    returns the geometric-mean speedup relative to the lowest count. A
-    one-worker point is the serial engine itself (no morsel segments),
-    so the curve measures what the morsel machinery buys over not using
-    it. This is the calibration input the Fig. 3 / Table II sweeps feed
-    back into the performance model.
+    returns ``(workers, speedup)`` points: the geometric-mean speedup
+    relative to the lowest count. A one-worker point is the serial
+    engine itself (no morsel segments), so the curve measures what the
+    morsel machinery buys over not using it. It measures this host's
+    threads; the performance model prices a platform's cores
+    analytically and never reads it.
     """
     import math
 
@@ -147,8 +107,8 @@ def measure_parallel_scaling(
     for w in worker_counts:
         ratios = [b / t for b, t in zip(baseline, best[w])]
         geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-        points.append((float(w), geo))
-    return MeasuredScaling(tuple(points))
+        points.append((w, geo))
+    return points
 
 
 class PerformanceModel:
@@ -158,17 +118,11 @@ class PerformanceModel:
         self,
         constants: CalibrationConstants | None = None,
         platform_factors: dict[str, float] | None = None,
-        scaling: MeasuredScaling | None = None,
     ):
         self.constants = constants or DEFAULT_CONSTANTS
         self.platform_factors = (
             platform_factors if platform_factors is not None else DEFAULT_PLATFORM_FACTORS
         )
-        # Optional measured intra-query scaling curve. When present, the
-        # compute term's multi-core speedup is read off the curve (scaled
-        # by the operator-class efficiency) rather than derived from the
-        # assumed Amdahl serial fraction.
-        self.scaling = scaling
 
     # ------------------------------------------------------------------
 
@@ -182,18 +136,11 @@ class PerformanceModel:
         threads = min(threads, platform.db_parallel_cap)
         cores_used = min(threads, platform.total_cores)
         boost = c.smt_boost if (platform.smt > 1 and threads > platform.total_cores) else 1.0
-        if self.scaling is not None:
-            # Calibrated path: interpolate the measured speedup at this
-            # thread count; operator classes that serialize on shared
-            # structures keep only a fraction of the measured gain.
-            measured = self.scaling.speedup(cores_used * boost)
-            speedup = 1.0 + (measured - 1.0) * eff
-        else:
-            # Amdahl-limited compute scaling: one query does not keep 40
-            # threads busy end to end.
-            n_eff = max(1.0, cores_used * boost * eff * c.parallel_efficiency)
-            f = c.serial_fraction
-            speedup = 1.0 / (f + (1.0 - f) / n_eff)
+        # Amdahl-limited compute scaling: one query does not keep 40
+        # threads busy end to end.
+        n_eff = max(1.0, cores_used * boost * eff * c.parallel_efficiency)
+        f = c.serial_fraction
+        speedup = 1.0 / (f + (1.0 - f) / n_eff)
         rate = platform.core_rate("int") * speedup
         # Zone-map probes are the compute price of data skipping: bytes a
         # scan proved skippable (op.skipped_bytes) never enter the memory

@@ -24,9 +24,8 @@ class TestExamples:
     def test_all_examples_exist(self):
         present = {p.name for p in EXAMPLES.glob("*.py")}
         assert {
-            "quickstart.py", "tpch_single_node.py", "wimpi_scaling.py",
-            "cost_energy_report.py", "custom_analytics.py",
-            "sql_interface.py", "extensions_tour.py", "full_study_report.py",
+            "quickstart.py", "custom_analytics.py", "sql_interface.py",
+            "extensions_tour.py",
         } <= present
 
     def test_every_example_compiles(self):
