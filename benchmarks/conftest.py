@@ -1,9 +1,10 @@
 """Shared benchmark fixtures: one output directory, paired timing.
 
-Each ``bench_*`` module times one engine feature or extension study and
+Each ``bench_*`` module times one engine feature or ablation and
 writes what it measured to ``benchmarks/output/<name>.txt``. The paper's
-tables and figures are rendered by ``repro.core.report`` alone
-(``tools/gen_experiments.py`` writes them into EXPERIMENTS.md).
+tables and figures and the extension studies are rendered by
+``repro.core.report`` alone (``tools/gen_experiments.py`` writes them
+into EXPERIMENTS.md).
 """
 
 from __future__ import annotations

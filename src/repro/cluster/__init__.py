@@ -19,7 +19,7 @@ from .faults import (
     TransientNetworkError,
 )
 from .network import NetworkModel
-from .node import PI4_NODE, MemoryModel, NodeSpec, collect_scan_columns
+from .node import PI4_NODE, SPARK_NODE, MemoryModel, NodeSpec, collect_scan_columns
 from .partition import (
     ReplicatedLayout,
     partition_table,
@@ -33,24 +33,19 @@ from .resilient import (
     ResilientRun,
     ShardOutcome,
 )
-from .scheduler import PowerPolicy, QueryArrival, SimulationResult, WorkloadSimulator, poisson_workload
-from .frameworks import FRAMEWORKS, Framework, feasible_cluster_size, framework_pressure
 from .reliability import (
     MemoryOutcome,
     NodeUnresponsiveError,
     QueryOutOfMemoryError,
     SwapPolicy,
     classify_pressure,
-    reliability_report,
 )
 
 __all__ = [
     "ClusterQueryRun", "MemoryModel",
     "NamCluster", "MemoryOutcome", "NodeUnresponsiveError",
-    "QueryOutOfMemoryError", "SwapPolicy", "classify_pressure", "reliability_report",
-    "PowerPolicy", "QueryArrival", "SimulationResult", "WorkloadSimulator",
-    "poisson_workload", "FRAMEWORKS", "Framework", "feasible_cluster_size",
-    "framework_pressure", "PI4_NODE",
+    "QueryOutOfMemoryError", "SwapPolicy", "classify_pressure", "PI4_NODE",
+    "SPARK_NODE",
     "NetworkModel", "NodeSpec", "NotDistributableError", "SplitPlan",
     "WimPiCluster", "collect_scan_columns", "concat_frames",
     "partition_table", "split_for_partial_aggregation",

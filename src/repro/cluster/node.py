@@ -20,7 +20,8 @@ from repro.engine.types import STRING
 from repro.hardware import PLATFORMS, PI4_KEY, PI_KEY, PlatformSpec
 
 __all__ = [
-    "NodeSpec", "MemoryModel", "PI4_NODE", "collect_scan_columns", "SPEC_STRING_BYTES",
+    "NodeSpec", "MemoryModel", "PI4_NODE", "SPARK_NODE", "collect_scan_columns",
+    "SPEC_STRING_BYTES",
 ]
 
 # Average per-row string-heap bytes for columns that are unique (or
@@ -64,6 +65,10 @@ class NodeSpec:
 # An 8 GB Raspberry Pi 4B worker (§III-C1's tailored node mix).
 PI4_NODE = NodeSpec(platform=PLATFORMS[PI4_KEY], memory_bytes=8e9,
                     os_reserve_bytes=250e6)
+
+# A Pi 3B+ running Spark (§III-C1): the JVM and Spark runtime hold the
+# paper's ~500 MB on top of the OS reserve.
+SPARK_NODE = NodeSpec(os_reserve_bytes=650e6)
 
 
 def collect_scan_columns(node: PlanNode) -> dict[str, set[str]]:

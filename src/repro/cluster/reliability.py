@@ -26,7 +26,6 @@ __all__ = [
     "NodeUnresponsiveError",
     "MemoryOutcome",
     "classify_pressure",
-    "reliability_report",
 ]
 
 # At or beyond this over-commit, a swapping node stops answering (the
@@ -104,16 +103,3 @@ def classify_pressure(node: int, pressure: float, policy: SwapPolicy) -> MemoryO
             outcome = "ok"
     return MemoryOutcome(node=node, pressure=pressure, outcome=outcome)
 
-
-def reliability_report(
-    pressures_by_query: dict[int, list[float]], policy: SwapPolicy
-) -> dict[int, list[MemoryOutcome]]:
-    """Classify every node of every query; the paper's experience is
-    that NO_SWAP converts whole-node failures into per-query OOMs."""
-    return {
-        query: [
-            classify_pressure(node, pressure, policy)
-            for node, pressure in enumerate(pressures)
-        ]
-        for query, pressures in pressures_by_query.items()
-    }

@@ -6,14 +6,25 @@ built and measured (DESIGN.md lists them as optional scope):
 * §III-C1 — the NAM hybrid cluster with a network-attached memory server
   (:func:`nam_study`);
 * §III-B2 / §IV-B — energy proportionality: powering nodes on and off to
-  track load (:func:`proportionality_study`).
+  track load (:func:`proportionality_study`);
+* §III-C1, §III-C4 and §II-D2 — the one cluster under other nodes,
+  swap policy and layout: a Spark node, swap disabled, a tailored node
+  mix and co-partitioned joins (:func:`cluster_variants_study`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster import WimPiCluster
+from repro.cluster import (
+    PI4_NODE,
+    SPARK_NODE,
+    NodeSpec,
+    NodeUnresponsiveError,
+    QueryOutOfMemoryError,
+    SwapPolicy,
+    WimPiCluster,
+)
 from repro.cluster.nam import NamCluster
 from repro.engine import DEFAULT_SETTINGS, Database, execute
 from repro.engine.compression import compress_table, compression_ratio
@@ -22,6 +33,7 @@ from repro.tpch import generate, get_query
 
 __all__ = [
     "CompressionResult",
+    "cluster_variants_study",
     "compression_study",
     "nam_study",
     "proportionality_study",
@@ -143,8 +155,9 @@ def proportionality_study(
     off when idle vs. an always-on server (§III-B2's argument).
 
     Returns watt-hours for (a) the cluster with per-node power control,
-    (b) the cluster always-on, (c) op-e5 always-on at the load-matched
-    utilization, plus the proportionality curves.
+    (b) the cluster always-on, every node at the trace's utilization,
+    (c) op-e5 always-on at the same utilization, and the savings of (a)
+    over each.
     """
     if utilization_trace is None:
         # A bursty 24-hour analytics trace: quiet nights, busy afternoons.
@@ -161,7 +174,11 @@ def proportionality_study(
         model.proportionality_curve(pi, [u], nodes=n_nodes)[0]
         for u in utilization_trace
     )
-    cluster_always_on = len(utilization_trace) * model.active_power(pi, nodes=n_nodes)
+    # Always on, every node follows the same idle-to-peak ramp as the
+    # server: the load spreads over all of them and none powers off.
+    cluster_always_on = sum(
+        n_nodes * model.proportionality_curve(pi, [u])[0] for u in utilization_trace
+    )
     server_curve = sum(
         model.proportionality_curve(server, [u])[0] for u in utilization_trace
     )
@@ -173,3 +190,56 @@ def proportionality_study(
         "savings_vs_always_on": 1 - cluster_scaled / cluster_always_on,
         "savings_vs_server": 1 - cluster_scaled / server_curve,
     }
+
+
+VARIANT_SIZES = (4, 24)  # Table III's two WIMPI sizes
+VARIANT_QUERIES = (1, 3, 5, 13)
+
+
+def _variants(n_nodes: int) -> dict[str, dict]:
+    """The ``WimPiCluster`` keywords of each variant at ``n_nodes``."""
+    big = -(-n_nodes // 6)  # one node in six (rounded up) is an 8 GB Pi 4B
+    return {
+        "plain": {},
+        "no swap": {"swap_policy": SwapPolicy.NO_SWAP},
+        "Spark node": {"node": SPARK_NODE},
+        "tailored mix": {"node": [NodeSpec()] * (n_nodes - big) + [PI4_NODE] * big},
+        "co-partitioned": {
+            "partition_keys": {"lineitem": "l_orderkey", "orders": "o_custkey",
+                               "customer": "c_custkey"},
+        },
+    }
+
+
+def cluster_variants_study(base_sf: float = 0.02) -> dict:
+    """Price ``VARIANT_QUERIES`` at SF 10 on ``WimPiCluster(n,
+    **variant)`` for each variant and each of ``VARIANT_SIZES``: the
+    paper's cluster, swap disabled (§III-C4), a Spark node's JVM reserve
+    (§III-C1), a tailored mix of Pi 3B+ and 8 GB Pi 4B nodes (§III-C1)
+    and orders/customer co-partitioned on the customer key beside
+    lineitem on its order key (§II-D2), once pre-partitioned and once
+    with the shuffle into that layout.
+
+    Returns ``{variant: {n: {"msrp_usd", "peak_power_w", "seconds":
+    {query: seconds, or the name of the typed §III-C4 error}}}}``.
+    """
+    db = generate(base_sf, seed=42)
+    out: dict[str, dict] = {}
+    for n in VARIANT_SIZES:
+        for name, kwargs in _variants(n).items():
+            cluster = WimPiCluster(n, base_sf=base_sf, target_sf=10.0, db=db, **kwargs)
+            seconds, shuffled = {}, {}
+            for number in VARIANT_QUERIES:
+                try:
+                    run = cluster.run_query(number)
+                except (QueryOutOfMemoryError, NodeUnresponsiveError) as error:
+                    seconds[number] = shuffled[number] = type(error).__name__
+                else:
+                    seconds[number] = run.total_seconds
+                    shuffled[number] = run.total_seconds + run.shuffle_seconds
+            row = {"msrp_usd": cluster.total_msrp_usd,
+                   "peak_power_w": cluster.peak_power_w, "seconds": seconds}
+            out.setdefault(name, {})[n] = row
+            if "partition_keys" in kwargs:
+                out.setdefault(f"{name} + shuffle", {})[n] = {**row, "seconds": shuffled}
+    return out

@@ -4,9 +4,13 @@ Each artifact — Table I through Fig. 7 — has one function here that
 renders it from an :class:`ExperimentStudy`: the modeled numbers, the
 paper's numbers beside them where the paper published a grid, and the
 lines of :mod:`repro.core.claims` that judge it. ``ARTIFACTS`` lists
-them in the paper's order; ``full_report(study)`` joins them (plus,
-optionally, the extension studies) as one plain-text document, and
-``tools/gen_experiments.py`` splices the same blocks into EXPERIMENTS.md.
+them in the paper's order. ``EXTENSIONS`` does the same for the studies
+of the paper's proposals (:mod:`repro.core.extensions`,
+:mod:`repro.mlbench`): each block's numbers are computed once, as a
+plain dict, and the block prints them. ``full_report(study)`` joins the
+blocks (the extensions on request) as one plain-text document, and
+``tools/gen_experiments.py`` splices the same blocks into EXPERIMENTS.md
+and writes the numbers to docs/paper_tables.json.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .compare import compare_grids
 from .paperdata import TABLE2_SF1_RUNTIMES, TABLE3_SF10_RUNTIMES, TABLE3_WIMPI_RUNTIMES
 from .study import ExperimentStudy
 
-__all__ = ["ARTIFACTS", "full_report", "render_claims"]
+__all__ = ["ARTIFACTS", "EXTENSIONS", "full_report", "render_claims"]
 
 def _header(title: str) -> str:
     bar = "=" * len(title)
@@ -315,9 +319,150 @@ ARTIFACTS = (
 )
 
 
+# ----------------------------------------------------------------------
+# The extension studies: numbers(study) -> dict, render(numbers) -> text
+# (each study module is imported when its block is priced, so importing
+# the package does not load them)
+# ----------------------------------------------------------------------
+
+
+def _compression_numbers(study: ExperimentStudy) -> dict:
+    from .extensions import compression_study
+
+    result = compression_study(base_sf=study.config.base_sf)
+    speedup: dict = {}
+    for r in result["single_node"]:
+        speedup.setdefault(r.platform, {})[r.query] = r.speedup
+    return {"ratio": result["ratio"], "speedup": speedup, "cliff": result["cliff"]}
+
+
+def _compression(numbers: dict) -> str:
+    cliff = numbers["cliff"]
+    return "\n\n".join([
+        f"lineitem compression ratio {numbers['ratio']:.2f}x",
+        render_runtime_table(
+            numbers["speedup"],
+            title="single-node speedup at SF 10, plain / compressed seconds "
+                  "(decode charged, encoded execution off)",
+        ),
+        "Q1 at 4 nodes: " + ", ".join(
+            f"{storage} {cliff[storage]['seconds']:.2f} s "
+            f"(pressure {cliff[storage]['pressure']:.2f})"
+            for storage in ("plain", "compressed")
+        ),
+    ])
+
+
+def _nam(numbers: dict) -> str:
+    return "\n\n".join([
+        render_matrix(
+            [(f"Q{q}", f"{row['plain_seconds']:.2f}", f"{row['nam_seconds']:.2f}",
+              row["offloaded_nodes"])
+             for q, row in numbers["queries"].items()],
+            ["query", "WIMPI (s)", "WIMPI+NAM (s)", "fragments offloaded"],
+            title="4 Pi 3B+ nodes at SF 10, without and with a memory server",
+        ),
+        f"hardware: MSRP ${numbers['plain_msrp']:,.0f} -> ${numbers['nam_msrp']:,.0f}, "
+        f"peak power {numbers['plain_power_w']:.1f} W -> {numbers['nam_power_w']:.1f} W",
+    ])
+
+
+def _proportionality(numbers: dict) -> str:
+    return render_matrix(
+        [("cluster, nodes powered to the load", f"{numbers['cluster_scaled_wh']:,.1f}", "-"),
+         ("cluster, every node always on", f"{numbers['cluster_always_on_wh']:,.1f}",
+          f"{numbers['savings_vs_always_on']:.0%}"),
+         ("op-e5, always on", f"{numbers['server_wh']:,.1f}",
+          f"{numbers['savings_vs_server']:.0%}")],
+        ["configuration", "energy (Wh)", "saved by power gating"],
+        title=f"energy over a {numbers['trace_hours']}-hour utilization trace, "
+              "24 Pi 3B+ nodes vs op-e5",
+    )
+
+
+def _nam_numbers(study: ExperimentStudy) -> dict:
+    from .extensions import nam_study
+
+    return nam_study(base_sf=study.config.base_sf)
+
+
+def _proportionality_numbers(study: ExperimentStudy) -> dict:
+    from .extensions import proportionality_study
+
+    return proportionality_study()
+
+
+def _ml_numbers(study: ExperimentStudy) -> dict:
+    from repro.mlbench import ml_study
+
+    result = ml_study(base_sf=study.config.base_sf)
+    platforms: dict = {}
+    for r in result["platforms"]:
+        platforms.setdefault(r.kernel, {})[r.platform] = {
+            "seconds": r.seconds, "msrp_seconds_usd": r.msrp_seconds_usd,
+        }
+    return {"platforms": platforms, "cluster": result["cluster"]}
+
+
+def _ml(numbers: dict) -> str:
+    cluster = numbers["cluster"]
+    return "\n\n".join([
+        render_matrix(
+            [(kernel, platform, f"{row['seconds']:.2f}", f"{row['msrp_seconds_usd']:,.0f}")
+             for kernel, per in numbers["platforms"].items()
+             for platform, row in per.items()],
+            ["kernel", "platform", "train (s)", "s x MSRP ($)"],
+            title="training on lineitem features at SF 1 (lower is better)",
+        ),
+        f"data-parallel logistic regression on WIMPI: one Pi "
+        f"{cluster['single_pi_seconds']:.1f} s; " + ", ".join(
+            f"{n} nodes {seconds:.1f} s" for n, seconds in cluster["by_nodes"].items()
+        ),
+    ])
+
+
+def _cluster_variants_numbers(study: ExperimentStudy) -> dict:
+    from .extensions import cluster_variants_study
+
+    return cluster_variants_study(base_sf=study.config.base_sf)
+
+
+def _cluster_variants(numbers: dict) -> str:
+    runs = [(variant, n, row) for variant, per in numbers.items() for n, row in per.items()]
+    queries = list(runs[0][2]["seconds"])
+
+    def cell(value) -> str:
+        return value if isinstance(value, str) else f"{value:.2f}"
+
+    return render_matrix(
+        [(variant, n, f"{row['msrp_usd']:,.0f}", f"{row['peak_power_w']:.1f}")
+         + tuple(cell(row["seconds"][q]) for q in queries)
+         for variant, n, row in runs],
+        ["variant", "nodes", "MSRP ($)", "peak (W)"] + [f"Q{q}" for q in queries],
+        title="WimPiCluster(n, **variant) at SF 10: seconds, or the typed "
+              "error the memory model raises",
+    )
+
+
+# (block id, title, numbers(study), render(numbers)): the extension
+# studies, each priced once and printed from what it returned.
+EXTENSIONS = (
+    ("ext-compression", "Extension: compression (§III-C2)",
+     _compression_numbers, _compression),
+    ("ext-nam", "Extension: NAM hybrid cluster (§III-C1)",
+     _nam_numbers, _nam),
+    ("ext-proportionality", "Extension: power gating (§III-B2)",
+     _proportionality_numbers, _proportionality),
+    ("ext-ml", "Extension: ML training (§V)", _ml_numbers, _ml),
+    ("ext-cluster-variants",
+     "Extension: cluster variants (§III-C1, §III-C4, §II-D2)",
+     _cluster_variants_numbers, _cluster_variants),
+)
+
+
 def full_report(study: ExperimentStudy, include_extensions: bool = False) -> str:
     """Render the whole study (optionally including the extension
-    experiments, which add a few seconds of runtime)."""
+    studies, which add a few seconds of runtime)."""
     parts: list[str] = []
     parts.append(_header("Reproduction report — In-Memory OLAP on 'Wimpy' Nodes"))
     parts.append(
@@ -328,28 +473,8 @@ def full_report(study: ExperimentStudy, include_extensions: bool = False) -> str
     for _, title, render in ARTIFACTS:
         parts.append(_header(title))
         parts.append(render(study))
-
     if include_extensions:
-        from .extensions import compression_study, nam_study, proportionality_study
-
-        parts.append(_header("Extensions"))
-        c = compression_study(base_sf=study.config.base_sf)
-        parts.append(
-            f"compression: lineitem ratio {c['ratio']:.2f}x; Q1@4 cliff "
-            f"{c['cliff']['plain']['seconds']:.1f}s -> "
-            f"{c['cliff']['compressed']['seconds']:.1f}s"
-        )
-        n = nam_study(base_sf=study.config.base_sf)
-        parts.append(
-            "NAM: " + ", ".join(
-                f"Q{q} {row['plain_seconds']:.1f}s->{row['nam_seconds']:.2f}s"
-                for q, row in sorted(n["queries"].items())
-            )
-        )
-        p = proportionality_study()
-        parts.append(
-            f"power gating: {p['savings_vs_always_on']:.0%} energy saved vs "
-            f"always-on, {p['savings_vs_server']:.0%} vs op-e5"
-        )
-
+        for _, title, numbers, render in EXTENSIONS:
+            parts.append(_header(title))
+            parts.append(render(numbers(study)))
     return "\n".join(parts) + "\n"

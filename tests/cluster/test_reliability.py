@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.cluster import WimPiCluster
+from repro.cluster import SPARK_NODE, NodeSpec, WimPiCluster
 from repro.cluster.reliability import (
     MemoryOutcome,
     NodeUnresponsiveError,
     QueryOutOfMemoryError,
     SwapPolicy,
     classify_pressure,
-    reliability_report,
 )
 
 
@@ -55,11 +54,6 @@ class TestClassification:
         for policy in SwapPolicy:
             assert classify_pressure(0, 1.0, policy).outcome == "ok"
 
-    def test_report_covers_all_nodes(self):
-        report = reliability_report({1: [0.5, 1.2], 6: [0.3, 0.4]}, SwapPolicy.SWAP)
-        assert [o.outcome for o in report[1]] == ["ok", "thrash"]
-        assert all(o.outcome == "ok" for o in report[6])
-
 
 class TestClusterIntegration:
     def test_swap_cluster_completes_thrashy_query(self, tpch_db):
@@ -101,3 +95,28 @@ class TestClusterIntegration:
         )
         run = cluster.run_query(1)
         assert len(run.result) == 4
+
+
+class TestSparkNode:
+    """§III-C1: the JVM and Spark runtime hold ~500 MB of a Pi's 1 GB;
+    the same memory model and cluster price what that leaves."""
+
+    def test_spark_leaves_the_pi_less_than_half(self):
+        assert SPARK_NODE.available_bytes == pytest.approx(
+            NodeSpec().available_bytes - 500e6
+        )
+        assert SPARK_NODE.available_bytes < NodeSpec().memory_bytes / 2
+
+    def test_pressure_rises_by_the_memory_it_takes(self, tpch_db):
+        kwargs = dict(base_sf=0.01, target_sf=10.0, db=tpch_db)
+        plain = WimPiCluster(24, **kwargs).run_query(1)
+        spark = WimPiCluster(24, node=SPARK_NODE, **kwargs).run_query(1)
+        ratio = NodeSpec().available_bytes / SPARK_NODE.available_bytes
+        assert max(spark.node_pressure) == pytest.approx(max(plain.node_pressure) * ratio)
+        assert spark.result.rows == plain.result.rows
+
+    def test_q13_makes_a_spark_node_unresponsive(self, tpch_db):
+        kwargs = dict(base_sf=0.01, target_sf=10.0, db=tpch_db)
+        assert WimPiCluster(4, **kwargs).run_query(13).total_seconds > 0
+        with pytest.raises(NodeUnresponsiveError):
+            WimPiCluster(4, node=SPARK_NODE, **kwargs).run_query(13)

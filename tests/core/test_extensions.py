@@ -2,8 +2,13 @@
 energy-proportionality study."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.extensions import compression_study, nam_study, proportionality_study
+from repro.hardware import PLATFORMS, PI_KEY, EnergyModel
+
+PI = PLATFORMS[PI_KEY]
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +29,7 @@ class TestCompressionStudy:
 
     def test_cliff_softens(self, compression):
         cliff = compression["cliff"]
-        assert cliff["compressed"]["seconds"] < cliff["plain"]["seconds"]
+        assert cliff["compressed"]["seconds"] < cliff["plain"]["seconds"] / 3
         assert cliff["compressed"]["pressure"] < cliff["plain"]["pressure"]
 
 
@@ -67,3 +72,30 @@ class TestProportionalityStudy:
         idle = proportionality_study(utilization_trace=[0.0] * 4)
         assert idle["cluster_scaled_wh"] == pytest.approx(0.0)
         assert idle["server_wh"] > 0  # the server cannot power off
+
+    def test_always_on_follows_the_ramp(self):
+        """Each always-on node draws what ``EnergyModel`` gives one Pi at
+        the trace's utilization, the same ramp the server is priced on."""
+        trace = [0.05] * 8 + [0.3] * 6 + [0.8] * 6 + [0.4] * 4
+        ramp = sum(24 * EnergyModel().proportionality_curve(PI, [u])[0] for u in trace)
+        result = proportionality_study(utilization_trace=trace)
+        assert result["cluster_always_on_wh"] == pytest.approx(ramp)
+
+    def test_always_on_is_not_priced_at_peak(self, prop):
+        peak_day = prop["trace_hours"] * EnergyModel().active_power(PI, nodes=24)
+        assert prop["cluster_always_on_wh"] < peak_day
+
+    @pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 1.0])
+    def test_constant_load_prices_idle_to_peak(self, u):
+        flat = proportionality_study(utilization_trace=[u] * 3)
+        per_node = PI.idle_w + (PI.total_tdp_w - PI.idle_w) * u
+        assert flat["cluster_always_on_wh"] == pytest.approx(3 * 24 * per_node)
+
+    @given(st.lists(st.integers(min_value=0, max_value=24), min_size=1, max_size=48))
+    @settings(max_examples=50, deadline=None)
+    def test_whole_node_loads_never_cost_energy_to_gate(self, busy_nodes):
+        """With a load of k whole nodes, gating draws k peak nodes where
+        always-on draws k peak nodes plus 24 - k idle ones."""
+        result = proportionality_study(utilization_trace=[k / 24 for k in busy_nodes])
+        assert result["cluster_scaled_wh"] <= result["cluster_always_on_wh"] * (1 + 1e-12)
+        assert 0.0 <= result["savings_vs_always_on"] <= 1.0

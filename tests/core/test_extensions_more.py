@@ -56,19 +56,3 @@ class TestStrategiesRunnerOptions:
         assert len(runs) == 3  # 1 platform x 3 strategies x 1 query
         assert {r.platform for r in runs} == {"pi3b+"}
 
-
-class TestSchedulerConstructors:
-    def test_for_server_never_gates(self):
-        from repro.cluster.scheduler import QueryArrival, WorkloadSimulator
-
-        sim = WorkloadSimulator.for_server("op-gold")
-        result = sim.run([QueryArrival(0, 1), QueryArrival(10_000, 1)])
-        assert result.gated_s == 0.0
-        assert sim.active_w == pytest.approx(330.0)
-
-    def test_for_wimpi_scales_power_with_nodes(self):
-        from repro.cluster.scheduler import WorkloadSimulator
-
-        small = WorkloadSimulator.for_wimpi(4)
-        large = WorkloadSimulator.for_wimpi(24)
-        assert large.active_w == pytest.approx(6 * small.active_w)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ExperimentStudy, StudyConfig
-from repro.core.report import full_report
+from repro.core.report import EXTENSIONS, full_report
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,46 @@ class TestFullReport:
     def test_extensions_included_when_asked(self):
         study = ExperimentStudy(StudyConfig(base_sf=0.01, cluster_sizes=(4,)))
         text = full_report(study, include_extensions=True)
-        assert "compression: lineitem ratio" in text
-        assert "NAM:" in text
-        assert "power gating:" in text
+        assert [block_id for block_id, *_ in EXTENSIONS] == [
+            "ext-compression", "ext-nam", "ext-proportionality", "ext-ml",
+            "ext-cluster-variants",
+        ]
+        for _, title, _, _ in EXTENSIONS:
+            assert title in text, title
+        assert "lineitem compression ratio" in text
+        assert "WIMPI+NAM (s)" in text
+        assert "cluster, every node always on" in text
+        assert "data-parallel logistic regression on WIMPI" in text
+        assert "co-partitioned + shuffle" in text
+
+
+class TestExtensionRenderers:
+    """Each extension block prints the dict its study returned, nothing
+    recomputed: the renderers run on hand-built numbers."""
+
+    @staticmethod
+    def _render(block_id):
+        return next(render for bid, _, _, render in EXTENSIONS if bid == block_id)
+
+    def test_cluster_variants_prints_seconds_and_error_names(self):
+        numbers = {
+            "plain": {4: {"msrp_usd": 140.0, "peak_power_w": 20.4,
+                          "seconds": {1: 65.123, 13: 96.8}}},
+            "no swap": {4: {"msrp_usd": 140.0, "peak_power_w": 20.4,
+                            "seconds": {1: "QueryOutOfMemoryError", 13: 0.5}}},
+        }
+        lines = self._render("ext-cluster-variants")(numbers).splitlines()
+        assert lines[1].split() == ["variant", "nodes", "MSRP", "($)", "peak", "(W)",
+                                    "Q1", "Q13"]
+        assert lines[2].split() == ["plain", "4", "140", "20.4", "65.12", "96.80"]
+        assert lines[3].split() == ["no", "swap", "4", "140", "20.4",
+                                    "QueryOutOfMemoryError", "0.50"]
+        assert len(lines) == 4
+
+    def test_proportionality_prints_energy_and_savings(self):
+        numbers = {"trace_hours": 2, "cluster_scaled_wh": 10.0,
+                   "cluster_always_on_wh": 1234.5, "server_wh": 40.0,
+                   "savings_vs_always_on": 0.3, "savings_vs_server": 0.75}
+        text = self._render("ext-proportionality")(numbers)
+        assert "over a 2-hour utilization trace" in text
+        assert "1,234.5" in text and "30%" in text and "75%" in text

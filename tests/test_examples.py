@@ -25,7 +25,6 @@ class TestExamples:
         present = {p.name for p in EXAMPLES.glob("*.py")}
         assert {
             "quickstart.py", "custom_analytics.py", "sql_interface.py",
-            "extensions_tour.py",
         } <= present
 
     def test_every_example_compiles(self):

@@ -1,14 +1,10 @@
 """Additional property-based tests: compression losslessness, CSV
-roundtrips, SQL literal handling, optimizer equivalence, TCO and
-scheduler invariants."""
+roundtrips, SQL literal handling, optimizer equivalence."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.tco import TcoAssumptions, estimate_tco
-from repro.cluster.scheduler import PowerPolicy, QueryArrival, WorkloadSimulator
 from repro.engine import Column, Database, Q, Table, col, execute
 from repro.engine.compression import ALL_ENCODINGS, compress_column
 from repro.engine.io import read_csv, write_csv
@@ -117,43 +113,3 @@ class TestOptimizerEquivalence:
             by=["g"], s=agg.sum(col("v"))).sort("g")
         assert execute(db, plan, optimize=True).rows == execute(db, plan, optimize=False).rows
 
-
-class TestModelInvariants:
-    @given(st.floats(min_value=1.0, max_value=6.0),
-           st.floats(min_value=0.05, max_value=0.3))
-    @settings(max_examples=50, deadline=None)
-    def test_tco_monotone_in_horizon(self, years, kwh):
-        short = estimate_tco("op-e5", TcoAssumptions(years=years, kwh_price_usd=kwh))
-        longer = estimate_tco("op-e5", TcoAssumptions(years=years + 1, kwh_price_usd=kwh))
-        assert longer.total_usd > short.total_usd
-        assert longer.hardware_usd == short.hardware_usd  # capex fixed
-
-    @given(st.lists(st.tuples(st.floats(0, 10_000), st.floats(0.1, 100)),
-                    min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_scheduler_conservation_of_time(self, pairs):
-        trace = [QueryArrival(arrival_s=a, runtime_s=r) for a, r in pairs]
-        sim = WorkloadSimulator(10.0, 2.0, PowerPolicy(gate_after_idle_s=30, boot_s=5))
-        result = sim.run(trace)
-        accounted = result.busy_s + result.idle_on_s + result.gated_s + result.boot_s
-        assert accounted == pytest.approx(result.total_time_s, rel=1e-9)
-
-    @given(st.lists(st.tuples(st.floats(0, 10_000), st.floats(0.1, 100)),
-                    min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_gating_energy_accounting_identity(self, pairs):
-        """Gating's exact energy delta: idle watts saved while gated,
-        minus boot energy paid. (A short gate right before a boot *can*
-        cost more than it saves — the identity captures both directions.)
-        """
-        trace = [QueryArrival(arrival_s=a, runtime_s=r) for a, r in pairs]
-        policy = PowerPolicy(gate_after_idle_s=60, boot_s=5, boot_power_fraction=0.8)
-        result = WorkloadSimulator(10.0, 2.0, policy).run(trace)
-        expected_wh = (
-            result.busy_s * 10.0
-            + result.idle_on_s * 2.0
-            + result.boot_s * 10.0 * 0.8
-        ) / 3600.0
-        assert result.energy_wh == pytest.approx(expected_wh, rel=1e-9)
-        # Gated seconds draw nothing; work done is trace-determined.
-        assert result.busy_s == pytest.approx(sum(r for _, r in pairs))

@@ -2,12 +2,14 @@
 
 Run:  PYTHONPATH=src python tools/gen_experiments.py
 
-Renders every artifact of ``repro.core.report.ARTIFACTS`` at the
-calibration setting and splices each between its
-``<!-- BEGIN generated: <id> -->`` / ``<!-- END generated: <id> -->``
-markers in EXPERIMENTS.md, then writes every modeled cell and agreement
-statistic to docs/paper_tables.json. Values in the JSON are rounded to
-4 significant digits, so a last-bit float difference between hosts does
+Renders every artifact of ``repro.core.report.ARTIFACTS`` and every
+extension study of ``repro.core.report.EXTENSIONS`` at the calibration
+setting and splices each between its ``<!-- BEGIN generated: <id> -->``
+/ ``<!-- END generated: <id> -->`` markers in EXPERIMENTS.md, then
+writes every modeled cell and agreement statistic to
+docs/paper_tables.json, and every number the extension blocks print
+under its ``"extensions"`` key. Values in the JSON are rounded to 4
+significant digits, so a last-bit float difference between hosts does
 not read as a change. CI regenerates both and fails on a diff.
 """
 
@@ -23,7 +25,7 @@ from repro.core import (
     StudyConfig,
     compare_grids,
 )
-from repro.core.report import ARTIFACTS
+from repro.core.report import ARTIFACTS, EXTENSIONS
 
 CONFIG = StudyConfig(base_sf=0.05)
 ROOT = Path(__file__).parent.parent
@@ -49,9 +51,10 @@ def _agreement(measured, published) -> dict:
     }
 
 
-def paper_tables(study: ExperimentStudy) -> dict:
+def paper_tables(study: ExperimentStudy, extensions: dict) -> dict:
     """Every modeled cell of Tables II-III and Figs. 3-7, plus the
-    paper-agreement statistics of Table II and the WIMPI grid."""
+    paper-agreement statistics of Table II and the WIMPI grid, and
+    ``extensions``: each extension block's numbers by block id."""
     table3 = study.table3()
     fig4: dict = {}
     for run in study.fig4():
@@ -76,6 +79,7 @@ def paper_tables(study: ExperimentStudy) -> dict:
         "fig5": study.fig5(),
         "fig6": study.fig6(),
         "fig7": study.fig7(),
+        "extensions": extensions,
     })
 
 
@@ -96,10 +100,15 @@ def main() -> None:
     text = doc.read_text()
     for block_id, _, render in ARTIFACTS:
         text = splice(text, block_id, render(study))
+    extensions = {}
+    for block_id, _, numbers, render in EXTENSIONS:
+        extensions[block_id] = numbers(study)
+        text = splice(text, block_id, render(extensions[block_id]))
     doc.write_text(text)
     tables = ROOT / "docs" / "paper_tables.json"
-    tables.write_text(json.dumps(paper_tables(study), indent=1) + "\n")
-    print(f"wrote {doc} ({len(ARTIFACTS)} blocks) and {tables}")
+    tables.write_text(json.dumps(paper_tables(study, extensions), indent=1) + "\n")
+    blocks = len(ARTIFACTS) + len(EXTENSIONS)
+    print(f"wrote {doc} ({blocks} blocks) and {tables}")
 
 
 if __name__ == "__main__":
