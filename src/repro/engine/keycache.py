@@ -26,7 +26,9 @@ naive ``combined * card + codes`` scheme silently wraps int64 once the
 product of key cardinalities reaches 2**63; this version detects that in
 exact Python integers and falls back to lexicographic factorization,
 which orders groups identically (mixed-radix mixing of per-column ranks
-*is* the lexicographic order) at the cost of one ``lexsort``. And the
+*is* the lexicographic order) at the cost of one ``lexsort``;
+:func:`sorted_pairs`, the narrow ``major * card + minor`` sort behind
+COUNT(DISTINCT) and the left-table join's left-major order. And the
 kernels dense integer keys unlock: :func:`dense_span`, the one test of
 "dense" (the join picks its probe with it; a dense build side with
 unique keys is its own slot table and sorts nothing), :func:`stable_order`,
@@ -48,9 +50,11 @@ import numpy as np
 from repro.obs.metrics import HitMissStats
 
 __all__ = [
-    "KeyCache", "combine_codes", "dense_span", "factorize", "fits_direct", "key_cache", "stable_order",
+    "KeyCache", "combine_codes", "dense_span", "factorize", "fits_direct", "key_cache",
+    "sorted_pairs", "stable_order",
 ]
 
+_INT32_LIMIT = 2**31
 _INT64_LIMIT = 2**63
 # Integer keys are dense when they span at most this many values per
 # row. Set by footprint, not tuned: a direct-address table of <= 2x rows
@@ -122,6 +126,21 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
         order = order[np.argsort(digit.astype(np.uint16), kind="stable")]
         shift += 16
     return order
+
+
+def sorted_pairs(major: np.ndarray, minor: np.ndarray, n_major: int, card: int) -> np.ndarray:
+    """``major * card + minor`` per row, sorted: one code per ``(major,
+    minor)`` pair with ``0 <= major < n_major`` and ``0 <= minor < card``,
+    in pair order, major first. Built and sorted in place, int32 when
+    ``n_major * card`` fits it and int64 otherwise; the caller keeps that
+    product below ``_INT64_LIMIT``. Sorting the narrow codes once beats a
+    stable sort by ``major`` (whose radix passes double past 2**16 values)
+    and a gather of ``minor`` through its order."""
+    pairs = major.astype(np.int32 if n_major * card < _INT32_LIMIT else np.int64)
+    pairs *= card
+    pairs += minor
+    pairs.sort()
+    return pairs
 
 
 def factorize(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":

@@ -34,10 +34,16 @@ each group's rows in row order, and charge the same work. No keys is
 the one-group case, with nothing grouped. DISTINCT keeps the
 factorizing :func:`_group_ids`, because it needs each group's first row.
 
+COUNT(DISTINCT) sorts one ``gid * card + code`` pair per valid row,
+int32 where ``n_groups * card`` fits it. Only sparse integer values are
+factorized for their codes: dense ones (by ``dense_span``) code as
+``value - base`` and strings as their dictionary codes.
+
 Inside one aggregate, every function of the same input is evaluated
 once and every (function, input) pair is reduced once, keyed on the
-input's :func:`~repro.engine.fingerprint.structural_key`; each use is
-still charged as if it had evaluated its input itself.
+input's :func:`~repro.engine.fingerprint.structural_key`; AVG is the
+:func:`mean` of its input's SUM and COUNT reductions. Each use is still
+charged as if it had evaluated its input itself.
 """
 
 from __future__ import annotations
@@ -53,7 +59,8 @@ from ..column import Column
 from ..expr import Arith, Expr, col
 from ..frame import Frame
 from ..keycache import (
-    _INT64_LIMIT, combine_codes, dense_span, factorize, fits_direct, key_cache, stable_order,
+    _INT64_LIMIT, combine_codes, dense_span, factorize, fits_direct, key_cache, sorted_pairs,
+    stable_order,
 )
 from ..profile import OperatorWork
 from ..types import FLOAT64, INT64, STRING
@@ -264,22 +271,42 @@ def _direct_slots(frame: Frame, keys: list[str]):
     return slots, n_slots, counts, kept, {name: key_columns[name] for name in keys}
 
 
+def _distinct_codes(key: np.ndarray, column: Column) -> tuple[np.ndarray, int] | None:
+    """``(codes, card)``: one code in ``[0, card)`` per value of ``key``
+    (the valid rows of ``column``), equal exactly where the values are —
+    dictionary codes for strings (a dictionary holds unique values),
+    ``value - base`` for integers ``dense_span`` accepts, factorization
+    codes for other integers; ``None`` for anything else."""
+    if column.dtype is STRING:
+        return key, len(column.dictionary)
+    if key.dtype.kind != "i":
+        return None
+    dense = dense_span(key, len(key))
+    if dense is None:
+        uniques, codes = factorize(key)
+        return codes, len(uniques)
+    base, span = dense
+    return np.subtract(key, base, dtype=np.int64), span  # in [0, span): no wrap
+
+
 def _count_distinct(gids: np.ndarray, n_groups: int, column: Column) -> np.ndarray:
-    """Distinct non-NULL values of ``column`` per group id. Integer keys
-    sort one mixed ``gid * card + code`` per row; anything else (floats:
-    every NaN is its own value) orders by value, then stably by gid."""
-    key = column.decoded() if column.dtype is STRING else column.values
+    """Distinct non-NULL values of ``column`` per group id. Integer and
+    string values sort one mixed ``gid * card + code`` per row, int32
+    where the product fits it; anything else (floats: every NaN is its
+    own value, or a product past int64) orders by value or code, then
+    stably by gid."""
+    key = column.values
     if column.valid is not None:
         key, gids = key[column.valid], gids[column.valid]
     if not len(key):
         return np.zeros(n_groups, dtype=np.int64)
-    if key.dtype.kind == "i":
-        uniques, codes = factorize(key)
-        if n_groups * len(uniques) < _INT64_LIMIT:  # exact Python ints
-            pairs = np.sort(gids * len(uniques) + codes)
-            new = np.ones(len(pairs), dtype=bool)
-            new[1:] = pairs[1:] != pairs[:-1]
-            return np.bincount(pairs[new] // len(uniques), minlength=n_groups)
+    coded = _distinct_codes(key, column)
+    if coded is not None and n_groups * coded[1] < _INT64_LIMIT:  # exact Python ints
+        codes, card = coded
+        pairs = sorted_pairs(gids, codes, n_groups, card)
+        new = np.ones(len(pairs), dtype=bool)
+        new[1:] = pairs[1:] != pairs[:-1]
+        return np.bincount(pairs[new] // card, minlength=n_groups)
     order = stable_order(key)
     order = order[stable_order(gids[order])]
     sg, sk = gids[order], key[order]
@@ -459,9 +486,14 @@ def execute_aggregate(
         if counts is None and n_groups > 1 and spec.func in ("count", "count_star", "avg") \
                 and (column is None or column.valid is None):
             counts = np.bincount(gids, minlength=n_groups)
-        if (spec.func, key) not in reduced:
-            reduced[spec.func, key] = reduce_groups(spec.func, column, gids, n_groups, counts)
-        out_columns[name] = reduced[spec.func, key]
+        # AVG is the mean of its input's SUM and COUNT, each reduced once.
+        for func in ("sum", "count") if spec.func == "avg" else (spec.func,):
+            if (func, key) not in reduced:
+                reduced[func, key] = reduce_groups(func, column, gids, n_groups, counts)
+        if spec.func == "avg":
+            out_columns[name] = mean(reduced["sum", key].values, reduced["count", key].values)
+        else:
+            out_columns[name] = reduced[spec.func, key]
 
     if kept is not None:  # the direct kernel: drop the slots no row reached
         if len(kept) < n_groups:

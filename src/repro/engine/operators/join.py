@@ -7,7 +7,12 @@ stand-ins with identical output, chosen per join from the keys it is
 handed (:func:`_match`): a direct-address table when same-dtype integer
 keys are dense (:func:`~repro.engine.keycache.dense_span` — PK/FK keys,
 dictionary codes), else sort-and-binary-search over the build side's
-encoded keys. Semi/anti joins stop at the per-row match counts.
+encoded keys. The direct-address table goes on the small side: over the
+left keys when they are NULL-free, unique and fewer than the right's
+(:func:`_probe_left`; every right row probes it, and one sort of the
+matches' ``(left, right)`` pair codes restores the left-major order),
+over the right keys otherwise. Semi/anti joins stop at the per-row
+match counts.
 
 String keys join on dictionary codes whenever possible: sides sharing a
 dictionary object compare int32 codes directly, and differing
@@ -27,7 +32,7 @@ from repro.obs.trace import note
 
 from ..column import Column
 from ..frame import Frame
-from ..keycache import combine_codes, dense_span, key_cache
+from ..keycache import combine_codes, dense_span, key_cache, sorted_pairs
 from ..types import STRING
 
 __all__ = ["execute_join"]
@@ -123,6 +128,19 @@ def _probe_sort(
     return hi - lo, lo, order
 
 
+def _slots(keys: np.ndarray, base: int, span: int) -> np.ndarray:
+    """Each key's slot in a direct-address table over ``[base, base +
+    span)``; keys outside the range go to the always-empty slot ``span``.
+    ``key - base`` is taken modulo 2**64 and clamped to ``span`` as an
+    unsigned value: a key below ``base`` wraps past every slot, and none
+    can wrap into the range, because ``key - base`` over a signed dtype
+    of at most 64 bits takes at most 2**64 consecutive values, each its
+    own residue."""
+    slot = np.subtract(keys, base, dtype=np.int64).view(np.uint64)
+    np.minimum(slot, span, out=slot)
+    return slot.view(np.int64)
+
+
 def _probe_dense(
     left_keys: np.ndarray, right_keys: np.ndarray, base: int, span: int, pairs: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -133,12 +151,7 @@ def _probe_dense(
     the table holds each key's row, ``lo`` is read off it, ``order`` is ``None``."""
     slot = np.subtract(right_keys, base, dtype=np.intp)
     per_key = np.bincount(slot, minlength=span + 1)
-    # Left keys outside the build range go to the always-empty slot
-    # ``span`` through a bounds mask, never through a wrapped
-    # ``left - base`` (both bounds are build keys, so they fit the dtype).
-    inside = (left_keys >= base) & (left_keys <= base + span - 1)
-    probe = np.full(len(left_keys), span, dtype=np.intp)
-    np.subtract(left_keys, base, out=probe, where=inside, dtype=np.intp)
+    probe = _slots(left_keys, base, span)
     counts = per_key[probe]
     if not pairs:
         return counts, None, None
@@ -147,6 +160,33 @@ def _probe_dense(
         rows[slot] = np.arange(len(right_keys))
         return counts, rows[probe], None
     return counts, (np.cumsum(per_key) - per_key)[probe], key_cache.sort_order(right_keys)
+
+
+def _probe_left(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Direct-address kernel over the left side: ``(counts, left_idx,
+    right_idx)`` in :func:`_expand`'s order, or ``None`` unless the left
+    keys are dense over both sides' rows and unique. The table maps each left
+    key's slot to its row; every right row probes it once, and the
+    matches, found right-major, are put back in left-major order (right
+    rows ascending within a key) by one sort of their ``(left, right)``
+    pair codes. Nothing of the right side is sorted."""
+    dense = dense_span(left_keys, len(left_keys) + len(right_keys))
+    if dense is None:
+        return None
+    base, span = dense
+    table = np.full(span + 1, -1, dtype=np.intp)
+    table[np.subtract(left_keys, base, dtype=np.intp)] = np.arange(len(left_keys))
+    if np.count_nonzero(table >= 0) < len(left_keys):  # a key repeats
+        return None
+    hit = table[_slots(right_keys, base, span)]
+    right_rows = np.flatnonzero(hit >= 0)
+    left_rows = hit[right_rows]
+    pairs = sorted_pairs(left_rows, right_rows, len(left_keys), len(right_keys))
+    counts = np.bincount(left_rows, minlength=len(left_keys))
+    left_idx = np.repeat(np.arange(len(left_keys)), counts)  # left_rows, sorted
+    return counts, left_idx, pairs - left_idx * len(right_keys)
 
 
 def _expand(
@@ -167,25 +207,39 @@ def _expand(
 
 
 def _match(
-    left_keys: np.ndarray, right_keys: np.ndarray, pairs: bool
-) -> tuple[str, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    left_keys: np.ndarray, right_keys: np.ndarray, left_valid: np.ndarray | None, pairs: bool
+) -> tuple[str, str, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """For every left row, find matching right rows.
 
-    Returns ``(kernel, counts, lo, order)``: the probe result
-    :func:`_expand` turns into match pairs (``lo``/``order`` may be
-    ``None`` unless ``pairs``; ``order`` is also ``None`` when a dense
-    build side's keys are unique), and the name of the kernel that ran —
-    ``"dense"`` when both sides share an integer dtype and the build keys
-    pass :func:`~repro.engine.keycache.dense_span`, ``"sort"`` otherwise.
+    Returns ``(kernel, table, counts, left_idx, right_idx)``: the kernel
+    that ran, the side its table was built over, the matches per left row
+    (a left row ``left_valid`` marks NULL matches nothing) and, when
+    ``pairs`` are wanted, every ``(left, right)`` match in
+    :func:`_expand`'s order (else ``None``). The kernel is ``"dense"``
+    when both sides share an integer dtype and the table's keys pass
+    :func:`~repro.engine.keycache.dense_span`, ``"sort"`` otherwise. The
+    table is the left side's (:func:`_probe_left`) when pairs are wanted
+    and the left keys are NULL-free, fewer than the right's, dense and
+    unique; the right side's in every other case.
     """
-    dense = None
-    if left_keys.dtype == right_keys.dtype:
-        dense = dense_span(right_keys, len(left_keys) + len(right_keys))
+    same = left_keys.dtype == right_keys.dtype
+    if same and pairs and left_valid is None and len(left_keys) < len(right_keys):
+        found = _probe_left(left_keys, right_keys)
+        if found is not None:
+            metrics.counter("engine.join.kernel.dense").inc()
+            return ("dense", "left", *found)
+    dense = dense_span(right_keys, len(left_keys) + len(right_keys)) if same else None
     kernel = "sort" if dense is None else "dense"
     metrics.counter(f"engine.join.kernel.{kernel}").inc()
     if dense is None:
-        return (kernel, *_probe_sort(left_keys, right_keys))
-    return (kernel, *_probe_dense(left_keys, right_keys, *dense, pairs))
+        counts, lo, order = _probe_sort(left_keys, right_keys)
+    else:
+        counts, lo, order = _probe_dense(left_keys, right_keys, *dense, pairs)
+    if left_valid is not None:
+        counts = counts * left_valid  # NULL left keys match nothing
+    if not pairs:
+        return kernel, "right", counts, None, None
+    return (kernel, "right", counts, *_expand(counts, lo, order))
 
 
 def execute_join(
@@ -233,13 +287,9 @@ def execute_join(
         right_map = None
 
     pairs = how not in ("semi", "anti")  # those decide on ``counts`` alone
-    kernel, counts, lo, order = _match(left_keys, right_keys, pairs)
-    if left_null is not None:
-        counts = counts * left_null  # NULL left keys match nothing
-    if pairs:
-        left_idx, right_idx = _expand(counts, lo, order)
-        if right_map is not None and len(right_idx):
-            right_idx = right_map[right_idx]
+    kernel, table, counts, left_idx, right_idx = _match(left_keys, right_keys, left_null, pairs)
+    if pairs and right_map is not None and len(right_idx):
+        right_idx = right_map[right_idx]
 
     # Work accounting: hash build over the ``build`` side (by convention
     # right), a random probe per row of the other, plus per-match output.
@@ -285,7 +335,7 @@ def execute_join(
         ctx.work.out_bytes += out.nbytes
     note(
         ctx, how=how, left_rows=left.nrows, right_rows=right.nrows,
-        matches=out.nrows, kernel=kernel, build=build, late=out.is_late,
+        matches=out.nrows, kernel=kernel, table=table, build=build, late=out.is_late,
     )
     return out
 

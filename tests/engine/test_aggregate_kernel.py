@@ -573,6 +573,28 @@ class TestSharedReductionsRunOnce:
         for got, want in zip(result.rows, serial):
             assert got[2:-1] == pytest.approx(want[2:-1], rel=1e-12)
 
+    def test_serial_q1_sums_each_input_once(self, tpch_db, tpch_params):
+        """AVG is the mean of its input's SUM and COUNT: a serial Q1 runs
+        one weighted ``np.bincount`` per distinct SUM or AVG input, and
+        each AVG is exactly its SUM over its COUNT."""
+        from repro.engine.fingerprint import structural_key
+        from repro.tpch import get_query
+
+        plan = get_query(1).build(tpch_db, tpch_params)
+        aggs = dict(_aggregate_node(plan.node).aggs)
+        inputs = {structural_key(s.expr) for s in aggs.values() if s.func in ("sum", "avg")}
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+            result, calls = self._reductions(lambda: Executor(tpch_db).execute(plan))
+        weighted = [c for c in counted.call_args_list if c.kwargs.get("weights") is not None]
+        assert len(weighted) == len(inputs) == 5  # qty, price, disc_price, charge, discount
+        (funcs,) = calls
+        assert "avg" not in funcs and funcs.count("sum") == len(inputs)
+        names = list(result.column_names)
+        for row in result.rows:
+            got = dict(zip(names, row))
+            assert got["avg_qty"] == got["sum_qty"] / got["count_order"]
+            assert got["avg_price"] == got["sum_base_price"] / got["count_order"]
+
     def test_different_inputs_to_one_function_stay_apart(self, tpch_db):
         text = ("SELECT l_returnflag, SUM(l_tax) AS tax, SUM(l_discount) AS disc "
                 "FROM lineitem GROUP BY l_returnflag")

@@ -469,9 +469,9 @@ _distinct_rows = st.lists(
 class TestCountDistinctKernel:
     @_wall
     @given(rows=_distinct_rows, scale=st.sampled_from([1, 10**9]),
-           modulus=st.sampled_from([3, 11, 10**7]), guard=st.booleans())
+           modulus=st.sampled_from([3, 11, 10**7]), guard=st.booleans(), narrow=st.booleans())
     def test_integer_keys_equal_set_sizes_either_side_of_the_guard(
-        self, rows, scale, modulus, guard
+        self, rows, scale, modulus, guard, narrow
     ):
         groups, draws, nulls = (list(part) for part in zip(*rows))
         values = [(d % modulus) * scale for d in draws]
@@ -482,11 +482,52 @@ class TestCountDistinctKernel:
             want.setdefault(g, set())
             if not null:
                 want[g].add(v)
-        # A limit of 1 refuses every gid * card + code product.
+        # A limit of 1 refuses every gid * card + code product; an int32
+        # limit of 1 widens every pair to int64.
         limit = 1 if guard else aggregate_module._INT64_LIMIT
-        with mock.patch.object(aggregate_module, "_INT64_LIMIT", limit):
+        limit32 = keycache._INT32_LIMIT if narrow else 1
+        with mock.patch.object(aggregate_module, "_INT64_LIMIT", limit), \
+                mock.patch.object(keycache, "_INT32_LIMIT", limit32):
             got = _count_distinct_rows(groups, column, ["g"])
         assert got == sorted((g, len(vs)) for g, vs in want.items())
+
+    @pytest.mark.parametrize("narrow", [True, False], ids=["int32", "int64"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "strings"])
+    def test_pairs_are_int32_exactly_below_the_bound(self, kind, narrow):
+        """Dense integers code as ``value - base`` and strings as their
+        dictionary codes, neither factorized; sparse integers factorize.
+        The pairs are int32 exactly when ``n_groups * card`` is below the
+        bound (patched down to this product), and count the same sets."""
+        groups = [0, 3, 1, 3, 0, 2, 3, 1, 0, 3]
+        if kind == "strings":
+            # An unsorted dictionary (its codes do not order its values), NULLs.
+            dictionary = np.asarray(["m", "b", "z", "a", "q"], dtype=object)
+            codes = np.asarray([2, 0, 2, 4, 1, 0, 3, 3, 2, 0])
+            valid = np.asarray([True, True, True, False, True, True, True, False, True, True])
+            column = Column(STRING, codes.astype(np.int32), dictionary=dictionary, valid=valid)
+            card = len(dictionary)
+        else:
+            values = np.asarray([7, 9, 7, 12, 8, 8, 12, 9, 10, 7], dtype=np.int64)
+            if kind == "sparse":
+                values = values * 10**9
+            column = Column(INT64, values)
+            card = 6 if kind == "dense" else 5  # the span 7..12, or five distinct values
+        want: dict = {}
+        for g, v in zip(groups, column.to_list()):
+            want.setdefault(g, set())
+            if v is not None:
+                want[g].add(v)
+        n_groups = 5  # group 4 is empty
+        gids = np.asarray(groups, dtype=np.int64)
+        limit = n_groups * card + (1 if narrow else 0)
+        with mock.patch.object(keycache, "_INT32_LIMIT", limit), \
+                mock.patch.object(aggregate_module, "factorize", wraps=factorize) as factorized, \
+                mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+            got = aggregate_module._count_distinct(gids, n_groups, column)
+        assert factorized.call_count == (kind == "sparse")
+        (call,) = counted.call_args_list  # the one over the kept pairs
+        assert call.args[0].dtype == (np.int32 if narrow else np.int64)
+        assert got.tolist() == [len(want.get(g, ())) for g in range(n_groups)]
 
     @pytest.mark.parametrize("kind", ["ints", "nan", "strings", "nulls", "all-null"])
     def test_global_is_the_single_group_case(self, kind):

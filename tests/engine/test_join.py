@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Column, Database, Frame, Q, Table, col, execute, keycache
 from repro.engine.keycache import dense_span, stable_order
+from repro.engine.operators import join as join_module
 from repro.engine.operators.join import (
     _expand,
     _match,
@@ -352,19 +353,19 @@ class TestProbeKernels:
         right = Column.from_string_codes(np.asarray([2, 0, 0, 1]), left.dictionary)
         assert left.values.dtype == right.values.dtype == np.int32
         _assert_same_pairs(left.values, right.values)
-        assert _match(left.values, right.values, True)[0] == "dense"
+        assert _match(left.values, right.values, None, True)[:2] == ("dense", "right")
 
     def test_match_picks_the_kernel_from_the_keys(self):
         build = np.arange(100, dtype=np.int64)
         probe = np.asarray([3, 3, 250, -1], dtype=np.int64)
-        assert _match(probe, build, True)[0] == "dense"
-        assert _match(probe, build * 10**6, True)[0] == "sort"       # sparse
-        assert _match(probe, build.astype(np.float64), True)[0] == "sort"
-        assert _match(probe.astype(np.float64), build, True)[0] == "sort"
+        assert _match(probe, build, None, True)[0] == "dense"
+        assert _match(probe, build * 10**6, None, True)[0] == "sort"       # sparse
+        assert _match(probe, build.astype(np.float64), None, True)[0] == "sort"
+        assert _match(probe.astype(np.float64), build, None, True)[0] == "sort"
         # An empty build has no range to address.
-        kernel, counts, lo, order = _match(probe, build[:0], True)
+        kernel, _, counts, left_idx, right_idx = _match(probe, build[:0], None, True)
         assert kernel == "sort" and not counts.any()
-        assert all(len(idx) == 0 for idx in _expand(counts, lo, order))
+        assert len(left_idx) == len(right_idx) == 0
 
     def test_mixed_width_sides_take_the_sort_kernel(self):
         # Probe keys an int32 build side cannot represent: the dtype
@@ -373,9 +374,9 @@ class TestProbeKernels:
         # ``2**40`` could raise OverflowError.
         build = np.arange(100, dtype=np.int32)
         probe = np.asarray([5, 2**40, -(2**40), 99], dtype=np.int64)
-        kernel, counts, _, _ = _match(probe, build, True)
+        kernel, _, counts, _, _ = _match(probe, build, None, True)
         assert kernel == "sort" and counts.tolist() == [1, 0, 0, 1]
-        kernel, counts, _, _ = _match(build, probe, False)
+        kernel, _, counts, _, _ = _match(build, probe, None, False)
         assert kernel == "sort" and int(counts.sum()) == 2
 
 
@@ -474,3 +475,89 @@ class TestJoinKernelsEndToEnd:
         assert dense_rows == sort_rows == _reference_join(lkeys, lnulls, rkeys, rnulls, how)
         assert dataclasses.asdict(dense_work) == dataclasses.asdict(sort_work)
         assert any(r is None for _, r in dense_rows) == (how == "left")
+
+
+class TestLeftTable:
+    """Unique, dense left keys on the smaller side hold the table. The
+    match pairs are the right-side table's and nested loops': left rows
+    ascending, right rows ascending within a key, outer misses last — and
+    so is the recorded work."""
+
+    @_wall
+    @given(
+        dtype=st.sampled_from(_INT_DTYPES),
+        n_left=st.integers(0, 60),
+        n_right=st.integers(0, 200),
+        distinct=st.sampled_from([1, 3, 20, 10**6]),
+        # Left keys partly or wholly outside the right keys' [0, 60).
+        shift=st.integers(-150, 100),
+        seed=st.integers(0, 2**16),
+        narrow=st.booleans(),
+    )
+    def test_same_pairs_as_the_right_table(
+        self, dtype, n_left, n_right, distinct, shift, seed, narrow
+    ):
+        right = _keys_spanning(dtype, 0, 60, n_right, distinct, seed)
+        rng = np.random.default_rng(seed + 1)
+        # Unique, within a span of 2 * n_left + 1: dense whenever there is a right row.
+        left = (rng.permutation(2 * n_left + 1)[:n_left] + shift).astype(dtype)
+        # Sorted (left, right) pair codes: int32, or int64 under a limit of 1.
+        limit = keycache._INT32_LIMIT if narrow else 1
+        with mock.patch.object(keycache, "_INT32_LIMIT", limit):
+            kernel, table, counts, left_idx, right_idx = _match(left, right, None, True)
+        assert table == ("left" if 0 < n_left < n_right else "right")
+        if table == "left":
+            assert kernel == "dense"
+        for got, want in zip((counts, left_idx, right_idx), _sort_pairs(left, right)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        nested = [(i, j) for i, lk in enumerate(left) for j, rk in enumerate(right) if lk == rk]
+        assert list(zip(left_idx.tolist(), right_idx.tolist())) == nested
+
+    @_wall
+    @given(
+        left=st.lists(st.integers(-5, 30), unique=True, max_size=25),
+        right=_sides,
+        how=st.sampled_from(["inner", "left"]),
+    )
+    def test_right_nulls_match_nested_loops_and_the_right_table(self, left, right, how):
+        lnulls = [False] * len(left)
+        frames = _frames(left, lnulls, *right)
+        rows, work = _run_join(*frames, how)
+        with mock.patch.object(join_module, "_probe_left", return_value=None):
+            right_rows, right_work = _run_join(*frames, how)
+        assert rows == right_rows == _reference_join(left, lnulls, *right, how)
+        assert dataclasses.asdict(work) == dataclasses.asdict(right_work)
+
+    def test_int32_dictionary_codes(self):
+        left = Column.from_strings(["d", "a", "c"])
+        right = Column.from_string_codes(np.asarray([2, 0, 0, 1, 2, 2, 0]), left.dictionary)
+        assert left.values.dtype == right.values.dtype == np.int32
+        kernel, table, *got = _match(left.values, right.values, None, True)
+        assert (kernel, table) == ("dense", "left")
+        for got_part, want in zip(got, _sort_pairs(left.values, right.values)):
+            assert got_part.dtype == want.dtype
+            assert np.array_equal(got_part, want)
+
+    @pytest.mark.parametrize("dtype", _INT_DTYPES)
+    def test_keys_at_the_dtype_ends(self, dtype):
+        # ``key - base`` wraps for these right keys: none may wrap into a slot.
+        info = np.iinfo(dtype)
+        right = np.asarray([info.min, info.max, 0, info.max - 2, info.min + 3,
+                            info.min, info.max, -1, info.max - 3, info.min + 4], dtype=dtype)
+        for keys in ([info.max, info.max - 2], [info.min + 3, info.min]):
+            left = np.asarray(keys, dtype=dtype)
+            kernel, table, *got = _match(left, right, None, True)
+            assert (kernel, table) == ("dense", "left")
+            for got_part, want in zip(got, _sort_pairs(left, right)):
+                assert np.array_equal(got_part, want)
+
+    def test_repeated_or_nullable_left_keys_keep_the_right_table(self):
+        right = np.arange(50, dtype=np.int64) % 10
+        repeated = np.asarray([3, 1, 3], dtype=np.int64)
+        assert _match(repeated, right, None, True)[:2] == ("dense", "right")
+        unique = np.asarray([3, 1, 4], dtype=np.int64)
+        valid = np.asarray([True, False, True])
+        assert _match(unique, right, valid, True)[:2] == ("dense", "right")
+        assert _match(unique, right, None, False)[:2] == ("dense", "right")  # semi/anti
+        assert _match(unique, right, None, True)[:2] == ("dense", "left")

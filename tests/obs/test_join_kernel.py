@@ -54,6 +54,21 @@ def test_q9_sorts_only_its_composite_key_join(tpch_db, tpch_params):
     assert moved == {"dense": spans["dense"], "sort": spans["sort"]}
 
 
+def test_q21_holds_its_suppliers_not_its_lineitems(tpch_db, tpch_params):
+    """Q21's ``supplier ⋈ lineitem`` left side is one nation's few,
+    unique supplier keys: the table is theirs and every lineitem probes
+    it. Its other joins, semi and anti included, keep the right table."""
+    joins, moved = _traced_joins(tpch_db, tpch_params, 21)
+    left = [s for s in joins if s.attrs["table"] == "left"]
+    assert [s.attrs["kernel"] for s in left] == ["dense"]
+    (span,) = left
+    assert span.attrs["how"] == "inner"
+    assert span.attrs["left_rows"] < tpch_db.table("supplier").nrows < span.attrs["right_rows"]
+    assert {s.attrs["table"] for s in joins} == {"left", "right"}
+    spans = collections.Counter(s.attrs["kernel"] for s in joins)
+    assert moved == {"dense": spans["dense"], "sort": spans["sort"]}
+
+
 def _budgeted_joins(db, params, number, memory_budget):
     """Join spans of one traced serial run under ``memory_budget``, whose
     spans must reconcile with its profile whichever side was built."""
